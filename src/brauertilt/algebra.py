@@ -14,6 +14,7 @@ classes running from edge i to edge j.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .trees import BrauerTree
@@ -53,8 +54,9 @@ class BrauerTreeAlgebra:
     """
 
     def __init__(self, tree: BrauerTree, prime: int = DEFAULT_PRIME, check=True):
-        if prime < 2:
-            raise ValueError("prime must be at least 2")
+        # int64 elimination needs p < 2**31; trial division is cheap below it
+        if not 2 <= prime < 2**31 or any(prime % q == 0 for q in range(2, isqrt(prime) + 1)):
+            raise ValueError(f"working prime must be a prime below 2**31, got {prime}")
         self.tree = tree
         self.prime = prime
         self.edges = tree.edge_ids()
@@ -67,6 +69,7 @@ class BrauerTreeAlgebra:
             self._check_consistency()
         self.hom_cache: dict = {}
         self.summand_cache: dict = {}
+        self.mult_cache: dict = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -167,6 +170,30 @@ class BrauerTreeAlgebra:
         if p not in self.index or q not in self.index:
             raise ValueError("path class does not belong to this algebra")
         return self.mult.get((p, q))
+
+    def mult_coords(self, pc: PathClass, side: str, edge) -> tuple:
+        """Multiplication by one path class between blocks, as the (row,
+        column) positions of the ones in its 0/1 matrix.
+
+        side "L" maps y in block (pc.end, edge) to pc*y in block
+        (pc.start, edge); side "R" maps y in block (edge, pc.start) to
+        y*pc in block (edge, pc.end).  Rows index the target block and
+        columns the source block, in the order of `blocks`.  Cached in
+        `mult_cache`.
+        """
+        key = (pc, side, edge)
+        coords = self.mult_cache.get(key)
+        if coords is None:
+            if side == "L":
+                src, tgt = self.blocks[(pc.end, edge)], (pc.start, edge)
+                products = [self.mult.get((pc, y)) for y in src]
+            else:
+                src, tgt = self.blocks[(edge, pc.start)], (edge, pc.end)
+                products = [self.mult.get((y, pc)) for y in src]
+            pos = self.block_pos[tgt]
+            coords = tuple((pos[r], col) for col, r in enumerate(products) if r is not None)
+            self.mult_cache[key] = coords
+        return coords
 
     def hom_basis(self, i, j) -> list[PathClass]:
         """Basis of Hom(P_i, P_j): the path classes from edge i to edge j,

@@ -11,7 +11,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import modules
-from .algebra import build_tree_algebra, star_algebra
+from .algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
 from .complexes import algebra_complex
 from .coverings import (
     complex_label_key,
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computation with Brauer tree algebras and "
         "two-term tilting complexes",
     )
-    parser.add_argument("--field-prime", type=int, default=32003,
+    parser.add_argument("--field-prime", type=int, default=DEFAULT_PRIME,
                         help="working prime for all linear algebra")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized isomorphism probes")

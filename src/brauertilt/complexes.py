@@ -15,6 +15,7 @@ are dropped: they rescale unknowns and never change dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -289,8 +290,16 @@ def identity_chain_map(T: ProjComplex) -> ChainMap:
 class ChainMapSpace:
     """All chain maps Q -> R[s] and the null-homotopic ones among them.
 
-    chain_basis rows span the chain maps in the coefficient coordinates
-    described by `layout`; null_basis rows span the null-homotopic maps.
+    The unknowns are the coefficients of a degree-wise map Q -> R[s], in
+    the coordinates described by `layout`.  The commuting squares form a
+    matrix C and the null-homotopic maps the rows of `null_basis` (N); both
+    are assembled from blocks of multiplication by one differential entry.
+    Construction runs two eliminations, one rref of C and one of N (none
+    for an empty matrix), so dim = total - rank C - rank N; the containment
+    of the null-homotopic maps in the chain maps is checked as C @ N^T = 0.
+    chain_basis (the nullspace of C) is read off the stored rref of C when
+    first asked for, and the quotient representatives cost one more rref,
+    of [null rows; chain_basis]^T, when first asked for.
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -312,86 +321,49 @@ class ChainMapSpace:
                     total += len(pcs)
         self.layout, self.offsets, self.total = layout, offsets, total
 
-        rows = []
-        for d in Q.degrees():
-            src = Q.slots(d)
-            tgt = R.slots(d + s + 1)
-            if not src or not tgt:
-                continue
-            dq, dr = Q.diff(d), R.diff(d + s)
-            mid_q = Q.slots(d + 1)
-            mid_r = R.slots(d + s)
-            for t in range(len(tgt)):
-                for i in range(len(src)):
-                    coeff: dict = {}
-                    for m in range(len(mid_q)):
-                        key = (d + 1, t, m)
-                        if key not in self.offsets:
-                            continue
-                        off, pcs = self.offsets[key]
-                        for kk, pc in enumerate(pcs):
-                            for out_pc, c in elem_mul(A, dq[m][i], {pc: 1}).items():
-                                coeff[(off + kk, out_pc)] = (coeff.get((off + kk, out_pc), 0) + c) % p
-                    for j in range(len(mid_r)):
-                        key = (d, j, i)
-                        if key not in self.offsets:
-                            continue
-                        off, pcs = self.offsets[key]
-                        for kk, pc in enumerate(pcs):
-                            for out_pc, c in elem_mul(A, {pc: 1}, dr[t][j]).items():
-                                coeff[(off + kk, out_pc)] = (coeff.get((off + kk, out_pc), 0) - c) % p
-                    out_pcs = {out_pc for (_, out_pc) in coeff}
-                    for out_pc in out_pcs:
-                        row = linalg.zeros(1, total)[0]
-                        for (col, opc), c in coeff.items():
-                            if opc == out_pc:
-                                row[col] = c
-                        if row.any():
-                            rows.append(row)
-        cmat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
-        self.chain_basis = linalg.nullspace(cmat, p) if total else linalg.zeros(0, 0)
+        q_entries = _nonzero_entries(Q)
+        r_entries = q_entries if R is Q else _nonzero_entries(R)
 
-        hrows = []
-        for d in Q.degrees():
-            src = Q.slots(d)
-            mid = R.slots(d + s - 1)
-            for j in range(len(mid)):
-                for i in range(len(src)):
-                    pcs = A.blocks[(src[i], mid[j])]
-                    for pc in pcs:
-                        vec = linalg.zeros(1, total)[0]
-                        # d_R h contribution in degree d
-                        dr = R.diff(d + s - 1)
-                        for t in range(len(R.slots(d + s))):
-                            key = (d, t, i)
-                            if key not in self.offsets:
-                                continue
-                            off, out_pcs = self.offsets[key]
-                            prod = elem_mul(A, {pc: 1}, dr[t][j])
-                            for kk, opc in enumerate(out_pcs):
-                                if opc in prod:
-                                    vec[off + kk] = (vec[off + kk] + prod[opc]) % p
-                        # h d_Q contribution in degree d-1
-                        dq = Q.diff(d - 1)
-                        for i0 in range(len(Q.slots(d - 1))):
-                            key = (d - 1, j, i0)
-                            if key not in self.offsets:
-                                continue
-                            off, out_pcs = self.offsets[key]
-                            prod = elem_mul(A, dq[i][i0], {pc: 1})
-                            for kk, opc in enumerate(out_pcs):
-                                if opc in prod:
-                                    vec[off + kk] = (vec[off + kk] + prod[opc]) % p
-                        if vec.any():
-                            hrows.append(vec)
-        self.null_basis = np.array(hrows, dtype=np.int64) if hrows else linalg.zeros(0, total)
-        self.null_rank = linalg.rank(self.null_basis, p) if total else 0
-        if total and self.null_basis.shape[0]:
-            stacked = np.concatenate([self.chain_basis, self.null_basis], axis=0)
-            if linalg.rank(stacked, p) != self.chain_basis.shape[0]:
-                raise AssertionError("null-homotopic maps escaped the chain-map space")
-        self.dim = self.chain_basis.shape[0] - self.null_rank
+        # commuting squares: one row block per (d, t, i), from Q_d slot i to
+        # R_{d+s+1} slot t, holding the coordinates of d_Q f_{d+1} - f_d d_R
+        row_off, rows = _block_offsets(A, Q, R, s + 1)
+        coo: list = []  # (row, column, value)
+        for d, m, i, x in q_entries:
+            for t, b in enumerate(R.slots(d + s + 1)):
+                _put(coo, row_off[(d, t, i)], offsets[(d + 1, t, m)][0], A, x, "L", b)
+        for e, t, j, x in r_entries:
+            d = e - s
+            for i, a in enumerate(Q.slots(d)):
+                _put(coo, row_off[(d, t, i)], offsets[(d, j, i)][0], A, x, "R", a, sign=-1)
+        cmat = _assemble(coo, rows, total, p)
+
+        # null homotopies: one row per basis coefficient of h_d: Q_d -> R_{d+s-1},
+        # holding the coordinates of h_d d_R + d_Q h_d
+        row_off, rows = _block_offsets(A, Q, R, s - 1)
+        coo = []
+        for e, t, j, x in r_entries:
+            d = e - s + 1
+            for i, a in enumerate(Q.slots(d)):
+                _put(coo, row_off[(d, j, i)], offsets[(d, t, i)][0], A, x, "R", a, transpose=True)
+        for d0, i, i0, x in q_entries:
+            d = d0 + 1
+            for j, c in enumerate(R.slots(d + s - 1)):
+                _put(coo, row_off[(d, j, i)], offsets[(d0, j, i0)][0], A, x, "L", c, transpose=True)
+        self.null_basis = _assemble(coo, rows, total, p)
+
+        self._chain_rref = _rref(cmat, p)
+        null_red, null_piv = _rref(self.null_basis, p)
+        self._null_rows = null_red[: len(null_piv)]
+        self.null_rank = len(null_piv)
+        if linalg.matmul(cmat, self.null_basis.T, p).any():
+            raise AssertionError("null-homotopic maps escaped the chain-map space")
+        self.dim = total - len(self._chain_rref[1]) - self.null_rank
         self._reduction = None
+
+    @cached_property
+    def chain_basis(self) -> np.ndarray:
+        """Rows span the chain maps: the nullspace of the commuting squares."""
+        return linalg.nullspace_of_rref(*self._chain_rref, self.Q.algebra.prime)
 
     # -- conversions ---------------------------------------------------------------
 
@@ -424,18 +396,15 @@ class ChainMapSpace:
         return ChainMap(self.Q, self.R, self.s, comps)
 
     def _reduction_data(self):
+        """Reduced null rows and the chain-basis rows that are independent
+        of them and of the earlier chain-basis rows (the pivot columns of
+        the transposed stack past the null block)."""
         if self._reduction is None:
-            p = self.Q.algebra.prime
-            null_red, null_piv = linalg.rref(self.null_basis, p)
-            null_rows = null_red[: len(null_piv)]
-            reps = []
-            current = null_rows
-            for v in self.chain_basis:
-                stacked = np.concatenate([current, v[None, :]], axis=0)
-                if linalg.rank(stacked, p) > current.shape[0]:
-                    reps.append(v)
-                    current = stacked
-            reps = np.array(reps, dtype=np.int64) if reps else linalg.zeros(0, self.total)
+            null_rows, chain = self._null_rows, self.chain_basis
+            stacked = np.concatenate([null_rows, chain], axis=0)
+            _, pivots = _rref(stacked.T, self.Q.algebra.prime)
+            k = null_rows.shape[0]
+            reps = chain[np.array([c - k for c in pivots[k:]], dtype=np.intp)]
             self._reduction = (null_rows, reps)
         return self._reduction
 
@@ -457,6 +426,58 @@ class ChainMapSpace:
     def basis_maps(self) -> list[ChainMap]:
         _, reps = self._reduction_data()
         return [self.map_from_vector(v) for v in reps]
+
+
+def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: int):
+    """Offset of the coefficient block of each map from Q_d slot i to
+    R_{d+shift} slot j, keyed (d, j, i), in the order of `layout`; and the
+    total size."""
+    offsets, total = {}, 0
+    for d in Q.degrees():
+        for j, b in enumerate(R.slots(d + shift)):
+            for i, a in enumerate(Q.slots(d)):
+                offsets[(d, j, i)] = total
+                total += len(A.blocks[(a, b)])
+    return offsets, total
+
+
+def _nonzero_entries(X: ProjComplex) -> list:
+    """(d, row, col, entry) for every nonzero differential entry, the entry
+    mapping slot col of degree d to slot row of degree d + 1."""
+    return [
+        (d, row, col, x)
+        for d, mat in X.diffs.items()
+        for row, xs in enumerate(mat)
+        for col, x in enumerate(xs)
+        if x
+    ]
+
+
+def _put(coo: list, r0: int, c0: int, A: BrauerTreeAlgebra, x, side: str, edge,
+         sign: int = 1, transpose: bool = False) -> None:
+    """Append the block of multiplication by the element x (see
+    BrauerTreeAlgebra.mult_coords for side and edge), or its transpose, at
+    row r0 and column c0."""
+    for pc, v in x.items():
+        v *= sign
+        for r, c in A.mult_coords(pc, side, edge):
+            coo.append((r0 + c, c0 + r, v) if transpose else (r0 + r, c0 + c, v))
+
+
+def _rref(mat: np.ndarray, p: int):
+    """linalg.rref, without running an elimination on an empty matrix."""
+    return linalg.rref(mat, p) if mat.size else (mat, [])
+
+
+def _assemble(coo: list, rows: int, cols: int, p: int) -> np.ndarray:
+    """Matrix with the (row, column, value) entries added in, reduced mod p,
+    zero rows dropped."""
+    mat = linalg.zeros(rows, cols)
+    if coo:
+        r, c, v = zip(*coo)
+        np.add.at(mat, (list(r), list(c)), v)
+    mat %= p
+    return mat[mat.any(axis=1)]
 
 
 def chain_map_space(Q: ProjComplex, R: ProjComplex, s: int) -> ChainMapSpace:

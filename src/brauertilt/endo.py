@@ -275,8 +275,8 @@ class EndoAlgebra:
     def map_from_coords(self, u, v, coords) -> ChainMap:
         sp = self.spaces[(u, v)]
         _, reps = sp._reduction_data()
-        vec = (np.asarray(coords, dtype=np.int64)[None, :] @ reps) % self.p if len(coords) else linalg.zeros(1, sp.total)
-        return sp.map_from_vector(vec[0] if vec.ndim == 2 else vec)
+        vec = linalg.matmul(np.asarray(coords, dtype=np.int64)[None, :] % self.p, reps, self.p)
+        return sp.map_from_vector(vec[0])
 
     def local_radical(self, u) -> list[np.ndarray]:
         """Coordinate vectors spanning rad End(T_u)."""
@@ -331,7 +331,7 @@ def _is_nilpotent(mat, p, d) -> bool:
     for _ in range(steps):
         if not m.any():
             return True
-        m = (m @ m) % p
+        m = linalg.matmul(m, m, p)
     return not m.any()
 
 

@@ -2,8 +2,11 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 routines are plain Gaussian elimination; sizes in this package stay in the
-low hundreds, so no fraction-free or blocked tricks are needed.  Products
-of two reduced entries fit comfortably in int64 for any prime < 2**31.
+low hundreds, so no fraction-free or blocked tricks are needed.  A product
+of two reduced entries fits in int64 for any prime < 2**31, but a sum of
+such products may not: `matmul` adds at most (2**63 - 1) // (p - 1)**2 of
+them before reducing, which is a single step at the default prime and two
+products at p near 2**31.
 """
 
 from __future__ import annotations
@@ -30,30 +33,45 @@ def matmul(a, b, p: int) -> np.ndarray:
     a, b = asmat(a), asmat(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+    inner = a.shape[1]
+    if a.shape[0] == 0 or b.shape[1] == 0 or inner == 0:
         return zeros(a.shape[0], b.shape[1])
-    return (a @ b) % p
+    chunk = max(1, (2**63 - 1) // (p - 1) ** 2)
+    if inner <= chunk:
+        return (a @ b) % p
+    out = zeros(a.shape[0], b.shape[1])
+    for k in range(0, inner, chunk):
+        out = (out + (a[:, k : k + chunk] @ b[k : k + chunk]) % p) % p
+    return out
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = asmat(a).copy() % p
+    """Reduced row echelon form and the list of pivot columns.
+
+    Each pivot step touches only the rows with a nonzero entry in the pivot
+    column, and only the columns from the pivot on: the columns to its left
+    are already zero in the pivot row.
+    """
+    m = asmat(a) % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        lead = int(m[r, c])
+        if lead != 1:
+            m[r, c:] = m[r, c:] * pow(lead, -1, p) % p
+        hit = m[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - m[hit, c][:, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -74,13 +92,17 @@ def nullspace(a, p: int) -> np.ndarray:
         return zeros(0, 0)
     if rows == 0:
         return eye(cols)
-    red, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
+    return nullspace_of_rref(*rref(m, p), p)
+
+
+def nullspace_of_rref(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The basis `nullspace` returns, read off a matrix's reduced form."""
+    cols = red.shape[1]
+    taken = set(pivots)
+    free = [c for c in range(cols) if c not in taken]
     basis = zeros(len(free), cols)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, c]) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-red[: len(pivots)][:, free].T) % p
     return basis
 
 

@@ -15,7 +15,7 @@ reproduces the input.
 
 from __future__ import annotations
 
-from .algebra import BrauerTreeAlgebra, star_algebra
+from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, star_algebra
 from .complexes import ProjComplex, direct_sum, stalk_complex
 from .modules import UniserialSpec, min_proj_presentation, uniserial_rep
 from .tilting import is_tilting
@@ -90,7 +90,7 @@ def realize(
     if stalk_degree not in (0, 1):
         raise ValueError("stalk_degree must be 0 or 1")
     if A is None:
-        A = star_algebra(tree.n, tree.multiplicity, prime or 32003)
+        A = star_algebra(tree.n, tree.multiplicity, prime or DEFAULT_PRIME)
     else:
         A.require_star()
         if A.n != tree.n or A.tree.multiplicity != tree.multiplicity:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .algebra import BrauerTreeAlgebra, build_tree_algebra, star_algebra
+from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, build_tree_algebra, star_algebra
 from .complexes import (
     ProjComplex,
     algebra_complex,
@@ -43,8 +43,7 @@ from .realization import realize
 from .tilting import is_partial_tilting, module_partial_tilting_test
 from .trees import BrauerTree, all_brauer_trees
 
-DEFAULT_PRIME = 32003
-FIELD_PRIMES = (2, 3, 32003)
+FIELD_PRIMES = (2, 3, DEFAULT_PRIME)
 
 _ALGEBRAS: dict = {}
 _MEMO: dict = {}

@@ -3,13 +3,35 @@ and prints a PASS/FAIL line.  All tolerances are exact (zero mismatches);
 the stated runtime budgets are asserted where they exist.
 """
 
+import hashlib
 import time
 
 from brauertilt.verify import (
     FIELD_PRIMES,
+    SUITES,
     field_independence,
     run_suite,
 )
+
+# First 16 hex digits of the sha256 of repr(SuiteResult.fingerprint), recorded
+# from the package as first committed; every suite gave the same digest at
+# p = 2, 3 and 32003.  A change that moves one must be a named bug fix.
+SUITE_DIGESTS = {
+    "covering-bijection": "6bf25ce54168ee5b",
+    "euler-pairing": "42df4fbf828b170a",
+    "hom-tables": "47386c80d59db477",
+    "length-bound": "208085f0d789ef1f",
+    "line-example": "09e4d8fdddbdb17a",
+    "presentation-criterion": "2b48f5849464b0de",
+    "realization-roundtrip": "ec0a03b09deeab36",
+    "shift-duality": "4377ade10806513c",
+    "socle-quotient": "e2a1df0fcae038ec",
+    "star-autoequivalences": "c39c321b5e011960",
+}
+
+
+def fingerprint_digest(fingerprint) -> str:
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
 
 
 def _report(number, name, result, elapsed, budget=None):
@@ -116,8 +138,13 @@ def test_criterion_11_field_independence():
     status = "PASS" if ok else "FAIL"
     print(f"{status} criterion 11 (field independence over primes "
           f"{FIELD_PRIMES}) [{elapsed:.1f}s]")
+    assert sorted(table) == sorted(SUITE_DIGESTS) == sorted(SUITES)
     for name, prints in sorted(table.items()):
         same = all(fp == prints[0] for fp in prints[1:])
         print(f"  {name}: {'identical' if same else 'DIFFERS'}")
         assert same, f"suite {name} gives prime-dependent output"
+        for p, fp in zip(FIELD_PRIMES, prints):
+            assert fingerprint_digest(fp) == SUITE_DIGESTS[name], (
+                f"suite {name} at p = {p} moved from its recorded fingerprint"
+            )
     assert ok

@@ -110,3 +110,11 @@ def test_parameter_validation():
         star_algebra(0, 1)
     with pytest.raises(ValueError):
         star_algebra(2, 0)
+
+
+def test_working_prime_must_be_prime_below_2_31():
+    for bad in (0, 1, 4, 9, 32001, 2**31, 2147483659):
+        with pytest.raises(ValueError, match="prime"):
+            star_algebra(2, 1, prime=bad)
+    for good in (2, 3, 32003, 2**31 - 1):
+        assert star_algebra(2, 1, prime=good).prime == good

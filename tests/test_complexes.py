@@ -1,7 +1,12 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauertilt.algebra import idempotent, star_algebra
 from brauertilt.complexes import (
+    ChainMapSpace,
     ProjComplex,
     algebra_complex,
     chain_map_space,
@@ -11,6 +16,8 @@ from brauertilt.complexes import (
     identity_chain_map,
     stalk_complex,
 )
+from brauertilt.coverings import covering_to_complex, enumerate_coverings
+from brauertilt.endo import summand_complexes
 from brauertilt.modules import UniserialSpec, min_proj_presentation, uniserial_rep
 
 
@@ -119,3 +126,41 @@ def test_euler_pairing_signs():
     # stalk against a presentation: 1 exactly at the lower-term edge
     assert euler_pairing(stalk_complex(A, 1, 0), pres(A, 3, 2)) == 1
     assert euler_pairing(stalk_complex(A, 2, 0), pres(A, 3, 2)) == 0
+
+
+# -- properties over the summands of tilting complexes --------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def covering_summands(n, k):
+    """The distinct summands of the complexes of all coverings of the n-gon
+    (the trivial one included) over star(n, k)."""
+    A = star_algebra(n, k)
+    found = {}
+    for cov in enumerate_coverings(n, include_trivial=True):
+        T = covering_to_complex(cov, A)
+        for label, part in zip(T.labels, summand_complexes(T)):
+            found.setdefault(label.key, part)
+    return [found[key] for key in sorted(found, key=repr)]
+
+
+@PROPERTY
+@given(st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]), st.data())
+def test_chain_map_space_properties(nk, data):
+    parts = covering_summands(*nk)
+    U, V = data.draw(st.sampled_from(parts)), data.draw(st.sampled_from(parts))
+    s = data.draw(st.sampled_from((-1, 0, 1)))
+    Q = direct_sum([U, V])
+    assert hom_complex_dim(Q, Q, s, direct=True) == hom_complex_dim(Q, Q, s)
+    sp = ChainMapSpace(U, V, s)
+    maps = sp.basis_maps()
+    assert len(maps) == sp.dim == hom_complex_dim(U, V, s)
+    for f in maps:
+        assert f.is_chain_map()
+        assert not sp.is_null_homotopic(f)
+    for row in sp.null_basis:
+        f = sp.map_from_vector(row)
+        assert f.is_chain_map()
+        assert sp.is_null_homotopic(f)

@@ -164,3 +164,10 @@ def test_cli_verify_suite(capsys):
     assert out.startswith("PASS")
     rc, _, err = run_cli(capsys, ["verify", "no-such-suite"])
     assert rc == 2
+
+
+def test_cli_rejects_composite_field_prime(capsys):
+    rc, out, err = run_cli(capsys, ["--field-prime", "4", "verify", "length-bound"])
+    assert rc == 2
+    assert "PASS" not in out
+    assert "prime" in err

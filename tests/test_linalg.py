@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauertilt import linalg
 
@@ -51,3 +53,73 @@ def test_empty_shapes():
 def test_is_invertible():
     assert linalg.is_invertible([[1, 1], [0, 1]], 2)
     assert not linalg.is_invertible([[1, 1], [1, 1]], 2)
+
+
+# -- properties against textbook references ----------------------------------------
+
+PRIMES = (2, 3, 32003, 2**31 - 1)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def rref_reference(rows, ncols, p):
+    """Gauss-Jordan elimination on Python integers, one row at a time."""
+    m = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=8):
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    # small values and p - 1 make dependent rows likely; the wide range
+    # checks that unreduced input is reduced first
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, p - 1]), st.integers(-p, 2 * p))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return np.array(data, dtype=np.int64).reshape(rows, cols), p
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_equals_reference(case):
+    a, p = case
+    before = a.copy()
+    red, pivots = linalg.rref(a, p)
+    ref, ref_pivots = rref_reference(a.tolist(), a.shape[1], p)
+    assert pivots == ref_pivots
+    assert red.shape == a.shape
+    assert red.tolist() == ref
+    assert np.array_equal(a, before)
+
+
+@PROPERTY
+@given(st.sampled_from(PRIMES), st.data())
+def test_matmul_equals_exact_product(p, data):
+    rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    exact = [[sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(cols)] for i in range(rows)]
+    got = linalg.matmul(np.array(a, dtype=np.int64).reshape(rows, inner),
+                        np.array(b, dtype=np.int64).reshape(inner, cols), p)
+    assert got.tolist() == exact
+
+
+def test_matmul_sums_do_not_overflow():
+    p = 2**31 - 1
+    a = np.full((1, 8), p - 1, dtype=np.int64)
+    assert linalg.matmul(a, a.T, p).tolist() == [[8]]

@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import (
@@ -12,6 +15,7 @@ from brauertilt.complexes import (
 )
 from brauertilt.modules import (
     UniserialSpec,
+    enumerate_indecomposables,
     min_proj_presentation,
     simple_rep,
     socle_quotient_rep,
@@ -159,3 +163,21 @@ def test_decompose_identity_is_contractible():
     for s in (-1, 0, 1):
         assert hom_complex_dim(T, probe, s, direct=True) == 0
         assert hom_complex_dim(D, probe, s, direct=True) == 0
+
+
+@lru_cache(maxsize=None)
+def nonprojective_indecomposables(n, k, p):
+    A = star_algebra(n, k, prime=p)
+    return [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(n, k) for n in range(1, 5) for k in range(1, 4)]),
+    st.sampled_from((2, 3, 32003, 2**31 - 1)),
+    st.data(),
+)
+def test_direct_decision_matches_module_criterion(nk, p, data):
+    M = data.draw(st.sampled_from(nonprojective_indecomposables(*nk, p)))
+    by_chain = is_partial_tilting(min_proj_presentation(M), direct=True)
+    assert by_chain == module_partial_tilting_test(M)
