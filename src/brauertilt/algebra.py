@@ -53,7 +53,7 @@ class BrauerTreeAlgebra:
     of the prime; the prime only enters later linear algebra.
     """
 
-    def __init__(self, tree: BrauerTree, prime: int = DEFAULT_PRIME, check=True):
+    def __init__(self, tree: BrauerTree, prime: int = DEFAULT_PRIME):
         # int64 elimination needs p < 2**31; trial division is cheap below it
         if not 2 <= prime < 2**31 or any(prime % q == 0 for q in range(2, isqrt(prime) + 1)):
             raise ValueError(f"working prime must be a prime below 2**31, got {prime}")
@@ -65,8 +65,7 @@ class BrauerTreeAlgebra:
         self._build_basis()
         self._build_mult()
         self._build_arrows()
-        if check:
-            self._check_consistency()
+        self._check_consistency()
         self.hom_cache: dict = {}
         self.summand_cache: dict = {}
         self.mult_cache: dict = {}
@@ -74,10 +73,8 @@ class BrauerTreeAlgebra:
     # -- construction ---------------------------------------------------------
 
     def _winding_end(self, v, start_edge, length):
-        e = start_edge
-        for _ in range(length):
-            e = self.tree.succ(v, e)
-        return e
+        order = self.tree.cyclic_order[v]
+        return order[(order.index(start_edge) + length) % len(order)]
 
     def _build_basis(self):
         tree = self.tree
@@ -105,6 +102,10 @@ class BrauerTreeAlgebra:
         self.block_pos = {
             (a, b): {pc: i for i, pc in enumerate(pcs)} for (a, b), pcs in blocks.items()
         }
+        # the path classes starting at each edge, i.e. composable after it
+        self._starting = {
+            a: [pc for b in self.edges for pc in blocks[(a, b)]] for a in self.edges
+        }
 
     def _compose_raw(self, p: PathClass, q: PathClass):
         if p.end != q.start:
@@ -129,7 +130,7 @@ class BrauerTreeAlgebra:
         self.mult = {
             (p, q): r
             for p in self.basis
-            for q in self.basis
+            for q in self._starting[p.end]
             if (r := self._compose_raw(p, q)) is not None
         }
 
@@ -144,24 +145,41 @@ class BrauerTreeAlgebra:
         self.arrows = arrows
 
     def _check_consistency(self):
+        """Symmetric Cartan matrix and an associative multiplication table.
+
+        The table holds composable pairs only, and every product must be a
+        basis class running from the start of its left factor to the end of
+        its right factor.  Then a triple (p, q, r) with p.end != q.start or
+        q.end != r.start is zero on both sides: the non-composable pair has
+        no product, and the product of the other pair starts or ends at the
+        wrong edge to be composed with the remaining factor.  So
+        associativity needs checking only on composable triples.
+        """
         cart = self.cartan_matrix()
         for i in range(self.n):
             for j in range(self.n):
                 if cart[i][j] != cart[j][i]:
                     raise AssertionError("Cartan matrix is not symmetric")
-        if self.dim ** 3 <= 3_000_000:
-            compose = self.compose
-            for p in self.basis:
-                for q in self.basis:
-                    pq = compose(p, q)
-                    for r in self.basis:
-                        left = compose(pq, r) if pq is not None else None
-                        qr = compose(q, r)
-                        right = compose(p, qr) if qr is not None else None
-                        if left != right:
-                            raise AssertionError(
-                                f"multiplication not associative on ({p}, {q}, {r})"
-                            )
+        products = {p: {} for p in self.basis}  # p -> {q: pq} for pq != 0
+        for (p, q), r in self.mult.items():
+            if r not in self.index or (r.start, r.end) != (p.start, q.end):
+                raise AssertionError(
+                    f"product of ({p}, {q}) is {r}, not a basis class from "
+                    f"edge {p.start} to edge {q.end}"
+                )
+            products[p][q] = r
+        # per composable pair (p, q), compare r -> (pq)r with r -> p(qr)
+        for p in self.basis:
+            row = products[p]
+            for q in self._starting[p.end]:
+                pq = row.get(q)
+                left = products[pq] if pq is not None else {}
+                right = {
+                    r: x for r, qr in products[q].items() if (x := row.get(qr)) is not None
+                }
+                if left != right:
+                    r = next(r for r in self._starting[q.end] if left.get(r) != right.get(r))
+                    raise AssertionError(f"multiplication not associative on ({p}, {q}, {r})")
 
     # -- public interface -------------------------------------------------------
 

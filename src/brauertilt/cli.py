@@ -117,7 +117,7 @@ def _suite_entry(name: str, prime: int):
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if args.suite == "field-independence":
-        ok, table = field_independence(workers=args.workers)
+        ok, table = field_independence()
         for name, prints in sorted(table.items()):
             same = all(fp == prints[0] for fp in prints[1:])
             print(f"{'PASS' if same else 'FAIL'} {name}: fingerprints "
@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized isomorphism probes")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for independent checks")
+                        help="process pool size for 'verify all', one suite per "
+                        "task; 'verify field-independence' runs serially")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--dot", action="store_true", help="DOT output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -298,8 +298,9 @@ class ChainMapSpace:
     for an empty matrix), so dim = total - rank C - rank N; the containment
     of the null-homotopic maps in the chain maps is checked as C @ N^T = 0.
     chain_basis (the nullspace of C) is read off the stored rref of C when
-    first asked for, and the quotient representatives cost one more rref,
-    of [null rows; chain_basis]^T, when first asked for.
+    first asked for; the quotient representatives, with the matrix that
+    gives quotient coordinates, cost one more rref, in the coordinates of
+    chain_basis, when first asked for.
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -396,35 +397,46 @@ class ChainMapSpace:
         return ChainMap(self.Q, self.R, self.s, comps)
 
     def _reduction_data(self):
-        """Reduced null rows and the chain-basis rows that are independent
-        of them and of the earlier chain-basis rows (the pivot columns of
-        the transposed stack past the null block)."""
+        """The free columns of the rref of C, the chain-basis rows that are
+        independent of the null rows and of the earlier chain-basis rows,
+        and the matrix taking chain-basis coordinates to their coefficients.
+
+        A chain map v is the combination of the chain basis with the
+        coefficients y = v[free].  In these coordinates the chain basis is
+        the identity and the null rows are N_c = null_rows[:, free], so one
+        rref of [N_c^T | I] picks the representatives (its pivot columns in
+        I) and its right block E inverts the transposed stack of the null
+        rows and the representatives: the quotient coordinates of v are the
+        representatives' rows of E times y.
+        """
         if self._reduction is None:
-            null_rows, chain = self._null_rows, self.chain_basis
-            stacked = np.concatenate([null_rows, chain], axis=0)
-            _, pivots = _rref(stacked.T, self.Q.algebra.prime)
-            k = null_rows.shape[0]
-            reps = chain[np.array([c - k for c in pivots[k:]], dtype=np.intp)]
-            self._reduction = (null_rows, reps)
+            taken = set(self._chain_rref[1])
+            free = [c for c in range(self.total) if c not in taken]
+            null_c = self._null_rows[:, free]
+            k, c = null_c.shape
+            aug = np.concatenate([null_c.T, linalg.eye(c)], axis=1)
+            red, pivots = _rref(aug, self.Q.algebra.prime)
+            chosen = np.array([j - k for j in pivots[k:]], dtype=np.intp)
+            self._reduction = (free, self.chain_basis[chosen], red[k:, k:])
         return self._reduction
 
     def quotient_coords(self, vec) -> np.ndarray:
         """Coordinates of a chain-map vector in the homotopy quotient."""
-        null_rows, reps = self._reduction_data()
+        free, reps, coeffs = self._reduction_data()
         p = self.Q.algebra.prime
         if reps.shape[0] == 0:
             return linalg.zeros(1, 0)[0]
-        full = np.concatenate([null_rows, reps], axis=0)
-        sol = linalg.solve(full.T, np.asarray(vec, dtype=np.int64) % p, p)
-        if sol is None:
+        vec = np.asarray(vec, dtype=np.int64) % p
+        y = vec[free][:, None]
+        if (linalg.matmul(self.chain_basis.T, y, p)[:, 0] != vec).any():
             raise ValueError("vector is not a chain map")
-        return sol[null_rows.shape[0] :]
+        return linalg.matmul(coeffs, y, p)[:, 0]
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return not self.quotient_coords(self.vector_of(f)).any()
 
     def basis_maps(self) -> list[ChainMap]:
-        _, reps = self._reduction_data()
+        reps = self._reduction_data()[1]
         return [self.map_from_vector(v) for v in reps]
 
 

@@ -274,7 +274,7 @@ class EndoAlgebra:
 
     def map_from_coords(self, u, v, coords) -> ChainMap:
         sp = self.spaces[(u, v)]
-        _, reps = sp._reduction_data()
+        reps = sp._reduction_data()[1]
         vec = linalg.matmul(np.asarray(coords, dtype=np.int64)[None, :] % self.p, reps, self.p)
         return sp.map_from_vector(vec[0])
 

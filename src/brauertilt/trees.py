@@ -10,7 +10,8 @@ composition series descend mod n.
 
 from __future__ import annotations
 
-from itertools import permutations
+import heapq
+from itertools import permutations, product
 
 
 class BrauerTree:
@@ -123,34 +124,38 @@ class BrauerTree:
 
     # -- isomorphism -------------------------------------------------------------
 
-    def _encode(self, v, in_edge, mark_exceptional: bool):
-        flag = 1 if (mark_exceptional and v == self.exceptional) else 0
-        order = self.cyclic_order[v]
-        if in_edge is None:
-            if not order:
-                return (flag,)
-            rots = [order[i:] + order[:i] for i in range(len(order))]
-            return min(
-                (flag,)
-                + tuple(self._encode(self.other_end(e, v), e, mark_exceptional) for e in rot)
-                for rot in rots
-            )
-        i = order.index(in_edge)
-        children = order[i + 1 :] + order[:i]
-        return (flag,) + tuple(
-            self._encode(self.other_end(e, v), e, mark_exceptional) for e in children
-        )
-
     def canonical_key(self, respect_exceptional: bool | None = None):
         """Canonical form; equal keys mean isomorphic trees with matching
         cyclic orders (and matching exceptional vertex when respected).
 
         By default the exceptional mark is compared only when the
-        multiplicity is at least 2, where it changes the algebra.
+        multiplicity is at least 2, where it changes the algebra.  The key
+        is the least code over the roots and the rotations at the root; the
+        code of the subtree entered through edge e at vertex v lists its
+        children in cyclic order after e, and is computed once per call.
         """
         if respect_exceptional is None:
             respect_exceptional = self.multiplicity >= 2
-        key = min(self._encode(v, None, respect_exceptional) for v in self.vertices)
+        marked = {self.exceptional} if respect_exceptional else set()
+        memo = {}
+
+        def code(v, in_edge):
+            c = memo.get((in_edge, v))
+            if c is None:
+                order = self.cyclic_order[v]
+                i = order.index(in_edge)
+                c = (int(v in marked),) + tuple(
+                    code(self.other_end(e, v), e) for e in order[i + 1 :] + order[:i]
+                )
+                memo[(in_edge, v)] = c
+            return c
+
+        def root_code(v):
+            children = tuple(code(self.other_end(e, v), e) for e in self.cyclic_order[v])
+            flag = (int(v in marked),)
+            return min(flag + children[i:] + children[:i] for i in range(len(children)))
+
+        key = min(root_code(v) for v in self.vertices)
         return (self.n, self.multiplicity, key)
 
     def is_isomorphic_to(self, other: "BrauerTree", respect_exceptional=None) -> bool:
@@ -160,26 +165,21 @@ class BrauerTree:
 
 
 def _labeled_trees(num_vertices: int):
-    """All labeled trees on vertices 0..num_vertices-1 as edge lists."""
+    """All labeled trees on vertices 0..num_vertices-1 as edge lists, in
+    the order of their Prufer sequences."""
     if num_vertices == 1:
         return
     if num_vertices == 2:
         yield [(0, 1)]
         return
-    from itertools import product
-
     for seq in product(range(num_vertices), repeat=num_vertices - 2):
-        degree = [1] * num_vertices
+        deg = [1] * num_vertices
         for v in seq:
-            degree[v] += 1
-        seq_list = list(seq)
-        edges = []
-        ptr = [v for v in range(num_vertices) if degree[v] == 1]
-        import heapq
-
+            deg[v] += 1
+        ptr = [v for v in range(num_vertices) if deg[v] == 1]
         heapq.heapify(ptr)
-        deg = degree[:]
-        for v in seq_list:
+        edges = []
+        for v in seq:
             leaf = heapq.heappop(ptr)
             edges.append((leaf, v))
             deg[v] -= 1
@@ -191,33 +191,70 @@ def _labeled_trees(num_vertices: int):
         yield edges
 
 
+def _shape_code(adj) -> tuple:
+    """Code of the unlabeled tree with adjacency lists `adj`: the least AHU
+    code (sorted tuple of the children's codes) over the one or two centers,
+    found by stripping leaves."""
+
+    def ahu(v, parent):
+        return tuple(sorted(ahu(w, v) for w in adj[v] if w != parent))
+
+    deg = [len(ws) for ws in adj]
+    layer = [v for v, d in enumerate(deg) if d == 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        inner = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    inner.append(w)
+        layer = inner
+    return min(ahu(v, None) for v in layer)
+
+
 def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
     """Representatives of every isomorphism class of Brauer trees with n
     edges and the given multiplicity (shape, cyclic orders and, for
-    multiplicity >= 2, exceptional placement all vary).
+    multiplicity >= 2, exceptional placement all vary), sorted by key.
+
+    The sweep runs over the labeled trees on vertices 0..n in Prufer order
+    (edge i is the i-th edge of the decoding), then over the cyclic orders
+    at each vertex (first incident edge fixed, the others permuted), then
+    over the exceptional vertex; each class is represented by the first
+    tree the sweep meets in it.  Work that cannot meet a class first is
+    skipped, so the representatives are those of the full sweep:
+    - a labeled tree whose shape appeared earlier in the sweep, since an
+      isomorphism onto the earlier tree carries each of its cyclic orders
+      and exceptional placements onto one already met there;
+    - at multiplicity 1, every exceptional vertex but 0, since the key
+      ignores the mark there and 0 is the placement met first.
     """
+    placements = range(n + 1) if multiplicity >= 2 else (0,)
+    shapes = set()
     seen = {}
     for edge_list in _labeled_trees(n + 1):
-        edges = {i: ends for i, ends in enumerate(edge_list)}
-        incident = {v: [] for v in range(n + 1)}
-        for e, (a, b) in edges.items():
+        adj = [[] for _ in range(n + 1)]
+        incident = [[] for _ in range(n + 1)]
+        for e, (a, b) in enumerate(edge_list):
+            adj[a].append(b)
+            adj[b].append(a)
             incident[a].append(e)
             incident[b].append(e)
+        shape = _shape_code(adj)
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        edges = dict(enumerate(edge_list))
         # one cyclic order per vertex: fix the first incident edge, permute the rest
-        per_vertex = []
-        for v in range(n + 1):
-            inc = incident[v]
-            if len(inc) <= 2:
-                per_vertex.append([tuple(inc)])
-            else:
-                per_vertex.append([(inc[0],) + p for p in permutations(inc[1:])])
-        from itertools import product
-
+        per_vertex = [
+            [(inc[0],) + p for p in permutations(inc[1:])] if len(inc) > 2 else [tuple(inc)]
+            for inc in incident
+        ]
         for orders in product(*per_vertex):
-            cyclic = {v: orders[v] for v in range(n + 1)}
-            for exc in range(n + 1):
+            cyclic = dict(enumerate(orders))
+            for exc in placements:
                 tree = BrauerTree(range(n + 1), edges, cyclic, exc, multiplicity)
-                key = tree.canonical_key()
-                if key not in seen:
-                    seen[key] = tree
+                seen.setdefault(tree.canonical_key(), tree)
     return [seen[k] for k in sorted(seen)]

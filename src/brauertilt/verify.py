@@ -87,7 +87,7 @@ def _tree_algebras(n, k, prime):
 # -- suites ----------------------------------------------------------------------------
 
 
-def suite_presentation_criterion(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_presentation_criterion(prime=DEFAULT_PRIME) -> SuiteResult:
     """The module-level partial tilting test agrees with the chain-map
     decision for every indecomposable nonprojective module over the test
     algebras (stars up to (5,3), multiplicity-1 trees up to 4 edges)."""
@@ -116,7 +116,7 @@ def suite_presentation_criterion(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
     )
 
 
-def suite_socle_quotient(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_socle_quotient(prime=DEFAULT_PRIME) -> SuiteResult:
     """Over every multiplicity-1 tree algebra with up to 4 edges, exactly
     the n modules P/soc(P) fail partial tilting."""
     failures = []
@@ -150,7 +150,7 @@ def suite_socle_quotient(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
     return SuiteResult("socle-quotient", not failures, lines, failures, tuple(entries))
 
 
-def suite_length_bound(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_length_bound(prime=DEFAULT_PRIME) -> SuiteResult:
     """Over star(n,k) for n <= 5, k <= 3, the presentation of a uniserial
     is partial tilting exactly when its length is below n."""
     failures = []
@@ -188,7 +188,7 @@ def _duality_corpus(prime):
     return corpus
 
 
-def suite_shift_duality(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_shift_duality(prime=DEFAULT_PRIME) -> SuiteResult:
     """dim Hom(T, T[1]) = dim Hom(T, T[-1]) across the assembled corpus
     (the algebras are symmetric)."""
     corpus = _duality_corpus(prime)
@@ -217,7 +217,7 @@ def _brute(n, k, prime):
     return _ALGEBRAS[key]
 
 
-def suite_covering_bijection(prime=DEFAULT_PRIME, workers=1, cases=BIJECTION_CASES) -> SuiteResult:
+def suite_covering_bijection(prime=DEFAULT_PRIME, cases=BIJECTION_CASES) -> SuiteResult:
     """Coverings biject with the basic two-term tilting complexes other
     than A and A[-1], checked against the exhaustive search oracle."""
     failures = []
@@ -248,7 +248,7 @@ def suite_covering_bijection(prime=DEFAULT_PRIME, workers=1, cases=BIJECTION_CAS
     return SuiteResult("covering-bijection", not failures, lines, failures, tuple(entries))
 
 
-def suite_hom_tables(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_hom_tables(prime=DEFAULT_PRIME) -> SuiteResult:
     """Hom dimensions at shift zero between summand types reproduce the
     five presentation-pair cases, both mixed values and both stalk values,
     over star(4,1), star(5,1) and star(3,2)."""
@@ -306,7 +306,7 @@ def suite_hom_tables(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
     )
 
 
-def suite_euler_pairing(prime=DEFAULT_PRIME, workers=1, cases=BIJECTION_CASES) -> SuiteResult:
+def suite_euler_pairing(prime=DEFAULT_PRIME, cases=BIJECTION_CASES) -> SuiteResult:
     """The alternating-sum pairing equals the shift-zero Hom dimension on
     every summand pair of every enumerated tilting complex."""
     failures = []
@@ -336,7 +336,7 @@ LINE_EXAMPLE_GOLDEN = {
 }
 
 
-def suite_line_example(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
+def suite_line_example(prime=DEFAULT_PRIME) -> SuiteResult:
     """The worked 4-gon covering: summand list, endomorphism quiver
     d <-> a <-> b <-> c and the 4-edge line Brauer graph."""
     failures = []
@@ -382,7 +382,7 @@ def suite_line_example(prime=DEFAULT_PRIME, workers=1) -> SuiteResult:
     )
 
 
-def suite_realization_roundtrip(prime=DEFAULT_PRIME, workers=1, max_n=4) -> SuiteResult:
+def suite_realization_roundtrip(prime=DEFAULT_PRIME, max_n=4) -> SuiteResult:
     """Every Brauer tree with up to 4 edges and multiplicity 1 or 2 is
     recovered from the endomorphism ring of its realization, for both
     stalk placements."""
@@ -408,7 +408,7 @@ def _star_cartan(n, k):
     return [[k + 1 if i == j else k for j in range(n)] for i in range(n)]
 
 
-def suite_star_autoequivalences(prime=DEFAULT_PRIME, workers=1, max_n=5) -> SuiteResult:
+def suite_star_autoequivalences(prime=DEFAULT_PRIME, max_n=5) -> SuiteResult:
     """For multiplicity 1 exactly 2n nontrivial coverings give an
     endomorphism ring isomorphic to the star (plus the trivial covering);
     for multiplicity 2 only the trivial covering does."""
@@ -457,16 +457,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str, prime: int = DEFAULT_PRIME, workers: int = 1) -> SuiteResult:
+def run_suite(name: str, prime: int = DEFAULT_PRIME) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
     key = (name, prime)
     if key not in _MEMO:
-        _MEMO[key] = SUITES[name](prime=prime, workers=workers)
+        _MEMO[key] = SUITES[name](prime=prime)
     return _MEMO[key]
 
 
-def field_independence(names=None, primes=FIELD_PRIMES, workers: int = 1):
+def field_independence(names=None, primes=FIELD_PRIMES):
     """Fingerprints of the suites across the given primes; returns
     (ok, per-suite fingerprint table)."""
     names = list(names or SUITES)
@@ -475,7 +475,7 @@ def field_independence(names=None, primes=FIELD_PRIMES, workers: int = 1):
     for name in names:
         prints = []
         for p in primes:
-            res = run_suite(name, prime=p, workers=workers)
+            res = run_suite(name, prime=p)
             prints.append(res.fingerprint)
             ok = ok and res.ok
         table[name] = prints

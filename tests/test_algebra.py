@@ -1,6 +1,8 @@
 import pytest
 
 from brauertilt.algebra import (
+    BrauerTreeAlgebra,
+    PathClass,
     build_tree_algebra,
     idempotent,
     socle_class,
@@ -118,3 +120,31 @@ def test_working_prime_must_be_prime_below_2_31():
             star_algebra(2, 1, prime=bad)
     for good in (2, 3, 32003, 2**31 - 1):
         assert star_algebra(2, 1, prime=good).prime == good
+
+
+# arrows 1 -> 2 and 2 -> 3 around the center of a star
+ARROW_1, ARROW_2 = PathClass("p", 1, 2, 0, 1), PathClass("p", 2, 3, 0, 1)
+
+
+def corrupt_product(monkeypatch, pair, wrong):
+    """Make the multiplication table hold `wrong` as the product of `pair`."""
+    raw = BrauerTreeAlgebra._compose_raw
+
+    def patched(self, p, q):
+        return wrong if (p, q) == pair else raw(self, p, q)
+
+    monkeypatch.setattr(BrauerTreeAlgebra, "_compose_raw", patched)
+
+
+def test_self_check_catches_non_associative_product(monkeypatch):
+    # dim 182: dim**3 is above 3e6, where the check once switched itself off
+    assert star_algebra(13, 1).compose(ARROW_1, ARROW_2) == PathClass("p", 1, 3, 0, 2)
+    corrupt_product(monkeypatch, (ARROW_1, ARROW_2), None)
+    with pytest.raises(AssertionError, match="not associative"):
+        star_algebra(13, 1)
+
+
+def test_self_check_catches_product_with_wrong_endpoints(monkeypatch):
+    corrupt_product(monkeypatch, (ARROW_1, ARROW_2), PathClass("p", 1, 4, 0, 3))
+    with pytest.raises(AssertionError, match="not a basis class from edge 1 to edge 3"):
+        star_algebra(13, 1)

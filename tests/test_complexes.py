@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,3 +165,14 @@ def test_chain_map_space_properties(nk, data):
         f = sp.map_from_vector(row)
         assert f.is_chain_map()
         assert sp.is_null_homotopic(f)
+    # quotient coordinates: the coefficients of the basis maps, whatever null
+    # map is added; a vector that is not a chain map is refused
+    p = U.algebra.prime
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=sp.dim, max_size=sp.dim))
+    vec = sum((c * sp.vector_of(f) for c, f in zip(coeffs, maps)), sp.null_basis.sum(axis=0))
+    assert sp.quotient_coords(vec % p).tolist() == coeffs
+    units = np.eye(sp.total, dtype=np.int64)
+    outside = [e for e in units if not sp.map_from_vector(e).is_chain_map()]
+    if maps and outside:
+        with pytest.raises(ValueError, match="not a chain map"):
+            sp.quotient_coords(outside[0])

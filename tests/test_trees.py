@@ -1,4 +1,9 @@
+import heapq
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
@@ -64,3 +69,107 @@ def test_enumeration_counts():
     assert len(all_brauer_trees(2, 2)) == 2
     for t in all_brauer_trees(4, 2):
         assert t.n == 4 and t.multiplicity == 2
+
+
+# -- reference implementations: the full sweep and a memo-free key ----------------
+
+
+def reference_encode(tree, v, in_edge, marked):
+    """Code of the subtree entered at v through in_edge (the whole tree
+    rooted at v when in_edge is None), re-encoding every subtree."""
+    flag = 1 if (marked and v == tree.exceptional) else 0
+    order = tree.cyclic_order[v]
+    if in_edge is None:
+        return min(
+            (flag,)
+            + tuple(reference_encode(tree, tree.other_end(e, v), e, marked) for e in rot)
+            for rot in (order[i:] + order[:i] for i in range(len(order)))
+        )
+    i = order.index(in_edge)
+    return (flag,) + tuple(
+        reference_encode(tree, tree.other_end(e, v), e, marked)
+        for e in order[i + 1 :] + order[:i]
+    )
+
+
+def reference_key(tree, respect_exceptional=None):
+    if respect_exceptional is None:
+        respect_exceptional = tree.multiplicity >= 2
+    key = min(reference_encode(tree, v, None, respect_exceptional) for v in tree.vertices)
+    return (tree.n, tree.multiplicity, key)
+
+
+def prufer_tree(seq):
+    """The labeled tree of a Prufer sequence, as an edge list."""
+    num_vertices = len(seq) + 2
+    deg = [1] * num_vertices
+    for v in seq:
+        deg[v] += 1
+    leaves = [v for v in range(num_vertices) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        deg[v] -= 1
+        if deg[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def reference_all_brauer_trees(n, multiplicity):
+    """Every labeled tree in Prufer order, every cyclic order, every
+    exceptional vertex; each class keeps the first tree met in it."""
+    seen = {}
+    for seq in product(range(n + 1), repeat=n - 1):
+        edges = dict(enumerate(prufer_tree(seq)))
+        incident = {v: [e for e, ends in edges.items() if v in ends] for v in range(n + 1)}
+        per_vertex = [
+            [(inc[0],) + p for p in permutations(inc[1:])] if len(inc) > 2 else [tuple(inc)]
+            for inc in incident.values()
+        ]
+        for orders in product(*per_vertex):
+            for exc in range(n + 1):
+                tree = BrauerTree(range(n + 1), edges, dict(enumerate(orders)), exc, multiplicity)
+                seen.setdefault(reference_key(tree), tree)
+    return [seen[k] for k in sorted(seen)]
+
+
+def representation(trees):
+    return [
+        (t.vertices, sorted(t.edges.items()), sorted(t.cyclic_order.items()), t.exceptional)
+        for t in trees
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(1, 5) for k in (1, 2, 3)] + [(5, 1)]
+)
+def test_enumeration_keeps_the_full_sweep_representatives(n, k):
+    assert representation(all_brauer_trees(n, k)) == representation(
+        reference_all_brauer_trees(n, k)
+    )
+
+
+def test_enumeration_counts_six_edges():
+    assert len(all_brauer_trees(6, 1)) == 14  # OEIS A002995
+    assert len(all_brauer_trees(6, 2)) == 80  # OEIS A003239
+
+
+@st.composite
+def brauer_trees(draw):
+    n = draw(st.integers(1, 9))
+    seq = draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    edges = dict(enumerate(prufer_tree(seq)))
+    cyclic = {
+        v: tuple(draw(st.permutations([e for e, ends in edges.items() if v in ends])))
+        for v in range(n + 1)
+    }
+    exc = draw(st.integers(0, n))
+    return BrauerTree(range(n + 1), edges, cyclic, exc, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(brauer_trees(), st.sampled_from([None, True, False]))
+def test_canonical_key_equals_reference(tree, respect):
+    assert tree.canonical_key(respect) == reference_key(tree, respect)
