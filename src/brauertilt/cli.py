@@ -10,7 +10,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import modules
 from .algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
 from .complexes import algebra_complex
 from .coverings import (
@@ -213,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--field-prime", type=int, default=DEFAULT_PRIME,
                         help="working prime for all linear algebra")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized isomorphism probes")
     parser.add_argument("--workers", type=int, default=1,
                         help="process pool size for 'verify all', one suite per "
                         "task; 'verify field-independence' runs serially")
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    modules._DEFAULT_SEED = args.seed
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -383,11 +383,13 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
                 else linalg.zeros(0, width)
             )
             picked = []
+            current_rank = linalg.rank(current, p)
             for coords, f in jbasis[(u, v)]:
                 stacked = np.concatenate([current, coords[None, :]], axis=0)
-                if linalg.rank(stacked, p) > linalg.rank(current, p):
+                stacked_rank = linalg.rank(stacked, p)
+                if stacked_rank > current_rank:
                     picked.append((coords, f))
-                    current = stacked
+                    current, current_rank = stacked, stacked_rank
             for coords, f in picked:
                 arrows.append((u, v, f))
             if u != v and len(picked) > 1:

@@ -1,12 +1,14 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  All
-routines are plain Gaussian elimination; sizes in this package stay in the
-low hundreds, so no fraction-free or blocked tricks are needed.  A product
-of two reduced entries fits in int64 for any prime < 2**31, but a sum of
-such products may not: `matmul` adds at most (2**63 - 1) // (p - 1)**2 of
-them before reducing, which is a single step at the default prime and two
-products at p near 2**31.
+Matrices are numpy int64 arrays with entries reduced into [0, p).  The
+matrices this package eliminates are small and sparse, so `rref`, behind
+`rank`, `nullspace`, `solve` and `express`, runs Gauss-Jordan elimination
+on sparse rows held as {column: value} dicts of Python ints: its cost
+follows the nonzero entries, not the cells, and no value can overflow.
+`matmul` stays in numpy.  A product of two reduced entries fits in int64
+for any prime < 2**31, but a sum of such products may not: `matmul` adds at
+most (2**63 - 1) // (p - 1)**2 of them before reducing, which is a single
+step at the default prime and two products at p near 2**31.
 """
 
 from __future__ import annotations
@@ -48,33 +50,68 @@ def matmul(a, b, p: int) -> np.ndarray:
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    Each pivot step touches only the rows with a nonzero entry in the pivot
-    column, and only the columns from the pivot on: the columns to its left
-    are already zero in the pivot row.
+    Rows are reduced one at a time as sparse {column: value} dicts.  Each
+    incoming row is cleared of the pivot columns found so far; its least
+    remaining column becomes a new pivot, the row is scaled to 1 there, and
+    that column is cleared from the earlier pivot rows.  Every pivot row's
+    least column is then its pivot, so the pivot rows sorted by pivot are
+    the reduced form, which is unique.
     """
-    m = asmat(a) % p
+    m = asmat(a)
     rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = m[r:, c].nonzero()[0]
-        if nz.size == 0:
+    flat = m.ravel()
+    nonzero = flat.nonzero()[0]
+    pivot_rows: dict[int, dict[int, int]] = {}
+    row: dict[int, int] = {}
+    current = -1
+    for pos, val in zip(nonzero.tolist(), flat[nonzero].tolist()):
+        val %= p
+        if not val:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        lead = int(m[r, c])
-        if lead != 1:
-            m[r, c:] = m[r, c:] * pow(lead, -1, p) % p
-        hit = m[:, c].nonzero()[0]
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - m[hit, c][:, None] * m[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        r, c = divmod(pos, cols)
+        if r != current:
+            if row:
+                _add_row(row, pivot_rows, p)
+            row, current = {}, r
+        row[c] = val
+    if row:
+        _add_row(row, pivot_rows, p)
+    pivots = sorted(pivot_rows)
+    positions, values = [], []
+    for i, c in enumerate(pivots):
+        for j, v in pivot_rows[c].items():
+            positions.append(i * cols + j)
+            values.append(v)
+    out = zeros(rows, cols)
+    out.put(positions, values)
+    return out, pivots
+
+
+def _add_row(row: dict[int, int], pivot_rows: dict[int, dict[int, int]], p: int) -> None:
+    """Reduce `row` by the pivot rows and, if anything is left, make it one."""
+    # pivot rows vanish on each other's pivots, so the factors are fixed
+    for c, f in [(c, f) for c, f in row.items() if c in pivot_rows]:
+        _subtract(row, f, pivot_rows[c], p)
+    if not row:
+        return
+    lead = min(row)
+    if row[lead] != 1:
+        inv = pow(row[lead], -1, p)
+        row = {j: v * inv % p for j, v in row.items()}
+    for prow in pivot_rows.values():
+        if lead in prow:
+            _subtract(prow, prow[lead], row, p)
+    pivot_rows[lead] = row
+
+
+def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
+    """row -= f * other mod p, dropping the entries that become zero."""
+    for j, v in other.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rank(a, p: int) -> int:

@@ -16,8 +16,6 @@ import numpy as np
 from . import linalg
 from .algebra import BrauerTreeAlgebra, PathClass, socle_class
 
-_DEFAULT_SEED = 0  # seed for the randomized isomorphism fallback
-
 
 class Representation:
     """A module given by per-edge dimensions and arrow action matrices.
@@ -87,27 +85,24 @@ class Representation:
 
     # -- structure --------------------------------------------------------------
 
-    def radical_spans(self) -> list[np.ndarray]:
-        """Per edge, rows spanning the radical part of that component."""
+    def radical_pivots(self) -> list[list[int]]:
+        """Per edge, the pivot columns of the reduced span of the radical part
+        of that component; the unit vectors at the other columns lift a basis
+        of the top."""
         A = self.algebra
-        spans = []
-        for a_idx, edge in enumerate(A.edges):
+        out = []
+        for edge in A.edges:
             vecs = []
             for arrow in A.arrows:
                 if arrow.start == edge:
                     m = self.act[arrow]
                     vecs.extend(m[:, j] for j in range(m.shape[1]))
-            if vecs:
-                stacked = np.array(vecs, dtype=np.int64)
-                red, piv = linalg.rref(stacked, A.prime)
-                spans.append(red[: len(piv)])
-            else:
-                spans.append(linalg.zeros(0, self.dims[a_idx]))
-        return spans
+            out.append(linalg.rref(np.array(vecs, dtype=np.int64), A.prime)[1] if vecs else [])
+        return out
 
     def top_multiplicities(self) -> tuple[int, ...]:
-        spans = self.radical_spans()
-        return tuple(self.dims[i] - spans[i].shape[0] for i in range(len(self.dims)))
+        pivots = self.radical_pivots()
+        return tuple(self.dims[i] - len(pivots[i]) for i in range(len(self.dims)))
 
     def socle_multiplicities(self) -> tuple[int, ...]:
         A = self.algebra
@@ -125,10 +120,9 @@ class Representation:
         """Deterministic lift of a basis of the top: (edge index, vector)."""
         A = self.algebra
         gens = []
-        spans = self.radical_spans()
+        pivots = self.radical_pivots()
         for a_idx in range(A.n):
-            red, piv = linalg.rref(spans[a_idx], A.prime) if spans[a_idx].shape[0] else (spans[a_idx], [])
-            free = [c for c in range(self.dims[a_idx]) if c not in piv]
+            free = [c for c in range(self.dims[a_idx]) if c not in pivots[a_idx]]
             for c in free:
                 v = linalg.zeros(1, self.dims[a_idx])[0]
                 v[c] = 1
@@ -391,7 +385,7 @@ def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
     if len(basis) > 1:
         import random
 
-        rng = rng or random.Random(_DEFAULT_SEED)
+        rng = rng or random.Random(0)
         p = M.algebra.prime
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in basis]
@@ -672,17 +666,10 @@ def decompose_serial(M: Representation) -> list[UniserialSpec]:
     current = M
     while not current.is_zero():
         best = None
-        spans = current.radical_spans()
-        for a_idx in range(A.n):
-            red, piv = linalg.rref(spans[a_idx], A.prime) if spans[a_idx].shape[0] else (spans[a_idx], [])
-            for c in range(current.dims[a_idx]):
-                if c in piv:
-                    continue
-                v = linalg.zeros(1, current.dims[a_idx])[0]
-                v[c] = 1
-                life = _element_life(current, A.edges[a_idx], v)
-                if best is None or life > best[0]:
-                    best = (life, a_idx, v)
+        for a_idx, v in current.top_generators():
+            life = _element_life(current, A.edges[a_idx], v)
+            if best is None or life > best[0]:
+                best = (life, a_idx, v)
         life, a_idx, v = best
         top_edge = A.edges[a_idx]
         spec = UniserialSpec(top_edge, life)

@@ -171,3 +171,17 @@ def test_cli_rejects_composite_field_prime(capsys):
     assert rc == 2
     assert "PASS" not in out
     assert "prime" in err
+
+
+def test_cli_leaves_module_state_alone(capsys):
+    from brauertilt import modules
+
+    before = dict(vars(modules))
+    rc, _, _ = run_cli(capsys, ["verify", "socle-quotient"])
+    assert rc == 0
+    after = vars(modules)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    # the flag that used to set a module global is refused
+    with pytest.raises(SystemExit):
+        cli.main(["--seed", "5", "verify", "line-example"])

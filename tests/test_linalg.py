@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,70 @@ def test_rref_equals_reference(case):
     assert red.shape == a.shape
     assert red.tolist() == ref
     assert np.array_equal(a, before)
+
+
+@st.composite
+def sparse_blocks(draw, max_rows=70, max_cols=45):
+    """Sparse matrices of the sizes `ChainMapSpace` eliminates: 2-8% nonzero
+    entries from {1, p - 1, anything}, some rows sums of multiples of earlier
+    rows (so the rank falls short), and entries offset by multiples of p."""
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = rnd.uniform(0.02, 0.08)
+
+    def entry():
+        return rnd.choice([1, p - 1, rnd.randrange(1, p)])
+
+    data = []
+    for i in range(rows):
+        if i and rnd.random() < 0.25:
+            row = [0] * cols
+            for src in rnd.sample(range(i), min(i, rnd.randint(1, 3))):
+                f = entry()
+                row = [(x + f * y) % p for x, y in zip(row, data[src])]
+        else:
+            row = [entry() if rnd.random() < density else 0 for _ in range(cols)]
+        data.append(row)
+    unreduced = [[x + p * rnd.choice([-2, -1, 0, 0, 0, 1, 2]) for x in row] for row in data]
+    return np.array(unreduced, dtype=np.int64), p
+
+
+@PROPERTY
+@given(sparse_blocks(), st.integers(0, 2**32 - 1))
+def test_sparse_blocks_at_workload_sizes(case, seed):
+    a, p = case
+    rnd = random.Random(seed)
+    rows, cols = a.shape
+    before = a.copy()
+    red, pivots = linalg.rref(a, p)
+    ref, ref_pivots = rref_reference(a.tolist(), cols, p)
+    assert pivots == ref_pivots
+    assert red.tolist() == ref
+    assert np.array_equal(a, before)
+    r = len(pivots)
+    assert linalg.rank(a, p) == r
+    reduced = a % p  # matmul takes reduced entries
+
+    ns = linalg.nullspace(a, p)
+    assert ns.shape == (cols - r, cols)
+    assert not linalg.matmul(reduced, ns.T, p).any()
+    assert linalg.rank(ns, p) == cols - r
+
+    x = np.array([rnd.randrange(p) for _ in range(cols)], dtype=np.int64)
+    b = linalg.matmul(reduced, x[:, None], p)[:, 0]
+    sol = linalg.solve(a, b, p)
+    assert sol is not None
+    assert np.array_equal(linalg.matmul(reduced, sol[:, None], p)[:, 0], b)
+    # a random right-hand side is solvable exactly when it adds no pivot
+    b = np.array([rnd.randrange(p) for _ in range(rows)], dtype=np.int64)
+    aug = np.concatenate([a, b[:, None]], axis=1)
+    solvable = rref_reference(aug.tolist(), cols + 1, p)[1] == ref_pivots
+    sol = linalg.solve(a, b, p)
+    assert (sol is not None) == solvable
+    if solvable:
+        assert np.array_equal(linalg.matmul(reduced, sol[:, None], p)[:, 0], b)
 
 
 @PROPERTY
