@@ -69,6 +69,12 @@ class BrauerTreeAlgebra:
         self.hom_cache: dict = {}
         self.summand_cache: dict = {}
         self.mult_cache: dict = {}
+        # built on first use (most algebras never act on a module); not a
+        # functools.cached_property, which writes through the instance
+        # __dict__, after which CPython 3.11 reads every attribute of the
+        # algebra about 3x slower
+        self._path_factors = None
+        self._classes_ending = None
 
     # -- construction ---------------------------------------------------------
 
@@ -251,6 +257,36 @@ class BrauerTreeAlgebra:
                     e = self.tree.succ(v, e)
                 return letters
         return [pc]  # the socle class is itself an arrow here
+
+    @property
+    def path_factors(self) -> dict[PathClass, tuple[PathClass, PathClass]]:
+        """Every non-idempotent class q as (first arrow, class that follows),
+        so that q = compose(first, rest) and `first` is the first of
+        `arrow_letters(q)`."""
+        if self._path_factors is None:
+            factors = {}
+            for q in self.basis:
+                if q.kind != "e":
+                    first = self.arrow_letters(q)[0]
+                    rest = next(r for r in self._starting[first.end] if self.mult.get((first, r)) == q)
+                    factors[q] = (first, rest)
+            self._path_factors = factors
+        return self._path_factors
+
+    @property
+    def classes_ending(self) -> dict[object, list[PathClass]]:
+        """The basis classes ending at each edge, shortest first and the
+        socle class last, so each class comes after the class that follows
+        its first arrow in `path_factors`."""
+        if self._classes_ending is None:
+            self._classes_ending = {
+                e: sorted(
+                    (q for a in self.edges for q in self.blocks[(a, e)]),
+                    key=lambda q: (q.kind == "z", q.length),
+                )
+                for e in self.edges
+            }
+        return self._classes_ending
 
     # star conveniences ---------------------------------------------------------
 

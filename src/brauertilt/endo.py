@@ -335,6 +335,20 @@ def _is_nilpotent(mat, p, d) -> bool:
     return not m.any()
 
 
+def _pick_arrows(square_rows, candidates, p) -> list[int]:
+    """Indices of the candidates that a greedy pass keeps independent
+    modulo the span of `square_rows` and the candidates kept before.
+
+    Candidate i is kept exactly when it is outside the span of the rows
+    and of all earlier candidates, i.e. when its column is a pivot column
+    of the transposed stack [rows; candidates]^T, so one elimination
+    decides them all.
+    """
+    stacked = np.array(list(square_rows) + list(candidates), dtype=np.int64)
+    skip = len(square_rows)
+    return [c - skip for c in linalg.rref(stacked.T, p)[1] if c >= skip]
+
+
 def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
     """Quiver of End(T) from the radical modulo its square; cycles traced
     along maximal nonzero compositions of arrows."""
@@ -376,22 +390,9 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
             d = E.dims[(u, v)] if u != v else len(jbasis[(u, v)])
             if d == 0:
                 continue
-            width = len(jbasis[(u, v)][0][0])
-            current = (
-                np.array(jsq[(u, v)], dtype=np.int64)
-                if jsq[(u, v)]
-                else linalg.zeros(0, width)
-            )
-            picked = []
-            current_rank = linalg.rank(current, p)
-            for coords, f in jbasis[(u, v)]:
-                stacked = np.concatenate([current, coords[None, :]], axis=0)
-                stacked_rank = linalg.rank(stacked, p)
-                if stacked_rank > current_rank:
-                    picked.append((coords, f))
-                    current, current_rank = stacked, stacked_rank
-            for coords, f in picked:
-                arrows.append((u, v, f))
+            picked = _pick_arrows(jsq[(u, v)], [coords for coords, _ in jbasis[(u, v)]], p)
+            for i in picked:
+                arrows.append((u, v, jbasis[(u, v)][i][1]))
             if u != v and len(picked) > 1:
                 raise AssertionError("more than one arrow between distinct vertices")
 

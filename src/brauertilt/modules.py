@@ -5,6 +5,15 @@ Convention (left modules, paths composing left factor first): the arrow
 a -> b acts by a matrix from the b-component into the a-component.  With the
 star arrows running i -> i+1 this makes the composition series of uniserial
 modules descend mod n from the top, and Hom(P_i, M) is the i-component.
+
+Path actions are computed once each.  A path class q is its first arrow
+times the class that follows (the algebra's `path_factors`), so the images
+q.v of one vector under every class ending at its edge are spun out with
+one matrix-vector product per class (`Representation.path_images`); the
+projective cover fills its map this way.  P_i splits off M exactly when the
+socle class z_i acts nonzero on the i-component.  Sub- and quotient modules
+work in the reduced row echelon basis of each span, where the coordinates
+of a vector of the span are its entries at the pivot columns.
 """
 
 from __future__ import annotations
@@ -55,19 +64,40 @@ class Representation:
 
     def path_action(self, pc: PathClass) -> np.ndarray:
         """Matrix of the path class, mapping the end-edge component into the
-        start-edge component."""
+        start-edge component: the product of its arrows' matrices, read off
+        the algebra's `path_factors`."""
         A = self.algebra
         if pc.kind == "e":
             d = self.dims[A.eidx[pc.start]]
             return linalg.eye(d)
-        letters = A.arrow_letters(pc)
-        if len(letters) == 1 and letters[0] in self.act:
-            return self.act[letters[0]]
-        out = None
-        for letter in letters:
-            m = self.act[letter]
-            out = m if out is None else linalg.matmul(out, m, A.prime)
+        factors = A.path_factors
+        first, rest = factors[pc]
+        out = self.act[first]
+        while rest.kind != "e":
+            if not out.any():
+                return linalg.zeros(out.shape[0], self.dims[A.eidx[pc.end]])
+            first, rest = factors[rest]
+            out = linalg.matmul(out, self.act[first], A.prime)
         return out
+
+    def path_images(self, edge, v) -> dict[PathClass, np.ndarray]:
+        """q.v for every basis class q ending at `edge`, where v lies in the
+        component at `edge`.  Spinning: with q = first * rest each image is
+        act[first] @ (rest.v), one matrix-vector product per class, none
+        once rest.v is zero."""
+        A = self.algebra
+        factors = A.path_factors
+        images = {}
+        for q in A.classes_ending[edge]:
+            if q.kind == "e":
+                images[q] = np.asarray(v, dtype=np.int64) % A.prime
+                continue
+            first, rest = factors[q]
+            if images[rest].any():
+                images[q] = linalg.matmul(self.act[first], images[rest][:, None], A.prime)[:, 0]
+            else:
+                images[q] = linalg.zeros(1, self.dims[A.eidx[q.start]])[0]
+        return images
 
     def check_relations(self):
         """Every product of basis path classes must act consistently."""
@@ -198,17 +228,7 @@ def simple_rep(A: BrauerTreeAlgebra, edge) -> Representation:
 def projective_rep(A: BrauerTreeAlgebra, edge) -> Representation:
     """P_edge = A e_edge; the component at c has the paths c -> edge as basis
     and an arrow acts by prepending itself."""
-    dims = [len(A.blocks[(c, edge)]) for c in A.edges]
-    act = {}
-    for arrow in A.arrows:
-        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        m = linalg.zeros(dims[a], dims[b])
-        for j, q in enumerate(A.blocks[(arrow.end, edge)]):
-            r = A.compose(arrow, q)
-            if r is not None:
-                m[A.block_pos[(arrow.start, edge)][r], j] = 1
-        act[arrow] = m
-    return Representation(A, dims, act)
+    return projective_sum(A, [edge])[0]
 
 
 def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, np.ndarray]:
@@ -260,67 +280,72 @@ def socle_quotient_rep(A: BrauerTreeAlgebra, edge) -> tuple[Representation, Modu
 # -- sub / quotient ---------------------------------------------------------------
 
 
-def sub_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation spanned per edge by the rows of spans[edge_idx];
-    returns (sub, inclusion)."""
-    A = M.algebra
-    p = A.prime
-    bases = []
-    for i in range(A.n):
+def _reduced_spans(M: Representation, spans) -> list[tuple[np.ndarray, list[int]]]:
+    """Per edge, the reduced row echelon basis of spans[edge_idx] and its
+    pivot columns; an empty span needs no elimination."""
+    p = M.algebra.prime
+    out = []
+    for i, d in enumerate(M.dims):
         s = np.asarray(spans[i], dtype=np.int64) % p
         if s.size == 0:
-            s = linalg.zeros(0, M.dims[i])
+            out.append((linalg.zeros(0, d), []))
+            continue
+        if s.ndim != 2 or s.shape[1] != d:
+            raise ValueError(f"span at edge index {i} must have rows of length {d}")
         red, piv = linalg.rref(s, p)
-        bases.append(red[: len(piv)])
-    dims = [b.shape[0] for b in bases]
+        out.append((red[: len(piv)], piv))
+    return out
+
+
+def sub_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
+    """Subrepresentation spanned per edge by the rows of spans[edge_idx];
+    returns (sub, inclusion).
+
+    The sub's basis is the reduced basis of each span.  A reduced row is 1
+    at its own pivot column and 0 at the others, so the coordinates of a
+    vector of the span are its entries at the pivot columns; one product
+    then checks that the arrow images lie in the span at all.
+    """
+    A = M.algebra
+    p = A.prime
+    reduced = _reduced_spans(M, spans)
+    bases = [red for red, _ in reduced]
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        if dims[b] == 0 or dims[a] == 0:
-            act[arrow] = linalg.zeros(dims[a], dims[b])
-            continue
-        images = linalg.matmul(M.act[arrow], bases[b].T, p).T
-        coords = linalg.express(bases[a], images, p)
-        if coords is None:
+        images = linalg.matmul(M.act[arrow], bases[b].T, p)
+        coords = images[reduced[a][1]]  # the entries at the pivot columns
+        if not np.array_equal(linalg.matmul(bases[a].T, coords, p), images):
             raise ValueError("spans are not stable under the arrow actions")
-        act[arrow] = coords.T
-    sub = Representation(A, dims, act)
-    incl = ModuleMap(sub, M, [bases[i].T for i in range(A.n)])
+        act[arrow] = coords
+    sub = Representation(A, [b.shape[0] for b in bases], act)
+    incl = ModuleMap(sub, M, [b.T for b in bases])
     return sub, incl
 
 
 def quotient_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
     """Quotient of M by the submodule spanned by spans; returns
-    (quotient, projection)."""
+    (quotient, projection).
+
+    The quotient's basis at each edge is the unit vectors at the non-pivot
+    (free) columns of the span's reduced basis.  Writing x as its pivot
+    entries times the reduced rows plus the rest, the projection is
+    x[free] - red[:, free]^T x[pivots]: the rows of the reduced form's
+    nullspace basis.  It must kill the arrow images of the span.
+    """
     A = M.algebra
     p = A.prime
-    projs = []
-    sections = []
-    for i in range(A.n):
-        s = np.asarray(spans[i], dtype=np.int64) % p
-        if s.size == 0:
-            s = linalg.zeros(0, M.dims[i])
-        red, piv = linalg.rref(s, p)
-        red = red[: len(piv)]
-        free = [c for c in range(M.dims[i]) if c not in piv]
-        unit = linalg.zeros(len(free), M.dims[i])
-        for k, c in enumerate(free):
-            unit[k, c] = 1
-        full = np.concatenate([red, unit], axis=0) if red.size or unit.size else linalg.zeros(0, M.dims[i])
-        if full.shape[0] != M.dims[i]:
-            raise ValueError("spans do not form an independent family")
-        # full.T @ inv = I, so inv @ x are the coordinates of x in the rows
-        # of `full`; the quotient keeps the trailing (complement) block
-        inv = linalg.solve(full.T, linalg.eye(M.dims[i]), p)
-        projs.append(np.asarray(inv)[len(piv):, :])
-        sections.append(unit)
-    dims = [sections[i].shape[0] for i in range(A.n)]
+    reduced = _reduced_spans(M, spans)
+    projs = [linalg.nullspace_of_rref(red, piv, p) for red, piv in reduced]
+    frees = [[c for c in range(d) if c not in piv] for d, (_, piv) in zip(M.dims, reduced)]
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        m = linalg.matmul(M.act[arrow], sections[b].T, p)
-        act[arrow] = linalg.matmul(projs[a], m, p)
-    quot = Representation(A, dims, act)
+        images = linalg.matmul(M.act[arrow], reduced[b][0].T, p)
+        if linalg.matmul(projs[a], images, p).any():
+            raise ValueError("spans are not stable under the arrow actions")
+        act[arrow] = linalg.matmul(projs[a], M.act[arrow][:, frees[b]], p)
+    quot = Representation(A, [len(f) for f in frees], act)
     proj_map = ModuleMap(M, quot, projs)
     return quot, proj_map
 
@@ -399,18 +424,17 @@ def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
 
 
 def has_projective_summand(M: Representation) -> bool:
-    """P_i splits off M iff some map P_i -> M is nonzero on the socle of
-    P_i (such a map is injective and P_i is injective)."""
+    """P_i splits off M iff some map P_i -> M is nonzero on the socle z_i of
+    P_i (such a map is injective and P_i is injective).  The maps P_i -> M
+    are q |-> q.v for v in the i-component, which send z_i to z_i.v, so
+    this asks whether z_i acts nonzero on that component.  An injective
+    map needs P_i's dimensions to fit into M's, which is checked first."""
     A = M.algebra
-    for edge in A.edges:
-        P = projective_rep(A, edge)
-        if any(P.dims[i] > M.dims[i] for i in range(A.n)):
-            continue
-        zi, zvec = projective_socle_vector(A, edge)
-        for f in hom_basis(P, M):
-            if linalg.matmul(f.mats[zi], zvec[:, None], A.prime).any():
-                return True
-    return False
+    return any(
+        all(len(A.blocks[(c, edge)]) <= d for c, d in zip(A.edges, M.dims))
+        and M.path_action(socle_class(edge)).any()
+        for edge in A.edges
+    )
 
 
 # -- covers, syzygies, presentations ----------------------------------------------
@@ -433,31 +457,27 @@ def projective_sum(A: BrauerTreeAlgebra, edges) -> tuple[Representation, list]:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
         m = linalg.zeros(dims[a], dims[b])
         for slot, cover_edge in enumerate(edges):
-            blk = A.blocks[(arrow.end, cover_edge)]
-            for j, q in enumerate(blk):
-                r = A.compose(arrow, q)
-                if r is not None:
-                    m[
-                        offsets[slot][a] + A.block_pos[(arrow.start, cover_edge)][r],
-                        offsets[slot][b] + j,
-                    ] = 1
+            for r, c in A.mult_coords(arrow, "L", cover_edge):
+                m[offsets[slot][a] + r, offsets[slot][b] + c] = 1
         act[arrow] = m
     return Representation(A, dims, act), offsets
 
 
 def projective_cover(M: Representation):
-    """Returns (cover_edges, cover_rep, slot_offsets, cover_map)."""
+    """Returns (cover_edges, cover_rep, slot_offsets, cover_map).  The map
+    sends the slot of each top generator v onto A.v, spun from v by
+    `Representation.path_images`."""
     A = M.algebra
     gens = M.top_generators()
     cover_edges = [A.edges[a_idx] for a_idx, _ in gens]
     cover, offsets = projective_sum(A, cover_edges)
     mats = [linalg.zeros(M.dims[i], cover.dims[i]) for i in range(A.n)]
     for slot, (a_idx, v) in enumerate(gens):
+        # the slot's column for the class q holds the image q.v
         gen_edge = A.edges[a_idx]
-        for c_idx, c in enumerate(A.edges):
-            for j, q in enumerate(A.blocks[(c, gen_edge)]):
-                img = linalg.matmul(M.path_action(q), v[:, None], A.prime)[:, 0]
-                mats[c_idx][:, offsets[slot][c_idx] + j] = img
+        for q, img in M.path_images(gen_edge, v).items():
+            c_idx = A.eidx[q.start]
+            mats[c_idx][:, offsets[slot][c_idx] + A.block_pos[(q.start, gen_edge)][q]] = img
     cover_map = ModuleMap(cover, M, mats)
     return cover_edges, cover, offsets, cover_map
 
@@ -472,11 +492,12 @@ def syzygy(M: Representation, _check=True) -> Representation:
 
 
 def _syzygy_with_embedding(M: Representation):
+    """(syzygy, its inclusion into the cover, cover edges, slot offsets)."""
     A = M.algebra
-    _, cover, _, cover_map = projective_cover(M)
+    cover_edges, cover, offsets, cover_map = projective_cover(M)
     spans = [linalg.nullspace(cover_map.mats[i], A.prime) for i in range(A.n)]
     sub, incl = sub_representation(cover, spans)
-    return sub, incl, cover
+    return sub, incl, cover_edges, offsets
 
 
 def second_syzygy(M: Representation, _check=True) -> Representation:
@@ -493,9 +514,7 @@ def min_proj_presentation(M: Representation, label=None):
         raise ValueError("presentation of the zero module is empty")
     if has_projective_summand(M):
         raise ValueError("module has a projective direct summand")
-    cover_edges1, cover1, offsets1, cover_map1 = projective_cover(M)
-    spans = [linalg.nullspace(cover_map1.mats[i], A.prime) for i in range(A.n)]
-    omega, incl = sub_representation(cover1, spans)
+    omega, incl, cover_edges1, offsets1 = _syzygy_with_embedding(M)
     gens = omega.top_generators()
     cover_edges0 = [A.edges[a_idx] for a_idx, _ in gens]
     diff = [[dict() for _ in cover_edges0] for _ in cover_edges1]
@@ -648,14 +667,11 @@ def _element_life(M: Representation, edge, vec) -> int:
     A = M.algebra
     A.require_star()
     nk = A.n * A.tree.multiplicity
-    life = 1
-    for t in range(1, nk + 1):
-        q = A.star_path(A.star_next(edge, -t), t)
-        if q is None:
-            break
-        if linalg.matmul(M.path_action(q), vec[:, None], A.prime).any():
-            life = t + 1
-    return life
+    images = M.path_images(edge, vec)
+    return 1 + max(
+        (t for t in range(1, nk + 1) if images[A.star_path(A.star_next(edge, -t), t)].any()),
+        default=0,
+    )
 
 
 def decompose_serial(M: Representation) -> list[UniserialSpec]:
@@ -686,12 +702,11 @@ def _cyclic_inclusion(M: Representation, edge, vec, U: Representation) -> Module
     A = M.algebra
     mats = [linalg.zeros(M.dims[i], U.dims[i]) for i in range(A.n)]
     counters = [0] * A.n
+    images = M.path_images(edge, vec)
     for t in range(U.total_dim):
         e = A.star_next(edge, -t)
         i = A.eidx[e]
-        q = A.star_path(e, t)
-        img = linalg.matmul(M.path_action(q), vec[:, None], A.prime)[:, 0]
-        mats[i][:, counters[i]] = img
+        mats[i][:, counters[i]] = images[A.star_path(e, t)]
         counters[i] += 1
     return ModuleMap(U, M, mats)
 

@@ -1,5 +1,11 @@
-import pytest
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brauertilt import endo, linalg
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import algebra_complex, direct_sum, stalk_complex
 from brauertilt.coverings import (
@@ -9,6 +15,7 @@ from brauertilt.coverings import (
     enumerate_coverings,
 )
 from brauertilt.endo import (
+    EndoAlgebra,
     a_cycle_fast,
     a_cycle_generic,
     a_cycle_partition,
@@ -138,3 +145,48 @@ def test_edge_count_and_multiplicity_preserved():
             assert tree.n == n
             assert tree.multiplicity == k
             assert len(label_map) == n
+
+
+def pick_arrows_by_rank(square_rows, candidates, p):
+    """The greedy picker: keep a candidate when it raises the rank."""
+    width = len(candidates[0])
+    current = np.array(square_rows, dtype=np.int64).reshape(len(square_rows), width)
+    picked, current_rank = [], linalg.rank(current, p)
+    for i, coords in enumerate(candidates):
+        stacked = np.concatenate([current, np.asarray(coords, dtype=np.int64)[None, :]], axis=0)
+        if linalg.rank(stacked, p) > current_rank:
+            picked.append(i)
+            current, current_rank = stacked, current_rank + 1
+    return picked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 32003, 2**31 - 1)), st.integers(1, 6), st.data())
+def test_pick_arrows_equals_greedy_rank_version(p, width, data):
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=width, max_size=width).map(lambda r: np.array(r, dtype=np.int64))
+    square_rows = data.draw(st.lists(row, max_size=4))
+    candidates = data.draw(st.lists(row, min_size=1, max_size=5))
+    assert endo._pick_arrows(square_rows, candidates, p) == pick_arrows_by_rank(square_rows, candidates, p)
+
+
+def test_arrow_picker_runs_one_elimination_per_nonzero_block(monkeypatch):
+    _, T = worked_example_complex()
+    E = EndoAlgebra(T)
+    nonzero_blocks = sum(
+        1
+        for u in range(E.m)
+        for v in range(E.m)
+        if (E.dims[(u, v)] if u != v else len(E.local_radical(u)))
+    )
+    callers = []
+    original = linalg.rref
+
+    def counting_rref(a, p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    a_cycle_generic(T)
+    assert nonzero_blocks > E.m
+    assert callers.count("_pick_arrows") == nonzero_blocks
