@@ -41,6 +41,7 @@ from .modules import (
     string_rep,
     syzygy,
     top_and_socle,
+    uniserial_presentation,
     uniserial_rep,
 )
 from .realization import label_brauer_tree, realize

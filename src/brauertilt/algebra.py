@@ -66,7 +66,11 @@ class BrauerTreeAlgebra:
         self._build_mult()
         self._build_arrows()
         self._check_consistency()
+        # dim Hom(X, Y[s]) keyed (X.content_id, Y.content_id, s); the ids
+        # number the contents in complex_ids; summand_cache memoizes
+        # modules.uniserial_presentation
         self.hom_cache: dict = {}
+        self.complex_ids: dict = {}
         self.summand_cache: dict = {}
         self.mult_cache: dict = {}
         # built on first use (most algebras never act on a module); not a

@@ -25,7 +25,7 @@ from .algebra import BrauerTreeAlgebra, elem_mul
 
 @dataclass(frozen=True)
 class Summand:
-    """Label for a declared indecomposable direct summand."""
+    """Display name of one part of a complex (see ProjComplex.parts)."""
 
     kind: str  # "stalk" or "pres"
     key: tuple
@@ -64,9 +64,13 @@ class ProjComplex:
     comps maps a degree to the tuple of projective edge indices in that
     degree; diffs[d] is the matrix of the differential comps[d] ->
     comps[d+1], stored as rows over target slots with path-element entries.
+    parts are the summands the complex was assembled from (see direct_sum);
+    a complex built on its own is its only part.  Labels name the parts,
+    one each, for display only.
     """
 
-    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, labels=None, check=True):
+    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, labels=None, check=True,
+                 parts=None):
         self.algebra = algebra
         self.comps = {int(d): tuple(c) for d, c in comps.items() if len(c) > 0}
         self.diffs = {}
@@ -79,10 +83,12 @@ class ProjComplex:
                 raise ValueError(f"differential at degree {d} has wrong shape")
             self.diffs[d] = mat
         self.labels = tuple(labels) if labels is not None else None
+        self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
+        if self.labels is not None and len(self.labels) != len(self.parts):
+            raise ValueError("one label per part: sum labelled parts with direct_sum")
         if check:
             self._validate()
-        if self.labels is not None and len(self.labels) == 1:
-            algebra.summand_cache.setdefault(self.labels[0].key, self)
+        self._content_id = None  # see content_id; set on first use
 
     def _validate(self):
         A = self.algebra
@@ -136,14 +142,31 @@ class ProjComplex:
             for row in mat
         )
 
-    def shift(self, s: int) -> "ProjComplex":
-        """X[s]; content at degree d moves to degree d - s."""
-        comps = {d - s: c for d, c in self.comps.items()}
-        diffs = {d - s: mat for d, mat in self.diffs.items()}
-        labels = None
-        if self.labels is not None and all(l.kind == "stalk" for l in self.labels):
-            labels = tuple(Summand.stalk(l.edge, l.degree - s) for l in self.labels)
-        return ProjComplex(self.algebra, comps, diffs, labels=labels, check=False)
+    def k0_class(self) -> tuple:
+        """The class sum_d (-1)^d [X^d] in K_0, as multiplicities over the edges."""
+        eidx = self.algebra.eidx
+        cls = [0] * len(eidx)
+        for d, slots in self.comps.items():
+            sign = -1 if d % 2 else 1
+            for e in slots:
+                cls[eidx[e]] += sign
+        return tuple(cls)
+
+    @property
+    def content_id(self) -> int:
+        """Number of this complex's comps and differentials among those
+        interned on its algebra: complexes with equal content share it."""
+        if self._content_id is None:
+            content = (
+                tuple(sorted(self.comps.items())),
+                tuple(sorted(
+                    (d, tuple(tuple(frozenset(e.items()) for e in row) for row in mat))
+                    for d, mat in self.diffs.items()
+                )),
+            )
+            ids = self.algebra.complex_ids
+            self._content_id = ids.setdefault(content, len(ids))
+        return self._content_id
 
     def display(self) -> str:
         if self.labels:
@@ -203,7 +226,8 @@ def direct_sum(parts) -> ProjComplex:
     if all(p.labels is not None for p in parts):
         labels = tuple(l for p in parts for l in p.labels)
     comps = {d: tuple(c) for d, c in comps.items() if c}
-    return ProjComplex(A, comps, diffs, labels=labels, check=False)
+    return ProjComplex(A, comps, diffs, labels=labels, check=False,
+                       parts=[q for p in parts for q in p.parts])
 
 
 # -- chain maps -----------------------------------------------------------------
@@ -496,35 +520,31 @@ def chain_map_space(Q: ProjComplex, R: ProjComplex, s: int) -> ChainMapSpace:
     return ChainMapSpace(Q, R, s)
 
 
-def _pair_hom_dim(A: BrauerTreeAlgebra, lu: Summand, lv: Summand, s: int) -> int:
-    key = (lu.key, lv.key, s)
-    if key in A.hom_cache:
-        return A.hom_cache[key]
-    Qu = A.summand_cache.get(lu.key)
-    Rv = A.summand_cache.get(lv.key)
-    if Qu is None or Rv is None:
-        raise KeyError("summand complex not registered")
-    dim = ChainMapSpace(Qu, Rv, s).dim
-    A.hom_cache[key] = dim
-    return dim
-
-
 def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False) -> int:
     """dim Hom_{K^b}(Q, R[s]).
 
-    With summand labels available on both sides the dimension is the sum
-    over label pairs, computed once per pair and cached on the algebra;
-    direct=True forces one whole-complex elimination instead.
+    Hom is additive, so the dimension is the sum over pairs of parts, each
+    pair computed once and cached on the algebra under the content ids of
+    the two parts.  Summand labels are names only and take no part in it.
+    direct=True forces one whole-complex elimination instead; the
+    shift-duality suite computes that way, independently of the cache.
+    is_tilting asks only for Hom(T, T[1]) and Hom(T, T[-1]) and decides
+    the rest by K_0 classes.
     """
     A = Q.algebra
-    if not direct and Q.labels is not None and R.labels is not None:
-        try:
-            return sum(
-                _pair_hom_dim(A, lu, lv, s) for lu in Q.labels for lv in R.labels
-            )
-        except KeyError:
-            pass
-    return ChainMapSpace(Q, R, s).dim
+    if R.algebra is not A:
+        raise ValueError("complexes over different algebras")
+    if direct:
+        return ChainMapSpace(Q, R, s).dim
+    total = 0
+    for u in Q.parts:
+        for v in R.parts:
+            key = (u.content_id, v.content_id, s)
+            dim = A.hom_cache.get(key)
+            if dim is None:
+                dim = A.hom_cache[key] = ChainMapSpace(u, v, s).dim
+            total += dim
+    return total
 
 
 def euler_pairing(Q: ProjComplex, R: ProjComplex) -> int:

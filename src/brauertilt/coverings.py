@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .algebra import BrauerTreeAlgebra
 from .complexes import ProjComplex, direct_sum, hom_complex_dim, stalk_complex
-from .modules import UniserialSpec, min_proj_presentation, uniserial_rep
+from .modules import UniserialSpec, uniserial_presentation
 from .tilting import is_tilting
 
 
@@ -177,23 +177,14 @@ def covering_to_complex(cov: Covering, A: BrauerTreeAlgebra) -> ProjComplex:
         if o.size == 1:
             parts.append(stalk_complex(A, o.start, degree))
             continue
-        parts.append(_presentation_part(A, o, cov.n))
-        for iv in sorted(fam, key=lambda i: ((i.start - o.start) % cov.n, -i.size)):
-            parts.append(_presentation_part(A, iv, cov.n))
+        for iv in [o, *sorted(fam, key=lambda i: ((i.start - o.start) % cov.n, -i.size))]:
+            spec = interval_module(iv, cov.n)
+            parts.append(uniserial_presentation(A, spec.top, spec.length))
         parts.append(stalk_complex(A, cov.distinguished(o), degree))
     T = direct_sum(parts)
     if not is_tilting(T):
         raise ValueError("covering does not produce a tilting complex")
     return T
-
-
-def _presentation_part(A: BrauerTreeAlgebra, iv: CyclicInterval, n: int) -> ProjComplex:
-    spec = interval_module(iv, n)
-    key = ("uniserial", spec.top, spec.length)
-    cached = A.summand_cache.get(("pres", key))
-    if cached is not None:
-        return cached
-    return min_proj_presentation(uniserial_rep(A, spec), label=key)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -288,13 +279,7 @@ def tilting_catalog(A: BrauerTreeAlgebra) -> list[ProjComplex]:
     itself, not by any length rule."""
     A.require_star()
     n, k = A.n, A.tree.multiplicity
-    items = []
-    for top in A.edges:
-        for l in range(1, n * k + 1):
-            spec = UniserialSpec(top, l)
-            items.append(
-                min_proj_presentation(uniserial_rep(A, spec), label=("uniserial", top, l))
-            )
+    items = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)]
     for e in A.edges:
         items.append(stalk_complex(A, e, 0))
         items.append(stalk_complex(A, e, 1))

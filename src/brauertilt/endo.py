@@ -48,16 +48,10 @@ class ACycle:
 
 
 def summand_complexes(T: ProjComplex) -> list[ProjComplex]:
+    """The parts of T, in the order of its labels."""
     if T.labels is None:
         raise ValueError("summand labels required")
-    A = T.algebra
-    out = []
-    for l in T.labels:
-        S = A.summand_cache.get(l.key)
-        if S is None:
-            raise ValueError(f"no registered complex for summand {l.key}")
-        out.append(S)
-    return out
+    return list(T.parts)
 
 
 def endo_cartan(T: ProjComplex, check_tilting: bool = True) -> list[list[int]]:

@@ -12,6 +12,7 @@ from .modules import (
     UniserialSpec,
     min_proj_presentation,
     string_rep,
+    uniserial_presentation,
     uniserial_rep,
 )
 from .trees import BrauerTree
@@ -165,15 +166,12 @@ def complex_from_json(A: BrauerTreeAlgebra, doc) -> ProjComplex:
                 stalk_complex(A, _need(st, "edge", f"$.summands[{i}].stalk"), st.get("degree", 0))
             )
         elif "pres" in s:
-            M = module_from_json(A, s["pres"])
-            p = s["pres"]
-            if "uniserial" in p:
-                label = ("uniserial", p["uniserial"]["top"], p["uniserial"]["len"])
+            M = module_from_json(A, s["pres"])  # also validates a uniserial
+            u = s["pres"].get("uniserial")
+            if u is not None:
+                parts.append(uniserial_presentation(A, u["top"], u["len"]))
             else:
-                label = ("module", i)
-            key = ("pres", label)
-            cached = A.summand_cache.get(key)
-            parts.append(cached if cached is not None else min_proj_presentation(M, label=label))
+                parts.append(min_proj_presentation(M, label=("module", i)))
         else:
             raise SchemaError(f"$.summands[{i}]", "expected 'stalk' or 'pres'")
     return direct_sum(parts)

@@ -2,7 +2,7 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  The
 matrices this package eliminates are small and sparse, so `rref`, behind
-`rank`, `nullspace`, `solve` and `express`, runs Gauss-Jordan elimination
+`rank`, `nullspace` and `solve`, runs Gauss-Jordan elimination
 on sparse rows held as {column: value} dicts of Python ints: its cost
 follows the nonzero entries, not the cells, and no value can overflow.
 `matmul` stays in numpy.  A product of two reduced entries fits in int64
@@ -166,24 +166,6 @@ def solve(a, b, p: int) -> np.ndarray | None:
     return x[:, 0] if vector_input else x
 
 
-def row_space_rank(rows_list, p: int, width: int) -> int:
-    if not rows_list:
-        return 0
-    return rank(np.array(rows_list, dtype=np.int64).reshape(len(rows_list), width), p)
-
-
 def is_invertible(a, p: int) -> bool:
     m = asmat(a)
     return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]
-
-
-def express(basis_rows: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray | None:
-    """Coordinates of each row of `vectors` in the span of `basis_rows`.
-
-    Returns a matrix c with vectors = c @ basis_rows, or None if some row
-    lies outside the span.
-    """
-    basis_rows = asmat(basis_rows)
-    vectors = asmat(vectors)
-    sol = solve(basis_rows.T, vectors.T, p)
-    return None if sol is None else sol.T % p

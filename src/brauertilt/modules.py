@@ -534,6 +534,18 @@ def min_proj_presentation(M: Representation, label=None):
     return ProjComplex(A, comps, {0: diff}, labels=labels)
 
 
+def uniserial_presentation(A: BrauerTreeAlgebra, top, length):
+    """Minimal presentation of the uniserial with the given top and length,
+    labelled ("uniserial", top, length); built once per algebra."""
+    key = (top, length)
+    T = A.summand_cache.get(key)
+    if T is None:
+        T = A.summand_cache[key] = min_proj_presentation(
+            uniserial_rep(A, UniserialSpec(top, length)), label=("uniserial", *key)
+        )
+    return T
+
+
 # -- catalogues --------------------------------------------------------------------
 
 

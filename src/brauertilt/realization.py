@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, star_algebra
 from .complexes import ProjComplex, direct_sum, stalk_complex
-from .modules import UniserialSpec, min_proj_presentation, uniserial_rep
+from .modules import uniserial_presentation
 from .tilting import is_tilting
 from .trees import BrauerTree
 
@@ -114,15 +114,8 @@ def realize(
                 p0, p1 = up, own
             else:
                 p0, p1 = own, up
-            spec = UniserialSpec(p1, (p1 - p0) % n)
-            key = ("uniserial", spec.top, spec.length)
-            cached = A.summand_cache.get(("pres", key))
-            part = (
-                cached
-                if cached is not None
-                else min_proj_presentation(uniserial_rep(A, spec), label=key)
-            )
-            summands.append((("pres", spec.top, spec.length), part))
+            length = (p1 - p0) % n
+            summands.append((("pres", p1, length), uniserial_presentation(A, p1, length)))
             walk(ch, child_vertex, level + 1)
 
     for e in _oriented_children(tree, root, None):

@@ -29,7 +29,7 @@ from .modules import (
     projective_sum,
     quotient_representation,
     second_syzygy,
-    uniserial_rep,
+    uniserial_presentation,
 )
 
 
@@ -47,11 +47,20 @@ def is_partial_tilting(T: ProjComplex, direct: bool = False) -> bool:
 def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     """Partial tilting with as many isomorphism classes of indecomposable
     summands as the algebra has simples (the count criterion replaces the
-    generation condition over these algebras)."""
+    generation condition over these algebras).
+
+    The summands are the parts of T (see direct_sum), and their classes are
+    counted in K_0: once Hom(T, T[1]) = Hom(T, T[-1]) = 0, a two-term
+    summand is determined by its class in K_0 (Adachi, Iyama and Reiten,
+    "tau-tilting theory", 2014), so distinct classes are distinct summands.
+    Labels are names only; T must carry them, and must lie in two
+    consecutive degrees.
+    """
     if T.labels is None:
         raise ValueError("is_tilting needs summand labels")
-    distinct = {l.key for l in T.labels}
-    if len(distinct) != T.algebra.n:
+    if T.comps and T.max_degree - T.min_degree > 1:
+        raise ValueError("is_tilting decides two-term complexes only")
+    if len({P.k0_class() for P in T.parts}) != T.algebra.n:
         return False
     return is_partial_tilting(T, direct=direct)
 
@@ -169,10 +178,7 @@ def decompose_two_term(T: ProjComplex) -> ProjComplex:
             parts.append(stalk_complex(A, spec.top, hi))
             used_hi[spec.top] += 1
         else:
-            pres = min_proj_presentation(
-                uniserial_rep(A, spec), label=("uniserial", spec.top, spec.length)
-            )
-            parts.append(pres)
+            parts.append(uniserial_presentation(A, spec.top, spec.length))
             used_hi[spec.top] += 1
             used_lo[A.star_next(spec.top, -spec.length)] += 1
     contractible = {}

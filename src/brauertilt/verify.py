@@ -13,7 +13,6 @@ from itertools import combinations_with_replacement
 
 from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, build_tree_algebra, star_algebra
 from .complexes import (
-    ProjComplex,
     algebra_complex,
     direct_sum,
     euler_pairing,
@@ -32,12 +31,11 @@ from .coverings import (
 )
 from .endo import endo_brauer_tree, endo_cartan
 from .modules import (
-    UniserialSpec,
     enumerate_indecomposables,
     is_isomorphic,
     min_proj_presentation,
     socle_quotient_rep,
-    uniserial_rep,
+    uniserial_presentation,
 )
 from .realization import realize
 from .tilting import is_partial_tilting, module_partial_tilting_test
@@ -63,16 +61,6 @@ def _star(n, k, prime) -> BrauerTreeAlgebra:
     if key not in _ALGEBRAS:
         _ALGEBRAS[key] = star_algebra(n, k, prime)
     return _ALGEBRAS[key]
-
-
-def _pres(A, top, length) -> ProjComplex:
-    key = ("pres", ("uniserial", top, length))
-    cached = A.summand_cache.get(key)
-    if cached is not None:
-        return cached
-    return min_proj_presentation(
-        uniserial_rep(A, UniserialSpec(top, length)), label=("uniserial", top, length)
-    )
 
 
 def _tree_algebras(n, k, prime):
@@ -160,7 +148,7 @@ def suite_length_bound(prime=DEFAULT_PRIME) -> SuiteResult:
             A = _star(n, k, prime)
             for top in A.edges:
                 for l in range(1, n * k + 1):
-                    pt = is_partial_tilting(_pres(A, top, l))
+                    pt = is_partial_tilting(uniserial_presentation(A, top, l))
                     entries.append((n, k, top, l, pt))
                     if pt != (l < n):
                         failures.append((n, k, top, l, pt))
@@ -173,7 +161,7 @@ def _duality_corpus(prime):
     for n, k in [(2, 1), (3, 1), (2, 2), (3, 2)]:
         A = _star(n, k, prime)
         parts = [
-            _pres(A, top, l) for top in A.edges for l in range(1, n * k + 1)
+            uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)
         ]
         parts += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
         singles = list(parts)
@@ -181,7 +169,7 @@ def _duality_corpus(prime):
         for a, b in combinations_with_replacement(range(len(parts)), 2):
             corpus.append(direct_sum([parts[a], parts[b]]))
     A = _star(3, 1, prime)
-    parts = [_pres(A, top, l) for top in A.edges for l in range(1, 4)]
+    parts = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, 4)]
     parts += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
     for t in range(0, len(parts) - 2, 2):
         corpus.append(direct_sum([parts[t], parts[t + 1], parts[t + 2]]))
@@ -272,13 +260,17 @@ def suite_hom_tables(prime=DEFAULT_PRIME) -> SuiteResult:
                     expect = 1 if (same_desc_start != same_desc_end) else 0
                 else:
                     continue  # crossing pair, outside the table
-                got = hom_complex_dim(_pres(A, mi.top, mi.length), _pres(A, mj.top, mj.length), 0)
+                got = hom_complex_dim(
+                    uniserial_presentation(A, mi.top, mi.length),
+                    uniserial_presentation(A, mj.top, mj.length),
+                    0,
+                )
                 counts["pair"] += 1
                 if got != expect:
                     failures.append((n, k, "pair", (I.start, I.size), (J.start, J.size), expect, got))
         for I in intervals:
             m = interval_module(I, n)
-            P = _pres(A, m.top, m.length)
+            P = uniserial_presentation(A, m.top, m.length)
             for e in A.edges:
                 for degree in (0, 1):
                     if not compatible_stalk(m, e, degree, n):
@@ -313,10 +305,9 @@ def suite_euler_pairing(prime=DEFAULT_PRIME, cases=BIJECTION_CASES) -> SuiteResu
     pairs = 0
     complexes = 0
     for n, k in cases:
-        A = _star(n, k, prime)
         for T in _brute(n, k, prime):
             complexes += 1
-            parts = [A.summand_cache[l.key] for l in T.labels]
+            parts = T.parts
             for i in range(len(parts)):
                 for j in range(len(parts)):
                     pairs += 1

@@ -19,14 +19,7 @@ from brauertilt.complexes import (
 )
 from brauertilt.coverings import covering_to_complex, enumerate_coverings
 from brauertilt.endo import summand_complexes
-from brauertilt.modules import UniserialSpec, min_proj_presentation, uniserial_rep
-
-
-def pres(A, top, length):
-    key = ("pres", ("uniserial", top, length))
-    return A.summand_cache.get(key) or min_proj_presentation(
-        uniserial_rep(A, UniserialSpec(top, length)), label=("uniserial", top, length)
-    )
+from brauertilt.modules import uniserial_presentation as pres
 
 
 def test_stalk_hom_dims():
@@ -96,11 +89,25 @@ def test_direct_sum_order_invariance():
         )
 
 
+def test_parts_travel_with_the_sum():
+    A = star_algebra(3, 1)
+    U, V, W = pres(A, 1, 2), stalk_complex(A, 2, 0), stalk_complex(A, 3, 1)
+    T = direct_sum([direct_sum([U, V]), W])
+    assert T.parts == (U, V, W) and U.parts == (U,)
+    assert [l.key for l in T.labels] == [l.key for X in (U, V, W) for l in X.labels]
+    # Homs are cached by content: a rebuilt stalk shares the id of V
+    assert stalk_complex(A, 2, 0).content_id == V.content_id != W.content_id
+    hom_complex_dim(T, T, 0)
+    assert (U.content_id, V.content_id, 0) in A.hom_cache
+    with pytest.raises(ValueError, match="one label per part"):
+        ProjComplex(A, T.comps, T.diffs, labels=T.labels)
+
+
 def test_algebra_complex_and_shift():
     A = star_algebra(2, 2)
     TA = algebra_complex(A, 0)
     assert TA.comps == {0: (1, 2)}
-    shifted = TA.shift(-1)
+    shifted = algebra_complex(A, 1)
     assert shifted.comps == {1: (1, 2)}
     assert [l.degree for l in shifted.labels] == [1, 1]
 

@@ -14,7 +14,7 @@ from brauertilt.coverings import (
     interval_module,
     tilting_catalog,
 )
-from brauertilt.modules import UniserialSpec, min_proj_presentation, uniserial_rep
+from brauertilt.modules import UniserialSpec, uniserial_presentation
 
 
 def test_compatibility_examples():
@@ -42,11 +42,7 @@ def test_pairwise_compatibility_matches_chain_maps():
     for n, k in [(4, 1), (3, 2)]:
         A = star_algebra(n, k)
         specs = [UniserialSpec(t, l) for t in A.edges for l in range(1, n)]
-        press = {
-            (s.top, s.length): A.summand_cache.get(("pres", ("uniserial", s.top, s.length)))
-            or min_proj_presentation(uniserial_rep(A, s), label=("uniserial", s.top, s.length))
-            for s in specs
-        }
+        press = {(s.top, s.length): uniserial_presentation(A, s.top, s.length) for s in specs}
         for s1 in specs:
             for s2 in specs:
                 combinatorial = compatible_pres(s1, s2, n)

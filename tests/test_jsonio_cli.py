@@ -14,7 +14,9 @@ from brauertilt.jsonio import (
     tree_to_dot,
     tree_to_json,
 )
-from brauertilt.modules import UniserialSpec, is_isomorphic, uniserial_rep
+from brauertilt.endo import summand_complexes
+from brauertilt.modules import UniserialSpec, is_isomorphic, simple_rep, uniserial_rep
+from brauertilt.tilting import cokernel_rep
 from brauertilt.trees import BrauerTree
 
 
@@ -70,6 +72,16 @@ def test_module_and_complex_literals():
         },
     )
     assert len(T.labels) == 2
+
+
+def test_presentations_of_different_strings_stay_apart():
+    A = star_algebra(3, 1)
+    first = complex_from_json(A, {"summands": [{"pres": {"string": {"edge": 1}}}]})
+    second = complex_from_json(A, {"summands": [{"pres": {"string": {"edge": 2}}}]})
+    assert is_isomorphic(cokernel_rep(first), simple_rep(A, 1))
+    assert is_isomorphic(cokernel_rep(second), simple_rep(A, 2))
+    assert summand_complexes(second) == list(second.parts)
+    assert is_isomorphic(cokernel_rep(summand_complexes(second)[0]), simple_rep(A, 2))
 
 
 def test_dot_export_marks_exceptional():

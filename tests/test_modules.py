@@ -311,7 +311,7 @@ def test_projective_summand_reads_the_socle_action(algebra, data):
 
 def sub_representation_by_express(M, spans):
     """The elimination-based construction: coordinates of the arrow images
-    solved for with `linalg.express`."""
+    in the reduced bases solved for with `linalg.solve`."""
     A = M.algebra
     p = A.prime
     bases = []
@@ -329,10 +329,10 @@ def sub_representation_by_express(M, spans):
             act[arrow] = linalg.zeros(dims[a], dims[b])
             continue
         images = linalg.matmul(M.act[arrow], bases[b].T, p).T
-        coords = linalg.express(bases[a], images, p)
+        coords = linalg.solve(bases[a].T, images.T, p)
         if coords is None:
             raise ValueError("spans are not stable under the arrow actions")
-        act[arrow] = coords.T
+        act[arrow] = coords
     sub = Representation(A, dims, act)
     return sub, ModuleMap(sub, M, [bases[i].T for i in range(A.n)])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt.algebra import star_algebra
+from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ProjComplex,
     algebra_complex,
@@ -13,12 +13,14 @@ from brauertilt.complexes import (
     hom_complex_dim,
     stalk_complex,
 )
+from brauertilt.coverings import tilting_catalog
 from brauertilt.modules import (
     UniserialSpec,
     enumerate_indecomposables,
     min_proj_presentation,
     simple_rep,
     socle_quotient_rep,
+    uniserial_presentation as pres,
     uniserial_rep,
 )
 from brauertilt.tilting import (
@@ -29,13 +31,7 @@ from brauertilt.tilting import (
     module_partial_tilting_test,
     stalk_orthogonality_test,
 )
-
-
-def pres(A, top, length):
-    key = ("pres", ("uniserial", top, length))
-    return A.summand_cache.get(key) or min_proj_presentation(
-        uniserial_rep(A, UniserialSpec(top, length)), label=("uniserial", top, length)
-    )
+from brauertilt.trees import all_brauer_trees
 
 
 def test_algebra_stalks_tilting():
@@ -61,6 +57,49 @@ def test_is_tilting_needs_labels_and_distinct_summands():
         is_tilting(T)
     repeated = direct_sum([stalk_complex(A, 1, 0), stalk_complex(A, 1, 0)])
     assert not is_tilting(repeated)
+
+
+def test_is_tilting_counts_summands_not_labels():
+    # S_1 + S_1 presented under two different names is not tilting
+    A = star_algebra(2, 1)
+    twice = direct_sum([
+        pres(A, 1, 1),
+        min_proj_presentation(simple_rep(A, 1), label=("string", "S1")),
+    ])
+    assert len({l.key for l in twice.labels}) == A.n
+    assert not is_tilting(twice)
+    assert not is_tilting(twice, direct=True)
+
+
+def test_is_tilting_refuses_three_degrees():
+    A = star_algebra(3, 1)
+    T = direct_sum([stalk_complex(A, e, d) for e, d in ((1, 0), (2, 1), (3, 2))])
+    with pytest.raises(ValueError, match="two-term"):
+        is_tilting(T)
+
+
+def test_catalog_classes_distinct_on_stars():
+    # the fact is_tilting rests on: distinct indecomposable two-term partial
+    # tilting complexes have distinct classes in K_0
+    for n in range(1, 6):
+        for k in (1, 2):
+            catalog = tilting_catalog(star_algebra(n, k))
+            assert len({T.k0_class() for T in catalog}) == len(catalog) == n * (n + 1)
+
+
+def test_partial_tilting_classes_distinct_on_trees():
+    for n in range(1, 5):
+        for tree in all_brauer_trees(n, 1):
+            A = build_tree_algebra(tree)
+            members = [
+                T
+                for label, M in enumerate_indecomposables(A)
+                if label[0] != "projective"
+                for T in [min_proj_presentation(M)]
+                if is_partial_tilting(T, direct=True)
+            ]
+            members += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
+            assert len({T.k0_class() for T in members}) == len(members) == n * (n + 1)
 
 
 def test_module_criterion_rejects_projectives():
