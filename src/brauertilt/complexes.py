@@ -528,8 +528,12 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     the two parts.  Summand labels are names only and take no part in it.
     direct=True forces one whole-complex elimination instead; the
     shift-duality suite computes that way, independently of the cache.
-    is_tilting asks only for Hom(T, T[1]) and Hom(T, T[-1]) and decides
-    the rest by K_0 classes.
+
+    The algebras are symmetric, so K^b(proj A) is 0-Calabi-Yau and
+    dim Hom(Q, R[s]) = dim Hom(R, Q[-s]).  The tilting decisions use this
+    to ask only for positive shifts: is_tilting computes Hom(T, T[1]) and
+    no space at s = -1.  The shift-duality suite checks the identity by
+    computing both Hom(T, T[1]) and Hom(T, T[-1]) with direct=True.
     """
     A = Q.algebra
     if R.algebra is not A:

@@ -28,7 +28,7 @@ from itertools import combinations
 from .algebra import BrauerTreeAlgebra
 from .complexes import ProjComplex, direct_sum, hom_complex_dim, stalk_complex
 from .modules import UniserialSpec, uniserial_presentation
-from .tilting import is_tilting
+from .tilting import is_partial_tilting, is_tilting
 
 
 def mod1(x: int, n: int) -> int:
@@ -276,24 +276,27 @@ def tilting_catalog(A: BrauerTreeAlgebra) -> list[ProjComplex]:
     """Candidate indecomposable two-term summands: minimal presentations of
     every nonprojective uniserial and all stalks in both degrees.  Members
     with self-extensions are filtered out by the chain-map computation
-    itself, not by any length rule."""
+    itself, not by any length rule: a candidate stays when it is partial
+    tilting, which for a two-term complex is the one space Hom(T, T[1]);
+    Hom(T, T[-1]) has the same dimension because the algebra is symmetric
+    (0-Calabi-Yau duality, checked by the shift-duality suite)."""
     A.require_star()
     n, k = A.n, A.tree.multiplicity
     items = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)]
     for e in A.edges:
         items.append(stalk_complex(A, e, 0))
         items.append(stalk_complex(A, e, 1))
-    keep = []
-    for T in items:
-        if hom_complex_dim(T, T, 1) == 0 and hom_complex_dim(T, T, -1) == 0:
-            keep.append(T)
+    keep = [T for T in items if is_partial_tilting(T)]
     return sorted(keep, key=lambda T: T.labels[0].key)
 
 
 def enumerate_two_term_tilting_bruteforce(A: BrauerTreeAlgebra) -> list[ProjComplex]:
     """Exhaustive enumeration of basic two-term tilting complexes by clique
     search over pairwise orthogonality, with a final full verification of
-    every candidate."""
+    every candidate.  Two catalogue members a, b are compatible when
+    Hom(a, b[1]) = Hom(b, a[1]) = 0; the spaces at shift -1 are their duals
+    (Hom(a, b[-1]) = D Hom(b, a[1]) over a symmetric algebra), so they are
+    not computed."""
     A.require_star()
     n, k = A.n, A.tree.multiplicity
     if n > 5 or k > 2:
@@ -303,10 +306,9 @@ def enumerate_two_term_tilting_bruteforce(A: BrauerTreeAlgebra) -> list[ProjComp
     compat = [[False] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            ok = all(
-                hom_complex_dim(catalog[a], catalog[b], s) == 0
-                for (a, b) in ((i, j), (j, i))
-                for s in (1, -1)
+            ok = (
+                hom_complex_dim(catalog[i], catalog[j], 1) == 0
+                and hom_complex_dim(catalog[j], catalog[i], 1) == 0
             )
             compat[i][j] = compat[j][i] = ok
     found = []

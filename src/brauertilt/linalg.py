@@ -5,7 +5,8 @@ matrices this package eliminates are small and sparse, so `rref`, behind
 `rank`, `nullspace` and `solve`, runs Gauss-Jordan elimination
 on sparse rows held as {column: value} dicts of Python ints: its cost
 follows the nonzero entries, not the cells, and no value can overflow.
-`matmul` stays in numpy.  A product of two reduced entries fits in int64
+`matmul` stays in numpy and reduces its operands first, since it may be
+handed unreduced entries.  A product of two reduced entries fits in int64
 for any prime < 2**31, but a sum of such products may not: `matmul` adds at
 most (2**63 - 1) // (p - 1)**2 of them before reducing, which is a single
 step at the default prime and two products at p near 2**31.
@@ -32,7 +33,9 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a, b, p: int) -> np.ndarray:
-    a, b = asmat(a), asmat(b)
+    # reduced operands keep every product and partial sum inside int64;
+    # np.remainder and ndarray.dot are the cheapest calls on tiny matrices
+    a, b = np.remainder(asmat(a), p), np.remainder(asmat(b), p)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     inner = a.shape[1]
@@ -40,10 +43,10 @@ def matmul(a, b, p: int) -> np.ndarray:
         return zeros(a.shape[0], b.shape[1])
     chunk = max(1, (2**63 - 1) // (p - 1) ** 2)
     if inner <= chunk:
-        return (a @ b) % p
+        return np.remainder(a.dot(b), p)
     out = zeros(a.shape[0], b.shape[1])
     for k in range(0, inner, chunk):
-        out = (out + (a[:, k : k + chunk] @ b[k : k + chunk]) % p) % p
+        out = (out + a[:, k : k + chunk].dot(b[k : k + chunk]) % p) % p
     return out
 
 
@@ -133,13 +136,19 @@ def nullspace(a, p: int) -> np.ndarray:
 
 
 def nullspace_of_rref(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """The basis `nullspace` returns, read off a matrix's reduced form."""
+    """The basis `nullspace` returns, read off a matrix's reduced form: one
+    row per free column, 1 there and minus that column of the reduced rows
+    at the pivots.  The free columns are the gaps between the sorted pivots."""
     cols = red.shape[1]
-    taken = set(pivots)
-    free = [c for c in range(cols) if c not in taken]
+    free, start = [], 0
+    for c in [*pivots, cols]:
+        free.extend(range(start, c))
+        start = c + 1
     basis = zeros(len(free), cols)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-red[: len(pivots)][:, free].T) % p
+    if free:
+        basis.put([i * cols + f for i, f in enumerate(free)], 1)
+        if pivots:
+            basis[:, pivots] = (-red[: len(pivots)].take(free, axis=1).T) % p
     return basis
 
 

@@ -41,26 +41,42 @@ def shift_range(Q: ProjComplex, R: ProjComplex):
 
 
 def is_partial_tilting(T: ProjComplex, direct: bool = False) -> bool:
-    return all(hom_complex_dim(T, T, s, direct=direct) == 0 for s in shift_range(T, T))
+    """Hom(T, T[s]) = 0 for every shift s != 0.
+
+    Only the positive shifts are computed.  Brauer tree algebras are
+    symmetric, so K^b(proj A) is 0-Calabi-Yau, Hom(X, Y) = D Hom(Y, X), and
+    dim Hom(T, T[-s]) = dim Hom(T[s], T) = dim Hom(T, T[s]).  For a
+    two-term T this leaves the single space Hom(T, T[1]), whose vanishing
+    is presilting (Adachi, Iyama and Reiten, "tau-tilting theory", 2014).
+    The shift-duality suite checks the identity by computing both sides
+    directly, without this shortcut.
+    """
+    return all(
+        hom_complex_dim(T, T, s, direct=direct) == 0 for s in shift_range(T, T) if s > 0
+    )
 
 
 def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
-    """Partial tilting with as many isomorphism classes of indecomposable
-    summands as the algebra has simples (the count criterion replaces the
-    generation condition over these algebras).
+    """Partial tilting with summands whose classes span K_0 (the rank
+    criterion replaces the generation condition over these algebras).
 
-    The summands are the parts of T (see direct_sum), and their classes are
-    counted in K_0: once Hom(T, T[1]) = Hom(T, T[-1]) = 0, a two-term
-    summand is determined by its class in K_0 (Adachi, Iyama and Reiten,
-    "tau-tilting theory", 2014), so distinct classes are distinct summands.
-    Labels are names only; T must carry them, and must lie in two
-    consecutive degrees.
+    The summands are the parts of T (see direct_sum), and their classes
+    sum_d (-1)^d [T^d] must have rank n, the number of simples.  This is
+    exact: the classes of the distinct indecomposable summands of a
+    two-term presilting complex are linearly independent, and those of a
+    tilting complex form a Z-basis of K_0 (Adachi, Iyama and Reiten,
+    "tau-tilting theory", 2014), so the rank taken mod the working prime
+    is the rank over Q.  A part that is itself decomposable adds only its
+    total class, so it cannot stand in for missing summands.  Labels are
+    names only; T must carry them, and must lie in two consecutive degrees.
     """
     if T.labels is None:
         raise ValueError("is_tilting needs summand labels")
     if T.comps and T.max_degree - T.min_degree > 1:
         raise ValueError("is_tilting decides two-term complexes only")
-    if len({P.k0_class() for P in T.parts}) != T.algebra.n:
+    A = T.algebra
+    classes = np.array([P.k0_class() for P in T.parts], dtype=np.int64).reshape(-1, A.n)
+    if linalg.rank(classes, A.prime) != A.n:
         return False
     return is_partial_tilting(T, direct=direct)
 
@@ -96,9 +112,15 @@ def hom_to_module(T: ProjComplex, M: Representation) -> int:
     return dim_maps - linalg.rank(mat, A.prime)
 
 
-def module_partial_tilting_test(M: Representation) -> bool:
+def module_partial_tilting_test(
+    M: Representation, presentation: ProjComplex | None = None
+) -> bool:
     """Decide partial tilting of the minimal presentation from module data
-    alone: no maps M -> second syzygy and no chain maps onto M."""
+    alone: no maps M -> second syzygy and no chain maps onto M.
+
+    A caller that already holds min_proj_presentation(M) may pass it, so
+    it is not built twice; only the maps onto M are read from it.
+    """
     if M.is_zero():
         raise ValueError("zero module")
     if has_projective_summand(M):
@@ -106,7 +128,7 @@ def module_partial_tilting_test(M: Representation) -> bool:
     omega2 = second_syzygy(M, _check=False)
     if not omega2.is_zero() and hom_dim(M, omega2) != 0:
         return False
-    T = min_proj_presentation(M)
+    T = presentation if presentation is not None else min_proj_presentation(M)
     return hom_to_module(T, M) == 0
 
 

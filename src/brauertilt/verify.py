@@ -89,8 +89,9 @@ def suite_presentation_criterion(prime=DEFAULT_PRIME) -> SuiteResult:
         for label, M in enumerate_indecomposables(A):
             if label[0] == "projective":
                 continue
-            by_module = module_partial_tilting_test(M)
-            by_chain = is_partial_tilting(min_proj_presentation(M), direct=True)
+            T = min_proj_presentation(M)
+            by_module = module_partial_tilting_test(M, presentation=T)
+            by_chain = is_partial_tilting(T, direct=True)
             entries.append((name, label, by_module))
             if by_module != by_chain:
                 failures.append((name, label, by_module, by_chain))
@@ -178,7 +179,9 @@ def _duality_corpus(prime):
 
 def suite_shift_duality(prime=DEFAULT_PRIME) -> SuiteResult:
     """dim Hom(T, T[1]) = dim Hom(T, T[-1]) across the assembled corpus
-    (the algebras are symmetric)."""
+    (the algebras are symmetric).  Both sides are computed directly: this
+    is the check on the duality that is_partial_tilting, tilting_catalog
+    and the brute-force filter use to skip the negative shifts."""
     corpus = _duality_corpus(prime)
     failures = []
     entries = []

@@ -127,6 +127,7 @@ def test_cli_enumerate_both(capsys):
 def test_cli_enumerate_budget(capsys):
     rc, _, err = run_cli(capsys, ["enumerate-tilting", "6", "1", "--mode", "brute"])
     assert rc == 2
+    assert "n <= 5 and k <= 2" in err
 
 
 def test_cli_endo_dot(tmp_path, capsys):

@@ -196,3 +196,10 @@ def test_matmul_sums_do_not_overflow():
     p = 2**31 - 1
     a = np.full((1, 8), p - 1, dtype=np.int64)
     assert linalg.matmul(a, a.T, p).tolist() == [[8]]
+
+
+def test_matmul_reduces_unreduced_input_near_2_31():
+    p = 2**31 - 1
+    a = np.full((2, 2), -2 * p + 3, dtype=np.int64)
+    b = np.full((2, 2), -2 * p + 5, dtype=np.int64)
+    assert linalg.matmul(a, b, p).tolist() == [[30, 30], [30, 30]]

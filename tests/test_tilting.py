@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauertilt import complexes, tilting
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ProjComplex,
@@ -13,7 +14,12 @@ from brauertilt.complexes import (
     hom_complex_dim,
     stalk_complex,
 )
-from brauertilt.coverings import tilting_catalog
+from brauertilt.coverings import (
+    covering_to_complex,
+    enumerate_coverings,
+    enumerate_two_term_tilting_bruteforce,
+    tilting_catalog,
+)
 from brauertilt.modules import (
     UniserialSpec,
     enumerate_indecomposables,
@@ -29,6 +35,7 @@ from brauertilt.tilting import (
     is_partial_tilting,
     is_tilting,
     module_partial_tilting_test,
+    shift_range,
     stalk_orthogonality_test,
 )
 from brauertilt.trees import all_brauer_trees
@@ -71,6 +78,19 @@ def test_is_tilting_counts_summands_not_labels():
     assert not is_tilting(twice, direct=True)
 
 
+def test_is_tilting_refuses_a_decomposable_part():
+    # S_1 + (S_1 + S_1 built as one labelled complex): three copies of one
+    # summand, with part classes (-1, 1) and (-2, 2) of rank 1 < 2
+    A = star_algebra(2, 1)
+    S = pres(A, 1, 1)
+    SS = direct_sum([S, S])
+    Y = ProjComplex(A, SS.comps, SS.diffs, labels=S.labels)
+    T = direct_sum([S, Y])
+    assert len({P.k0_class() for P in T.parts}) == A.n
+    assert not is_tilting(T)
+    assert not is_tilting(T, direct=True)
+
+
 def test_is_tilting_refuses_three_degrees():
     A = star_algebra(3, 1)
     T = direct_sum([stalk_complex(A, e, d) for e, d in ((1, 0), (2, 1), (3, 2))])
@@ -100,6 +120,21 @@ def test_partial_tilting_classes_distinct_on_trees():
             ]
             members += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
             assert len({T.k0_class() for T in members}) == len(members) == n * (n + 1)
+
+
+def test_module_criterion_reads_a_given_presentation(monkeypatch):
+    A = star_algebra(3, 2)
+    modules = nonprojective_indecomposables(3, 2, A.prime)
+    expected = [module_partial_tilting_test(M) for M in modules]
+    presentations = [min_proj_presentation(M) for M in modules]
+
+    def refuse(M, label=None):
+        raise AssertionError("presentation built again")
+
+    monkeypatch.setattr(tilting, "min_proj_presentation", refuse)
+    got = [module_partial_tilting_test(M, presentation=T) for M, T in zip(modules, presentations)]
+    assert got == expected
+    assert True in got and False in got
 
 
 def test_module_criterion_rejects_projectives():
@@ -220,3 +255,68 @@ def test_direct_decision_matches_module_criterion(nk, p, data):
     M = data.draw(st.sampled_from(nonprojective_indecomposables(*nk, p)))
     by_chain = is_partial_tilting(min_proj_presentation(M), direct=True)
     assert by_chain == module_partial_tilting_test(M)
+
+
+# -- the Calabi-Yau shortcut: positive shifts only ------------------------------------
+
+
+def partial_tilting_both_shifts(T):
+    """Reference without the duality: every nonzero shift, both signs."""
+    return all(hom_complex_dim(T, T, s, direct=True) == 0 for s in shift_range(T, T))
+
+
+@lru_cache(maxsize=None)
+def two_term_parts(source, p):
+    """Two-term pieces over one algebra: every uniserial presentation and
+    stalk of a star (the catalogue and the members it filters out), or the
+    presentations of all nonprojective indecomposables and the stalks of a
+    multiplicity-1 tree."""
+    if source[0] == "star":
+        A = star_algebra(*source[1:], prime=p)
+        nk = A.n * A.tree.multiplicity
+        parts = [pres(A, top, l) for top in A.edges for l in range(1, nk + 1)]
+    else:
+        A = build_tree_algebra(all_brauer_trees(source[1], 1)[source[2]], prime=p)
+        parts = [
+            min_proj_presentation(M)
+            for label, M in enumerate_indecomposables(A)
+            if label[0] != "projective"
+        ]
+    return parts + [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
+
+
+SOURCES = [("star", n, k) for n in range(1, 5) for k in (1, 2)] + [
+    ("tree", n, i) for n in range(1, 5) for i in range(len(all_brauer_trees(n, 1)))
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SOURCES), st.sampled_from((2, 3, 32003)), st.data())
+def test_partial_tilting_equals_both_shift_reference(source, p, data):
+    parts = two_term_parts(source, p)
+    chosen = data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=3))
+    T = direct_sum(chosen)
+    expected = partial_tilting_both_shifts(T)
+    assert is_partial_tilting(T, direct=True) == expected
+    assert is_partial_tilting(T) == expected
+
+
+def test_tilting_decisions_build_spaces_at_shift_one_only(monkeypatch):
+    built = []
+
+    class Counting(complexes.ChainMapSpace):
+        def __init__(self, Q, R, s):
+            built.append(s)
+            super().__init__(Q, R, s)
+
+    A = star_algebra(4, 1)
+    T = covering_to_complex(enumerate_coverings(4)[-1], A)
+    monkeypatch.setattr(complexes, "ChainMapSpace", Counting)
+    assert is_tilting(T, direct=True)
+    assert built == [1]  # one direct decision, one space
+    built.clear()
+    assert is_partial_tilting(pres(A, 1, 4), direct=True) is False
+    assert built == [1]
+    built.clear()
+    assert len(enumerate_two_term_tilting_bruteforce(star_algebra(3, 1))) == 20
+    assert built and set(built) == {1}  # catalogue, pairwise filter, final checks
