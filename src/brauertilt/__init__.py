@@ -11,7 +11,6 @@ from .complexes import (
     ProjComplex,
     Summand,
     algebra_complex,
-    chain_map_space,
     direct_sum,
     euler_pairing,
     hom_complex_dim,

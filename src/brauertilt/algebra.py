@@ -345,33 +345,6 @@ def star_algebra(n: int, k: int, prime: int = DEFAULT_PRIME) -> BrauerTreeAlgebr
 AlgElement = dict  # PathClass -> coefficient mod p
 
 
-def elem(pc: PathClass, coeff: int = 1) -> AlgElement:
-    return {pc: coeff}
-
-
-def elem_zero() -> AlgElement:
-    return {}
-
-
-def elem_add(a: BrauerTreeAlgebra, x: AlgElement, y: AlgElement) -> AlgElement:
-    out = dict(x)
-    p = a.prime
-    for pc, c in y.items():
-        v = (out.get(pc, 0) + c) % p
-        if v:
-            out[pc] = v
-        else:
-            out.pop(pc, None)
-    return out
-
-
-def elem_scale(a: BrauerTreeAlgebra, x: AlgElement, c: int) -> AlgElement:
-    c %= a.prime
-    if c == 0:
-        return {}
-    return {pc: (v * c) % a.prime for pc, v in x.items()}
-
-
 def elem_mul(a: BrauerTreeAlgebra, x: AlgElement, y: AlgElement) -> AlgElement:
     out: AlgElement = {}
     p = a.prime
@@ -385,7 +358,3 @@ def elem_mul(a: BrauerTreeAlgebra, x: AlgElement, y: AlgElement) -> AlgElement:
                 else:
                     out.pop(r, None)
     return out
-
-
-def elem_is_radical(x: AlgElement) -> bool:
-    return all(pc.kind != "e" for pc in x)

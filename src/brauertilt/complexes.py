@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import BrauerTreeAlgebra, elem_mul
+from .algebra import BrauerTreeAlgebra
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,12 @@ class ProjComplex:
     def _validate(self):
         A = self.algebra
         for d, mat in self.diffs.items():
-            src, tgt = self.comps[d], self.comps[d + 1]
+            src, tgt = self.slots(d), self.slots(d + 1)
             for h, row in enumerate(mat):
                 for g, entry in enumerate(row):
                     for pc in entry:
+                        if pc not in A.index:
+                            raise ValueError(f"entry {pc} at degree {d} is not a basis class")
                         if pc.start != src[g] or pc.end != tgt[h]:
                             raise ValueError(
                                 f"entry {pc} at degree {d} not in block "
@@ -104,14 +106,9 @@ class ProjComplex:
                             )
         for d in self.diffs:
             if d + 1 in self.diffs:
-                up, down = self.diffs[d + 1], self.diffs[d]
-                for t in range(len(self.comps[d + 2])):
-                    for g in range(len(self.comps[d])):
-                        acc = {}
-                        for m in range(len(self.comps[d + 1])):
-                            acc = _elem_acc(A, acc, elem_mul(A, down[m][g], up[t][m]))
-                        if acc:
-                            raise ValueError("differential does not square to zero")
+                square = _product(A, self.diffs[d], self.diffs[d + 1], len(self.slots(d)))
+                if any(entry for row in square for entry in row):
+                    raise ValueError("differential does not square to zero")
 
     # -- shape ------------------------------------------------------------------
 
@@ -175,14 +172,26 @@ class ProjComplex:
         return "; ".join(parts)
 
 
-def _elem_acc(A, acc, extra):
-    for pc, c in extra.items():
-        v = (acc.get(pc, 0) + c) % A.prime
-        if v:
-            acc[pc] = v
-        else:
-            acc.pop(pc, None)
-    return acc
+def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
+    """The product "first, then `then`" of two matrices of path elements,
+    each stored as rows over its target slots: entry [t][i] is the sum over
+    j of first[j][i] * then[t][j], multiplied left factor first in A.mult.
+    width is the number of source slots of `first`."""
+    mult, p = A.mult, A.prime
+    out = []
+    for then_row in then:
+        row = []
+        for i in range(width):
+            acc = {}
+            for j, y in enumerate(then_row):
+                for pcx, cx in first[j][i].items():
+                    for pcy, cy in y.items():
+                        r = mult.get((pcx, pcy))
+                        if r is not None:
+                            acc[r] = (acc.get(r, 0) + cx * cy) % p
+            row.append({pc: c for pc, c in acc.items() if c})
+        out.append(row)
+    return out
 
 
 def stalk_complex(A: BrauerTreeAlgebra, edge, degree=0) -> ProjComplex:
@@ -218,7 +227,7 @@ def direct_sum(parts) -> ProjComplex:
             pd = p.diff(d)
             for h in range(len(p.slots(d + 1))):
                 for g in range(len(p.slots(d))):
-                    mat[roff + h][coff + g] = dict(pd[h][g])
+                    mat[roff + h][coff + g] = pd[h][g]
             roff += len(p.slots(d + 1))
             coff += len(p.slots(d))
         diffs[d] = mat
@@ -254,47 +263,22 @@ class ChainMap:
         s = self.s + other.s
         comps = {}
         for d in self.Q.degrees():
-            mid = self.R.slots(d + self.s)
-            tgt = other.R.slots(d + s)
             src = self.Q.slots(d)
-            if not src or not tgt or not mid:
-                continue
-            f, g = self.entry(d), other.entry(d + self.s)
-            mat = [[{} for _ in src] for _ in tgt]
-            for t in range(len(tgt)):
-                for i in range(len(src)):
-                    acc = {}
-                    for j in range(len(mid)):
-                        acc = _elem_acc(A, acc, elem_mul(A, f[j][i], g[t][j]))
-                    mat[t][i] = acc
-            comps[d] = mat
+            if src and self.R.slots(d + self.s) and other.R.slots(d + s):
+                comps[d] = _product(A, self.entry(d), other.entry(d + self.s), len(src))
         return ChainMap(self.Q, other.R, s, comps)
 
     def is_chain_map(self) -> bool:
+        """Whether d_Q f_{d+1} = f_d d_R in every degree, multiplied out in
+        A.mult (independently of ChainMapSpace)."""
         A = self.Q.algebra
         for d in self.Q.degrees():
-            src = self.Q.slots(d)
-            tgt = self.R.slots(d + self.s + 1)
-            if not src or not tgt:
+            width = len(self.Q.slots(d))
+            if not width or not self.R.slots(d + self.s + 1):
                 continue
-            lhs = [[{} for _ in src] for _ in tgt]
-            g_next = self.entry(d + 1)
-            dq = self.Q.diff(d)
-            for t in range(len(tgt)):
-                for i in range(len(src)):
-                    acc = {}
-                    for m in range(len(self.Q.slots(d + 1))):
-                        acc = _elem_acc(A, acc, elem_mul(A, dq[m][i], g_next[t][m]))
-                    lhs[t][i] = acc
-            g_here = self.entry(d)
-            dr = self.R.diff(d + self.s)
-            for t in range(len(tgt)):
-                for i in range(len(src)):
-                    acc = {}
-                    for j in range(len(self.R.slots(d + self.s))):
-                        acc = _elem_acc(A, acc, elem_mul(A, g_here[j][i], dr[t][j]))
-                    if acc != lhs[t][i]:
-                        return False
+            lhs = _product(A, self.Q.diff(d), self.entry(d + 1), width)
+            if lhs != _product(A, self.entry(d), self.R.diff(d + self.s), width):
+                return False
         return True
 
 
@@ -514,10 +498,6 @@ def _assemble(coo: list, rows: int, cols: int, p: int) -> np.ndarray:
         np.add.at(mat, (list(r), list(c)), v)
     mat %= p
     return mat[mat.any(axis=1)]
-
-
-def chain_map_space(Q: ProjComplex, R: ProjComplex, s: int) -> ChainMapSpace:
-    return ChainMapSpace(Q, R, s)
 
 
 def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False) -> int:

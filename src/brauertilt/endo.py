@@ -391,16 +391,12 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
                 raise AssertionError("more than one arrow between distinct vertices")
 
     # successors: unique next arrow with nonzero composite
-    def nonzero(u, w, f):
-        sp = E.spaces[(u, w)]
-        return sp.quotient_coords(sp.vector_of(f)).any()
-
     succ = {}
     for ai, (u, v, f) in enumerate(arrows):
         nxt = [
             bi
             for bi, (u2, w, g) in enumerate(arrows)
-            if u2 == v and nonzero(u, w, f.compose(g))
+            if u2 == v and not E.spaces[(u, w)].is_null_homotopic(f.compose(g))
         ]
         if len(nxt) > 1:
             raise AssertionError("arrow has more than one nonzero successor")
@@ -444,8 +440,7 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
         for t in range(1, 2 * r):
             comp = comp.compose(cyc.witnesses[t % r])
         u = cyc.members[0]
-        sp = E.spaces[(u, u)]
-        if sp.quotient_coords(sp.vector_of(comp)).any():
+        if not E.spaces[(u, u)].is_null_homotopic(comp):
             if exceptional_idx is not None:
                 raise AssertionError("two cycles look exceptional")
             exceptional_idx = ci

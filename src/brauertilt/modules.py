@@ -193,15 +193,6 @@ class ModuleMap:
                 return False
         return True
 
-    def compose(self, then: "ModuleMap") -> "ModuleMap":
-        """self followed by `then`."""
-        p = self.source.algebra.prime
-        return ModuleMap(
-            self.source,
-            then.target,
-            [linalg.matmul(then.mats[i], self.mats[i], p) for i in range(len(self.mats))],
-        )
-
     def is_isomorphism(self) -> bool:
         p = self.source.algebra.prime
         return self.source.dims == self.target.dims and all(
@@ -353,21 +344,18 @@ def quotient_representation(M: Representation, spans) -> tuple[Representation, M
 # -- homomorphisms ---------------------------------------------------------------
 
 
-def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
+def _intertwiner_rows(M: Representation, N: Representation):
+    """The equations phi_a @ M.act = N.act @ phi_b of a module map phi: M -> N,
+    one row per arrow a -> b and entry of the M_b -> N_a block, in unknowns
+    holding phi_i (shape N_i x M_i) row-major from offs[i]; and offs."""
     A = M.algebra
-    if N.algebra is not A:
-        raise ValueError("modules over different algebras")
     p = A.prime
-    sizes = [N.dims[i] * M.dims[i] for i in range(A.n)]
-    offs = np.cumsum([0] + sizes)
+    offs = np.cumsum([0] + [N.dims[i] * M.dims[i] for i in range(A.n)])
     total = int(offs[-1])
-    if total == 0:
-        return []
     rows = []
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
         Ma, Na = M.act[arrow], N.act[arrow]
-        # condition: phi_a @ Ma  ==  Na @ phi_b   (maps M_b -> N_a)
         for r in range(N.dims[a]):
             for c in range(M.dims[b]):
                 row = linalg.zeros(1, total)[0]
@@ -376,9 +364,20 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
                 for s in range(N.dims[b]):
                     row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Na[r, s]) % p
                 rows.append(row)
+    return rows, offs
+
+
+def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
+    A = M.algebra
+    if N.algebra is not A:
+        raise ValueError("modules over different algebras")
+    rows, offs = _intertwiner_rows(M, N)
+    total = int(offs[-1])
+    if total == 0:
+        return []
     mat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
     basis = []
-    for vec in linalg.nullspace(mat, p):
+    for vec in linalg.nullspace(mat, A.prime):
         mats = [
             vec[offs[i] : offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)
         ]
@@ -726,23 +725,9 @@ def _cyclic_inclusion(M: Representation, edge, vec, U: Representation) -> Module
 def _splitting_projection(M: Representation, U: Representation, incl: ModuleMap) -> ModuleMap:
     """Solve for a module map M -> U restricting to the identity on U."""
     A = M.algebra
-    p = A.prime
-    sizes = [U.dims[i] * M.dims[i] for i in range(A.n)]
-    offs = np.cumsum([0] + sizes)
+    rows, offs = _intertwiner_rows(M, U)
     total = int(offs[-1])
-    rows, rhs = [], []
-    for arrow in A.arrows:
-        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        Ma, Ua = M.act[arrow], U.act[arrow]
-        for r in range(U.dims[a]):
-            for c in range(M.dims[b]):
-                row = linalg.zeros(1, total)[0]
-                for s in range(M.dims[a]):
-                    row[offs[a] + r * M.dims[a] + s] = Ma[s, c]
-                for s in range(U.dims[b]):
-                    row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Ua[r, s]) % p
-                rows.append(row)
-                rhs.append(0)
+    rhs = [0] * len(rows)
     for i in range(A.n):
         for r in range(U.dims[i]):
             for c in range(U.dims[i]):
@@ -752,7 +737,7 @@ def _splitting_projection(M: Representation, U: Representation, incl: ModuleMap)
                 rows.append(row)
                 rhs.append(1 if r == c else 0)
     mat = np.array(rows, dtype=np.int64)
-    sol = linalg.solve(mat, np.array(rhs, dtype=np.int64), p)
+    sol = linalg.solve(mat, np.array(rhs, dtype=np.int64), A.prime)
     if sol is None:
         raise AssertionError("maximal-length cyclic submodule failed to split")
     mats = [

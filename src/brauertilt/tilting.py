@@ -94,9 +94,8 @@ def hom_to_module(T: ProjComplex, M: Representation) -> int:
     if not tgt or lo not in T.diffs:
         return dim_maps
     diff = T.diffs[lo]
-    rows = sum(M.dims[A.eidx[a]] for a in src)
     cols = sum(M.dims[A.eidx[b]] for b in tgt)
-    mat = linalg.zeros(rows, cols)
+    mat = linalg.zeros(dim_maps, cols)
     roff = 0
     for g, a in enumerate(src):
         coff = 0

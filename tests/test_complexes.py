@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt.algebra import idempotent, star_algebra
+from brauertilt.algebra import PathClass, idempotent, star_algebra
 from brauertilt.complexes import (
+    ChainMap,
     ChainMapSpace,
     ProjComplex,
     algebra_complex,
-    chain_map_space,
     direct_sum,
     euler_pairing,
     hom_complex_dim,
@@ -69,6 +69,9 @@ def test_differential_square_checked():
     # entries must live in the right block
     with pytest.raises(ValueError):
         ProjComplex(A, {0: (1,), 1: (2,)}, {0: [[{e1: 1}]]})
+    # and be basis classes: a path of length 7 from edge 1 to edge 2 is none
+    with pytest.raises(ValueError, match="not a basis class"):
+        ProjComplex(A, {0: (1,), 1: (2,)}, {0: [[{PathClass("p", 1, 2, 0, 7): 1}]]})
 
 
 def test_direct_sum_mixed_algebras_rejected():
@@ -115,14 +118,14 @@ def test_algebra_complex_and_shift():
 def test_chain_map_space_consistency():
     A = star_algebra(3, 1)
     Q, R = pres(A, 1, 2), pres(A, 2, 2)
-    sp = chain_map_space(Q, R, 0)
+    sp = ChainMapSpace(Q, R, 0)
     assert sp.dim == hom_complex_dim(Q, R, 0, direct=True)
     for f in sp.basis_maps():
         assert f.is_chain_map()
         assert not sp.is_null_homotopic(f)
     ident = identity_chain_map(Q)
     assert ident.is_chain_map()
-    sp_self = chain_map_space(Q, Q, 0)
+    sp_self = ChainMapSpace(Q, Q, 0)
     assert not sp_self.is_null_homotopic(ident)
 
 
@@ -183,3 +186,26 @@ def test_chain_map_space_properties(nk, data):
     if maps and outside:
         with pytest.raises(ValueError, match="not a chain map"):
             sp.quotient_coords(outside[0])
+
+
+@PROPERTY
+@given(st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]), st.data())
+def test_chain_map_compose(nk, data):
+    """Composites of basis maps U -> V -> W -> U are chain maps, the identity
+    is a two-sided unit and composition is associative.  U, V and W are sums
+    of one or two summands, so the entries are matrices of path elements."""
+    summands = st.lists(st.sampled_from(covering_summands(*nk)), min_size=1, max_size=2)
+    U, V, W = (direct_sum(data.draw(summands)) for _ in range(3))
+
+    def some_map(sp):
+        maps = sp.basis_maps()
+        return data.draw(st.sampled_from(maps)) if maps else ChainMap(sp.Q, sp.R, 0, {})
+
+    sp = ChainMapSpace(U, V, 0)
+    f, g, h = some_map(sp), some_map(ChainMapSpace(V, W, 0)), some_map(ChainMapSpace(W, U, 0))
+    assert f.compose(g).is_chain_map()
+    for unit in (identity_chain_map(U).compose(f), f.compose(identity_chain_map(V))):
+        assert (unit.Q, unit.R, unit.s) == (U, V, 0)
+        assert sp.vector_of(unit).tolist() == sp.vector_of(f).tolist()
+    left, right = f.compose(g).compose(h), f.compose(g.compose(h))
+    assert [left.entry(d) for d in U.degrees()] == [right.entry(d) for d in U.degrees()]
