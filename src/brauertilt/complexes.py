@@ -76,12 +76,8 @@ class ProjComplex:
         self.diffs = {}
         for d, mat in diffs.items():
             d = int(d)
-            src = self.comps.get(d, ())
-            tgt = self.comps.get(d + 1, ())
-            mat = [[dict(entry) for entry in row] for row in mat]
-            if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
-                raise ValueError(f"differential at degree {d} has wrong shape")
-            self.diffs[d] = mat
+            self.diffs[d] = _checked(algebra, mat, self.slots(d), self.slots(d + 1),
+                                     f"differential at degree {d}", entries=check)
         self.labels = tuple(labels) if labels is not None else None
         self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
         if self.labels is not None and len(self.labels) != len(self.parts):
@@ -91,22 +87,9 @@ class ProjComplex:
         self._content_id = None  # see content_id; set on first use
 
     def _validate(self):
-        A = self.algebra
-        for d, mat in self.diffs.items():
-            src, tgt = self.slots(d), self.slots(d + 1)
-            for h, row in enumerate(mat):
-                for g, entry in enumerate(row):
-                    for pc in entry:
-                        if pc not in A.index:
-                            raise ValueError(f"entry {pc} at degree {d} is not a basis class")
-                        if pc.start != src[g] or pc.end != tgt[h]:
-                            raise ValueError(
-                                f"entry {pc} at degree {d} not in block "
-                                f"({src[g]}, {tgt[h]})"
-                            )
         for d in self.diffs:
             if d + 1 in self.diffs:
-                square = _product(A, self.diffs[d], self.diffs[d + 1], len(self.slots(d)))
+                square = _product(self.algebra, self.diffs[d], self.diffs[d + 1], len(self.slots(d)))
                 if any(entry for row in square for entry in row):
                     raise ValueError("differential does not square to zero")
 
@@ -170,6 +153,24 @@ class ProjComplex:
             return " + ".join(l.display() for l in self.labels)
         parts = [f"deg {d}: {list(self.comps[d])}" for d in self.degrees()]
         return "; ".join(parts)
+
+
+def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str, entries: bool = True) -> list:
+    """A copy of the path-element matrix mat from the slots src to the slots
+    tgt, stored as rows over tgt.  Raises ValueError unless it has that
+    shape and (with entries) every entry [h][g] is a combination of basis
+    classes from edge src[g] to edge tgt[h]."""
+    mat = [[dict(entry) for entry in row] for row in mat]
+    if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
+        raise ValueError(f"{what} has wrong shape")
+    for h, row in enumerate(mat if entries else ()):
+        for g, entry in enumerate(row):
+            for pc in entry:
+                if pc not in A.index:
+                    raise ValueError(f"entry {pc} of {what} is not a basis class")
+                if pc.start != src[g] or pc.end != tgt[h]:
+                    raise ValueError(f"entry {pc} of {what} not in block ({src[g]}, {tgt[h]})")
+    return mat
 
 
 def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
@@ -243,11 +244,18 @@ def direct_sum(parts) -> ProjComplex:
 
 
 class ChainMap:
-    """Chain map Q -> R[s], stored per degree as a matrix of path elements."""
+    """Chain map Q -> R[s], stored per degree d as a matrix of path elements
+    from the slots of Q_d to those of R_{d+s}.  A wrong shape or an entry
+    outside its block is refused, as in ProjComplex; commuting with the
+    differentials is left to is_chain_map."""
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int, comps):
         self.Q, self.R, self.s = Q, R, s
-        self.comps = {int(d): [[dict(e) for e in row] for row in mat] for d, mat in comps.items()}
+        self.comps = {}
+        for d, mat in comps.items():
+            d = int(d)
+            self.comps[d] = _checked(Q.algebra, mat, Q.slots(d), R.slots(d + s),
+                                     f"chain map at degree {d}")
 
     def entry(self, d):
         src, tgt = self.Q.slots(d), self.R.slots(d + self.s)
@@ -523,12 +531,17 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     total = 0
     for u in Q.parts:
         for v in R.parts:
-            key = (u.content_id, v.content_id, s)
-            dim = A.hom_cache.get(key)
-            if dim is None:
-                dim = A.hom_cache[key] = ChainMapSpace(u, v, s).dim
-            total += dim
+            dim = A.hom_cache.get((u.content_id, v.content_id, s))
+            total += hom_space(u, v, s).dim if dim is None else dim
     return total
+
+
+def hom_space(Q: ProjComplex, R: ProjComplex, s: int) -> ChainMapSpace:
+    """ChainMapSpace(Q, R, s), its dimension recorded in Q.algebra.hom_cache
+    under the content ids, where hom_complex_dim looks first."""
+    space = ChainMapSpace(Q, R, s)
+    Q.algebra.hom_cache[(Q.content_id, R.content_id, s)] = space.dim
+    return space
 
 
 def euler_pairing(Q: ProjComplex, R: ProjComplex) -> int:

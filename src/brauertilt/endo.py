@@ -24,6 +24,7 @@ from .complexes import (
     ProjComplex,
     euler_pairing,
     hom_complex_dim,
+    hom_space,
     identity_chain_map,
 )
 from .tilting import is_tilting
@@ -54,10 +55,10 @@ def summand_complexes(T: ProjComplex) -> list[ProjComplex]:
     return list(T.parts)
 
 
-def endo_cartan(T: ProjComplex, check_tilting: bool = True) -> list[list[int]]:
+def endo_cartan(T: ProjComplex) -> list[list[int]]:
     """Cartan matrix of End(T): Hom dimensions at shift zero between the
     summands, cross-checked against the alternating-sum pairing."""
-    if check_tilting and not is_tilting(T):
+    if not is_tilting(T):
         raise ValueError("complex is not tilting")
     parts = summand_complexes(T)
     m = len(parts)
@@ -74,19 +75,23 @@ def endo_cartan(T: ProjComplex, check_tilting: bool = True) -> list[list[int]]:
 # -- star fast path -------------------------------------------------------------------
 
 
-def _label_data(T: ProjComplex):
-    """(stalk degree, per-summand info) for covering-shaped labels."""
-    stalk_degrees = {l.degree for l in T.labels if l.kind == "stalk"}
+def _part_shapes(parts):
+    """(stalk degree, per-summand info) read from the parts' components: a
+    part in one degree is a stalk ("stalk", edge), one in degrees 0 and 1
+    a presentation ("pres", degree-0 edge, degree-1 edge)."""
+    stalk_degrees, info = set(), []
+    for P in parts:
+        if any(len(slots) != 1 for slots in P.comps.values()):
+            raise ValueError("fast path needs one slot per degree in each summand")
+        if len(P.comps) == 1:
+            stalk_degrees.add(P.min_degree)
+            info.append(("stalk", P.slots(P.min_degree)[0]))
+        elif P.degrees() == [0, 1]:
+            info.append(("pres", P.slots(0)[0], P.slots(1)[0]))
+        else:
+            raise ValueError("fast path needs stalks and presentations in degrees 0 and 1")
     if len(stalk_degrees) != 1:
         raise ValueError("expected stalk summands concentrated in one degree")
-    info = []
-    for l in T.labels:
-        if l.kind == "stalk":
-            info.append(("stalk", l.edge))
-        else:
-            if len(l.p0_edges) != 1 or len(l.p1_edges) != 1:
-                raise ValueError("fast path needs single-slot presentations")
-            info.append(("pres", l.p0_edges[0], l.p1_edges[0]))
     return stalk_degrees.pop(), info
 
 
@@ -96,8 +101,8 @@ def a_cycle_fast(T: ProjComplex) -> list[ACycle]:
     A = T.algebra
     A.require_star()
     n = A.n
-    delta, info = _label_data(T)
     parts = summand_complexes(T)
+    delta, info = _part_shapes(parts)
 
     stalks = sorted(
         (i for i, it in enumerate(info) if it[0] == "stalk"),
@@ -198,20 +203,11 @@ def a_cycle_fast(T: ProjComplex) -> list[ACycle]:
     return cycles
 
 
-def validate_cycles(T: ProjComplex, cycles: list[ACycle]):
+def validate_cycles(E: EndoAlgebra, cycles: list[ACycle]):
     """Witness maximality: around a cycle of length r the composition of r
     consecutive witnesses (kr at the exceptional vertex) is not
     null-homotopic, and one more composition kills it."""
-    A = T.algebra
-    k = A.tree.multiplicity
-    parts = summand_complexes(T)
-    spaces: dict[tuple, ChainMapSpace] = {}
-
-    def space(u, v):
-        if (u, v) not in spaces:
-            spaces[(u, v)] = ChainMapSpace(parts[u], parts[v], 0)
-        return spaces[(u, v)]
-
+    k = E.T.algebra.tree.multiplicity
     for cyc in cycles:
         r = len(cyc.members)
         if cyc.witnesses is None or len(cyc.witnesses) != r:
@@ -226,11 +222,10 @@ def validate_cycles(T: ProjComplex, cycles: list[ACycle]):
                 comp = comp.compose(cyc.witnesses[(start + step) % r])
             u = cyc.members[start]
             v = cyc.members[(start + bound) % r]
-            if space(u, v).is_null_homotopic(comp):
+            if E.space(u, v).is_null_homotopic(comp):
                 raise AssertionError("witness composition died too early")
-            comp = comp.compose(cyc.witnesses[(start + bound) % r])
             v2 = cyc.members[(start + bound + 1) % r]
-            if not space(u, v2).is_null_homotopic(comp):
+            if E.compose_coords(u, v2, comp, cyc.witnesses[(start + bound) % r]).any():
                 raise AssertionError("witness composition survived past the bound")
 
 
@@ -238,53 +233,42 @@ def validate_cycles(T: ProjComplex, cycles: list[ACycle]):
 
 
 class EndoAlgebra:
-    """Basis and structure constants of End(T) assembled from chain maps
-    modulo homotopy."""
+    """End(T) as chain maps modulo homotopy between the summands: the one
+    owner, per decode, of the space of each summand pair, built on first
+    use through hom_space, so endo_cartan finds its dimension cached."""
 
     def __init__(self, T: ProjComplex):
         self.T = T
-        A = T.algebra
-        self.p = A.prime
+        self.p = T.algebra.prime
         self.parts = summand_complexes(T)
-        m = len(self.parts)
-        self.m = m
-        self.spaces = {
-            (u, v): ChainMapSpace(self.parts[u], self.parts[v], 0)
-            for u in range(m)
-            for v in range(m)
-        }
-        self.maps = {uv: sp.basis_maps() for uv, sp in self.spaces.items()}
-        self.dims = {uv: len(b) for uv, b in self.maps.items()}
-        self.idc = {
-            u: self.spaces[(u, u)].quotient_coords(
-                self.spaces[(u, u)].vector_of(identity_chain_map(self.parts[u]))
-            )
-            for u in range(m)
-        }
+        self.m = len(self.parts)
+        self._spaces: dict[tuple, ChainMapSpace] = {}
 
-    def compose_coords(self, u, v, w, f: ChainMap, g: ChainMap) -> np.ndarray:
-        sp = self.spaces[(u, w)]
+    def space(self, u, v) -> ChainMapSpace:
+        if (u, v) not in self._spaces:
+            self._spaces[(u, v)] = hom_space(self.parts[u], self.parts[v], 0)
+        return self._spaces[(u, v)]
+
+    def compose_coords(self, u, w, f: ChainMap, g: ChainMap) -> np.ndarray:
+        """Quotient coordinates of f followed by g, a map from summand u to w."""
+        sp = self.space(u, w)
         return sp.quotient_coords(sp.vector_of(f.compose(g)))
 
     def map_from_coords(self, u, v, coords) -> ChainMap:
-        sp = self.spaces[(u, v)]
+        sp = self.space(u, v)
         reps = sp._reduction_data()[1]
         vec = linalg.matmul(np.asarray(coords, dtype=np.int64)[None, :] % self.p, reps, self.p)
         return sp.map_from_vector(vec[0])
 
     def local_radical(self, u) -> list[np.ndarray]:
         """Coordinate vectors spanning rad End(T_u)."""
-        d = self.dims[(u, u)]
+        sp = self.space(u, u)
+        d = sp.dim
         if d == 1:
             return []
-        prods = [
-            [
-                self.compose_coords(u, u, u, self.maps[(u, u)][i], self.maps[(u, u)][j])
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        idc = self.idc[u]
+        basis = sp.basis_maps()
+        prods = [[self.compose_coords(u, u, f, g) for g in basis] for f in basis]
+        idc = sp.quotient_coords(sp.vector_of(identity_chain_map(self.parts[u])))
 
         def left_mult(xc):
             cols = []
@@ -343,29 +327,21 @@ def _pick_arrows(square_rows, candidates, p) -> list[int]:
     return [c - skip for c in linalg.rref(stacked.T, p)[1] if c >= skip]
 
 
-def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
+def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     """Quiver of End(T) from the radical modulo its square; cycles traced
     along maximal nonzero compositions of arrows."""
-    E = EndoAlgebra(T)
     p, m = E.p, E.m
-    k = T.algebra.tree.multiplicity
+    k = E.T.algebra.tree.multiplicity
 
     # radical basis per block, as (coords) with chain-map lifts
     jbasis: dict[tuple, list[tuple[np.ndarray, ChainMap]]] = {}
     for u in range(m):
         for v in range(m):
             if u == v:
-                items = []
-                for coords in E.local_radical(u):
-                    items.append((coords, E.map_from_coords(u, u, coords)))
-                jbasis[(u, v)] = items
+                jbasis[(u, v)] = [(c, E.map_from_coords(u, u, c)) for c in E.local_radical(u)]
             else:
-                items = []
-                for i, f in enumerate(E.maps[(u, v)]):
-                    coords = linalg.zeros(1, E.dims[(u, v)])[0]
-                    coords[i] = 1
-                    items.append((coords, f))
-                jbasis[(u, v)] = items
+                basis = E.space(u, v).basis_maps()
+                jbasis[(u, v)] = list(zip(linalg.eye(len(basis)), basis))
 
     # radical squared per block
     jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
@@ -374,15 +350,14 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
             for v in range(m):
                 for (_, f) in jbasis[(u, v)]:
                     for (_, g) in jbasis[(v, w)]:
-                        coords = E.compose_coords(u, v, w, f, g)
+                        coords = E.compose_coords(u, w, f, g)
                         if coords.any():
                             jsq[(u, w)].append(coords)
 
     arrows = []  # (u, v, ChainMap)
     for u in range(m):
         for v in range(m):
-            d = E.dims[(u, v)] if u != v else len(jbasis[(u, v)])
-            if d == 0:
+            if not jbasis[(u, v)]:
                 continue
             picked = _pick_arrows(jsq[(u, v)], [coords for coords, _ in jbasis[(u, v)]], p)
             for i in picked:
@@ -396,7 +371,7 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
         nxt = [
             bi
             for bi, (u2, w, g) in enumerate(arrows)
-            if u2 == v and not E.spaces[(u, w)].is_null_homotopic(f.compose(g))
+            if u2 == v and E.compose_coords(u, w, f, g).any()
         ]
         if len(nxt) > 1:
             raise AssertionError("arrow has more than one nonzero successor")
@@ -437,19 +412,17 @@ def a_cycle_generic(T: ProjComplex) -> list[ACycle]:
             break
         r = len(cyc.members)
         comp = cyc.witnesses[0]
-        for t in range(1, 2 * r):
+        for t in range(1, 2 * r - 1):
             comp = comp.compose(cyc.witnesses[t % r])
         u = cyc.members[0]
-        if not E.spaces[(u, u)].is_null_homotopic(comp):
+        if E.compose_coords(u, u, comp, cyc.witnesses[(2 * r - 1) % r]).any():
             if exceptional_idx is not None:
                 raise AssertionError("two cycles look exceptional")
             exceptional_idx = ci
     if exceptional_idx is None:
         # multiplicity 1 (or no arrows at all): the mark is immaterial;
         # put it on the cycle holding a stalk summand when there is one
-        stalk_positions = {
-            i for i, l in enumerate(T.labels) if l.kind == "stalk"
-        }
+        stalk_positions = {i for i, P in enumerate(E.parts) if len(P.comps) == 1}
         for ci, cyc in enumerate(cycles):
             if set(cyc.members) & stalk_positions:
                 exceptional_idx = ci
@@ -513,28 +486,26 @@ def _tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree,
     return tree, label_map
 
 
-def a_cycle_partition(T: ProjComplex, method: str = "both", validate: bool = True) -> list[ACycle]:
+def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
     """Partition of the summands of a tilting complex into A-cycles.
 
     method 'generic' decodes the quiver of End(T); 'fast' applies the
-    shared-component case analysis over the star; 'both' runs the two and
-    insists they agree.
+    shared-component case analysis over the star and checks its witnesses;
+    'both' runs the two and insists they agree.  Both read the summands'
+    components, never their labels, and share one EndoAlgebra.
     """
     if not is_tilting(T):
         raise ValueError("complex is not tilting")
-    if method == "fast":
-        cycles = a_cycle_fast(T)
-        if validate:
-            validate_cycles(T, cycles)
-        return cycles
-    if method == "generic":
-        return a_cycle_generic(T)
-    if method != "both":
+    if method not in ("fast", "generic", "both"):
         raise ValueError("method must be 'fast', 'generic' or 'both'")
+    E = EndoAlgebra(T)
+    if method == "generic":
+        return a_cycle_generic(E)
     fast = a_cycle_fast(T)
-    if validate:
-        validate_cycles(T, fast)
-    generic = a_cycle_generic(T)
+    validate_cycles(E, fast)
+    if method == "fast":
+        return fast
+    generic = a_cycle_generic(E)
     def norm(cycles, with_flag):
         full = {c.normalized(): c.exceptional for c in cycles if len(c.members) >= 2}
         if with_flag:
@@ -546,12 +517,13 @@ def a_cycle_partition(T: ProjComplex, method: str = "both", validate: bool = Tru
     return fast
 
 
-def endo_brauer_tree(T: ProjComplex, method: str = "both", validate: bool = True):
+def endo_brauer_tree(T: ProjComplex, method: str = "both"):
     """Brauer tree of End(T) with edges labeled by the summands; returns
-    (tree, edge -> summand label map)."""
-    cycles = a_cycle_partition(T, method=method, validate=validate)
+    (tree, edge -> summand label map).  The Cartan check reads the Hom
+    dimensions the decoders recorded."""
+    cycles = a_cycle_partition(T, method=method)
     tree, label_map = _tree_from_cycles(T, cycles)
-    endo_cart = endo_cartan(T, check_tilting=False)
+    endo_cart = endo_cartan(T)
     from .algebra import build_tree_algebra
 
     check = build_tree_algebra(tree, T.algebra.prime)

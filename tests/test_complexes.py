@@ -74,6 +74,22 @@ def test_differential_square_checked():
         ProjComplex(A, {0: (1,), 1: (2,)}, {0: [[{PathClass("p", 1, 2, 0, 7): 1}]]})
 
 
+def test_chain_map_entries_checked():
+    A = star_algebra(2, 1)
+    S1, S2 = stalk_complex(A, 1, 0), stalk_complex(A, 2, 0)
+    # e_1 is a basis class, but not of the block from edge 1 to edge 2
+    with pytest.raises(ValueError, match="not in block"):
+        ChainMap(S1, S2, 0, {0: [[{idempotent(1): 1}]]})
+    with pytest.raises(ValueError, match="not a basis class"):
+        ChainMap(S1, S2, 0, {0: [[{PathClass("p", 1, 2, 0, 7): 1}]]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainMap(S1, S2, 0, {0: [[{}, {}]]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainMap(S1, S2, 0, {1: [[{}]]})
+    f = ChainMap(S1, S2, 0, {0: [[{A.star_path(1, 1): 1}]]})
+    assert f.is_chain_map() and not ChainMapSpace(S1, S2, 0).is_null_homotopic(f)
+
+
 def test_direct_sum_mixed_algebras_rejected():
     A, B = star_algebra(2, 1), star_algebra(3, 1)
     with pytest.raises(ValueError):

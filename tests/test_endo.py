@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from brauertilt import endo, linalg
 from brauertilt.algebra import star_algebra
-from brauertilt.complexes import algebra_complex, direct_sum, stalk_complex
+from brauertilt.complexes import (
+    ChainMapSpace,
+    ProjComplex,
+    algebra_complex,
+    direct_sum,
+    stalk_complex,
+)
 from brauertilt.coverings import (
     Covering,
     CyclicInterval,
@@ -80,12 +87,42 @@ def test_algebra_complex_gives_star_back():
 def test_worked_example_tree_and_cycles():
     A, T = worked_example_complex()
     cycles = a_cycle_partition(T, method="both")
-    validate_cycles(T, cycles)
+    validate_cycles(EndoAlgebra(T), cycles)
     tree, label_map = endo_brauer_tree(T, method="both")
     assert tree.is_isomorphic_to(line_tree(4))
     # the stalk cycle (a single stalk here) carries the exceptional mark
     exc = next(c for c in cycles if c.exceptional)
     assert all(T.labels[i].kind == "stalk" for i in exc.members)
+
+
+def test_decoders_read_summands_not_labels():
+    """The worked example with its labels rotated one place along the parts:
+    labels are display names, so every method gives the same tree."""
+    A, T = worked_example_complex()
+    labels = list(T.labels)
+    relabelled = direct_sum([
+        ProjComplex(A, P.comps, P.diffs, labels=(l,))
+        for P, l in zip(T.parts, labels[1:] + labels[:1])
+    ])
+    trees = [endo_brauer_tree(relabelled, method=m)[0] for m in ("generic", "fast", "both")]
+    assert all(tree.is_isomorphic_to(line_tree(4)) for tree in trees)
+    assert len({tree.canonical_key() for tree in trees}) == 1
+
+
+def test_one_space_per_summand_pair_per_decode(monkeypatch):
+    """The decoders and the Cartan check of one decode share one chain-map
+    space at shift 0 per ordered pair of summands."""
+    _, T = worked_example_complex()  # on a fresh algebra: nothing cached
+    built = Counter()
+    original = ChainMapSpace.__init__
+
+    def counting_init(self, Q, R, s):
+        built[s] += 1
+        original(self, Q, R, s)
+
+    monkeypatch.setattr(ChainMapSpace, "__init__", counting_init)
+    endo_brauer_tree(T, method="both")
+    assert built[0] == len(T.parts) ** 2 == 16
 
 
 def test_fast_and_generic_agree_on_coverings():
@@ -97,7 +134,7 @@ def test_fast_and_generic_agree_on_coverings():
                 c.normalized() for c in a_cycle_fast(T) if len(c.members) >= 2
             }
             generic = {
-                c.normalized() for c in a_cycle_generic(T) if len(c.members) >= 2
+                c.normalized() for c in a_cycle_generic(EndoAlgebra(T)) if len(c.members) >= 2
             }
             assert fast == generic, cov.sort_key()
 
@@ -105,13 +142,13 @@ def test_fast_and_generic_agree_on_coverings():
 def test_witness_maximality_enforced():
     A, T = worked_example_complex()
     cycles = a_cycle_fast(T)
-    validate_cycles(T, cycles)
+    validate_cycles(EndoAlgebra(T), cycles)
     # breaking a witness chain must be caught
     broken = [c for c in cycles]
     big = next(c for c in broken if len(c.members) >= 2)
     big.witnesses = list(reversed(big.witnesses))
     with pytest.raises(Exception):
-        validate_cycles(T, broken)
+        validate_cycles(EndoAlgebra(T), broken)
 
 
 def test_deg1_covering_gives_line():
@@ -177,7 +214,7 @@ def test_arrow_picker_runs_one_elimination_per_nonzero_block(monkeypatch):
         1
         for u in range(E.m)
         for v in range(E.m)
-        if (E.dims[(u, v)] if u != v else len(E.local_radical(u)))
+        if (E.space(u, v).dim if u != v else len(E.local_radical(u)))
     )
     callers = []
     original = linalg.rref
@@ -187,6 +224,6 @@ def test_arrow_picker_runs_one_elimination_per_nonzero_block(monkeypatch):
         return original(a, p)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    a_cycle_generic(T)
+    a_cycle_generic(E)
     assert nonzero_blocks > E.m
     assert callers.count("_pick_arrows") == nonzero_blocks
