@@ -339,22 +339,3 @@ def star_algebra(n: int, k: int, prime: int = DEFAULT_PRIME) -> BrauerTreeAlgebr
         raise ValueError("star parameters must satisfy n >= 1 and k >= 1")
     return BrauerTreeAlgebra(BrauerTree.star(n, k), prime)
 
-
-# -- linear combinations of path classes ---------------------------------------
-
-AlgElement = dict  # PathClass -> coefficient mod p
-
-
-def elem_mul(a: BrauerTreeAlgebra, x: AlgElement, y: AlgElement) -> AlgElement:
-    out: AlgElement = {}
-    p = a.prime
-    for pcx, cx in x.items():
-        for pcy, cy in y.items():
-            r = a.mult.get((pcx, pcy))
-            if r is not None:
-                v = (out.get(r, 0) + cx * cy) % p
-                if v:
-                    out[r] = v
-                else:
-                    out.pop(r, None)
-    return out

@@ -18,7 +18,7 @@ from .coverings import (
     enumerate_coverings,
     enumerate_two_term_tilting_bruteforce,
 )
-from .endo import a_cycle_partition, endo_brauer_tree
+from .endo import a_cycle_partition, endo_brauer_tree, tree_from_cycles
 from .jsonio import (
     SchemaError,
     complex_to_json,
@@ -162,7 +162,7 @@ def cmd_endo(args) -> int:
     A = star_algebra(args.n, args.k, args.field_prime)
     T = covering_to_complex(cov, A)
     cycles = a_cycle_partition(T, method="both")
-    tree, label_map = endo_brauer_tree(T, method="both")
+    tree, label_map = tree_from_cycles(T, cycles)
     edge_labels = {e: label_map[e].display() for e in label_map}
     witness_log = [
         {

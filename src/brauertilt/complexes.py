@@ -14,7 +14,7 @@ are dropped: they rescale unknowns and never change dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,51 +25,42 @@ from .algebra import BrauerTreeAlgebra
 
 @dataclass(frozen=True)
 class Summand:
-    """Display name of one part of a complex (see ProjComplex.parts)."""
+    """Name of one part of a complex, read off the part (see
+    ProjComplex.summand): nothing stores or aligns it.
 
-    kind: str  # "stalk" or "pres"
+    A stalk P_e in degree d has key ("stalk", e, d); any other part has
+    key ("pres", name) for the name its constructor gave it, or
+    ("pres", (), content id) when it has none.
+    """
+
     key: tuple
-    edge: int | None = None
-    degree: int | None = None
-    module_label: tuple | None = None
-    p0_edges: tuple = ()
-    p1_edges: tuple = ()
+    text: str = field(compare=False)
 
-    @staticmethod
-    def stalk(edge, degree) -> "Summand":
-        return Summand("stalk", ("stalk", edge, degree), edge=edge, degree=degree)
+    @property
+    def kind(self) -> str:
+        return self.key[0]
 
-    @staticmethod
-    def presentation(module_label, p0_edges, p1_edges) -> "Summand":
-        return Summand(
-            "pres",
-            ("pres", tuple(module_label) if isinstance(module_label, (list, tuple)) else (module_label,)),
-            module_label=module_label,
-            p0_edges=tuple(p0_edges),
-            p1_edges=tuple(p1_edges),
-        )
+    @property
+    def degree(self) -> int | None:
+        return self.key[2] if self.kind == "stalk" else None
 
     def display(self) -> str:
-        if self.kind == "stalk":
-            return f"P_{self.edge}[deg {self.degree}]"
-        if len(self.p0_edges) == 1 and len(self.p1_edges) == 1:
-            # cover first, matching the usual way these summands are written
-            return f"P_{self.p1_edges[0]}->P_{self.p0_edges[0]}"
-        return f"pres{self.module_label}"
+        return self.text
 
 
 class ProjComplex:
-    """Bounded complex of projectives with optional summand labels.
+    """Bounded complex of projectives.
 
     comps maps a degree to the tuple of projective edge indices in that
     degree; diffs[d] is the matrix of the differential comps[d] ->
     comps[d+1], stored as rows over target slots with path-element entries.
     parts are the summands the complex was assembled from (see direct_sum);
-    a complex built on its own is its only part.  Labels name the parts,
-    one each, for display only.
+    a complex built on its own is its only part.  name is what its
+    constructor called such a part (min_proj_presentation sets it); the
+    labels, one Summand per part, are read off the parts, for display only.
     """
 
-    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, labels=None, check=True,
+    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, name=None, check=True,
                  parts=None):
         self.algebra = algebra
         self.comps = {int(d): tuple(c) for d, c in comps.items() if len(c) > 0}
@@ -78,13 +69,10 @@ class ProjComplex:
             d = int(d)
             self.diffs[d] = _checked(algebra, mat, self.slots(d), self.slots(d + 1),
                                      f"differential at degree {d}", entries=check)
-        self.labels = tuple(labels) if labels is not None else None
+        self.name = name
         self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
-        if self.labels is not None and len(self.labels) != len(self.parts):
-            raise ValueError("one label per part: sum labelled parts with direct_sum")
         if check:
             self._validate()
-        self._content_id = None  # see content_id; set on first use
 
     def _validate(self):
         for d in self.diffs:
@@ -132,27 +120,48 @@ class ProjComplex:
                 cls[eidx[e]] += sign
         return tuple(cls)
 
-    @property
+    @cached_property
     def content_id(self) -> int:
         """Number of this complex's comps and differentials among those
         interned on its algebra: complexes with equal content share it."""
-        if self._content_id is None:
-            content = (
-                tuple(sorted(self.comps.items())),
-                tuple(sorted(
-                    (d, tuple(tuple(frozenset(e.items()) for e in row) for row in mat))
-                    for d, mat in self.diffs.items()
-                )),
-            )
-            ids = self.algebra.complex_ids
-            self._content_id = ids.setdefault(content, len(ids))
-        return self._content_id
+        content = (
+            tuple(sorted(self.comps.items())),
+            tuple(sorted(
+                (d, tuple(tuple(frozenset(e.items()) for e in row) for row in mat))
+                for d, mat in self.diffs.items()
+            )),
+        )
+        ids = self.algebra.complex_ids
+        return ids.setdefault(content, len(ids))
+
+    @property
+    def labels(self) -> tuple:
+        """One Summand per part, read off the part."""
+        return tuple(P.summand for P in self.parts)
+
+    @cached_property
+    def summand(self) -> Summand:
+        """This complex named as one part: a stalk when it has one slot in
+        one degree, else a presentation, shown as P_b->P_a when it has one
+        slot in each of degrees 0 and 1."""
+        if len(self.comps) == 1:
+            (d, slots), = self.comps.items()
+            if len(slots) == 1:
+                return Summand(("stalk", slots[0], d), f"P_{slots[0]}[deg {d}]")
+        name = self.name
+        if name is None:
+            key = ("pres", (), self.content_id)
+            text = "; ".join(f"deg {d}: {list(self.comps[d])}" for d in self.degrees())
+        else:
+            key = ("pres", tuple(name) if isinstance(name, (list, tuple)) else (name,))
+            text = f"pres{name}"
+        if self.degrees() == [0, 1] and len(self.comps[0]) == len(self.comps[1]) == 1:
+            # cover first, matching the usual way these summands are written
+            text = f"P_{self.comps[1][0]}->P_{self.comps[0][0]}"
+        return Summand(key, text)
 
     def display(self) -> str:
-        if self.labels:
-            return " + ".join(l.display() for l in self.labels)
-        parts = [f"deg {d}: {list(self.comps[d])}" for d in self.degrees()]
-        return "; ".join(parts)
+        return " + ".join(l.display() for l in self.labels)
 
 
 def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str, entries: bool = True) -> list:
@@ -198,7 +207,7 @@ def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
 def stalk_complex(A: BrauerTreeAlgebra, edge, degree=0) -> ProjComplex:
     if edge not in A.eidx:
         raise ValueError(f"unknown edge {edge}")
-    return ProjComplex(A, {degree: (edge,)}, {}, labels=(Summand.stalk(edge, degree),))
+    return ProjComplex(A, {degree: (edge,)}, {})
 
 
 def algebra_complex(A: BrauerTreeAlgebra, degree=0) -> ProjComplex:
@@ -232,11 +241,8 @@ def direct_sum(parts) -> ProjComplex:
             roff += len(p.slots(d + 1))
             coff += len(p.slots(d))
         diffs[d] = mat
-    labels = None
-    if all(p.labels is not None for p in parts):
-        labels = tuple(l for p in parts for l in p.labels)
     comps = {d: tuple(c) for d, c in comps.items() if c}
-    return ProjComplex(A, comps, diffs, labels=labels, check=False,
+    return ProjComplex(A, comps, diffs, check=False,
                        parts=[q for p in parts for q in p.parts])
 
 
@@ -513,7 +519,7 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
 
     Hom is additive, so the dimension is the sum over pairs of parts, each
     pair computed once and cached on the algebra under the content ids of
-    the two parts.  Summand labels are names only and take no part in it.
+    the two parts; the parts' labels take no part in it.
     direct=True forces one whole-complex elimination instead; the
     shift-duality suite computes that way, independently of the cache.
 

@@ -287,7 +287,7 @@ def tilting_catalog(A: BrauerTreeAlgebra) -> list[ProjComplex]:
         items.append(stalk_complex(A, e, 0))
         items.append(stalk_complex(A, e, 1))
     keep = [T for T in items if is_partial_tilting(T)]
-    return sorted(keep, key=lambda T: T.labels[0].key)
+    return sorted(keep, key=lambda T: T.summand.key)
 
 
 def enumerate_two_term_tilting_bruteforce(A: BrauerTreeAlgebra) -> list[ProjComplex]:

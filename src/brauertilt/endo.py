@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import BrauerTreeAlgebra, idempotent, socle_class
+from .algebra import BrauerTreeAlgebra, build_tree_algebra, idempotent, socle_class
 from .complexes import (
     ChainMap,
     ChainMapSpace,
@@ -49,9 +49,7 @@ class ACycle:
 
 
 def summand_complexes(T: ProjComplex) -> list[ProjComplex]:
-    """The parts of T, in the order of its labels."""
-    if T.labels is None:
-        raise ValueError("summand labels required")
+    """The parts of T, its summands, in order (see ProjComplex.labels)."""
     return list(T.parts)
 
 
@@ -440,9 +438,13 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
 # -- tree assembly --------------------------------------------------------------------
 
 
-def _tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, dict]:
+def tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, dict]:
+    """Brauer tree of End(T) from the A-cycles of its summands, with edges
+    labeled by the summands; returns (tree, edge -> summand label map).
+    The tree's Cartan matrix must be that of End(T), read from the Hom
+    dimensions the decoders recorded."""
     A = T.algebra
-    n = len(T.labels)
+    n = len(T.parts)
     membership = {i: [] for i in range(n)}
     for ci, cyc in enumerate(cycles):
         if len(set(cyc.members)) != len(cyc.members):
@@ -482,8 +484,11 @@ def _tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree,
         vid[("c", exc_cycles[0])],
         A.tree.multiplicity,
     )
-    label_map = {i: T.labels[i] for i in range(n)}
-    return tree, label_map
+    if build_tree_algebra(tree, A.prime).cartan_matrix() != endo_cartan(T):
+        raise AssertionError(
+            "tree Cartan matrix disagrees with the endomorphism Cartan matrix"
+        )
+    return tree, dict(enumerate(T.labels))
 
 
 def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
@@ -519,19 +524,8 @@ def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
 
 def endo_brauer_tree(T: ProjComplex, method: str = "both"):
     """Brauer tree of End(T) with edges labeled by the summands; returns
-    (tree, edge -> summand label map).  The Cartan check reads the Hom
-    dimensions the decoders recorded."""
-    cycles = a_cycle_partition(T, method=method)
-    tree, label_map = _tree_from_cycles(T, cycles)
-    endo_cart = endo_cartan(T)
-    from .algebra import build_tree_algebra
-
-    check = build_tree_algebra(tree, T.algebra.prime)
-    if check.cartan_matrix() != endo_cart:
-        raise AssertionError(
-            "tree Cartan matrix disagrees with the endomorphism Cartan matrix"
-        )
-    return tree, label_map
+    (tree, edge -> summand label map).  See tree_from_cycles."""
+    return tree_from_cycles(T, a_cycle_partition(T, method=method))
 
 
 def is_autoequivalence_covering(cov, A: BrauerTreeAlgebra, method: str = "fast") -> bool:

@@ -180,7 +180,7 @@ def complex_from_json(A: BrauerTreeAlgebra, doc) -> ProjComplex:
 def complex_to_json(T: ProjComplex) -> dict:
     doc = {
         "components": {str(d): list(T.slots(d)) for d in T.degrees()},
-        "summands": [l.display() for l in T.labels] if T.labels else None,
+        "summands": [l.display() for l in T.labels],
     }
     diffs = {}
     for d, mat in T.diffs.items():

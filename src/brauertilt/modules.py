@@ -33,7 +33,7 @@ class Representation:
     the arrow's end edge into the component at its start edge.
     """
 
-    def __init__(self, algebra: BrauerTreeAlgebra, dims, act, check=False):
+    def __init__(self, algebra: BrauerTreeAlgebra, dims, act):
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != algebra.n:
@@ -49,8 +49,6 @@ class Representation:
                 raise ValueError(f"action of {arrow} has shape {m.shape}, "
                                  f"expected {(self.dims[a], self.dims[b])}")
             self.act[arrow] = m
-        if check:
-            self.check_relations()
 
     @property
     def total_dim(self) -> int:
@@ -172,7 +170,7 @@ class UniserialSpec:
 class ModuleMap:
     """Per-edge matrices intertwining the arrow actions."""
 
-    def __init__(self, source: Representation, target: Representation, mats, check=False):
+    def __init__(self, source: Representation, target: Representation, mats):
         self.source = source
         self.target = target
         p = source.algebra.prime
@@ -180,8 +178,6 @@ class ModuleMap:
         for i, m in enumerate(self.mats):
             if m.shape != (target.dims[i], source.dims[i]):
                 raise ValueError("component matrix shape mismatch")
-        if check and not self.is_valid():
-            raise ValueError("matrices do not intertwine the arrow actions")
 
     def is_valid(self) -> bool:
         A = self.source.algebra
@@ -395,7 +391,7 @@ def top_and_socle(M: Representation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return M.top_multiplicities(), M.socle_multiplicities()
 
 
-def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
+def is_isomorphic(M: Representation, N: Representation) -> bool:
     """Isomorphism test; for indecomposables scanning a hom basis for an
     invertible member is conclusive, random combinations cover the rest."""
     if M.dims != N.dims:
@@ -409,7 +405,7 @@ def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
     if len(basis) > 1:
         import random
 
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         p = M.algebra.prime
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in basis]
@@ -505,8 +501,8 @@ def second_syzygy(M: Representation, _check=True) -> Representation:
 
 def min_proj_presentation(M: Representation, label=None):
     """Two-term complex (degree 0: cover of the syzygy) -> (degree 1: cover
-    of M) with cokernel M and radical differential entries."""
-    from .complexes import ProjComplex, Summand
+    of M) with cokernel M and radical differential entries, named label."""
+    from .complexes import ProjComplex
 
     A = M.algebra
     if M.is_zero():
@@ -529,13 +525,12 @@ def min_proj_presentation(M: Representation, label=None):
                     local[q] = coeff
             diff[h][g] = local
     comps = {0: tuple(cover_edges0), 1: tuple(cover_edges1)}
-    labels = (Summand.presentation(label, tuple(cover_edges0), tuple(cover_edges1)),) if label is not None else None
-    return ProjComplex(A, comps, {0: diff}, labels=labels)
+    return ProjComplex(A, comps, {0: diff}, name=label)
 
 
 def uniserial_presentation(A: BrauerTreeAlgebra, top, length):
     """Minimal presentation of the uniserial with the given top and length,
-    labelled ("uniserial", top, length); built once per algebra."""
+    named ("uniserial", top, length); built once per algebra."""
     key = (top, length)
     T = A.summand_cache.get(key)
     if T is None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .algebra import elem_mul
 from .complexes import (
     ProjComplex,
     direct_sum,
@@ -67,11 +66,9 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     tilting complex form a Z-basis of K_0 (Adachi, Iyama and Reiten,
     "tau-tilting theory", 2014), so the rank taken mod the working prime
     is the rank over Q.  A part that is itself decomposable adds only its
-    total class, so it cannot stand in for missing summands.  Labels are
-    names only; T must carry them, and must lie in two consecutive degrees.
+    total class, so it cannot stand in for missing summands.  T must lie
+    in two consecutive degrees.
     """
-    if T.labels is None:
-        raise ValueError("is_tilting needs summand labels")
     if T.comps and T.max_degree - T.min_degree > 1:
         raise ValueError("is_tilting decides two-term complexes only")
     A = T.algebra
@@ -164,14 +161,14 @@ def cokernel_rep(T: ProjComplex) -> Representation:
     diff = T.diff(lo)
     for g, a in enumerate(T.slots(lo)):
         for c_idx, c in enumerate(A.edges):
-            for q in A.blocks[(c, a)]:
-                vec = linalg.zeros(1, upper.dims[c_idx])[0]
-                for h, b in enumerate(T.slots(hi)):
-                    prod = elem_mul(A, {q: 1}, diff[h][g])
-                    for pc, cf in prod.items():
-                        vec[offsets[h][c_idx] + A.block_pos[(c, b)][pc]] = cf
-                if vec.any():
-                    spans[c_idx].append(vec)
+            # row q: the image q * diff[.][g] of the basis class q of e_c A e_a
+            rows = linalg.zeros(len(A.blocks[(c, a)]), upper.dims[c_idx])
+            for h in range(len(T.slots(hi))):
+                for pc, cf in diff[h][g].items():
+                    for r, q in A.mult_coords(pc, "R", c):
+                        rows[q, offsets[h][c_idx] + r] += cf
+            rows %= A.prime
+            spans[c_idx].extend(row for row in rows if row.any())
     spans = [
         np.array(s, dtype=np.int64) if s else linalg.zeros(0, upper.dims[i])
         for i, s in enumerate(spans)
@@ -181,7 +178,7 @@ def cokernel_rep(T: ProjComplex) -> Representation:
 
 
 def decompose_two_term(T: ProjComplex) -> ProjComplex:
-    """Rewrite a two-term complex over a star algebra as a labeled sum of
+    """Rewrite a two-term complex over a star algebra as a sum of
     minimal presentations, stalks in both degrees and nothing else
     (contractible pieces are dropped)."""
     A = T.algebra
@@ -216,5 +213,5 @@ def decompose_two_term(T: ProjComplex) -> ProjComplex:
             parts.append(stalk_complex(A, e, lo))
     if not parts:
         # everything was contractible
-        return ProjComplex(A, {}, {}, labels=())
+        return ProjComplex(A, {}, {})
     return direct_sum(parts)

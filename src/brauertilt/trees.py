@@ -32,7 +32,6 @@ class BrauerTree:
         self.exceptional = exceptional
         self.multiplicity = int(multiplicity)
         self._validate()
-        self._adj = {v: self.cyclic_order[v] for v in self.vertices}
         self._succ = {
             (v, e): order[(i + 1) % len(order)]
             for v, order in self.cyclic_order.items()

@@ -208,12 +208,12 @@ def _brute(n, k, prime):
     return _ALGEBRAS[key]
 
 
-def suite_covering_bijection(prime=DEFAULT_PRIME, cases=BIJECTION_CASES) -> SuiteResult:
+def suite_covering_bijection(prime=DEFAULT_PRIME) -> SuiteResult:
     """Coverings biject with the basic two-term tilting complexes other
     than A and A[-1], checked against the exhaustive search oracle."""
     failures = []
     entries = []
-    for n, k in cases:
+    for n, k in BIJECTION_CASES:
         A = _star(n, k, prime)
         brute = _brute(n, k, prime)
         brute_keys = {complex_label_key(T) for T in brute}
@@ -301,13 +301,13 @@ def suite_hom_tables(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_euler_pairing(prime=DEFAULT_PRIME, cases=BIJECTION_CASES) -> SuiteResult:
+def suite_euler_pairing(prime=DEFAULT_PRIME) -> SuiteResult:
     """The alternating-sum pairing equals the shift-zero Hom dimension on
     every summand pair of every enumerated tilting complex."""
     failures = []
     pairs = 0
     complexes = 0
-    for n, k in cases:
+    for n, k in BIJECTION_CASES:
         for T in _brute(n, k, prime):
             complexes += 1
             parts = T.parts
@@ -376,13 +376,13 @@ def suite_line_example(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_realization_roundtrip(prime=DEFAULT_PRIME, max_n=4) -> SuiteResult:
+def suite_realization_roundtrip(prime=DEFAULT_PRIME) -> SuiteResult:
     """Every Brauer tree with up to 4 edges and multiplicity 1 or 2 is
     recovered from the endomorphism ring of its realization, for both
     stalk placements."""
     failures = []
     count = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for k in (1, 2):
             A = _star(n, k, prime)
             for t in all_brauer_trees(n, k):
@@ -402,14 +402,14 @@ def _star_cartan(n, k):
     return [[k + 1 if i == j else k for j in range(n)] for i in range(n)]
 
 
-def suite_star_autoequivalences(prime=DEFAULT_PRIME, max_n=5) -> SuiteResult:
+def suite_star_autoequivalences(prime=DEFAULT_PRIME) -> SuiteResult:
     """For multiplicity 1 exactly 2n nontrivial coverings give an
     endomorphism ring isomorphic to the star (plus the trivial covering);
     for multiplicity 2 only the trivial covering does."""
     failures = []
     fingerprint = []
     for k in (1, 2):
-        for n in range(2, max_n + 1):
+        for n in range(2, 6):
             A = _star(n, k, prime)
             target = _star_cartan(n, k)
             hits = []

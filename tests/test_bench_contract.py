@@ -11,6 +11,8 @@ from pathlib import Path
 
 import brauertilt
 from brauertilt import coverings, verify
+from brauertilt.algebra import star_algebra
+from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +64,21 @@ def test_every_package_name_the_workloads_read_resolves():
         for attr in chain:
             assert hasattr(owner, attr), "bt." + ".".join(chain)
             owner = getattr(owner, attr)
+
+
+def test_label_keys_tell_the_tilting_complexes_apart():
+    """The oracle workload compares brute force with the coverings through
+    complex_label_key: over star(3, 1) the 18 covering complexes and A, A[1]
+    get C(6, 3) = 20 distinct keys, and a covering complex rebuilt part by
+    part, names kept, gets its key back."""
+    A = star_algebra(3, 1)
+    complexes = [coverings.covering_to_complex(c, A) for c in coverings.enumerate_coverings(3)]
+    assert len(complexes) == 18
+    complexes += [algebra_complex(A, 0), algebra_complex(A, 1)]
+    keys = {coverings.complex_label_key(T) for T in complexes}
+    assert len(keys) == 20
+    for T in complexes:
+        rebuilt = direct_sum(
+            [ProjComplex(A, P.comps, P.diffs, name=P.name) for P in T.parts]
+        )
+        assert coverings.complex_label_key(rebuilt) == coverings.complex_label_key(T)

@@ -118,8 +118,6 @@ def test_parts_travel_with_the_sum():
     assert stalk_complex(A, 2, 0).content_id == V.content_id != W.content_id
     hom_complex_dim(T, T, 0)
     assert (U.content_id, V.content_id, 0) in A.hom_cache
-    with pytest.raises(ValueError, match="one label per part"):
-        ProjComplex(A, T.comps, T.diffs, labels=T.labels)
 
 
 def test_algebra_complex_and_shift():

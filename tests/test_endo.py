@@ -31,6 +31,7 @@ from brauertilt.endo import (
     is_autoequivalence_covering,
     validate_cycles,
 )
+from brauertilt.tilting import is_tilting
 from brauertilt.trees import BrauerTree
 
 
@@ -96,17 +97,33 @@ def test_worked_example_tree_and_cycles():
 
 
 def test_decoders_read_summands_not_labels():
-    """The worked example with its labels rotated one place along the parts:
-    labels are display names, so every method gives the same tree."""
+    """The worked example with the names of its presentations rotated one
+    place: labels are display names, so every method gives the same tree."""
     A, T = worked_example_complex()
-    labels = list(T.labels)
+    names = [P.name for P in T.parts if P.name is not None]
+    rotated = iter(names[1:] + names[:1])
     relabelled = direct_sum([
-        ProjComplex(A, P.comps, P.diffs, labels=(l,))
-        for P, l in zip(T.parts, labels[1:] + labels[:1])
+        ProjComplex(A, P.comps, P.diffs, name=None if P.name is None else next(rotated))
+        for P in T.parts
     ])
+    assert [l.key for l in relabelled.labels] != [l.key for l in T.labels]
     trees = [endo_brauer_tree(relabelled, method=m)[0] for m in ("generic", "fast", "both")]
     assert all(tree.is_isomorphic_to(line_tree(4)) for tree in trees)
     assert len({tree.canonical_key() for tree in trees}) == 1
+
+
+def test_parts_rebuilt_without_names_decode_alike():
+    """The worked example rebuilt from its parts' components and
+    differentials alone: its labels are read off those parts, so it is
+    tilting, decodes to the same line and displays the same summands."""
+    A, T = worked_example_complex()
+    rebuilt = direct_sum([ProjComplex(A, P.comps, P.diffs) for P in T.parts])
+    assert is_tilting(rebuilt)
+    tree, label_map = endo_brauer_tree(rebuilt, method="both")
+    assert tree.is_isomorphic_to(line_tree(4))
+    assert [l.display() for l in rebuilt.labels] == [l.display() for l in T.labels]
+    assert [label_map[i].display() for i in range(4)] == [l.display() for l in T.labels]
+    assert rebuilt.display() == T.display()
 
 
 def test_one_space_per_summand_pair_per_decode(monkeypatch):

@@ -130,7 +130,7 @@ def test_cli_enumerate_budget(capsys):
     assert "n <= 5 and k <= 2" in err
 
 
-def test_cli_endo_dot(tmp_path, capsys):
+def worked_covering_file(tmp_path):
     cov = tmp_path / "cov.json"
     cov.write_text(
         json.dumps(
@@ -141,6 +141,11 @@ def test_cli_endo_dot(tmp_path, capsys):
             }
         )
     )
+    return cov
+
+
+def test_cli_endo_dot(tmp_path, capsys):
+    cov = worked_covering_file(tmp_path)
     rc, out, _ = run_cli(capsys, ["--dot", "endo", str(cov), "-n", "4", "-k", "1"])
     assert rc == 0
     assert "doublecircle" in out
@@ -150,6 +155,25 @@ def test_cli_endo_dot(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["a_cycles"]) >= 1
     assert doc["multiplicity"] == 1
+
+
+def test_cli_endo_decodes_once(tmp_path, capsys, monkeypatch):
+    """The A-cycles the witness log prints are the ones the tree is built
+    from: one generic decode per command."""
+    from brauertilt import endo
+
+    calls = []
+    original = endo.a_cycle_generic
+
+    def counting(E):
+        calls.append(E)
+        return original(E)
+
+    monkeypatch.setattr(endo, "a_cycle_generic", counting)
+    cov = worked_covering_file(tmp_path)
+    rc, _, _ = run_cli(capsys, ["endo", str(cov), "-n", "4", "-k", "1"])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_cli_realize_roundtrip(tmp_path, capsys):

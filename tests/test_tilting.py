@@ -58,10 +58,10 @@ def test_socle_quotient_not_partial_tilting():
 
 
 def test_is_tilting_needs_labels_and_distinct_summands():
+    # A built as one complex is one part, of class (1, 1): rank 1 < 2
     A = star_algebra(2, 1)
     T = ProjComplex(A, {0: (1, 2)}, {})
-    with pytest.raises(ValueError):
-        is_tilting(T)
+    assert not is_tilting(T)
     repeated = direct_sum([stalk_complex(A, 1, 0), stalk_complex(A, 1, 0)])
     assert not is_tilting(repeated)
 
@@ -79,12 +79,12 @@ def test_is_tilting_counts_summands_not_labels():
 
 
 def test_is_tilting_refuses_a_decomposable_part():
-    # S_1 + (S_1 + S_1 built as one labelled complex): three copies of one
+    # S_1 + (S_1 + S_1 built as one complex): three copies of one
     # summand, with part classes (-1, 1) and (-2, 2) of rank 1 < 2
     A = star_algebra(2, 1)
     S = pres(A, 1, 1)
     SS = direct_sum([S, S])
-    Y = ProjComplex(A, SS.comps, SS.diffs, labels=S.labels)
+    Y = ProjComplex(A, SS.comps, SS.diffs)
     T = direct_sum([S, Y])
     assert len({P.k0_class() for P in T.parts}) == A.n
     assert not is_tilting(T)
