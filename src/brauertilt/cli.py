@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
 from .complexes import algebra_complex
@@ -37,6 +36,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "file not found")
+    except OSError as exc:
+        raise SchemaError(path, f"cannot read: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
 
@@ -109,11 +110,6 @@ def cmd_enumerate_tilting(args) -> int:
     return exit_code
 
 
-def _suite_entry(name: str, prime: int):
-    res = run_suite(name, prime=prime)
-    return name, res.ok, res.lines, [repr(f) for f in res.failures[:10]]
-
-
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if args.suite == "field-independence":
@@ -131,30 +127,24 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    results = []
-    if args.workers > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_suite_entry, name, args.field_prime) for name in names]
-            results = [f.result() for f in futures]
-    else:
-        results = [_suite_entry(name, args.field_prime) for name in names]
-    all_ok = all(ok for _, ok, _, _ in results)
+    results = {name: run_suite(name, prime=args.field_prime) for name in names}
     if args.json:
         print(
             json.dumps(
                 [
-                    {"suite": n, "ok": ok, "detail": lines, "counterexamples": fails}
-                    for n, ok, lines, fails in results
+                    {"suite": name, "ok": res.ok, "detail": res.lines,
+                     "counterexamples": [repr(f) for f in res.failures[:10]]}
+                    for name, res in results.items()
                 ],
                 indent=2,
             )
         )
     else:
-        for name, ok, lines, failures in results:
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {'; '.join(lines)}")
-            for f in failures:
-                print(f"  counterexample: {f}")
-    return 0 if all_ok else 1
+        for name, res in results.items():
+            print(f"{'PASS' if res.ok else 'FAIL'} {name}: {'; '.join(res.lines)}")
+            for f in res.failures[:10]:
+                print(f"  counterexample: {f!r}")
+    return 0 if all(res.ok for res in results.values()) else 1
 
 
 def cmd_endo(args) -> int:
@@ -213,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--field-prime", type=int, default=DEFAULT_PRIME,
                         help="working prime for all linear algebra")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process pool size for 'verify all', one suite per "
-                        "task; 'verify field-independence' runs serially")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--dot", action="store_true", help="DOT output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,10 +6,12 @@ Composition of maps multiplies the path elements left factor first, so a
 chain map followed by another corresponds to the algebra product of their
 entries in that order.
 
-Hom_{K^b}(Q, R[s]) is computed as the solution space of the commuting
-squares minus the span of the null-homotopic maps, by exact elimination
-over the working prime field.  Sign conventions for shifted differentials
-are dropped: they rescale unknowns and never change dimensions.
+Hom_{K^b}(Q, R[s]) is H^s of the Hom complex: the chain maps, the kernel
+of its differential D_s, modulo the null-homotopic maps, the image of
+D_{s-1}.  One builder gives the matrix of D at both shifts, and both are
+eliminated exactly over the working prime field.  Sign conventions for
+shifted differentials are dropped: they rescale unknowns and never change
+dimensions.
 """
 
 from __future__ import annotations
@@ -310,15 +312,19 @@ def identity_chain_map(T: ProjComplex) -> ChainMap:
 
 
 class ChainMapSpace:
-    """All chain maps Q -> R[s] and the null-homotopic ones among them.
+    """Hom_{K^b}(Q, R[s]) = H^s of the Hom complex, whose degree t holds
+    the degree-wise maps Q -> R[t], with differential
+    D_t(f) = d_Q f + sign * f d_R.
 
-    The unknowns are the coefficients of a degree-wise map Q -> R[s], in
-    the coordinates described by `layout`.  The commuting squares form a
-    matrix C and the null-homotopic maps the rows of `null_basis` (N); both
-    are assembled from blocks of multiplication by one differential entry.
-    Construction runs two eliminations, one rref of C and one of N (none
-    for an empty matrix), so dim = total - rank C - rank N; the containment
-    of the null-homotopic maps in the chain maps is checked as C @ N^T = 0.
+    The unknowns are the coefficients of a map Q -> R[s], in blocks at the
+    offsets of `_block_offsets`.  One builder, `_hom_differential`, gives
+    both matrices: the commuting squares C = D_s with sign -1 (the chain
+    maps are ker D_s), and the rows of `null_basis`, N = D_{s-1}^T with
+    sign +1 (the null-homotopic maps are im D_{s-1}).  Construction runs
+    two eliminations, one rref of C and one of N (none for an empty
+    matrix), so dim = total - rank C - rank N; D_s D_{s-1} = 0, the
+    containment of the null-homotopic maps in the chain maps, is checked
+    as C @ N^T = 0.
     chain_basis (the nullspace of C) is read off the stored rref of C when
     first asked for; the quotient representatives, with the matrix that
     gives quotient coordinates, cost one more rref, in the coordinates of
@@ -331,48 +337,12 @@ class ChainMapSpace:
         if R.algebra is not A:
             raise ValueError("complexes over different algebras")
         p = A.prime
-        layout = []  # (d, tgt_slot, src_slot, pcs)
-        offsets = {}
-        total = 0
-        for d in Q.degrees():
-            src, tgt = Q.slots(d), R.slots(d + s)
-            for j in range(len(tgt)):
-                for i in range(len(src)):
-                    pcs = A.blocks[(src[i], tgt[j])]
-                    offsets[(d, j, i)] = (total, pcs)
-                    layout.append((d, j, i, pcs))
-                    total += len(pcs)
-        self.layout, self.offsets, self.total = layout, offsets, total
-
+        below, here, above = (_block_offsets(A, Q, R, t) for t in (s - 1, s, s + 1))
+        self.offsets, self.total = here
         q_entries = _nonzero_entries(Q)
-        r_entries = q_entries if R is Q else _nonzero_entries(R)
-
-        # commuting squares: one row block per (d, t, i), from Q_d slot i to
-        # R_{d+s+1} slot t, holding the coordinates of d_Q f_{d+1} - f_d d_R
-        row_off, rows = _block_offsets(A, Q, R, s + 1)
-        coo: list = []  # (row, column, value)
-        for d, m, i, x in q_entries:
-            for t, b in enumerate(R.slots(d + s + 1)):
-                _put(coo, row_off[(d, t, i)], offsets[(d + 1, t, m)][0], A, x, "L", b)
-        for e, t, j, x in r_entries:
-            d = e - s
-            for i, a in enumerate(Q.slots(d)):
-                _put(coo, row_off[(d, t, i)], offsets[(d, j, i)][0], A, x, "R", a, sign=-1)
-        cmat = _assemble(coo, rows, total, p)
-
-        # null homotopies: one row per basis coefficient of h_d: Q_d -> R_{d+s-1},
-        # holding the coordinates of h_d d_R + d_Q h_d
-        row_off, rows = _block_offsets(A, Q, R, s - 1)
-        coo = []
-        for e, t, j, x in r_entries:
-            d = e - s + 1
-            for i, a in enumerate(Q.slots(d)):
-                _put(coo, row_off[(d, j, i)], offsets[(d, t, i)][0], A, x, "R", a, transpose=True)
-        for d0, i, i0, x in q_entries:
-            d = d0 + 1
-            for j, c in enumerate(R.slots(d + s - 1)):
-                _put(coo, row_off[(d, j, i)], offsets[(d0, j, i0)][0], A, x, "L", c, transpose=True)
-        self.null_basis = _assemble(coo, rows, total, p)
+        entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
+        cmat = _hom_differential(A, Q, R, s, -1, here, above, entries)
+        self.null_basis = _hom_differential(A, Q, R, s - 1, 1, below, here, entries).T
 
         self._chain_rref = _rref(cmat, p)
         null_red, null_piv = _rref(self.null_basis, p)
@@ -380,7 +350,7 @@ class ChainMapSpace:
         self.null_rank = len(null_piv)
         if linalg.matmul(cmat, self.null_basis.T, p).any():
             raise AssertionError("null-homotopic maps escaped the chain-map space")
-        self.dim = total - len(self._chain_rref[1]) - self.null_rank
+        self.dim = self.total - len(self._chain_rref[1]) - self.null_rank
         self._reduction = None
 
     @cached_property
@@ -391,27 +361,28 @@ class ChainMapSpace:
     # -- conversions ---------------------------------------------------------------
 
     def vector_of(self, f: ChainMap) -> np.ndarray:
-        p = self.Q.algebra.prime
+        A = self.Q.algebra
         vec = linalg.zeros(1, self.total)[0]
-        for (d, j, i, pcs) in self.layout:
-            entry = f.entry(d)[j][i]
-            off, _ = self.offsets[(d, j, i)]
-            for kk, pc in enumerate(pcs):
-                if pc in entry:
-                    vec[off + kk] = entry[pc] % p
+        for d, mat in f.comps.items():
+            for j, row in enumerate(mat):
+                for i, entry in enumerate(row):
+                    off = self.offsets[(d, j, i)]
+                    for pc, c in entry.items():
+                        vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % A.prime
         return vec
 
     def map_from_vector(self, vec) -> ChainMap:
+        A = self.Q.algebra
         comps = {}
         for d in self.Q.degrees():
             src, tgt = self.Q.slots(d), self.R.slots(d + self.s)
             if not src or not tgt:
                 continue
             mat = [[{} for _ in src] for _ in tgt]
-            for j in range(len(tgt)):
-                for i in range(len(src)):
-                    off, pcs = self.offsets[(d, j, i)]
-                    for kk, pc in enumerate(pcs):
+            for j, b in enumerate(tgt):
+                for i, a in enumerate(src):
+                    off = self.offsets[(d, j, i)]
+                    for kk, pc in enumerate(A.blocks[(a, b)]):
                         c = int(vec[off + kk])
                         if c:
                             mat[j][i][pc] = c
@@ -464,8 +435,8 @@ class ChainMapSpace:
 
 def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: int):
     """Offset of the coefficient block of each map from Q_d slot i to
-    R_{d+shift} slot j, keyed (d, j, i), in the order of `layout`; and the
-    total size."""
+    R_{d+shift} slot j, keyed (d, j, i), blocks ordered by d, then j, then
+    i; and the total size."""
     offsets, total = {}, 0
     for d in Q.degrees():
         for j, b in enumerate(R.slots(d + shift)):
@@ -487,31 +458,48 @@ def _nonzero_entries(X: ProjComplex) -> list:
     ]
 
 
-def _put(coo: list, r0: int, c0: int, A: BrauerTreeAlgebra, x, side: str, edge,
-         sign: int = 1, transpose: bool = False) -> None:
-    """Append the block of multiplication by the element x (see
-    BrauerTreeAlgebra.mult_coords for side and edge), or its transpose, at
-    row r0 and column c0."""
-    for pc, v in x.items():
-        v *= sign
-        for r, c in A.mult_coords(pc, side, edge):
-            coo.append((r0 + c, c0 + r, v) if transpose else (r0 + r, c0 + c, v))
-
-
-def _rref(mat: np.ndarray, p: int):
-    """linalg.rref, without running an elimination on an empty matrix."""
-    return linalg.rref(mat, p) if mat.size else (mat, [])
-
-
-def _assemble(coo: list, rows: int, cols: int, p: int) -> np.ndarray:
-    """Matrix with the (row, column, value) entries added in, reduced mod p,
-    zero rows dropped."""
+def _hom_differential(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, t: int,
+                      sign: int, src, tgt, entries) -> np.ndarray:
+    """The matrix, reduced mod p, of D_t(f) = d_Q f + sign * f d_R from the
+    maps Q -> R[t] to the maps Q -> R[t+1]; src and tgt are their
+    _block_offsets, entries the _nonzero_entries of Q and of R.  Row block
+    (d, j, i) holds the coordinates of the map from Q_d slot i to R_{d+t+1}
+    slot j."""
+    (src_off, cols), (tgt_off, rows) = src, tgt
+    q_entries, r_entries = entries
+    coo: list = []  # (row, column, value)
+    for d, m, i, x in q_entries:
+        # x from Q_d slot i to Q_{d+1} slot m, followed by f_{d+1}
+        for j, b in enumerate(R.slots(d + t + 1)):
+            _put(coo, tgt_off[(d, j, i)], src_off[(d + 1, j, m)], A, x, "L", b, 1)
+    for e, j, jj, x in r_entries:
+        # f_d into R_e slot jj, followed by x from there to R_{e+1} slot j
+        d = e - t
+        for i, a in enumerate(Q.slots(d)):
+            _put(coo, tgt_off[(d, j, i)], src_off[(d, jj, i)], A, x, "R", a, sign)
     mat = linalg.zeros(rows, cols)
     if coo:
         r, c, v = zip(*coo)
         np.add.at(mat, (list(r), list(c)), v)
-    mat %= p
-    return mat[mat.any(axis=1)]
+    return mat % A.prime
+
+
+def _put(coo: list, r0: int, c0: int, A: BrauerTreeAlgebra, x, side: str, edge,
+         sign: int) -> None:
+    """Append sign times the block of multiplication by the element x (see
+    BrauerTreeAlgebra.mult_coords for side and edge) at row r0 and column
+    c0."""
+    for pc, v in x.items():
+        v *= sign
+        for r, c in A.mult_coords(pc, side, edge):
+            coo.append((r0 + r, c0 + c, v))
+
+
+def _rref(mat: np.ndarray, p: int):
+    """linalg.rref of mat without its zero rows, and no elimination on an
+    empty matrix."""
+    mat = mat[mat.any(axis=1)]
+    return linalg.rref(mat, p) if mat.size else (mat, [])
 
 
 def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False) -> int:

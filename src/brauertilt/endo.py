@@ -106,15 +106,7 @@ def a_cycle_fast(T: ProjComplex) -> list[ACycle]:
         (i for i, it in enumerate(info) if it[0] == "stalk"),
         key=lambda i: info[i][1],
     )
-    g0: dict[int, list[int]] = {}
-    g1: dict[int, list[int]] = {}
-    for i, it in enumerate(info):
-        if it[0] == "pres":
-            g0.setdefault(it[1], []).append(i)
-            g1.setdefault(it[2], []).append(i)
-
     cycles = []
-    witnesses = []
 
     def stalk_map(u, v, degree):
         length = (info[v][1] - info[u][1]) % n or n
@@ -128,74 +120,34 @@ def a_cycle_fast(T: ProjComplex) -> list[ACycle]:
     ]
     cycles.append(ACycle(mem, True, wits))
 
-    def pres_step_lower(u, v):
-        # shared lower component, moving along the covers
-        j = info[u][1]
-        a, b = info[u][2], info[v][2]
-        pc = A.star_path(a, (b - a) % n)
-        return ChainMap(
-            parts[u], parts[v], 0, {0: [[{idempotent(j): 1}]], 1: [[{pc: 1}]]}
-        )
-
-    def pres_step_upper(u, v):
-        # shared cover, moving along the lower components
-        b = info[u][2]
-        a, a2 = info[u][1], info[v][1]
-        pc = A.star_path(a, (a2 - a) % n)
-        return ChainMap(
-            parts[u], parts[v], 0, {0: [[{pc: 1}]], 1: [[{idempotent(b): 1}]]}
-        )
-
-    for j in sorted(g0):
-        group = sorted(g0[j], key=lambda i: (info[i][2] - j) % n)
-        if delta == 0 and any(info[s][1] == j for s in stalks):
-            s = next(s for s in stalks if info[s][1] == j)
-            mem = (s,) + tuple(group)
-            wits = [
-                ChainMap(parts[s], parts[group[0]], 0, {0: [[{socle_class(j): 1}]]})
-            ]
-            wits += [pres_step_lower(group[t], group[t + 1]) for t in range(len(group) - 1)]
-            wits.append(
-                ChainMap(parts[group[-1]], parts[s], 0, {0: [[{idempotent(j): 1}]]})
-            )
-            cycles.append(ACycle(mem, False, wits))
-        else:
-            mem = tuple(group)
-            wits = [pres_step_lower(group[t], group[t + 1]) for t in range(len(group) - 1)]
-            wits.append(
-                ChainMap(
-                    parts[group[-1]],
-                    parts[group[0]],
-                    0,
-                    {0: [[{socle_class(j): 1}]], 1: [[{}]]},
-                )
-            )
-            cycles.append(ACycle(mem, False, wits))
-
-    for b in sorted(g1):
-        group = sorted(g1[b], key=lambda i: (info[i][1] - b) % n)
-        if delta == 1 and any(info[s][1] == b for s in stalks):
-            s = next(s for s in stalks if info[s][1] == b)
-            mem = (s,) + tuple(group)
-            wits = [
-                ChainMap(parts[s], parts[group[0]], 0, {1: [[{idempotent(b): 1}]]})
-            ]
-            wits += [pres_step_upper(group[t], group[t + 1]) for t in range(len(group) - 1)]
-            wits.append(
-                ChainMap(parts[group[-1]], parts[s], 0, {1: [[{socle_class(b): 1}]]})
-            )
-            cycles.append(ACycle(mem, False, wits))
-        else:
-            mem = tuple(group)
-            wits = [pres_step_upper(group[t], group[t + 1]) for t in range(len(group) - 1)]
-            wits.append(
-                ChainMap(
-                    parts[group[-1]],
-                    parts[group[0]],
-                    0,
-                    {0: [[{}]], 1: [[{socle_class(b): 1}]]},
-                )
-            )
+    # presentations sharing their component c in degree deg, ordered along
+    # the star by their other component; a step is the identity of P_c in
+    # degree deg and the path between the other components
+    for deg in (0, 1):
+        groups: dict[int, list[int]] = {}
+        for i, it in enumerate(info):
+            if it[0] == "pres":
+                groups.setdefault(it[1 + deg], []).append(i)
+        for c in sorted(groups):
+            group = sorted(groups[c], key=lambda i: (info[i][2 - deg] - c) % n)
+            wits = []
+            for u, v in zip(group, group[1:]):
+                a, b = info[u][2 - deg], info[v][2 - deg]
+                step = {deg: [[{idempotent(c): 1}]], 1 - deg: [[{A.star_path(a, (b - a) % n): 1}]]}
+                wits.append(ChainMap(parts[u], parts[v], 0, step))
+            z, e = {socle_class(c): 1}, {idempotent(c): 1}
+            stalk = next((s for s in stalks if info[s][1] == c), None) if deg == delta else None
+            if stalk is None:
+                mem = tuple(group)
+                closing = {deg: [[z]], 1 - deg: [[{}]]}
+                wits.append(ChainMap(parts[group[-1]], parts[group[0]], 0, closing))
+            else:
+                # the stalk P_c enters by z_c and leaves by e_c in degree 0,
+                # the other way round in degree 1
+                enter, leave = (z, e) if deg == 0 else (e, z)
+                mem = (stalk,) + tuple(group)
+                wits.insert(0, ChainMap(parts[stalk], parts[group[0]], 0, {deg: [[enter]]}))
+                wits.append(ChainMap(parts[group[-1]], parts[stalk], 0, {deg: [[leave]]}))
             cycles.append(ACycle(mem, False, wits))
 
     return cycles

@@ -32,6 +32,17 @@ def _need(obj, key, path):
     return obj[key]
 
 
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind, path):
+    """value, refused unless it is of the JSON kind int, list or dict (a
+    bool is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {_KINDS[kind]}")
+    return value
+
+
 def tree_from_json(doc) -> BrauerTree:
     """Parse the tree schema; the star shorthand {"star": {"n":., "k":.}}
     is accepted."""
@@ -41,18 +52,15 @@ def tree_from_json(doc) -> BrauerTree:
         raise SchemaError("$", "expected an object")
     if "star" in doc:
         star = doc["star"]
-        n = _need(star, "n", "$.star")
-        k = _need(star, "k", "$.star")
-        if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
+        n, k = (_typed(_need(star, key, "$.star"), int, f"$.star.{key}") for key in ("n", "k"))
+        if n < 1 or k < 1:
             raise SchemaError("$.star", "n and k must be positive integers")
         return BrauerTree.star(n, k)
-    vertices = _need(doc, "vertices", "$")
-    edges_doc = _need(doc, "edges", "$")
-    cyclic_doc = _need(doc, "cyclic_order", "$")
+    vertices = _typed(_need(doc, "vertices", "$"), list, "$.vertices")
+    edges_doc = _typed(_need(doc, "edges", "$"), list, "$.edges")
+    cyclic_doc = _typed(_need(doc, "cyclic_order", "$"), dict, "$.cyclic_order")
     exceptional = _need(doc, "exceptional", "$")
-    multiplicity = _need(doc, "multiplicity", "$")
-    if not isinstance(vertices, list):
-        raise SchemaError("$.vertices", "expected a list")
+    multiplicity = _typed(_need(doc, "multiplicity", "$"), int, "$.multiplicity")
     edges = {}
     for i, e in enumerate(edges_doc):
         eid = _need(e, "id", f"$.edges[{i}]")
@@ -94,28 +102,22 @@ def tree_to_json(tree: BrauerTree, edge_labels=None) -> dict:
 def covering_from_json(doc, n=None) -> Covering:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    outer_doc = _need(doc, "outer", "$")
+    outer_doc = _typed(_need(doc, "outer", "$"), list, "$.outer")
     mode = _need(doc, "mode", "$")
-    outer = []
-    for i, iv in enumerate(outer_doc):
-        outer.append(
-            CyclicInterval(_need(iv, "start", f"$.outer[{i}]"), _need(iv, "size", f"$.outer[{i}]"))
+
+    def interval(iv, path):
+        return CyclicInterval(
+            *(_typed(_need(iv, key, path), int, f"{path}.{key}") for key in ("start", "size"))
         )
+
+    outer = [interval(iv, f"$.outer[{i}]") for i, iv in enumerate(outer_doc)]
     if n is None:
         n = sum(iv.size for iv in outer)
-    inner_doc = doc.get("inner", {})
+    inner_doc = _typed(doc.get("inner", {}), dict, "$.inner")
     inner = []
     for idx in range(len(outer)):
-        fam = inner_doc.get(str(idx), inner_doc.get(idx, []))
-        inner.append(
-            tuple(
-                CyclicInterval(
-                    _need(iv, "start", f"$.inner[{idx}][{j}]"),
-                    _need(iv, "size", f"$.inner[{idx}][{j}]"),
-                )
-                for j, iv in enumerate(fam)
-            )
-        )
+        fam = _typed(inner_doc.get(str(idx), inner_doc.get(idx, [])), list, f"$.inner[{idx}]")
+        inner.append(tuple(interval(iv, f"$.inner[{idx}][{j}]") for j, iv in enumerate(fam)))
     try:
         return Covering(n, tuple(outer), tuple(inner), mode)
     except ValueError as exc:

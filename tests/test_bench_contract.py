@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import brauertilt
-from brauertilt import coverings, verify
+from brauertilt import complexes, coverings, trees, verify
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
 
@@ -32,6 +32,26 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
+
+
+def test_traced_sizes_are_recorded():
+    """The size counters the tracer reads at span boundaries (the unknowns
+    of a ChainMapSpace, the cells of an rref, the dimension of an algebra
+    and the number of trees) still resolve and are recorded."""
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        A = star_algebra(3, 1)
+        T = coverings.covering_to_complex(coverings.enumerate_coverings(3)[0], A)
+        complexes.hom_complex_dim(T, T, 0, direct=True)
+        trees.all_brauer_trees(3, 1)
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats
+    assert stats["complexes.chain_map_space"]["unknowns"] > 0
+    assert stats["linalg.rref"]["cells"] > 0
+    assert stats["algebra.build"]["max_dim"] == A.dim
+    assert stats["trees.enumerate"]["trees"] == len(trees.all_brauer_trees(3, 1))
 
 
 def test_cache_names_read_by_the_bench_child_exist():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauertilt import linalg
 from brauertilt.algebra import PathClass, idempotent, star_algebra
 from brauertilt.complexes import (
     ChainMap,
     ChainMapSpace,
     ProjComplex,
+    _product,
     algebra_complex,
     direct_sum,
     euler_pairing,
@@ -141,6 +143,66 @@ def test_chain_map_space_consistency():
     assert ident.is_chain_map()
     sp_self = ChainMapSpace(Q, Q, 0)
     assert not sp_self.is_null_homotopic(ident)
+
+
+def _unit_maps(Q, R, t):
+    """Every degree-wise map Q -> R[t] whose one nonzero entry is one basis
+    path class, built from the blocks of the algebra."""
+    A = Q.algebra
+    for d in Q.degrees():
+        src, tgt = Q.slots(d), R.slots(d + t)
+        for j, b in enumerate(tgt):
+            for i, a in enumerate(src):
+                for pc in A.blocks[(a, b)]:
+                    mat = [[{} for _ in src] for _ in tgt]
+                    mat[j][i] = {pc: 1}
+                    yield ChainMap(Q, R, t, {d: mat})
+
+
+def _boundary(h):
+    """d_Q h + h d_R: Q -> R[t+1] for h: Q -> R[t], multiplied out with
+    _product, the way ChainMap.is_chain_map multiplies."""
+    Q, R, t = h.Q, h.R, h.s
+    A, p = Q.algebra, Q.algebra.prime
+    comps = {}
+    for d in Q.degrees():
+        width = len(Q.slots(d))
+        terms = (_product(A, Q.diff(d), h.entry(d + 1), width),
+                 _product(A, h.entry(d), R.diff(d + t), width))
+        mat = [[{} for _ in range(width)] for _ in R.slots(d + t + 1)]
+        for term in terms:
+            for row, term_row in zip(mat, term):
+                for entry, x in zip(row, term_row):
+                    for pc, c in x.items():
+                        entry[pc] = (entry.get(pc, 0) + c) % p
+        comps[d] = mat
+    return ChainMap(Q, R, t + 1, comps)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (3, 2)])
+def test_null_homotopies_of_three_term_complexes(n, k):
+    """The null-homotopic maps Q -> R[s] are the images d_Q h + h d_R of
+    the maps h: Q -> R[s-1].  X = P_a -> P_b -> P_c has two consecutive
+    paths of length nk - 1 as differentials (their product is zero), so
+    the pairs reach ChainMapSpace with three-term complexes on either
+    side; the images of the unit maps h must span exactly the rows of
+    null_basis."""
+    A = star_algebra(n, k)
+    first = A.star_path(1, n * k - 1)
+    second = A.star_path(first.end, n * k - 1)
+    X = ProjComplex(A, {0: (1,), 1: (first.end,), 2: (second.end,)},
+                    {0: [[{first: 1}]], 1: [[{second: 1}]]})
+    P = pres(A, 2, 2)
+    complexes = [X, P, stalk_complex(A, 3 % n + 1, 1), direct_sum([X, P])]
+    for Q in complexes:
+        for R in complexes:
+            for s in range(-3, 4):
+                sp = ChainMapSpace(Q, R, s)
+                images = [sp.vector_of(_boundary(h)) for h in _unit_maps(Q, R, s - 1)]
+                images = np.array(images, dtype=np.int64).reshape(len(images), sp.total)
+                assert linalg.rank(images, A.prime) == sp.null_rank
+                both = np.concatenate([images, sp.null_basis])
+                assert linalg.rank(both, A.prime) == sp.null_rank
 
 
 def test_euler_pairing_signs():

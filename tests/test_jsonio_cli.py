@@ -116,6 +116,37 @@ def test_cli_algebra_schema_error(tmp_path, capsys):
     assert "missing field" in err
 
 
+MALFORMED = [
+    ("endo", {"outer": 5, "mode": "deg0"}, "$.outer"),
+    ("endo", {"outer": [{"start": 1, "size": 4}], "inner": [[{"start": 2, "size": 3}]],
+              "mode": "deg0"}, "$.inner"),
+    ("endo", {"outer": [{"start": "1", "size": 4}], "mode": "deg0"}, "$.outer[0].start"),
+    ("algebra", {"vertices": [0, 1], "edges": [{"id": 1, "ends": [0, 1]}],
+                 "cyclic_order": [[1], [1]], "exceptional": 0, "multiplicity": 1},
+     "$.cyclic_order"),
+    ("algebra", None, "cannot read"),
+    ("algebra", {"star": {"n": True, "k": 1}}, "$.star"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, where", MALFORMED,
+    ids=["outer-int", "inner-list", "start-string", "cyclic-order-list", "directory",
+         "star-bool"],
+)
+def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, where):
+    """Malformed input exits 2, naming where it is wrong, with no traceback
+    and not as a verification failure (exit 1); a directory is no file."""
+    path = tmp_path
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+    extra = ["-n", "4", "-k", "1"] if command == "endo" else []
+    rc, _, err = run_cli(capsys, [command, str(path), *extra])
+    assert rc == 2
+    assert err.startswith("input error:") and where in err
+
+
 def test_cli_enumerate_both(capsys):
     rc, out, _ = run_cli(capsys, ["--json", "enumerate-tilting", "2", "1", "--mode", "both"])
     assert rc == 0
@@ -219,6 +250,8 @@ def test_cli_leaves_module_state_alone(capsys):
     after = vars(modules)
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
-    # the flag that used to set a module global is refused
-    with pytest.raises(SystemExit):
-        cli.main(["--seed", "5", "verify", "line-example"])
+    # the flags that used to set a module global or a process pool are refused
+    for flag in (["--seed", "5"], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*flag, "verify", "line-example"])
+        assert exc.value.code == 2
