@@ -271,19 +271,6 @@ class ChainMap:
             return self.comps[d]
         return [[{} for _ in src] for _ in tgt]
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self followed by other (other.Q must be self.R)."""
-        if other.Q is not self.R:
-            raise ValueError("chain maps do not compose")
-        A = self.Q.algebra
-        s = self.s + other.s
-        comps = {}
-        for d in self.Q.degrees():
-            src = self.Q.slots(d)
-            if src and self.R.slots(d + self.s) and other.R.slots(d + s):
-                comps[d] = _product(A, self.entry(d), other.entry(d + self.s), len(src))
-        return ChainMap(self.Q, other.R, s, comps)
-
     def is_chain_map(self) -> bool:
         """Whether d_Q f_{d+1} = f_d d_R in every degree, multiplied out in
         A.mult (independently of ChainMapSpace)."""
@@ -413,17 +400,18 @@ class ChainMapSpace:
             self._reduction = (free, self.chain_basis[chosen], red[k:, k:])
         return self._reduction
 
-    def quotient_coords(self, vec) -> np.ndarray:
-        """Coordinates of a chain-map vector in the homotopy quotient."""
-        free, reps, coeffs = self._reduction_data()
+    def quotient_coords(self, vecs) -> np.ndarray:
+        """Coordinates in the homotopy quotient of a chain-map vector, or
+        one row of them per row of a stack of such vectors."""
+        free, _, coeffs = self._reduction_data()
         p = self.Q.algebra.prime
-        if reps.shape[0] == 0:
-            return linalg.zeros(1, 0)[0]
-        vec = np.asarray(vec, dtype=np.int64) % p
-        y = vec[free][:, None]
-        if (linalg.matmul(self.chain_basis.T, y, p)[:, 0] != vec).any():
+        vecs = np.asarray(vecs, dtype=np.int64) % p
+        stack = vecs if vecs.ndim == 2 else vecs[None, :]
+        y = stack[:, free]
+        if (linalg.matmul(y, self.chain_basis, p) != stack).any():
             raise ValueError("vector is not a chain map")
-        return linalg.matmul(coeffs, y, p)[:, 0]
+        out = linalg.matmul(y, coeffs.T, p)
+        return out if vecs.ndim == 2 else out[0]
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return not self.quotient_coords(self.vector_of(f)).any()

@@ -263,10 +263,7 @@ def enumerate_coverings(n: int, include_trivial: bool = False) -> list[Covering]
                         out.append(cov)
                     continue
                 out.append(cov)
-    # the trivial covering shows up once per full enumeration pass; all
-    # other coverings are produced exactly once
-    uniq = {c.sort_key(): c for c in out}
-    return [uniq[k] for k in sorted(uniq)]
+    return sorted(out, key=Covering.sort_key)
 
 
 # -- brute-force oracle ---------------------------------------------------------------

@@ -2,17 +2,18 @@
 algebra: Cartan matrix, partition of the summands into A-cycles with their
 cyclic orders, and the resulting Brauer tree.
 
-Two independent decoders are provided.  The generic one assembles the
-endomorphism algebra from chain-map spaces, reads off the quiver from the
-radical modulo its square and traces maximal chains of arrows with nonzero
-products.  The star fast path groups summands by shared components and
-orders them along the star, with explicit witness morphisms whose maximal
-nonzero compositions certify each cyclic order.
+Two independent decoders are provided.  The generic one holds End(T) in
+quotient coordinates, multiplied by structure constants, reads off the
+quiver from the radical modulo its square and traces maximal chains of
+arrows with nonzero products.  The star fast path groups summands by shared
+components and orders them along the star, with explicit witness morphisms
+whose maximal nonzero compositions certify each cyclic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -35,11 +36,13 @@ from .trees import BrauerTree
 class ACycle:
     """A vertex of the endomorphism Brauer tree: the cyclically ordered
     summands around it, witness morphisms between consecutive members, and
-    whether the vertex is exceptional."""
+    whether the vertex is exceptional.  witnesses[t], from member t to the
+    next, is a ChainMap from the fast decoder and the arrow's quotient
+    coordinates (see EndoAlgebra) from the generic one."""
 
     members: tuple  # summand indices, in cyclic order
     exceptional: bool
-    witnesses: list | None = None  # ChainMap member[t] -> member[t+1]
+    witnesses: list | None = None
 
     def normalized(self):
         rots = [
@@ -162,30 +165,41 @@ def validate_cycles(E: EndoAlgebra, cycles: list[ACycle]):
         r = len(cyc.members)
         if cyc.witnesses is None or len(cyc.witnesses) != r:
             raise AssertionError("cycle carries no witness chain")
+        wits = []
         for t, w in enumerate(cyc.witnesses):
-            if not w.is_chain_map():
-                raise AssertionError("witness is not a chain map")
+            u, v = cyc.members[t], cyc.members[(t + 1) % r]
+            if w.Q is not E.parts[u] or w.R is not E.parts[v] or not w.is_chain_map():
+                raise AssertionError("witness is not a chain map between consecutive members")
+            wits.append(E.coords(u, v, w))
         bound = k * r if cyc.exceptional else r
         for start in range(r):
-            comp = cyc.witnesses[start]
-            for step in range(1, bound):
-                comp = comp.compose(cyc.witnesses[(start + step) % r])
-            u = cyc.members[start]
-            v = cyc.members[(start + bound) % r]
-            if E.space(u, v).is_null_homotopic(comp):
+            *_, last, past = _walk(E, cyc.members, wits, start, bound + 1)
+            if not last.any():
                 raise AssertionError("witness composition died too early")
-            v2 = cyc.members[(start + bound + 1) % r]
-            if E.compose_coords(u, v2, comp, cyc.witnesses[(start + bound) % r]).any():
+            if past.any():
                 raise AssertionError("witness composition survived past the bound")
+
+
+def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
+    """Quotient coordinates of the composites of the first 1, ..., steps
+    witnesses around a cycle from member `start` on; wits[t] is in
+    coordinates and maps members[t] to the next member."""
+    r = len(members)
+    comps = [wits[start]]
+    for t in range(start + 1, start + steps):
+        u, v, w = members[start], members[t % r], members[(t + 1) % r]
+        comps.append(E.compose(u, v, w, comps[-1], wits[t % r]))
+    return comps
 
 
 # -- generic decoder ------------------------------------------------------------------
 
 
 class EndoAlgebra:
-    """End(T) as chain maps modulo homotopy between the summands: the one
-    owner, per decode, of the space of each summand pair, built on first
-    use through hom_space, so endo_cartan finds its dimension cached."""
+    """End(T) in quotient coordinates, with one product.  Per decode it owns
+    the space of each summand pair, built on first use through hom_space,
+    so endo_cartan finds its dimension cached, and the structure constants
+    of each summand triple, built on first use (see _table)."""
 
     def __init__(self, T: ProjComplex):
         self.T = T
@@ -193,64 +207,74 @@ class EndoAlgebra:
         self.parts = summand_complexes(T)
         self.m = len(self.parts)
         self._spaces: dict[tuple, ChainMapSpace] = {}
+        self._tables: dict[tuple, np.ndarray] = {}
 
     def space(self, u, v) -> ChainMapSpace:
         if (u, v) not in self._spaces:
             self._spaces[(u, v)] = hom_space(self.parts[u], self.parts[v], 0)
         return self._spaces[(u, v)]
 
-    def compose_coords(self, u, w, f: ChainMap, g: ChainMap) -> np.ndarray:
-        """Quotient coordinates of f followed by g, a map from summand u to w."""
-        sp = self.space(u, w)
-        return sp.quotient_coords(sp.vector_of(f.compose(g)))
-
-    def map_from_coords(self, u, v, coords) -> ChainMap:
+    def coords(self, u, v, f: ChainMap) -> np.ndarray:
+        """Quotient coordinates of the chain map f from summand u to v."""
         sp = self.space(u, v)
-        reps = sp._reduction_data()[1]
-        vec = linalg.matmul(np.asarray(coords, dtype=np.int64)[None, :] % self.p, reps, self.p)
-        return sp.map_from_vector(vec[0])
+        return sp.quotient_coords(sp.vector_of(f))
+
+    def compose(self, u, v, w, x, y) -> np.ndarray:
+        """Quotient coordinates of class x (u -> v) followed by class y
+        (v -> w), both given in reduced quotient coordinates."""
+        xy = np.outer(x, y) % self.p
+        return linalg.matmul(xy.reshape(1, -1), self._table(u, v, w), self.p)[0]
+
+    def _table(self, u, v, w) -> np.ndarray:
+        """Row i * dim(v, w) + j: the quotient coordinates of basis class i
+        of (u, v) followed by basis class j of (v, w).  In degree d, class x
+        of block (a, b), from slot i to slot k, times class col of block
+        (b, c), from slot k to slot j, is class r of block (a, c) for each
+        (r, col) in A.mult_coords(x, "L", c); these index triples pair the
+        entries of the representatives of the two spaces."""
+        if (u, v, w) in self._tables:
+            return self._tables[(u, v, w)]
+        A, p = self.T.algebra, self.p
+        first, then, out = self.space(u, v), self.space(v, w), self.space(u, w)
+        U, V, W = self.parts[u], self.parts[v], self.parts[w]
+        triples = []  # (entry of u -> v, entry of v -> w, entry of their product)
+        for d in U.degrees():
+            for i, a in enumerate(U.slots(d)):
+                for k, b in enumerate(V.slots(d)):
+                    f_off = first.offsets[(d, k, i)]
+                    for x_pos, x in enumerate(A.blocks[(a, b)]):
+                        for j, c in enumerate(W.slots(d)):
+                            g_off, h_off = then.offsets[(d, j, k)], out.offsets[(d, j, i)]
+                            triples.extend((f_off + x_pos, g_off + col, h_off + r)
+                                           for r, col in A.mult_coords(x, "L", c))
+        fi, gi, hi = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+        reps_f, reps_g = first._reduction_data()[1], then._reduction_data()[1]
+        # reduced entries keep each product below 2^62; reduce before summing
+        prods = (reps_f[:, None, fi] * reps_g[None, :, gi]) % p
+        vecs = linalg.zeros(first.dim * then.dim, out.total)
+        np.add.at(vecs, (slice(None), hi), prods.reshape(len(vecs), len(hi)))
+        table = self._tables[(u, v, w)] = out.quotient_coords(vecs)
+        return table
 
     def local_radical(self, u) -> list[np.ndarray]:
         """Coordinate vectors spanning rad End(T_u)."""
-        sp = self.space(u, u)
-        d = sp.dim
+        d = self.space(u, u).dim
         if d == 1:
             return []
-        basis = sp.basis_maps()
-        prods = [[self.compose_coords(u, u, f, g) for g in basis] for f in basis]
-        idc = sp.quotient_coords(sp.vector_of(identity_chain_map(self.parts[u])))
-
-        def left_mult(xc):
-            cols = []
-            for j in range(d):
-                col = linalg.zeros(1, d)[0]
-                for i in range(d):
-                    if xc[i]:
-                        col = (col + int(xc[i]) * prods[i][j]) % self.p
-                cols.append(col)
-            return np.array(cols, dtype=np.int64).T
-
-        def scalar_of(xc) -> int:
-            L = left_mult(xc)
-            if self.p > d and d % self.p != 0:
-                inv_d = pow(d, -1, self.p)
-                c = int(np.trace(L)) % self.p * inv_d % self.p
-                if _is_nilpotent((L - c * linalg.eye(d)) % self.p, self.p, d):
-                    return c
-            for c in range(self.p):
-                if _is_nilpotent((L - c * linalg.eye(d)) % self.p, self.p, d):
-                    return c
-            raise AssertionError("local algebra has no scalar part")
-
+        p, table = self.p, self._table(u, u, u)
+        idc = self.coords(u, u, identity_chain_map(self.parts[u]))
         rad_rows = []
-        for i in range(d):
-            e = linalg.zeros(1, d)[0]
-            e[i] = 1
-            c = scalar_of(e)
-            rad_rows.append((e - c * idc) % self.p)
-        mat = np.array(rad_rows, dtype=np.int64)
-        red, piv = linalg.rref(mat, self.p)
-        return [red[i] for i in range(len(piv))]
+        for i, e in enumerate(linalg.eye(d)):
+            # left multiplication by basis class i: column j is class i followed by class j
+            L = table[i * d:(i + 1) * d].T
+            # its scalar part c, with L - c nilpotent, so trace L = d * c
+            candidates = [int(np.trace(L)) * pow(d, -1, p) % p] if p > d else range(p)
+            c = next((c for c in candidates if _is_nilpotent(L - c * linalg.eye(d), p, d)), None)
+            if c is None:
+                raise AssertionError("local algebra has no scalar part")
+            rad_rows.append((e - c * idc) % p)
+        red, piv = linalg.rref(np.array(rad_rows, dtype=np.int64), p)
+        return list(red[:len(piv)])
 
 
 def _is_nilpotent(mat, p, d) -> bool:
@@ -283,35 +307,26 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     p, m = E.p, E.m
     k = E.T.algebra.tree.multiplicity
 
-    # radical basis per block, as (coords) with chain-map lifts
-    jbasis: dict[tuple, list[tuple[np.ndarray, ChainMap]]] = {}
-    for u in range(m):
-        for v in range(m):
-            if u == v:
-                jbasis[(u, v)] = [(c, E.map_from_coords(u, u, c)) for c in E.local_radical(u)]
-            else:
-                basis = E.space(u, v).basis_maps()
-                jbasis[(u, v)] = list(zip(linalg.eye(len(basis)), basis))
+    # radical basis per block, in quotient coordinates
+    jbasis = {(u, v): E.local_radical(u) if u == v else list(linalg.eye(E.space(u, v).dim))
+              for u in range(m) for v in range(m)}
 
     # radical squared per block
     jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
-    for u in range(m):
-        for w in range(m):
-            for v in range(m):
-                for (_, f) in jbasis[(u, v)]:
-                    for (_, g) in jbasis[(v, w)]:
-                        coords = E.compose_coords(u, w, f, g)
-                        if coords.any():
-                            jsq[(u, w)].append(coords)
+    for u, w, v in product(range(m), repeat=3):
+        for f, g in product(jbasis[(u, v)], jbasis[(v, w)]):
+            coords = E.compose(u, v, w, f, g)
+            if coords.any():
+                jsq[(u, w)].append(coords)
 
-    arrows = []  # (u, v, ChainMap)
+    arrows = []  # (u, v, coordinates)
     for u in range(m):
         for v in range(m):
             if not jbasis[(u, v)]:
                 continue
-            picked = _pick_arrows(jsq[(u, v)], [coords for coords, _ in jbasis[(u, v)]], p)
+            picked = _pick_arrows(jsq[(u, v)], jbasis[(u, v)], p)
             for i in picked:
-                arrows.append((u, v, jbasis[(u, v)][i][1]))
+                arrows.append((u, v, jbasis[(u, v)][i]))
             if u != v and len(picked) > 1:
                 raise AssertionError("more than one arrow between distinct vertices")
 
@@ -321,7 +336,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
         nxt = [
             bi
             for bi, (u2, w, g) in enumerate(arrows)
-            if u2 == v and E.compose_coords(u, w, f, g).any()
+            if u2 == v and E.compose(u, v, w, f, g).any()
         ]
         if len(nxt) > 1:
             raise AssertionError("arrow has more than one nonzero successor")
@@ -360,12 +375,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     for ci, cyc in enumerate(cycles):
         if k < 2:
             break
-        r = len(cyc.members)
-        comp = cyc.witnesses[0]
-        for t in range(1, 2 * r - 1):
-            comp = comp.compose(cyc.witnesses[t % r])
-        u = cyc.members[0]
-        if E.compose_coords(u, u, comp, cyc.witnesses[(2 * r - 1) % r]).any():
+        if _walk(E, cyc.members, cyc.witnesses, 0, 2 * len(cyc.members))[-1].any():
             if exceptional_idx is not None:
                 raise AssertionError("two cycles look exceptional")
             exceptional_idx = ci
@@ -397,45 +407,24 @@ def tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, 
     dimensions the decoders recorded."""
     A = T.algebra
     n = len(T.parts)
-    membership = {i: [] for i in range(n)}
+    # vertex c is cycle c; leaf vertices follow, in summand order
+    cyclic = {ci: cyc.members for ci, cyc in enumerate(cycles)}
+    ends = {i: [] for i in range(n)}
     for ci, cyc in enumerate(cycles):
         if len(set(cyc.members)) != len(cyc.members):
             raise AssertionError("cycle repeats a summand")
         for i in cyc.members:
-            membership[i].append(ci)
-    vertex_orders = {}
-    for ci, cyc in enumerate(cycles):
-        vertex_orders[("c", ci)] = tuple(cyc.members)
-    leaf_count = 0
+            ends[i].append(ci)
     for i in range(n):
-        if len(membership[i]) > 2:
+        if len(ends[i]) > 2:
             raise AssertionError("summand lies on more than two cycles")
-        while len(membership[i]) < 2:
-            vertex_orders[("l", leaf_count)] = (i,)
-            membership[i].append(("leaf", leaf_count))
-            leaf_count += 1
-    vertices = list(vertex_orders)
-    vid = {v: t for t, v in enumerate(vertices)}
-    edges = {}
-    for i in range(n):
-        ends = []
-        for ref in membership[i]:
-            if isinstance(ref, tuple) and ref[0] == "leaf":
-                ends.append(vid[("l", ref[1])])
-            else:
-                ends.append(vid[("c", ref)])
-        edges[i] = tuple(ends)
-    cyclic = {vid[v]: order for v, order in vertex_orders.items()}
+        while len(ends[i]) < 2:
+            ends[i].append(len(cyclic))
+            cyclic[len(cyclic)] = (i,)
     exc_cycles = [ci for ci, cyc in enumerate(cycles) if cyc.exceptional]
     if len(exc_cycles) != 1:
         raise AssertionError("expected exactly one exceptional cycle")
-    tree = BrauerTree(
-        range(len(vertices)),
-        edges,
-        cyclic,
-        vid[("c", exc_cycles[0])],
-        A.tree.multiplicity,
-    )
+    tree = BrauerTree(range(len(cyclic)), ends, cyclic, exc_cycles[0], A.tree.multiplicity)
     if build_tree_algebra(tree, A.prime).cartan_matrix() != endo_cartan(T):
         raise AssertionError(
             "tree Cartan matrix disagrees with the endomorphism Cartan matrix"

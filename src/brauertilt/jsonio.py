@@ -43,6 +43,13 @@ def _typed(value, kind, path):
     return value
 
 
+def _scalar(value, path):
+    """value, refused if it is a JSON list or object (names are hashed)."""
+    if isinstance(value, (list, dict)):
+        raise SchemaError(path, "expected a name, not a list or object")
+    return value
+
+
 def tree_from_json(doc) -> BrauerTree:
     """Parse the tree schema; the star shorthand {"star": {"n":., "k":.}}
     is accepted."""
@@ -57,17 +64,19 @@ def tree_from_json(doc) -> BrauerTree:
             raise SchemaError("$.star", "n and k must be positive integers")
         return BrauerTree.star(n, k)
     vertices = _typed(_need(doc, "vertices", "$"), list, "$.vertices")
+    for i, v in enumerate(vertices):
+        _scalar(v, f"$.vertices[{i}]")
     edges_doc = _typed(_need(doc, "edges", "$"), list, "$.edges")
     cyclic_doc = _typed(_need(doc, "cyclic_order", "$"), dict, "$.cyclic_order")
     exceptional = _need(doc, "exceptional", "$")
     multiplicity = _typed(_need(doc, "multiplicity", "$"), int, "$.multiplicity")
     edges = {}
     for i, e in enumerate(edges_doc):
-        eid = _need(e, "id", f"$.edges[{i}]")
+        eid = _scalar(_need(e, "id", f"$.edges[{i}]"), f"$.edges[{i}].id")
         ends = _need(e, "ends", f"$.edges[{i}]")
         if not isinstance(ends, list) or len(ends) != 2:
             raise SchemaError(f"$.edges[{i}].ends", "expected a pair of vertices")
-        edges[eid] = tuple(ends)
+        edges[eid] = tuple(_scalar(v, f"$.edges[{i}].ends[{j}]") for j, v in enumerate(ends))
     cyclic = {}
     for key, order in cyclic_doc.items():
         v = int(key) if isinstance(key, str) and key.lstrip("-").isdigit() else key

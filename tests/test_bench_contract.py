@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import brauertilt
-from brauertilt import complexes, coverings, trees, verify
+from brauertilt import complexes, coverings, endo, trees, verify
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
 
@@ -22,6 +22,17 @@ def _load_layertrace():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _worked_covering_complex():
+    """The complex of the worked star(4, 1) covering."""
+    cov = coverings.Covering(
+        4,
+        (coverings.CyclicInterval(1, 4),),
+        ((coverings.CyclicInterval(2, 3), coverings.CyclicInterval(2, 2)),),
+        "deg0",
+    )
+    return coverings.covering_to_complex(cov, star_algebra(4, 1))
 
 
 def test_every_traced_name_resolves():
@@ -37,7 +48,9 @@ def test_every_traced_name_resolves():
 def test_traced_sizes_are_recorded():
     """The size counters the tracer reads at span boundaries (the unknowns
     of a ChainMapSpace, the cells of an rref, the dimension of an algebra
-    and the number of trees) still resolve and are recorded."""
+    and the number of trees) still resolve and are recorded, and one decode
+    passes through the spans of both decoders, the witness check and the
+    Cartan check."""
     tracer = _load_layertrace().Tracer()
     tracer.install()
     try:
@@ -52,6 +65,14 @@ def test_traced_sizes_are_recorded():
     assert stats["linalg.rref"]["cells"] > 0
     assert stats["algebra.build"]["max_dim"] == A.dim
     assert stats["trees.enumerate"]["trees"] == len(trees.all_brauer_trees(3, 1))
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        endo.endo_brauer_tree(_worked_covering_complex(), method="both")
+    finally:
+        tracer.uninstall()
+    for span in ("endo.generic", "endo.fast", "endo.validate", "endo.cartan"):
+        assert tracer.stats[span]["calls"] >= 1, span
 
 
 def test_cache_names_read_by_the_bench_child_exist():

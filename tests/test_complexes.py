@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauertilt import linalg
-from brauertilt.algebra import PathClass, idempotent, star_algebra
+from brauertilt.algebra import DEFAULT_PRIME, PathClass, idempotent, star_algebra
 from brauertilt.complexes import (
     ChainMap,
     ChainMapSpace,
@@ -20,7 +20,7 @@ from brauertilt.complexes import (
     stalk_complex,
 )
 from brauertilt.coverings import covering_to_complex, enumerate_coverings
-from brauertilt.endo import summand_complexes
+from brauertilt.endo import EndoAlgebra, summand_complexes
 from brauertilt.modules import uniserial_presentation as pres
 
 
@@ -221,10 +221,10 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 
 @lru_cache(maxsize=None)
-def covering_summands(n, k):
+def covering_summands(n, k, prime=DEFAULT_PRIME):
     """The distinct summands of the complexes of all coverings of the n-gon
     (the trivial one included) over star(n, k)."""
-    A = star_algebra(n, k)
+    A = star_algebra(n, k, prime)
     found = {}
     for cov in enumerate_coverings(n, include_trivial=True):
         T = covering_to_complex(cov, A)
@@ -265,23 +265,45 @@ def test_chain_map_space_properties(nk, data):
 
 
 @PROPERTY
-@given(st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]), st.data())
-def test_chain_map_compose(nk, data):
-    """Composites of basis maps U -> V -> W -> U are chain maps, the identity
-    is a two-sided unit and composition is associative.  U, V and W are sums
-    of one or two summands, so the entries are matrices of path elements."""
-    summands = st.lists(st.sampled_from(covering_summands(*nk)), min_size=1, max_size=2)
-    U, V, W = (direct_sum(data.draw(summands)) for _ in range(3))
+@given(st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]),
+       st.sampled_from((2, 3, 32003, 2**31 - 1)), st.data())
+def test_chain_map_compose(nk, p, data):
+    """EndoAlgebra.compose, the product of End in quotient coordinates,
+    against composites multiplied out entry by entry with _product: on basis
+    classes it gives the classes of the composites, the identity is a
+    two-sided unit, it is associative, and every product lifts to a chain
+    map.  U, V and W are sums of one or two summands rebuilt as one part,
+    so a part can have two slots in a degree."""
+    A = star_algebra(*nk, p)
+    summands = st.lists(st.sampled_from(covering_summands(*nk, p)), min_size=1, max_size=2)
+    U, V, W = (ProjComplex(A, S.comps, S.diffs)
+               for S in (direct_sum(data.draw(summands)) for _ in range(3)))
+    E = EndoAlgebra(direct_sum([U, V, W]))
+    assert E.parts == [U, V, W]
+    u, v, w, x = (data.draw(st.integers(0, 2)) for _ in range(4))
 
-    def some_map(sp):
-        maps = sp.basis_maps()
-        return data.draw(st.sampled_from(maps)) if maps else ChainMap(sp.Q, sp.R, 0, {})
+    target = E.space(u, w)
+    for i, f in enumerate(E.space(u, v).basis_maps()):
+        for j, g in enumerate(E.space(v, w).basis_maps()):
+            comps = {d: _product(A, f.entry(d), g.entry(d), len(E.parts[u].slots(d)))
+                     for d in E.parts[u].degrees() if E.parts[w].slots(d)}
+            composite = target.quotient_coords(target.vector_of(ChainMap(f.Q, g.R, 0, comps)))
+            unit_i, unit_j = linalg.eye(E.space(u, v).dim)[i], linalg.eye(E.space(v, w).dim)[j]
+            assert E.compose(u, v, w, unit_i, unit_j).tolist() == composite.tolist()
 
-    sp = ChainMapSpace(U, V, 0)
-    f, g, h = some_map(sp), some_map(ChainMapSpace(V, W, 0)), some_map(ChainMapSpace(W, U, 0))
-    assert f.compose(g).is_chain_map()
-    for unit in (identity_chain_map(U).compose(f), f.compose(identity_chain_map(V))):
-        assert (unit.Q, unit.R, unit.s) == (U, V, 0)
-        assert sp.vector_of(unit).tolist() == sp.vector_of(f).tolist()
-    left, right = f.compose(g).compose(h), f.compose(g.compose(h))
-    assert [left.entry(d) for d in U.degrees()] == [right.entry(d) for d in U.degrees()]
+    def some_class(a, b):
+        dim = E.space(a, b).dim
+        return np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)),
+                        dtype=np.int64)
+
+    a, b, c = some_class(u, v), some_class(v, w), some_class(w, x)
+    ident_u, ident_v = (E.coords(t, t, identity_chain_map(E.parts[t])) for t in (u, v))
+    assert E.compose(u, u, v, ident_u, a).tolist() == a.tolist()
+    assert E.compose(u, v, v, a, ident_v).tolist() == a.tolist()
+    ab, bc = E.compose(u, v, w, a, b), E.compose(v, w, x, b, c)
+    assert E.compose(u, w, x, ab, c).tolist() == E.compose(u, v, x, a, bc).tolist()
+    for (s, t), coords in (((u, w), ab), ((v, x), bc)):
+        sp = E.space(s, t)
+        lift = linalg.matmul(coords[None, :], sp._reduction_data()[1], p)[0]
+        assert sp.map_from_vector(lift).is_chain_map()
+        assert sp.quotient_coords(lift).tolist() == coords.tolist()

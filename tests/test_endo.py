@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from brauertilt import endo, linalg
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import (
+    ChainMap,
     ChainMapSpace,
     ProjComplex,
     algebra_complex,
@@ -140,6 +141,23 @@ def test_one_space_per_summand_pair_per_decode(monkeypatch):
     monkeypatch.setattr(ChainMapSpace, "__init__", counting_init)
     endo_brauer_tree(T, method="both")
     assert built[0] == len(T.parts) ** 2 == 16
+
+
+def test_decode_builds_few_chain_maps(monkeypatch):
+    """End(T) is multiplied in quotient coordinates: one decode of the
+    worked example builds the 8 fast witnesses and at most one identity per
+    summand as ChainMaps, and no composite."""
+    _, T = worked_example_complex()
+    built = []
+    original = ChainMap.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(ChainMap, "__init__", counting_init)
+    a_cycle_partition(T, "both")
+    assert len(built) <= 8 + len(T.parts) == 12
 
 
 def test_fast_and_generic_agree_on_coverings():

@@ -126,13 +126,22 @@ MALFORMED = [
      "$.cyclic_order"),
     ("algebra", None, "cannot read"),
     ("algebra", {"star": {"n": True, "k": 1}}, "$.star"),
+    ("algebra", {"vertices": [0, 1], "edges": [{"id": [1], "ends": [0, 1]}],
+                 "cyclic_order": {"0": [1], "1": [1]}, "exceptional": 0, "multiplicity": 1},
+     "$.edges[0].id"),
+    ("algebra", {"vertices": [0, 1], "edges": [{"id": 1, "ends": [[0], 1]}],
+                 "cyclic_order": {"0": [1], "1": [1]}, "exceptional": 0, "multiplicity": 1},
+     "$.edges[0].ends[0]"),
+    ("algebra", {"vertices": [0, [1]], "edges": [{"id": 1, "ends": [0, 1]}],
+                 "cyclic_order": {"0": [1], "1": [1]}, "exceptional": 0, "multiplicity": 1},
+     "$.vertices[1]"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, doc, where", MALFORMED,
     ids=["outer-int", "inner-list", "start-string", "cyclic-order-list", "directory",
-         "star-bool"],
+         "star-bool", "edge-id-list", "end-list", "vertex-list"],
 )
 def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, where):
     """Malformed input exits 2, naming where it is wrong, with no traceback
