@@ -305,17 +305,21 @@ class ChainMapSpace:
 
     The unknowns are the coefficients of a map Q -> R[s], in blocks at the
     offsets of `_block_offsets`.  One builder, `_hom_differential`, gives
-    both matrices: the commuting squares C = D_s with sign -1 (the chain
-    maps are ker D_s), and the rows of `null_basis`, N = D_{s-1}^T with
-    sign +1 (the null-homotopic maps are im D_{s-1}).  Construction runs
-    two eliminations, one rref of C and one of N (none for an empty
-    matrix), so dim = total - rank C - rank N; D_s D_{s-1} = 0, the
-    containment of the null-homotopic maps in the chain maps, is checked
-    as C @ N^T = 0.
-    chain_basis (the nullspace of C) is read off the stored rref of C when
-    first asked for; the quotient representatives, with the matrix that
-    gives quotient coordinates, cost one more rref, in the coordinates of
-    chain_basis, when first asked for.
+    both matrices as `linalg.SparseRows` without their zero rows: the
+    commuting squares C = D_s with sign -1 (the chain maps are ker D_s),
+    and N = D_{s-1}^T with sign +1, whose rows span the null-homotopic
+    maps (im D_{s-1}).  Construction runs two eliminations on these rows,
+    one rref of C and one of N (none for a matrix without rows), so
+    dim = total - rank C - rank N; D_s D_{s-1} = 0, the containment of
+    the null-homotopic maps in the chain maps, is checked as C N^T = 0 on
+    the same rows.  For a two-term pair at s = 1, C has no rows, so a
+    tilting decision makes no dense array at all.
+
+    The dense views are made on first use: null_basis (the reduced rows of
+    N), chain_basis (the nullspace of C, read off its stored rref) and, at
+    the cost of one more rref in the coordinates of chain_basis, the
+    quotient representatives and the matrix that gives quotient
+    coordinates, which holds chain_basis as its left block.
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -329,21 +333,29 @@ class ChainMapSpace:
         q_entries = _nonzero_entries(Q)
         entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
         cmat = _hom_differential(A, Q, R, s, -1, here, above, entries)
-        self.null_basis = _hom_differential(A, Q, R, s - 1, 1, below, here, entries).T
-
-        self._chain_rref = _rref(cmat, p)
-        null_red, null_piv = _rref(self.null_basis, p)
-        self._null_rows = null_red[: len(null_piv)]
+        nmat = _hom_differential(A, Q, R, s - 1, 1, below, here, entries, transpose=True)
+        # one elimination for each matrix that has rows
+        (self._chain_red, self._chain_pivots), (self._null_red, null_piv) = [
+            linalg.rref(m, p) if m.rows else (m, []) for m in (cmat, nmat)
+        ]
         self.null_rank = len(null_piv)
-        if linalg.matmul(cmat, self.null_basis.T, p).any():
+        if not _product_vanishes(cmat, nmat, p):
             raise AssertionError("null-homotopic maps escaped the chain-map space")
-        self.dim = self.total - len(self._chain_rref[1]) - self.null_rank
+        self.dim = self.total - len(self._chain_pivots) - self.null_rank
         self._reduction = None
 
     @cached_property
+    def null_basis(self) -> np.ndarray:
+        """Rows form a basis of the null-homotopic maps: the reduced rows
+        of N."""
+        return self._null_red.dense()[: self.null_rank]
+
+    @property
     def chain_basis(self) -> np.ndarray:
-        """Rows span the chain maps: the nullspace of the commuting squares."""
-        return linalg.nullspace_of_rref(*self._chain_rref, self.Q.algebra.prime)
+        """Rows span the chain maps: the nullspace of the commuting squares,
+        read off their stored rref on each call."""
+        return linalg.nullspace_of_rref(self._chain_red.dense(), self._chain_pivots,
+                                        self.Q.algebra.prime)
 
     # -- conversions ---------------------------------------------------------------
 
@@ -379,38 +391,44 @@ class ChainMapSpace:
     def _reduction_data(self):
         """The free columns of the rref of C, the chain-basis rows that are
         independent of the null rows and of the earlier chain-basis rows,
-        and the matrix taking chain-basis coordinates to their coefficients.
+        and the matrix [chain_basis | F^T] that quotient_coords multiplies
+        by.
 
         A chain map v is the combination of the chain basis with the
         coefficients y = v[free].  In these coordinates the chain basis is
-        the identity and the null rows are N_c = null_rows[:, free], so one
+        the identity and the null rows are N_c = null_basis[:, free], so one
         rref of [N_c^T | I] picks the representatives (its pivot columns in
         I) and its right block E inverts the transposed stack of the null
-        rows and the representatives: the quotient coordinates of v are the
-        representatives' rows of E times y.
+        rows and the representatives: the quotient coordinates of v are
+        F y, F the representatives' rows of E.  So y [chain_basis | F^T]
+        is v followed by its quotient coordinates.
         """
         if self._reduction is None:
-            taken = set(self._chain_rref[1])
+            taken = set(self._chain_pivots)
             free = [c for c in range(self.total) if c not in taken]
-            null_c = self._null_rows[:, free]
+            null_c = self.null_basis[:, free]
             k, c = null_c.shape
             aug = np.concatenate([null_c.T, linalg.eye(c)], axis=1)
-            red, pivots = _rref(aug, self.Q.algebra.prime)
+            red, pivots = linalg.rref(aug, self.Q.algebra.prime) if c else (aug, [])
             chosen = np.array([j - k for j in pivots[k:]], dtype=np.intp)
-            self._reduction = (free, self.chain_basis[chosen], red[k:, k:])
+            chain_basis = self.chain_basis
+            both = np.concatenate([chain_basis, red[k:, k:].T], axis=1)
+            self._reduction = (free, chain_basis[chosen], both)
         return self._reduction
 
     def quotient_coords(self, vecs) -> np.ndarray:
         """Coordinates in the homotopy quotient of a chain-map vector, or
         one row of them per row of a stack of such vectors."""
-        free, _, coeffs = self._reduction_data()
+        free, _, both = self._reduction_data()
         p = self.Q.algebra.prime
         vecs = np.asarray(vecs, dtype=np.int64) % p
         stack = vecs if vecs.ndim == 2 else vecs[None, :]
-        y = stack[:, free]
-        if (linalg.matmul(y, self.chain_basis, p) != stack).any():
+        # one product: the vector again if it is a chain map, then its
+        # quotient coordinates
+        prod = linalg.matmul(stack[:, free], both, p)
+        if (prod[:, : self.total] != stack).any():
             raise ValueError("vector is not a chain map")
-        out = linalg.matmul(y, coeffs.T, p)
+        out = prod[:, self.total :]
         return out if vecs.ndim == 2 else out[0]
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
@@ -447,47 +465,64 @@ def _nonzero_entries(X: ProjComplex) -> list:
 
 
 def _hom_differential(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, t: int,
-                      sign: int, src, tgt, entries) -> np.ndarray:
-    """The matrix, reduced mod p, of D_t(f) = d_Q f + sign * f d_R from the
-    maps Q -> R[t] to the maps Q -> R[t+1]; src and tgt are their
+                      sign: int, src, tgt, entries, transpose: bool = False) -> linalg.SparseRows:
+    """The nonzero rows, reduced mod p, of the matrix of
+    D_t(f) = d_Q f + sign * f d_R from the maps Q -> R[t] to the maps
+    Q -> R[t+1], or of its transpose; src and tgt are their
     _block_offsets, entries the _nonzero_entries of Q and of R.  Row block
-    (d, j, i) holds the coordinates of the map from Q_d slot i to R_{d+t+1}
-    slot j."""
+    (d, j, i) of D_t holds the coordinates of the map from Q_d slot i to
+    R_{d+t+1} slot j.  Each product of A.mult_coords is added into its row
+    as it comes, and an entry that cancels to 0 is dropped."""
     (src_off, cols), (tgt_off, rows) = src, tgt
     q_entries, r_entries = entries
-    coo: list = []  # (row, column, value)
+    p = A.prime
+    acc: dict[int, dict[int, int]] = {}
+
+    def put(r0: int, c0: int, x, side: str, edge, sign: int) -> None:
+        # add sign times the block of multiplication by the element x (see
+        # BrauerTreeAlgebra.mult_coords for side and edge) at (r0, c0)
+        for pc, v in x.items():
+            v *= sign
+            for r, c in A.mult_coords(pc, side, edge):
+                i, j = (c0 + c, r0 + r) if transpose else (r0 + r, c0 + c)
+                row = acc.get(i)
+                if row is None:
+                    row = acc[i] = {}
+                val = (row.get(j, 0) + v) % p
+                if val:
+                    row[j] = val
+                else:
+                    row.pop(j, None)
+
     for d, m, i, x in q_entries:
         # x from Q_d slot i to Q_{d+1} slot m, followed by f_{d+1}
         for j, b in enumerate(R.slots(d + t + 1)):
-            _put(coo, tgt_off[(d, j, i)], src_off[(d + 1, j, m)], A, x, "L", b, 1)
+            put(tgt_off[(d, j, i)], src_off[(d + 1, j, m)], x, "L", b, 1)
     for e, j, jj, x in r_entries:
         # f_d into R_e slot jj, followed by x from there to R_{e+1} slot j
         d = e - t
         for i, a in enumerate(Q.slots(d)):
-            _put(coo, tgt_off[(d, j, i)], src_off[(d, jj, i)], A, x, "R", a, sign)
-    mat = linalg.zeros(rows, cols)
-    if coo:
-        r, c, v = zip(*coo)
-        np.add.at(mat, (list(r), list(c)), v)
-    return mat % A.prime
+            put(tgt_off[(d, j, i)], src_off[(d, jj, i)], x, "R", a, sign)
+    return linalg.SparseRows([row for row in acc.values() if row], rows if transpose else cols)
 
 
-def _put(coo: list, r0: int, c0: int, A: BrauerTreeAlgebra, x, side: str, edge,
-         sign: int) -> None:
-    """Append sign times the block of multiplication by the element x (see
-    BrauerTreeAlgebra.mult_coords for side and edge) at row r0 and column
-    c0."""
-    for pc, v in x.items():
-        v *= sign
-        for r, c in A.mult_coords(pc, side, edge):
-            coo.append((r0 + r, c0 + c, v))
-
-
-def _rref(mat: np.ndarray, p: int):
-    """linalg.rref of mat without its zero rows, and no elimination on an
-    empty matrix."""
-    mat = mat[mat.any(axis=1)]
-    return linalg.rref(mat, p) if mat.size else (mat, [])
+def _product_vanishes(a: linalg.SparseRows, b: linalg.SparseRows, p: int) -> bool:
+    """Whether a b^T = 0 mod p, for sparse rows of the same width: each
+    row of b is multiplied against the entries of a, column by column."""
+    by_col: dict[int, list] = {}
+    for i, row in enumerate(a.rows):
+        for j, v in row.items():
+            by_col.setdefault(j, []).append((i, v))
+    if not by_col:
+        return True
+    for row in b.rows:
+        acc: dict[int, int] = {}
+        for j, v in row.items():
+            for i, w in by_col.get(j, ()):
+                acc[i] = acc.get(i, 0) + v * w
+        if any(x % p for x in acc.values()):
+            return False
+    return True
 
 
 def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False) -> int:

@@ -1,10 +1,16 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  The
-matrices this package eliminates are small and sparse, so `rref`, behind
-`rank`, `nullspace` and `solve`, runs Gauss-Jordan elimination
-on sparse rows held as {column: value} dicts of Python ints: its cost
-follows the nonzero entries, not the cells, and no value can overflow.
+Dense matrices are numpy int64 arrays with entries reduced into [0, p).
+The elimination layer has one row type, `SparseRows`: a list of
+{column: value} dicts of reduced nonzero Python ints with a `.shape`.
+The matrices this package eliminates are small and sparse, so `rref` runs
+Gauss-Jordan elimination on such rows: its cost follows the nonzero
+entries, not the cells, and no value can overflow.  `rref` takes either
+kind and returns the reduced form in the kind it was given; a dense input
+is read into rows first, and a caller that builds its rows directly
+(`ChainMapSpace`, the rank check of `is_tilting`) makes no dense array to
+eliminate.  `rank`, `nullspace`, `nullspace_of_rref` and `solve` take and
+return dense arrays.
 `matmul` stays in numpy and reduces its operands first, since it may be
 handed unreduced entries.  A product of two reduced entries fits in int64
 for any prime < 2**31, but a sum of such products may not: `matmul` adds at
@@ -50,44 +56,70 @@ def matmul(a, b, p: int) -> np.ndarray:
     return out
 
 
-def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+class SparseRows:
+    """A matrix over F_p held as sparse rows.
 
-    Rows are reduced one at a time as sparse {column: value} dicts.  Each
-    incoming row is cleared of the pivot columns found so far; its least
-    remaining column becomes a new pivot, the row is scaled to 1 there, and
-    that column is cleared from the earlier pivot rows.  Every pivot row's
-    least column is then its pivot, so the pivot rows sorted by pivot are
-    the reduced form, which is unique.
+    `rows` lists the first rows as {column: value} dicts whose values are
+    nonzero Python ints in [1, p); the matrix has `height` rows (by
+    default as many as are listed), the rows past the listed ones are
+    zero, and `cols` columns.
     """
+
+    __slots__ = ("rows", "cols", "height")
+
+    def __init__(self, rows: list, cols: int, height: int | None = None):
+        self.rows = rows
+        self.cols = cols
+        self.height = len(rows) if height is None else height
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.height, self.cols
+
+    def dense(self) -> np.ndarray:
+        out = zeros(self.height, self.cols)
+        cols = self.cols
+        out.put([i * cols + j for i, row in enumerate(self.rows) for j in row],
+                [v for row in self.rows for v in row.values()])
+        return out
+
+
+def sparse(a, p: int) -> SparseRows:
+    """The dense matrix a, reduced mod p, as sparse rows: one ravel(), one
+    nonzero() and one gather, then one dict per row."""
     m = asmat(a)
     rows, cols = m.shape
     flat = m.ravel()
     nonzero = flat.nonzero()[0]
+    out: list[dict[int, int]] = [{} for _ in range(rows)]
+    for pos, val in zip(nonzero.tolist(), (flat[nonzero] % p).tolist()):
+        if val:
+            r, c = divmod(pos, cols)
+            out[r][c] = val
+    return SparseRows(out, cols)
+
+
+def rref(a, p: int) -> tuple[np.ndarray | SparseRows, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    a is a dense matrix or `SparseRows`, and the reduced form comes back
+    in the same kind, with the shape of a (its zero rows last).  Rows are
+    reduced one at a time as sparse {column: value} dicts.  Each incoming
+    row is cleared of the pivot columns found so far; its least remaining
+    column becomes a new pivot, the row is scaled to 1 there, and that
+    column is cleared from the earlier pivot rows.  Every pivot row's
+    least column is then its pivot, so the pivot rows sorted by pivot are
+    the reduced form, which is unique.
+    """
+    dense = not isinstance(a, SparseRows)
+    rows = sparse(a, p) if dense else a
     pivot_rows: dict[int, dict[int, int]] = {}
-    row: dict[int, int] = {}
-    current = -1
-    for pos, val in zip(nonzero.tolist(), flat[nonzero].tolist()):
-        val %= p
-        if not val:
-            continue
-        r, c = divmod(pos, cols)
-        if r != current:
-            if row:
-                _add_row(row, pivot_rows, p)
-            row, current = {}, r
-        row[c] = val
-    if row:
-        _add_row(row, pivot_rows, p)
+    for row in rows.rows:
+        # elimination edits its rows in place: a caller's rows are copied
+        _add_row(row if dense else dict(row), pivot_rows, p)
     pivots = sorted(pivot_rows)
-    positions, values = [], []
-    for i, c in enumerate(pivots):
-        for j, v in pivot_rows[c].items():
-            positions.append(i * cols + j)
-            values.append(v)
-    out = zeros(rows, cols)
-    out.put(positions, values)
-    return out, pivots
+    red = SparseRows([pivot_rows[c] for c in pivots], rows.cols, rows.height)
+    return (red.dense() if dense else red), pivots
 
 
 def _add_row(row: dict[int, int], pivot_rows: dict[int, dict[int, int]], p: int) -> None:

@@ -293,9 +293,14 @@ def sub_representation(M: Representation, spans) -> tuple[Representation, Module
     vector of the span are its entries at the pivot columns; one product
     then checks that the arrow images lie in the span at all.
     """
+    return _sub_of_reduced(M, _reduced_spans(M, spans))
+
+
+def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleMap]:
+    """sub_representation of spans given as _reduced_spans returns them:
+    per edge, the reduced basis and its pivot columns."""
     A = M.algebra
     p = A.prime
-    reduced = _reduced_spans(M, spans)
     bases = [red for red, _ in reduced]
     act = {}
     for arrow in A.arrows:
@@ -488,11 +493,37 @@ def syzygy(M: Representation, _check=True) -> Representation:
 
 def _syzygy_with_embedding(M: Representation):
     """(syzygy, its inclusion into the cover, cover edges, slot offsets)."""
-    A = M.algebra
     cover_edges, cover, offsets, cover_map = projective_cover(M)
-    spans = [linalg.nullspace(cover_map.mats[i], A.prime) for i in range(A.n)]
-    sub, incl = sub_representation(cover, spans)
+    sub, incl = kernel_representation(cover_map)
     return sub, incl, cover_edges, offsets
+
+
+def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """The kernel of f as a subrepresentation of its source; returns
+    (kernel, inclusion) as sub_representation does, with one elimination
+    per edge (see _reduced_kernel)."""
+    p = f.source.algebra.prime
+    return _sub_of_reduced(f.source, [_reduced_kernel(m, p) for m in f.mats])
+
+
+def _reduced_kernel(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced row echelon basis of {x : m @ x = 0} and its pivots.
+
+    With the columns of m reversed, the nullspace_of_rref basis has one
+    row per free column f: 1 there, 0 at the other free columns, and
+    nonzero entries only at pivot columns before f.  Read back in the
+    original column order each row leads with 1 at its free column and is
+    0 at the others, so, sorted by leading column, these rows are the
+    reduced basis of the kernel, which is unique, and its pivots are the
+    free columns.
+    """
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return linalg.eye(cols), list(range(cols))
+    red, piv = linalg.rref(m[:, ::-1], p)
+    taken = {cols - 1 - c for c in piv}
+    return (linalg.nullspace_of_rref(red, piv, p)[::-1, ::-1],
+            [c for c in range(cols) if c not in taken])
 
 
 def second_syzygy(M: Representation, _check=True) -> Representation:
@@ -698,8 +729,7 @@ def decompose_serial(M: Representation) -> list[UniserialSpec]:
         U = uniserial_rep(A, spec)
         incl = _cyclic_inclusion(current, top_edge, v, U)
         proj = _splitting_projection(current, U, incl)
-        kernel_spans = [linalg.nullspace(proj.mats[i], A.prime) for i in range(A.n)]
-        current, _ = sub_representation(current, kernel_spans)
+        current, _ = kernel_representation(proj)
         out.append(spec)
     return sorted(out, key=lambda s: (s.top, s.length))
 

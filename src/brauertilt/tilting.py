@@ -71,9 +71,9 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     """
     if T.comps and T.max_degree - T.min_degree > 1:
         raise ValueError("is_tilting decides two-term complexes only")
-    A = T.algebra
-    classes = np.array([P.k0_class() for P in T.parts], dtype=np.int64).reshape(-1, A.n)
-    if linalg.rank(classes, A.prime) != A.n:
+    A, p = T.algebra, T.algebra.prime
+    classes = [{j: c % p for j, c in enumerate(P.k0_class()) if c % p} for P in T.parts]
+    if len(linalg.rref(linalg.SparseRows(classes, A.n), p)[1]) != A.n:
         return False
     return is_partial_tilting(T, direct=direct)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import linalg
+from brauertilt import complexes, linalg
 from brauertilt.algebra import DEFAULT_PRIME, PathClass, idempotent, star_algebra
 from brauertilt.complexes import (
     ChainMap,
@@ -203,6 +203,39 @@ def test_null_homotopies_of_three_term_complexes(n, k):
                 assert linalg.rank(images, A.prime) == sp.null_rank
                 both = np.concatenate([images, sp.null_basis])
                 assert linalg.rank(both, A.prime) == sp.null_rank
+
+
+def test_containment_check_refuses_a_perturbed_null_row(monkeypatch):
+    """ChainMapSpace checks C N^T = 0, i.e. that the null-homotopic maps
+    are chain maps.  For the three-term X against itself at s = 0 both C
+    and N have rows; adding 1 to the first row of N at a column where the
+    first row of C is nonzero changes that entry of C N^T by a nonzero
+    amount, and construction must refuse the space."""
+    A = star_algebra(3, 1)
+    first = A.star_path(1, 2)
+    second = A.star_path(first.end, 2)
+    X = ProjComplex(A, {0: (1,), 1: (first.end,), 2: (second.end,)},
+                    {0: [[{first: 1}]], 1: [[{second: 1}]]})
+    s = 0
+    ChainMapSpace(X, X, s)  # unperturbed, the check passes
+    original = complexes._hom_differential
+    chain_rows = []
+
+    def perturbed(A, Q, R, t, *args, **kwargs):
+        m = original(A, Q, R, t, *args, **kwargs)
+        if t == s:
+            chain_rows.extend(m.rows)
+        elif t == s - 1:
+            assert chain_rows and m.rows
+            j = min(chain_rows[0])
+            row = dict(m.rows[0])
+            row[j] = (row.get(j, 0) + 1) % A.prime
+            m = linalg.SparseRows([{c: v for c, v in row.items() if v}, *m.rows[1:]], m.cols)
+        return m
+
+    monkeypatch.setattr(complexes, "_hom_differential", perturbed)
+    with pytest.raises(AssertionError, match="null-homotopic maps escaped"):
+        ChainMapSpace(X, X, s)
 
 
 def test_euler_pairing_signs():

@@ -203,3 +203,38 @@ def test_matmul_reduces_unreduced_input_near_2_31():
     a = np.full((2, 2), -2 * p + 3, dtype=np.int64)
     b = np.full((2, 2), -2 * p + 5, dtype=np.int64)
     assert linalg.matmul(a, b, p).tolist() == [[30, 30], [30, 30]]
+
+
+@st.composite
+def row_sets(draw, max_rows=7, max_cols=8):
+    """Reduced matrices with the shapes sparse callers hand rref: empty
+    ones, one column, zero rows and repeated rows among random ones."""
+    p = draw(st.sampled_from(PRIMES))
+    cols = draw(st.one_of(st.just(1), st.integers(0, max_cols)))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        copy = list(rows[draw(st.integers(0, len(rows) - 1))])
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), cols), p
+
+
+@PROPERTY
+@given(row_sets())
+def test_sparse_rref_equals_dense_rref(case):
+    a, p = case
+    dicts = [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
+    red, pivots = linalg.rref(a, p)
+    for rows in (linalg.SparseRows(dicts, a.shape[1]),
+                 # the zero rows left out and counted in the height instead
+                 linalg.SparseRows([r for r in dicts if r], a.shape[1], a.shape[0])):
+        before = [dict(r) for r in rows.rows]
+        sred, spivots = linalg.rref(rows, p)
+        assert isinstance(sred, linalg.SparseRows)
+        assert spivots == pivots
+        assert sred.shape == red.shape == a.shape
+        assert sred.dense().tolist() == red.tolist()
+        assert rows.rows == before
+    assert linalg.sparse(a, p).dense().tolist() == a.tolist()

@@ -1,3 +1,4 @@
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from brauertilt import linalg
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.modules import (
+    _reduced_kernel,
     ModuleMap,
     Representation,
     UniserialSpec,
@@ -26,6 +28,7 @@ from brauertilt.modules import (
     simple_rep,
     socle_quotient_rep,
     string_rep,
+    projective_cover,
     sub_representation,
     syzygy,
     top_and_socle,
@@ -417,3 +420,41 @@ def test_sub_representation_runs_one_elimination_per_nonempty_span(monkeypatch):
     rad[0].append(2 * rad[0][0])
     sub, _ = sub_representation(P, [np.array(r) for r in rad])
     assert sub.dims == (1, 1, 1) and len(calls) == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 32003]), st.data())
+def test_reduced_kernel_is_the_rref_of_the_nullspace(p, data):
+    """One elimination of the column-reversed matrix gives the reduced
+    kernel basis that rref(nullspace(m)) gives with two."""
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, p - 1]), st.integers(0, p - 1))
+    m = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)),
+                 dtype=np.int64).reshape(rows, cols)
+    basis, pivots = _reduced_kernel(m, p)
+    ns = linalg.nullspace(m, p)
+    red, ref_pivots = linalg.rref(ns, p) if ns.size else (ns, [])
+    assert pivots == ref_pivots
+    assert basis.shape == (len(pivots), cols)
+    assert basis.tolist() == red[: len(ref_pivots)].tolist()
+
+
+def test_syzygy_runs_one_elimination_per_nonempty_component(monkeypatch):
+    """The kernel of the cover map costs one rref per component with rows
+    and columns, and its reduced basis is not eliminated again."""
+    A = star_algebra(3, 2)
+    M = uniserial_rep(A, UniserialSpec(1, 3))
+    mats = projective_cover(M)[3].mats
+    callers = []
+    original = linalg.rref
+
+    def counting_rref(a, p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    omega = syzygy(M)
+    assert callers.count("_reduced_kernel") == sum(1 for m in mats if m.size)
+    assert "_reduced_spans" not in callers
+    assert sum(omega.dims) == sum(m.shape[1] for m in mats) - sum(M.dims)

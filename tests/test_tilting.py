@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import complexes, tilting
+from brauertilt import complexes, linalg, tilting
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ProjComplex,
@@ -320,3 +320,24 @@ def test_tilting_decisions_build_spaces_at_shift_one_only(monkeypatch):
     built.clear()
     assert len(enumerate_two_term_tilting_bruteforce(star_algebra(3, 1))) == 20
     assert built and set(built) == {1}  # catalogue, pairwise filter, final checks
+
+
+def test_direct_decisions_eliminate_sparse_rows_only(monkeypatch):
+    """is_tilting(direct=True) over the coverings of star(4, 1) hands
+    linalg.rref sparse rows in every call, the class rank and the
+    chain-map spaces alike: no decision builds a dense matrix to
+    eliminate."""
+    A = star_algebra(4, 1)
+    complexes_ = [covering_to_complex(cov, A) for cov in enumerate_coverings(4)]
+    assert len(complexes_) == 68
+    kinds = []
+    original = linalg.rref
+
+    def recording_rref(a, p):
+        kinds.append(type(a))
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    assert all(is_tilting(T, direct=True) for T in complexes_)
+    assert len(kinds) >= 2 * 68
+    assert set(kinds) == {linalg.SparseRows}
