@@ -68,10 +68,13 @@ class BrauerTreeAlgebra:
         self._check_consistency()
         # dim Hom(X, Y[s]) keyed (X.content_id, Y.content_id, s); the ids
         # number the contents in complex_ids; summand_cache memoizes
-        # modules.uniserial_presentation
+        # modules.uniserial_presentation; syzygy_cache memoizes
+        # modules._syzygy_with_embedding, keyed by a module's dims and the
+        # bytes of its arrow matrices
         self.hom_cache: dict = {}
         self.complex_ids: dict = {}
         self.summand_cache: dict = {}
+        self.syzygy_cache: dict = {}
         self.mult_cache: dict = {}
         # built on first use (most algebras never act on a module); not a
         # functools.cached_property, which writes through the instance

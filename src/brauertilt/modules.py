@@ -14,6 +14,14 @@ projective cover fills its map this way.  P_i splits off M exactly when the
 socle class z_i acts nonzero on the i-component.  Sub- and quotient modules
 work in the reduced row echelon basis of each span, where the coordinates
 of a vector of the span are its entries at the pivot columns.
+
+Syzygies are computed once per module content: the algebra's
+`syzygy_cache` holds the syzygy, its inclusion into the projective cover
+and the cover's slots, keyed by the module's dims and arrow matrices, and
+`syzygy`, `second_syzygy` and `min_proj_presentation` all read it.  The
+memo only shares the result of a deterministic computation, so the module
+route and the chain-map route of the presentation criterion still
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -447,11 +455,9 @@ def projective_sum(A: BrauerTreeAlgebra, edges) -> tuple[Representation, list]:
     dims = [0] * A.n
     offsets = []
     for cover_edge in edges:
-        offs = {}
+        offsets.append(tuple(dims))
         for c_idx, c in enumerate(A.edges):
-            offs[c_idx] = dims[c_idx]
             dims[c_idx] += len(A.blocks[(c, cover_edge)])
-        offsets.append(offs)
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
@@ -492,10 +498,25 @@ def syzygy(M: Representation, _check=True) -> Representation:
 
 
 def _syzygy_with_embedding(M: Representation):
-    """(syzygy, its inclusion into the cover, cover edges, slot offsets)."""
-    cover_edges, cover, offsets, cover_map = projective_cover(M)
-    sub, incl = kernel_representation(cover_map)
-    return sub, incl, cover_edges, offsets
+    """(syzygy, its inclusion into the cover, cover edges, slot offsets),
+    computed once per module content on the algebra (`syzygy_cache`).
+
+    With the dims fixed every arrow matrix has a fixed shape, so the dims
+    and the bytes of the matrices in arrow order identify the content
+    exactly.  The computation reads nothing else, so a hit returns what a
+    fresh computation would.  The shared result is frozen: its arrays are
+    read-only and its edges and offsets are tuples.
+    """
+    A = M.algebra
+    key = (M.dims, b"".join(M.act[arrow].tobytes() for arrow in A.arrows))
+    hit = A.syzygy_cache.get(key)
+    if hit is None:
+        cover_edges, cover, offsets, cover_map = projective_cover(M)
+        sub, incl = kernel_representation(cover_map)
+        for m in (*sub.act.values(), *cover.act.values(), *incl.mats):
+            m.flags.writeable = False
+        hit = A.syzygy_cache[key] = (sub, incl, tuple(cover_edges), tuple(offsets))
+    return hit
 
 
 def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:

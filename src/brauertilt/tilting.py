@@ -33,7 +33,10 @@ from .modules import (
 
 
 def shift_range(Q: ProjComplex, R: ProjComplex):
-    """Nonzero shifts where Hom can be nonzero for degree reasons."""
+    """Nonzero shifts where Hom can be nonzero for degree reasons; none
+    when either complex is zero."""
+    if not Q.comps or not R.comps:
+        return []
     lo = R.min_degree - Q.max_degree
     hi = R.max_degree - Q.min_degree
     return [s for s in range(lo, hi + 1) if s != 0]

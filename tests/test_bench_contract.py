@@ -10,9 +10,10 @@ import importlib.util
 from pathlib import Path
 
 import brauertilt
-from brauertilt import complexes, coverings, endo, trees, verify
+from brauertilt import complexes, coverings, endo, tilting, trees, verify
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
+from brauertilt.modules import UniserialSpec, uniserial_presentation, uniserial_rep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,6 +80,28 @@ def test_cache_names_read_by_the_bench_child_exist():
     assert isinstance(verify._MEMO, dict)
     assert isinstance(verify._ALGEBRAS, dict)
     assert callable(coverings._inner_families.cache_info)
+
+
+def test_syzygy_memo_lives_on_each_algebra():
+    """child.check_cold reads only module-level caches.  The syzygy memo is
+    an attribute of the algebra, so every pass still starts cold: a fresh
+    star_algebra starts with it empty, and two algebras built from the same
+    tree share no entries.  The traced spans around syzygies still record."""
+    A, B = star_algebra(3, 1), star_algebra(3, 1)
+    assert A.syzygy_cache == {} and B.syzygy_cache == {}
+    M = uniserial_rep(A, UniserialSpec(1, 2))
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        tilting.module_partial_tilting_test(M)
+    finally:
+        tracer.uninstall()
+    assert len(A.syzygy_cache) == 2 and B.syzygy_cache == {}
+    assert tracer.stats["modules.syzygy"]["calls"] == 2
+    assert tracer.stats["modules.presentation"]["calls"] == 1
+    uniserial_presentation(B, 1, 2)
+    assert len(B.syzygy_cache) == 1 and B.syzygy_cache.keys() <= A.syzygy_cache.keys()
+    assert all(A.syzygy_cache[k][0] is not B.syzygy_cache[k][0] for k in B.syzygy_cache)
 
 
 def _names_read_from_bt(path: Path) -> set[tuple[str, ...]]:

@@ -1,4 +1,5 @@
 import sys
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import linalg
+from brauertilt import linalg, modules
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.modules import (
     _reduced_kernel,
@@ -34,7 +35,7 @@ from brauertilt.modules import (
     top_and_socle,
     uniserial_rep,
 )
-from brauertilt.tilting import cokernel_rep
+from brauertilt.tilting import cokernel_rep, module_partial_tilting_test
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
 
@@ -458,3 +459,83 @@ def test_syzygy_runs_one_elimination_per_nonempty_component(monkeypatch):
     assert callers.count("_reduced_kernel") == sum(1 for m in mats if m.size)
     assert "_reduced_spans" not in callers
     assert sum(omega.dims) == sum(m.shape[1] for m in mats) - sum(M.dims)
+
+
+def _content(M):
+    return M.dims, b"".join(M.act[arrow].tobytes() for arrow in M.algebra.arrows)
+
+
+def _same_syzygy(got, want):
+    (omega, incl, edges, offsets), (omega_w, incl_w, edges_w, offsets_w) = got, want
+    A = omega.algebra
+    return (
+        omega.dims == omega_w.dims
+        and all(np.array_equal(omega.act[a], omega_w.act[a]) for a in A.arrows)
+        and len(incl.mats) == len(incl_w.mats)
+        and all(np.array_equal(x, y) for x, y in zip(incl.mats, incl_w.mats))
+        and edges == edges_w
+        and offsets == offsets_w
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("which", ["star(3,2)", "tree(4,1)"])
+def test_syzygy_memo_is_exact(which, p, monkeypatch):
+    """A memo hit returns what a fresh algebra built from the same tree
+    computes, a module differing in one entry misses, and the shared
+    arrays are read-only."""
+    def fresh():
+        if which == "star(3,2)":
+            return star_algebra(3, 2, p)
+        return build_tree_algebra(all_brauer_trees(4, 1)[1], p)
+
+    A = fresh()
+    covers = []
+    original = modules.projective_cover
+    monkeypatch.setattr(modules, "projective_cover", lambda M: covers.append(M) or original(M))
+    catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+    assert catalogue
+    for M in catalogue:
+        first = modules._syzygy_with_embedding(M)
+        computed = len(covers)
+        hit = modules._syzygy_with_embedding(Representation(A, M.dims, M.act))
+        assert hit is first and len(covers) == computed
+        assert syzygy(M) is hit[0]
+        B = fresh()
+        assert _same_syzygy(hit, modules._syzygy_with_embedding(Representation(B, M.dims, M.act)))
+
+        # B's memo holds M alone; a copy differing in one entry must miss
+        for arrow in (a for a in B.arrows if M.act[a].size):
+            act = {a: M.act[a].copy() for a in B.arrows}
+            act[arrow][0, 0] = (act[arrow][0, 0] + 1) % p
+            computed = len(covers)
+            with suppress(ValueError):  # the changed copy need not be a module
+                modules._syzygy_with_embedding(Representation(B, M.dims, act))
+            assert len(covers) == computed + 1
+
+        omega, incl, _, _ = hit
+        for m in (*omega.act.values(), *incl.mats, *incl.target.act.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = 0
+
+
+def test_presentation_and_criterion_compute_each_syzygy_once(monkeypatch):
+    """min_proj_presentation and the module criterion that reads it share
+    their syzygies: over the star(4, 2) catalogue the projective cover is
+    built once per distinct module content, where computing Omega(M) for
+    the presentation, again for the second syzygy, and then Omega(Omega M),
+    would build it three times per module."""
+    A = star_algebra(4, 2)
+    covered = []
+    original = modules.projective_cover
+
+    def counting_cover(M):
+        covered.append(_content(M))
+        return original(M)
+
+    monkeypatch.setattr(modules, "projective_cover", counting_cover)
+    catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+    for M in catalogue:
+        module_partial_tilting_test(M, presentation=min_proj_presentation(M))
+    assert len(covered) == len(set(covered)) < 3 * len(catalogue)
+    assert {_content(M) for M in catalogue} <= set(covered)

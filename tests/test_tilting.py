@@ -239,6 +239,23 @@ def test_decompose_identity_is_contractible():
         assert hom_complex_dim(D, probe, s, direct=True) == 0
 
 
+def test_zero_complex_is_partial_tilting_and_not_tilting():
+    """The zero complex, which decompose_two_term returns when everything
+    is contractible, has no Homs: no shift to check, partial tilting, and
+    not tilting since its class spans nothing."""
+    A = star_algebra(3, 1)
+    from brauertilt.algebra import idempotent
+
+    Z = ProjComplex(A, {}, {})
+    assert shift_range(Z, Z) == []
+    assert shift_range(Z, algebra_complex(A, 0)) == shift_range(algebra_complex(A, 0), Z) == []
+    for direct in (False, True):
+        assert is_partial_tilting(Z, direct=direct)
+        assert not is_tilting(Z, direct=direct)
+    D = decompose_two_term(ProjComplex(A, {0: (2,), 1: (2,)}, {0: [[{idempotent(2): 1}]]}))
+    assert not D.comps and is_partial_tilting(D) and not is_tilting(D)
+
+
 @lru_cache(maxsize=None)
 def nonprojective_indecomposables(n, k, p):
     A = star_algebra(n, k, prime=p)
