@@ -112,6 +112,7 @@ class BrauerTreeAlgebra:
         for pc in basis:
             blocks[(pc.start, pc.end)].append(pc)
         self.blocks = blocks
+        self.block_dims = {key: len(pcs) for key, pcs in blocks.items()}
         self.block_pos = {
             (a, b): {pc: i for i, pc in enumerate(pcs)} for (a, b), pcs in blocks.items()
         }

@@ -222,30 +222,26 @@ def direct_sum(parts) -> ProjComplex:
     if not parts:
         raise ValueError("empty direct sum")
     A = parts[0].algebra
-    if any(p.algebra is not A for p in parts):
+    if any(P.algebra is not A for P in parts):
         raise ValueError("summands live over different algebras")
-    degrees = sorted({d for p in parts for d in p.comps})
-    comps = {d: sum((list(p.slots(d)) for p in parts), []) for d in degrees}
-    diffs = {}
-    for d in degrees:
-        if all(d not in p.diffs for p in parts):
-            continue
-        src = comps[d]
-        tgt = comps.get(d + 1, [])
-        mat = [[{} for _ in src] for _ in tgt]
-        roff = 0
-        coff = 0
-        for p in parts:
-            pd = p.diff(d)
-            for h in range(len(p.slots(d + 1))):
-                for g in range(len(p.slots(d))):
-                    mat[roff + h][coff + g] = pd[h][g]
-            roff += len(p.slots(d + 1))
-            coff += len(p.slots(d))
-        diffs[d] = mat
-    comps = {d: tuple(c) for d, c in comps.items() if c}
+    degrees = sorted({d for P in parts for d in P.comps})
+    # starts[k][d]: the first slot of part k in degree d of the sum
+    comps = {d: [] for d in degrees}
+    starts = []
+    for P in parts:
+        starts.append({d: len(slots) for d, slots in comps.items()})
+        for d, slots in P.comps.items():
+            comps[d].extend(slots)
+    diffs = {
+        d: [[{} for _ in comps[d]] for _ in comps.get(d + 1, ())]
+        for d in degrees
+        if any(d in P.diffs for P in parts)
+    }
+    for P, at in zip(parts, starts):
+        for d, h, g, x in _nonzero_entries(P):
+            diffs[d][at[d + 1] + h][at[d] + g] = x
     return ProjComplex(A, comps, diffs, check=False,
-                       parts=[q for p in parts for q in p.parts])
+                       parts=[q for P in parts for q in P.parts])
 
 
 # -- chain maps -----------------------------------------------------------------
@@ -308,18 +304,25 @@ class ChainMapSpace:
     both matrices as `linalg.SparseRows` without their zero rows: the
     commuting squares C = D_s with sign -1 (the chain maps are ker D_s),
     and N = D_{s-1}^T with sign +1, whose rows span the null-homotopic
-    maps (im D_{s-1}).  Construction runs two eliminations on these rows,
-    one rref of C and one of N (none for a matrix without rows), so
-    dim = total - rank C - rank N; D_s D_{s-1} = 0, the containment of
-    the null-homotopic maps in the chain maps, is checked as C N^T = 0 on
-    the same rows.  For a two-term pair at s = 1, C has no rows, so a
-    tilting decision makes no dense array at all.
+    maps (im D_{s-1}).  A matrix is built, with the layout of its other
+    shift, only when maps Q -> R[s] and maps at that shift exist; for a
+    two-term pair at s = 1 there are no maps Q -> R[2], so C has no rows
+    and is not built.
 
-    The dense views are made on first use: null_basis (the reduced rows of
-    N), chain_basis (the nullspace of C, read off its stored rref) and, at
-    the cost of one more rref in the coordinates of chain_basis, the
-    quotient representatives and the matrix that gives quotient
-    coordinates, which holds chain_basis as its left block.
+    Construction is rank-first: it runs only the forward pass of
+    elimination (`linalg.echelon`) on each matrix with rows and keeps the
+    echelon forms, so dim = total - rank C - rank N from the pivot counts.
+    D_s D_{s-1} = 0, the containment of the null-homotopic maps in the
+    chain maps, is checked as C N^T = 0 on the rows as built, which are
+    then dropped.  A tilting decision reads only dim, so it makes no dense
+    array and back-substitutes nothing.
+
+    The bases are made on first read, each once: null_basis (the reduced
+    rows of N) and chain_basis (the nullspace of C) each back-substitute
+    their echelon form (`linalg.back_substitute`, in place) and turn dense;
+    at the cost of one more rref in the coordinates of chain_basis,
+    _reduction_data gives the quotient representatives and the matrix that
+    gives quotient coordinates, which holds chain_basis as its left block.
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -328,17 +331,29 @@ class ChainMapSpace:
         if R.algebra is not A:
             raise ValueError("complexes over different algebras")
         p = A.prime
-        below, here, above = (_block_offsets(A, Q, R, t) for t in (s - 1, s, s + 1))
+        here = _block_offsets(A, Q, R, s)
         self.offsets, self.total = here
-        q_entries = _nonzero_entries(Q)
-        entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
-        cmat = _hom_differential(A, Q, R, s, -1, here, above, entries)
-        nmat = _hom_differential(A, Q, R, s - 1, 1, below, here, entries, transpose=True)
-        # one elimination for each matrix that has rows
-        (self._chain_red, self._chain_pivots), (self._null_red, null_piv) = [
-            linalg.rref(m, p) if m.rows else (m, []) for m in (cmat, nmat)
+        # C can have rows only if maps Q -> R[s] and Q -> R[s+1] exist, N
+        # only if maps Q -> R[s] and Q -> R[s-1] do; the layout of another
+        # shift is built only then
+        cmat = nmat = linalg.SparseRows([], self.total)
+        above = self.total > 0 and _meets(Q, R, s + 1)
+        below = self.total > 0 and _meets(Q, R, s - 1)
+        if above or below:
+            q_entries = _nonzero_entries(Q)
+            entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
+        if above:
+            cmat = _hom_differential(A, Q, R, s, -1, here, _block_offsets(A, Q, R, s + 1),
+                                     entries)
+        if below:
+            nmat = _hom_differential(A, Q, R, s - 1, 1, _block_offsets(A, Q, R, s - 1), here,
+                                     entries, transpose=True)
+        # forward elimination only: dim needs the pivot counts, and the
+        # echelon forms are reduced when a basis is first read
+        (self._chain_ech, self._chain_pivots), (self._null_ech, self._null_pivots) = [
+            linalg.echelon(m, p) if m.rows else (m, []) for m in (cmat, nmat)
         ]
-        self.null_rank = len(null_piv)
+        self.null_rank = len(self._null_pivots)
         if not _product_vanishes(cmat, nmat, p):
             raise AssertionError("null-homotopic maps escaped the chain-map space")
         self.dim = self.total - len(self._chain_pivots) - self.null_rank
@@ -348,14 +363,16 @@ class ChainMapSpace:
     def null_basis(self) -> np.ndarray:
         """Rows form a basis of the null-homotopic maps: the reduced rows
         of N."""
-        return self._null_red.dense()[: self.null_rank]
+        red = linalg.back_substitute(self._null_ech, self._null_pivots, self.Q.algebra.prime)
+        return red.dense()[: self.null_rank]
 
-    @property
+    @cached_property
     def chain_basis(self) -> np.ndarray:
         """Rows span the chain maps: the nullspace of the commuting squares,
-        read off their stored rref on each call."""
-        return linalg.nullspace_of_rref(self._chain_red.dense(), self._chain_pivots,
-                                        self.Q.algebra.prime)
+        read off their reduced form."""
+        p = self.Q.algebra.prime
+        red = linalg.back_substitute(self._chain_ech, self._chain_pivots, p)
+        return linalg.nullspace_of_rref(red.dense(), self._chain_pivots, p)
 
     # -- conversions ---------------------------------------------------------------
 
@@ -444,12 +461,24 @@ def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: 
     R_{d+shift} slot j, keyed (d, j, i), blocks ordered by d, then j, then
     i; and the total size."""
     offsets, total = {}, 0
+    dims = A.block_dims
     for d in Q.degrees():
+        src = Q.slots(d)
         for j, b in enumerate(R.slots(d + shift)):
-            for i, a in enumerate(Q.slots(d)):
+            for i, a in enumerate(src):
                 offsets[(d, j, i)] = total
-                total += len(A.blocks[(a, b)])
+                total += dims[(a, b)]
     return offsets, total
+
+
+def _meets(Q: ProjComplex, R: ProjComplex, shift: int) -> bool:
+    """Whether some degree of Q meets a degree of R[shift], i.e. whether
+    _block_offsets at that shift has any block."""
+    comps = R.comps
+    for d in Q.comps:  # a loop: any() over a generator costs 3x as much here
+        if d + shift in comps:
+            return True
+    return False
 
 
 def _nonzero_entries(X: ProjComplex) -> list:

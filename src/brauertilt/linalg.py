@@ -3,14 +3,17 @@
 Dense matrices are numpy int64 arrays with entries reduced into [0, p).
 The elimination layer has one row type, `SparseRows`: a list of
 {column: value} dicts of reduced nonzero Python ints with a `.shape`.
-The matrices this package eliminates are small and sparse, so `rref` runs
-Gauss-Jordan elimination on such rows: its cost follows the nonzero
-entries, not the cells, and no value can overflow.  `rref` takes either
-kind and returns the reduced form in the kind it was given; a dense input
-is read into rows first, and a caller that builds its rows directly
-(`ChainMapSpace`, the rank check of `is_tilting`) makes no dense array to
-eliminate.  `rank`, `nullspace`, `nullspace_of_rref` and `solve` take and
-return dense arrays.
+The matrices this package eliminates are small and sparse, so elimination
+runs on such rows: its cost follows the nonzero entries, not the cells,
+and no value can overflow.  It comes in two passes.  `echelon`, the
+forward pass, gives an echelon form and the pivot columns, which is all a
+rank needs; `back_substitute` turns that echelon form into the reduced
+form.  `rref` runs both.  It takes either kind of matrix and returns the
+reduced form in the kind it was given; a dense input is read into rows
+first, and a caller that builds its rows directly (`ChainMapSpace`, the
+rank check of `is_tilting`) makes no dense array to eliminate.  `rank`
+takes either kind and runs the forward pass alone.  `nullspace`,
+`nullspace_of_rref` and `solve` take and return dense arrays.
 `matmul` stays in numpy and reduces its operands first, since it may be
 handed unreduced entries.  A product of two reduced entries fits in int64
 for any prime < 2**31, but a sum of such products may not: `matmul` adds at
@@ -99,44 +102,65 @@ def sparse(a, p: int) -> SparseRows:
     return SparseRows(out, cols)
 
 
-def rref(a, p: int) -> tuple[np.ndarray | SparseRows, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def echelon(a, p: int) -> tuple[SparseRows, list[int]]:
+    """Row echelon form by forward elimination alone, and its pivot columns.
 
-    a is a dense matrix or `SparseRows`, and the reduced form comes back
-    in the same kind, with the shape of a (its zero rows last).  Rows are
-    reduced one at a time as sparse {column: value} dicts.  Each incoming
-    row is cleared of the pivot columns found so far; its least remaining
-    column becomes a new pivot, the row is scaled to 1 there, and that
-    column is cleared from the earlier pivot rows.  Every pivot row's
-    least column is then its pivot, so the pivot rows sorted by pivot are
-    the reduced form, which is unique.
+    a is a dense matrix or `SparseRows`; the result is `SparseRows` with the
+    shape of a.  Each incoming row is cleared at its least column for as
+    long as that column is a pivot; a row that keeps a least column makes
+    it a new pivot, scaled to 1 there.  Pivot rows are not cleared against
+    later pivots, so a row may still hold other pivot columns, but each
+    row's least column is its pivot and the rows come sorted by pivot.
+    The pivot count is the rank.  A caller's rows are copied, never edited.
     """
     dense = not isinstance(a, SparseRows)
     rows = sparse(a, p) if dense else a
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows.rows:
-        # elimination edits its rows in place: a caller's rows are copied
-        _add_row(row if dense else dict(row), pivot_rows, p)
+        if not dense:
+            row = dict(row)
+        while row:
+            lead = min(row)
+            prow = pivot_rows.get(lead)
+            if prow is None:
+                if row[lead] != 1:
+                    inv = pow(row[lead], -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivot_rows[lead] = row
+                break
+            _subtract(row, row[lead], prow, p)
     pivots = sorted(pivot_rows)
-    red = SparseRows([pivot_rows[c] for c in pivots], rows.cols, rows.height)
-    return (red.dense() if dense else red), pivots
+    return SparseRows([pivot_rows[c] for c in pivots], rows.cols, rows.height), pivots
 
 
-def _add_row(row: dict[int, int], pivot_rows: dict[int, dict[int, int]], p: int) -> None:
-    """Reduce `row` by the pivot rows and, if anything is left, make it one."""
-    # pivot rows vanish on each other's pivots, so the factors are fixed
-    for c, f in [(c, f) for c, f in row.items() if c in pivot_rows]:
-        _subtract(row, f, pivot_rows[c], p)
-    if not row:
-        return
-    lead = min(row)
-    if row[lead] != 1:
-        inv = pow(row[lead], -1, p)
-        row = {j: v * inv % p for j, v in row.items()}
-    for prow in pivot_rows.values():
-        if lead in prow:
-            _subtract(prow, prow[lead], row, p)
-    pivot_rows[lead] = row
+def back_substitute(ech: SparseRows, pivots: list[int], p: int) -> SparseRows:
+    """The reduced form of an `echelon` result: each pivot column cleared
+    from the rows above its own.  The rows are taken last first, and each
+    is cleared by the rows below it, which are reduced already and so hold
+    no pivot column but their own; the factors are read off the row once.
+    A row that holds only its pivot is left as it is.  Edits the rows of
+    ech in place and returns them as the reduced form.
+    """
+    done: dict[int, dict[int, int]] = {}
+    for c, row in zip(reversed(pivots), reversed(ech.rows)):
+        if len(row) > 1:
+            for j, f in [(j, f) for j, f in row.items() if j in done]:
+                _subtract(row, f, done[j], p)
+        done[c] = row
+    return ech
+
+
+def rref(a, p: int) -> tuple[np.ndarray | SparseRows, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    a is a dense matrix or `SparseRows`, and the reduced form comes back
+    in the same kind, with the shape of a (its zero rows last): `echelon`
+    followed by `back_substitute`.  The reduced form is unique, so it does
+    not depend on the order in which the rows were eliminated.
+    """
+    red, pivots = echelon(a, p)
+    back_substitute(red, pivots, p)
+    return (red if isinstance(a, SparseRows) else red.dense()), pivots
 
 
 def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
@@ -150,10 +174,9 @@ def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> Non
 
 
 def rank(a, p: int) -> int:
-    m = asmat(a)
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return 0
-    return len(rref(m, p)[1])
+    """Rank of a dense matrix or `SparseRows`: the pivot count of the
+    forward pass alone."""
+    return len(echelon(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:

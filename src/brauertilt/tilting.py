@@ -76,7 +76,7 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
         raise ValueError("is_tilting decides two-term complexes only")
     A, p = T.algebra, T.algebra.prime
     classes = [{j: c % p for j, c in enumerate(P.k0_class()) if c % p} for P in T.parts]
-    if len(linalg.rref(linalg.SparseRows(classes, A.n), p)[1]) != A.n:
+    if linalg.rank(linalg.SparseRows(classes, A.n), p) != A.n:
         return False
     return is_partial_tilting(T, direct=direct)
 

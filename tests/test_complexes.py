@@ -19,7 +19,7 @@ from brauertilt.complexes import (
     identity_chain_map,
     stalk_complex,
 )
-from brauertilt.coverings import covering_to_complex, enumerate_coverings
+from brauertilt.coverings import covering_to_complex, enumerate_coverings, tilting_catalog
 from brauertilt.endo import EndoAlgebra, summand_complexes
 from brauertilt.modules import uniserial_presentation as pres
 
@@ -120,6 +120,75 @@ def test_parts_travel_with_the_sum():
     assert stalk_complex(A, 2, 0).content_id == V.content_id != W.content_id
     hom_complex_dim(T, T, 0)
     assert (U.content_id, V.content_id, 0) in A.hom_cache
+
+
+def _dense_direct_sum(parts):
+    """direct_sum as a dense reference: a grid of entries per degree,
+    filled part by part through diff() and slots()."""
+    A = parts[0].algebra
+    degrees = sorted({d for P in parts for d in P.comps})
+    comps = {d: sum((list(P.slots(d)) for P in parts), []) for d in degrees}
+    diffs = {}
+    for d in degrees:
+        if all(d not in P.diffs for P in parts):
+            continue
+        mat = [[{} for _ in comps[d]] for _ in comps.get(d + 1, [])]
+        roff = coff = 0
+        for P in parts:
+            pd = P.diff(d)
+            for h in range(len(P.slots(d + 1))):
+                for g in range(len(P.slots(d))):
+                    mat[roff + h][coff + g] = pd[h][g]
+            roff += len(P.slots(d + 1))
+            coff += len(P.slots(d))
+        diffs[d] = mat
+    return ProjComplex(A, comps, diffs, check=False, parts=[q for P in parts for q in P.parts])
+
+
+@lru_cache(maxsize=None)
+def _summand_pool():
+    """The catalogue of star(4, 2) and every stalk in degrees -1 to 2."""
+    A = star_algebra(4, 2)
+    stalks = [stalk_complex(A, e, d) for e in A.edges for d in range(-1, 3)]
+    return tilting_catalog(A) + stalks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_direct_sum_matches_dense_reference(data):
+    parts = data.draw(st.lists(st.sampled_from(_summand_pool()), min_size=1, max_size=5))
+    if len(parts) > 2 and data.draw(st.booleans()):
+        parts = [direct_sum(parts[:2]), *parts[2:]]  # a sum as a part
+    got, want = direct_sum(parts), _dense_direct_sum(parts)
+    assert got.comps == want.comps
+    assert got.diffs == want.diffs
+    assert got.parts == want.parts
+    assert got.content_id == want.content_id
+    own = {id(x) for P in parts for mat in P.diffs.values() for row in mat for x in row}
+    assert not any(id(x) in own for mat in got.diffs.values() for row in mat for x in row)
+
+
+def test_spaces_build_the_layouts_of_the_shifts_they_meet(monkeypatch):
+    """A two-term pair at s = 1 has no maps Q -> R[2], so its space builds
+    the layouts at shifts 1 and 0 only; at s = 0 it needs all three."""
+    A = star_algebra(4, 1)
+    T = covering_to_complex(enumerate_coverings(4)[-1], A)
+    shifts = []
+    block_offsets = complexes._block_offsets
+
+    def recording(A, Q, R, shift):
+        shifts.append(shift)
+        return block_offsets(A, Q, R, shift)
+
+    monkeypatch.setattr(complexes, "_block_offsets", recording)
+    assert ChainMapSpace(T, T, 1).dim == 0
+    assert sorted(shifts) == [0, 1]
+    shifts.clear()
+    ChainMapSpace(T, T, 0)
+    assert sorted(shifts) == [-1, 0, 1]
+    shifts.clear()
+    ChainMapSpace(T, T, 2)
+    assert shifts == [2]
 
 
 def test_algebra_complex_and_shift():
@@ -236,6 +305,65 @@ def test_containment_check_refuses_a_perturbed_null_row(monkeypatch):
     monkeypatch.setattr(complexes, "_hom_differential", perturbed)
     with pytest.raises(AssertionError, match="null-homotopic maps escaped"):
         ChainMapSpace(X, X, s)
+
+
+def _independent_rows(rows, basis, p):
+    """The rows, in order, that are independent of the linearly independent
+    rows `basis` and of the rows picked before them."""
+    picked = []
+    for row in rows:
+        if linalg.rank(np.array(basis + picked + [row], dtype=np.int64), p) > len(basis) + len(picked):
+            picked.append(row)
+    return picked
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
+def test_lazy_reduction_changes_nothing(n, k, monkeypatch):
+    """ChainMapSpace eliminates forward only and back-substitutes on the
+    first read of a basis.  Over pairs of catalogue members at shifts -2 to
+    2, dim, null_rank, null_basis, chain_basis and the quotient
+    representatives equal those computed eagerly with linalg.rref on the
+    rows the space built; building a space back-substitutes nothing, and
+    reading null_basis twice back-substitutes once."""
+    A = star_algebra(n, k)
+    p = A.prime
+    built, reduced = [], []
+    hom_differential, back_substitute = complexes._hom_differential, linalg.back_substitute
+
+    def recording_differential(A, Q, R, t, *args, **kwargs):
+        m = hom_differential(A, Q, R, t, *args, **kwargs)
+        built.append((t, linalg.SparseRows([dict(r) for r in m.rows], m.cols)))
+        return m
+
+    def counting_back_substitute(ech, pivots, p):
+        reduced.append(ech.shape)
+        return back_substitute(ech, pivots, p)
+
+    monkeypatch.setattr(complexes, "_hom_differential", recording_differential)
+    monkeypatch.setattr(linalg, "back_substitute", counting_back_substitute)
+    catalog = tilting_catalog(A)
+    for Q in catalog:
+        for R in catalog:
+            for s in range(-2, 3):
+                built.clear()
+                reduced.clear()
+                sp = ChainMapSpace(Q, R, s)
+                assert reduced == []
+                rows = dict(built)
+                empty = linalg.SparseRows([], sp.total)
+                (c_red, c_piv), (n_red, n_piv) = (linalg.rref(rows.get(t, empty), p)
+                                                  for t in (s, s - 1))
+                null_basis = n_red.dense()[: len(n_piv)]
+                chain_basis = linalg.nullspace_of_rref(c_red.dense(), c_piv, p)
+                reps = _independent_rows(chain_basis.tolist(), null_basis.tolist(), p)
+                reduced.clear()  # the reference rrefs back-substitute too
+                assert sp.null_rank == len(n_piv)
+                assert sp.dim == sp.total - len(c_piv) - len(n_piv) == len(reps)
+                assert sp.null_basis.tolist() == null_basis.tolist()
+                assert sp.null_basis is sp.null_basis and len(reduced) == 1
+                assert sp.chain_basis.tolist() == chain_basis.tolist()
+                assert sp.chain_basis is sp.chain_basis and len(reduced) == 2
+                assert sp._reduction_data()[1].tolist() == reps
 
 
 def test_euler_pairing_signs():

@@ -238,3 +238,33 @@ def test_sparse_rref_equals_dense_rref(case):
         assert sred.dense().tolist() == red.tolist()
         assert rows.rows == before
     assert linalg.sparse(a, p).dense().tolist() == a.tolist()
+
+
+@PROPERTY
+@given(st.one_of(matrices(), sparse_blocks()), st.booleans())
+def test_forward_pass_then_back_substitution(case, as_rows):
+    """echelon is an echelon form (each row's least column is its pivot,
+    with entry 1, rows sorted by pivot) whose pivot count is the rank;
+    back_substitute turns it into the reference rref; the caller's rows,
+    dense or sparse, are not edited; and rref of a stored echelon result
+    equals rref of the rows it came from."""
+    a, p = case
+    ref, ref_pivots = rref_reference(a.tolist(), a.shape[1], p)
+    m = linalg.sparse(a, p) if as_rows else a
+    before = [dict(r) for r in m.rows] if as_rows else a.copy()
+    ech, pivots = linalg.echelon(m, p)
+    assert isinstance(ech, linalg.SparseRows) and ech.shape == a.shape
+    assert pivots == ref_pivots
+    assert linalg.rank(m, p) == len(ref_pivots)
+    assert [min(row) for row in ech.rows] == pivots
+    assert all(row[c] == 1 and all(0 < v < p for v in row.values())
+               for c, row in zip(pivots, ech.rows))
+    stored = linalg.SparseRows([dict(r) for r in ech.rows], ech.cols, ech.height)
+    red = linalg.back_substitute(ech, pivots, p)
+    assert red.dense().tolist() == ref
+    again, again_pivots = linalg.rref(stored, p)
+    assert again_pivots == ref_pivots and again.dense().tolist() == ref
+    if as_rows:
+        assert m.rows == before
+    else:
+        assert np.array_equal(a, before)

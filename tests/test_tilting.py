@@ -340,21 +340,28 @@ def test_tilting_decisions_build_spaces_at_shift_one_only(monkeypatch):
 
 
 def test_direct_decisions_eliminate_sparse_rows_only(monkeypatch):
-    """is_tilting(direct=True) over the coverings of star(4, 1) hands
-    linalg.rref sparse rows in every call, the class rank and the
-    chain-map spaces alike: no decision builds a dense matrix to
-    eliminate."""
+    """is_tilting(direct=True) over the coverings of star(4, 1) needs only
+    ranks: every elimination it runs, the class rank and the chain-map
+    spaces alike, is a forward pass on sparse rows, and none of them is
+    back-substituted (no rref, no reduced form)."""
     A = star_algebra(4, 1)
     complexes_ = [covering_to_complex(cov, A) for cov in enumerate_coverings(4)]
     assert len(complexes_) == 68
-    kinds = []
-    original = linalg.rref
+    kinds, reduced = [], []
+    echelon, back_substitute = linalg.echelon, linalg.back_substitute
 
-    def recording_rref(a, p):
+    def recording_echelon(a, p):
         kinds.append(type(a))
-        return original(a, p)
+        return echelon(a, p)
 
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+    def recording_back_substitute(ech, pivots, p):
+        reduced.append(ech.shape)
+        return back_substitute(ech, pivots, p)
+
+    monkeypatch.setattr(linalg, "echelon", recording_echelon)
+    monkeypatch.setattr(linalg, "back_substitute", recording_back_substitute)
     assert all(is_tilting(T, direct=True) for T in complexes_)
+    # at least the class rank and the null-homotopic rows of each decision
     assert len(kinds) >= 2 * 68
     assert set(kinds) == {linalg.SparseRows}
+    assert reduced == []
