@@ -17,6 +17,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
+import numpy as np
+
 from .trees import BrauerTree
 
 DEFAULT_PRIME = 32003
@@ -69,13 +71,18 @@ class BrauerTreeAlgebra:
         # dim Hom(X, Y[s]) keyed (X.content_id, Y.content_id, s); the ids
         # number the contents in complex_ids; summand_cache memoizes
         # modules.uniserial_presentation; syzygy_cache memoizes
-        # modules._syzygy_with_embedding, keyed by a module's dims and the
-        # bytes of its arrow matrices
+        # modules._syzygy_with_embedding and presentation_cache the data of
+        # modules.min_proj_presentation, both keyed by a module's dims and
+        # the bytes of its arrow matrices; mult_cache and product_cache hold
+        # the index form of the structure constants (mult_coords,
+        # block_products)
         self.hom_cache: dict = {}
         self.complex_ids: dict = {}
         self.summand_cache: dict = {}
         self.syzygy_cache: dict = {}
+        self.presentation_cache: dict = {}
         self.mult_cache: dict = {}
+        self.product_cache: dict = {}
         # built on first use (most algebras never act on a module); not a
         # functools.cached_property, which writes through the instance
         # __dict__, after which CPython 3.11 reads every attribute of the
@@ -226,6 +233,23 @@ class BrauerTreeAlgebra:
             coords = tuple((pos[r], col) for col, r in enumerate(products) if r is not None)
             self.mult_cache[key] = coords
         return coords
+
+    def block_products(self, a, b, c) -> np.ndarray:
+        """The products between blocks (a, b) and (b, c), as index triples
+        (x, y, r): class x of block (a, b) followed by class y of block
+        (b, c) is class r of block (a, c).  An int array of shape (k, 3),
+        read off mult_coords and cached in `product_cache`."""
+        key = (a, b, c)
+        triples = self.product_cache.get(key)
+        if triples is None:
+            triples = np.array(
+                [(x, y, r) for x, pc in enumerate(self.blocks[(a, b)])
+                 for r, y in self.mult_coords(pc, "L", c)],
+                dtype=np.intp,
+            ).reshape(-1, 3)
+            triples.flags.writeable = False
+            self.product_cache[key] = triples
+        return triples
 
     def hom_basis(self, i, j) -> list[PathClass]:
         """Basis of Hom(P_i, P_j): the path classes from edge i to edge j,

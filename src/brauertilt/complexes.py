@@ -239,9 +239,12 @@ def direct_sum(parts) -> ProjComplex:
     }
     for P, at in zip(parts, starts):
         for d, h, g, x in _nonzero_entries(P):
-            diffs[d][at[d + 1] + h][at[d] + g] = x
-    return ProjComplex(A, comps, diffs, check=False,
-                       parts=[q for P in parts for q in P.parts])
+            diffs[d][at[d + 1] + h][at[d] + g] = dict(x)
+    # the grid is fresh and holds copies of the parts' entries, so the sum
+    # takes it as it is rather than copying it again in __init__
+    total = ProjComplex(A, comps, {}, check=False, parts=[q for P in parts for q in P.parts])
+    total.diffs = diffs
+    return total
 
 
 # -- chain maps -----------------------------------------------------------------
@@ -435,17 +438,26 @@ class ChainMapSpace:
 
     def quotient_coords(self, vecs) -> np.ndarray:
         """Coordinates in the homotopy quotient of a chain-map vector, or
-        one row of them per row of a stack of such vectors."""
-        free, _, both = self._reduction_data()
+        one row of them per row of a stack of such vectors.  A vector that
+        is not a chain map is refused; a space of dimension 0 checks that
+        against the commuting squares alone and makes no reduction."""
         p = self.Q.algebra.prime
         vecs = np.asarray(vecs, dtype=np.int64) % p
         stack = vecs if vecs.ndim == 2 else vecs[None, :]
-        # one product: the vector again if it is a chain map, then its
-        # quotient coordinates
-        prod = linalg.matmul(stack[:, free], both, p)
-        if (prod[:, : self.total] != stack).any():
-            raise ValueError("vector is not a chain map")
-        out = prod[:, self.total :]
+        if self.dim == 0:
+            # every chain map is null-homotopic: no reduction, only the
+            # commuting squares, whose echelon rows span those of C
+            if linalg.matmul(stack, self._chain_ech.dense().T, p).any():
+                raise ValueError("vector is not a chain map")
+            out = linalg.zeros(len(stack), 0)
+        else:
+            # one product: the vector again if it is a chain map, then its
+            # quotient coordinates
+            free, _, both = self._reduction_data()
+            prod = linalg.matmul(stack[:, free], both, p)
+            if (prod[:, : self.total] != stack).any():
+                raise ValueError("vector is not a chain map")
+            out = prod[:, self.total :]
         return out if vecs.ndim == 2 else out[0]
 
     def is_null_homotopic(self, f: ChainMap) -> bool:

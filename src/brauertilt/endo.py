@@ -3,17 +3,20 @@ algebra: Cartan matrix, partition of the summands into A-cycles with their
 cyclic orders, and the resulting Brauer tree.
 
 Two independent decoders are provided.  The generic one holds End(T) in
-quotient coordinates, multiplied by structure constants, reads off the
+quotient coordinates with one block-sparse structure tensor per decode
+(EndoAlgebra), built in one pass over the slot triples of T, reads off the
 quiver from the radical modulo its square and traces maximal chains of
-arrows with nonzero products.  The star fast path groups summands by shared
-components and orders them along the star, with explicit witness morphisms
-whose maximal nonzero compositions certify each cyclic order.
+arrows with nonzero products; every product is a batched contraction
+against one block of the tensor.  The star fast path groups summands by
+shared components and orders them along the star, with explicit witness
+morphisms whose maximal nonzero compositions, walked through the same
+tensor, certify each cyclic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -183,12 +186,13 @@ def validate_cycles(E: EndoAlgebra, cycles: list[ACycle]):
 def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
     """Quotient coordinates of the composites of the first 1, ..., steps
     witnesses around a cycle from member `start` on; wits[t] is in
-    coordinates and maps members[t] to the next member."""
+    coordinates and maps members[t] to the next member.  Each step is one
+    vector-block product with the structure tensor."""
     r = len(members)
     comps = [wits[start]]
     for t in range(start + 1, start + steps):
-        u, v, w = members[start], members[t % r], members[(t + 1) % r]
-        comps.append(E.compose(u, v, w, comps[-1], wits[t % r]))
+        block = (members[start], members[t % r], members[(t + 1) % r])
+        comps.append(E.products(block, comps[-1][None, :], wits[t % r][None, :])[0])
     return comps
 
 
@@ -196,10 +200,19 @@ def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
 
 
 class EndoAlgebra:
-    """End(T) in quotient coordinates, with one product.  Per decode it owns
-    the space of each summand pair, built on first use through hom_space,
-    so endo_cartan finds its dimension cached, and the structure constants
-    of each summand triple, built on first use (see _table)."""
+    """End(T) in quotient coordinates, with one block-sparse structure
+    tensor.  Per decode it owns the space of each summand pair (u, v),
+    built on first use through hom_space, so endo_cartan finds its
+    dimension cached; the space's quotient representatives are the basis
+    of block (u, v) of End(T), classes 0, ..., dim(u, v) - 1.
+
+    The tensor (`tensor`, built once on first use) holds block (u, v, w)
+    only where dim(u, v) and dim(v, w) are both nonzero, as an array of
+    shape (dim(u, v), dim(v, w), dim(u, w)): entry [i, j, r] is the
+    coefficient of class r of (u, w) in class i of (u, v) followed by
+    class j of (v, w).  No dense D x D x D array is made.  Every product of
+    End(T) is a batched contraction against one block (`products`).
+    """
 
     def __init__(self, T: ProjComplex):
         self.T = T
@@ -207,7 +220,6 @@ class EndoAlgebra:
         self.parts = summand_complexes(T)
         self.m = len(self.parts)
         self._spaces: dict[tuple, ChainMapSpace] = {}
-        self._tables: dict[tuple, np.ndarray] = {}
 
     def space(self, u, v) -> ChainMapSpace:
         if (u, v) not in self._spaces:
@@ -219,54 +231,119 @@ class EndoAlgebra:
         sp = self.space(u, v)
         return sp.quotient_coords(sp.vector_of(f))
 
-    def compose(self, u, v, w, x, y) -> np.ndarray:
-        """Quotient coordinates of class x (u -> v) followed by class y
-        (v -> w), both given in reduced quotient coordinates."""
-        xy = np.outer(x, y) % self.p
-        return linalg.matmul(xy.reshape(1, -1), self._table(u, v, w), self.p)[0]
+    def products(self, block, xs, ys) -> np.ndarray:
+        """Row a * len(ys) + b: the class xs[a] followed by the class ys[b],
+        for block = (u, v, w), xs a stack of reduced coordinate rows of
+        (u, v) and ys one of (v, w): their outer products, contracted with
+        the block by one matmul."""
+        u, _, w = block
+        table = self.tensor.get(block)
+        rows = len(xs) * len(ys)
+        if table is None:  # dim(u, v) or dim(v, w) is 0: every class is 0
+            return linalg.zeros(rows, self.space(u, w).dim)
+        a, b, c = table.shape
+        outer = (xs[:, None, :, None] * ys[None, :, None, :]) % self.p
+        return linalg.matmul(outer.reshape(rows, a * b), table.reshape(a * b, c), self.p)
 
-    def _table(self, u, v, w) -> np.ndarray:
-        """Row i * dim(v, w) + j: the quotient coordinates of basis class i
-        of (u, v) followed by basis class j of (v, w).  In degree d, class x
-        of block (a, b), from slot i to slot k, times class col of block
-        (b, c), from slot k to slot j, is class r of block (a, c) for each
-        (r, col) in A.mult_coords(x, "L", c); these index triples pair the
-        entries of the representatives of the two spaces."""
-        if (u, v, w) in self._tables:
-            return self._tables[(u, v, w)]
-        A, p = self.T.algebra, self.p
-        first, then, out = self.space(u, v), self.space(v, w), self.space(u, w)
-        U, V, W = self.parts[u], self.parts[v], self.parts[w]
-        triples = []  # (entry of u -> v, entry of v -> w, entry of their product)
-        for d in U.degrees():
-            for i, a in enumerate(U.slots(d)):
-                for k, b in enumerate(V.slots(d)):
-                    f_off = first.offsets[(d, k, i)]
-                    for x_pos, x in enumerate(A.blocks[(a, b)]):
-                        for j, c in enumerate(W.slots(d)):
-                            g_off, h_off = then.offsets[(d, j, k)], out.offsets[(d, j, i)]
-                            triples.extend((f_off + x_pos, g_off + col, h_off + r)
-                                           for r, col in A.mult_coords(x, "L", c))
-        fi, gi, hi = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-        reps_f, reps_g = first._reduction_data()[1], then._reduction_data()[1]
-        # reduced entries keep each product below 2^62; reduce before summing
-        prods = (reps_f[:, None, fi] * reps_g[None, :, gi]) % p
-        vecs = linalg.zeros(first.dim * then.dim, out.total)
-        np.add.at(vecs, (slice(None), hi), prods.reshape(len(vecs), len(hi)))
-        table = self._tables[(u, v, w)] = out.quotient_coords(vecs)
-        return table
+    @cached_property
+    def tensor(self) -> dict[tuple, np.ndarray]:
+        """The blocks of the structure tensor, built in one pass.
 
-    def local_radical(self, u) -> list[np.ndarray]:
-        """Coordinate vectors spanning rad End(T_u)."""
+        Class i of (u, v) is the chain map reps_uv[i], its quotient
+        representative.  In degree d, for slot I of part u, slot K of part v
+        and slot J of part w, on edges a, b and c, each triple (x, y, r) of
+        A.block_products(a, b, c) pairs coefficient x of the map from I to
+        K, coefficient y of the map from K to J and coefficient r of their
+        product from I to J.  So the chain-map vector of class i followed by
+        class j gets reps_uv[i, F] * reps_vw[j, G] at position H, with F, G
+        and H those coefficients' positions in the three spaces.  One pass
+        over T's slot triples lists these positions, one gather and one
+        scatter form every product vector, and the products with target
+        pair (u, w), stacked over v, are reduced by one quotient_coords on
+        space(u, w), which refuses any that is not a chain map.
+        """
+        A, p, m, parts = self.T.algebra, self.p, self.m, self.parts
+        spaces = [[self.space(u, v) for v in range(m)] for u in range(m)]
+        dims = [[sp.dim for sp in row] for row in spaces]
+        # the representatives of all pairs with classes, in one flat array
+        reps, rep_at, at = [], {}, 0
+        for u in range(m):
+            for v in range(m):
+                if dims[u][v]:
+                    rep = spaces[u][v]._reduction_data()[1]
+                    reps.append(rep.ravel())
+                    rep_at[(u, v)] = at
+                    at += rep.size
+        # the product vectors of target pair (u, w), stacked over v, lie at
+        # out_at[(u, w)] in one flat array; block (u, v, w) is numbered in
+        # `blocks`, and info holds where its vectors start, the sizes of the
+        # spaces (u, v), (v, w) and (u, w), dim(v, w) and its row count
+        blocks, info, out_at, size = {}, [], {}, 0
+        for u in range(m):
+            for w in range(m):
+                rows, total = 0, spaces[u][w].total
+                for v in range(m):
+                    if dims[u][v] and dims[v][w]:
+                        blocks[(u, v, w)] = len(info)
+                        count = dims[u][v] * dims[v][w]
+                        info.append((size + rows * total, spaces[u][v].total, spaces[v][w].total,
+                                     total, dims[v][w], count))
+                        rows += count
+                if rows:
+                    out_at[(u, w)] = (size, rows)
+                    size += rows * total
+        # one pass over the slot triples with products: the positions of
+        # their coefficients in the three spaces, and their block
+        bases, triples = [], []
+        products_of = A.block_products
+        for d in self.T.degrees():
+            slots = [(u, i, a) for u, P in enumerate(parts) for i, a in enumerate(P.slots(d))]
+            for u, i, a in slots:
+                for v, k, b in slots:
+                    if not dims[u][v]:
+                        continue
+                    f = rep_at[(u, v)] + spaces[u][v].offsets[(d, k, i)]
+                    for w, j, c in slots:
+                        if dims[v][w] and len(found := products_of(a, b, c)):
+                            bases.append((f, rep_at[(v, w)] + spaces[v][w].offsets[(d, j, k)],
+                                          spaces[u][w].offsets[(d, j, i)], blocks[(u, v, w)]))
+                            triples.append(found)
+        vecs = np.zeros(size, dtype=np.int64)
+        if triples:
+            found = np.concatenate(triples)
+            f, g, h, b = np.repeat(np.array(bases), [len(t) for t in triples], axis=0).T
+            start, f_total, g_total, h_total, width, count = np.array(info)[b].T
+            f, g, h = f + found[:, 0], g + found[:, 1], start + h + found[:, 2]
+            # one contribution per index triple t and class pair (i, j)
+            t = np.repeat(np.arange(len(found)), count)
+            i, j = np.divmod(np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count), width[t])
+            flat = np.concatenate(reps)
+            # reduced factors keep each product below 2^62; reduce before summing
+            vals = flat[f[t] + i * f_total[t]] * flat[g[t] + j * g_total[t]] % p
+            np.add.at(vecs, h[t] + (i * width[t] + j) * h_total[t], vals)
+        tensor = {}
+        for (u, w), (first, rows) in out_at.items():
+            out = spaces[u][w]
+            coords = out.quotient_coords(vecs[first:first + rows * out.total].reshape(rows, out.total))
+            r0 = 0
+            for v in range(m):
+                if (u, v, w) in blocks:
+                    shape = (dims[u][v], dims[v][w], out.dim)
+                    tensor[(u, v, w)] = coords[r0:r0 + shape[0] * shape[1]].reshape(shape)
+                    r0 += shape[0] * shape[1]
+        return tensor
+
+    def local_radical(self, u) -> np.ndarray:
+        """Rows spanning rad End(T_u), read off the block (u, u, u)."""
         d = self.space(u, u).dim
         if d == 1:
-            return []
-        p, table = self.p, self._table(u, u, u)
+            return linalg.zeros(0, 1)
+        p, table = self.p, self.tensor[(u, u, u)]
         idc = self.coords(u, u, identity_chain_map(self.parts[u]))
         rad_rows = []
         for i, e in enumerate(linalg.eye(d)):
             # left multiplication by basis class i: column j is class i followed by class j
-            L = table[i * d:(i + 1) * d].T
+            L = table[i].T
             # its scalar part c, with L - c nilpotent, so trace L = d * c
             candidates = [int(np.trace(L)) * pow(d, -1, p) % p] if p > d else range(p)
             c = next((c for c in candidates if _is_nilpotent(L - c * linalg.eye(d), p, d)), None)
@@ -274,7 +351,7 @@ class EndoAlgebra:
                 raise AssertionError("local algebra has no scalar part")
             rad_rows.append((e - c * idc) % p)
         red, piv = linalg.rref(np.array(rad_rows, dtype=np.int64), p)
-        return list(red[:len(piv)])
+        return red[:len(piv)]
 
 
 def _is_nilpotent(mat, p, d) -> bool:
@@ -308,21 +385,25 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     k = E.T.algebra.tree.multiplicity
 
     # radical basis per block, in quotient coordinates
-    jbasis = {(u, v): E.local_radical(u) if u == v else list(linalg.eye(E.space(u, v).dim))
+    jbasis = {(u, v): E.local_radical(u) if u == v else linalg.eye(E.space(u, v).dim)
               for u in range(m) for v in range(m)}
 
-    # radical squared per block
+    # radical squared per block: one contraction per block of the tensor;
+    # off the diagonal the radical basis is the identity, so between three
+    # blocks off it the contraction is the block itself
     jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
-    for u, w, v in product(range(m), repeat=3):
-        for f, g in product(jbasis[(u, v)], jbasis[(v, w)]):
-            coords = E.compose(u, v, w, f, g)
-            if coords.any():
-                jsq[(u, w)].append(coords)
+    for (u, v, w), table in E.tensor.items():
+        if u != v != w:
+            a, b, c = table.shape
+            prods = table.reshape(a * b, c)
+        else:
+            prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
+        jsq[(u, w)].extend(prods[prods.any(axis=1)])
 
     arrows = []  # (u, v, coordinates)
     for u in range(m):
         for v in range(m):
-            if not jbasis[(u, v)]:
+            if not len(jbasis[(u, v)]):
                 continue
             picked = _pick_arrows(jsq[(u, v)], jbasis[(u, v)], p)
             for i in picked:
@@ -330,17 +411,26 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
             if u != v and len(picked) > 1:
                 raise AssertionError("more than one arrow between distinct vertices")
 
-    # successors: unique next arrow with nonzero composite
+    # successors: unique next arrow with nonzero composite, all pairs of
+    # arrows u -> v -> w in one contraction per block
+    by_pair: dict[tuple, list[int]] = {}
+    for ai, (u, v, _) in enumerate(arrows):
+        by_pair.setdefault((u, v), []).append(ai)
+    nxt: dict[int, list[int]] = {ai: [] for ai in range(len(arrows))}
+    for (u, v), firsts in by_pair.items():
+        for w in range(m):
+            thens = by_pair.get((v, w))
+            if not thens:
+                continue
+            xs, ys = (np.array([arrows[a][2] for a in ids]) for ids in (firsts, thens))
+            live = E.products((u, v, w), xs, ys).any(axis=1).reshape(len(firsts), len(thens))
+            for ai, row in zip(firsts, live):
+                nxt[ai].extend(bi for bi, nonzero in zip(thens, row) if nonzero)
     succ = {}
-    for ai, (u, v, f) in enumerate(arrows):
-        nxt = [
-            bi
-            for bi, (u2, w, g) in enumerate(arrows)
-            if u2 == v and E.compose(u, v, w, f, g).any()
-        ]
-        if len(nxt) > 1:
+    for ai, found in nxt.items():
+        if len(found) > 1:
             raise AssertionError("arrow has more than one nonzero successor")
-        succ[ai] = nxt[0] if nxt else None
+        succ[ai] = found[0] if found else None
 
     visited = set()
     cycles = []

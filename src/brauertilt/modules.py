@@ -18,10 +18,11 @@ of a vector of the span are its entries at the pivot columns.
 Syzygies are computed once per module content: the algebra's
 `syzygy_cache` holds the syzygy, its inclusion into the projective cover
 and the cover's slots, keyed by the module's dims and arrow matrices, and
-`syzygy`, `second_syzygy` and `min_proj_presentation` all read it.  The
-memo only shares the result of a deterministic computation, so the module
-route and the chain-map route of the presentation criterion still
-cross-check each other.
+`syzygy`, `second_syzygy` and `min_proj_presentation` all read it; the
+presentation's components and differential are memoized the same way, in
+`presentation_cache`.  The memos only share the results of deterministic
+computations, so the module route and the chain-map route of the
+presentation criterion still cross-check each other.
 """
 
 from __future__ import annotations
@@ -497,18 +498,23 @@ def syzygy(M: Representation, _check=True) -> Representation:
     return _syzygy_with_embedding(M)[0]
 
 
+def _content_key(M: Representation) -> tuple:
+    """The dims and the bytes of the arrow matrices in arrow order.  With
+    the dims fixed every arrow matrix has a fixed shape, so the key
+    identifies the module's content exactly."""
+    return (M.dims, b"".join(M.act[arrow].tobytes() for arrow in M.algebra.arrows))
+
+
 def _syzygy_with_embedding(M: Representation):
     """(syzygy, its inclusion into the cover, cover edges, slot offsets),
     computed once per module content on the algebra (`syzygy_cache`).
 
-    With the dims fixed every arrow matrix has a fixed shape, so the dims
-    and the bytes of the matrices in arrow order identify the content
-    exactly.  The computation reads nothing else, so a hit returns what a
+    The computation reads nothing but the content, so a hit returns what a
     fresh computation would.  The shared result is frozen: its arrays are
     read-only and its edges and offsets are tuples.
     """
     A = M.algebra
-    key = (M.dims, b"".join(M.act[arrow].tobytes() for arrow in A.arrows))
+    key = _content_key(M)
     hit = A.syzygy_cache.get(key)
     if hit is None:
         cover_edges, cover, offsets, cover_map = projective_cover(M)
@@ -553,9 +559,26 @@ def second_syzygy(M: Representation, _check=True) -> Representation:
 
 def min_proj_presentation(M: Representation, label=None):
     """Two-term complex (degree 0: cover of the syzygy) -> (degree 1: cover
-    of M) with cokernel M and radical differential entries, named label."""
+    of M) with cokernel M and radical differential entries, named label.
+
+    The components and the differential are built once per module content
+    (`presentation_cache`, keyed like the syzygy memo they are read from);
+    every call returns a fresh ProjComplex, checked and holding its own
+    copy of the differential."""
     from .complexes import ProjComplex
 
+    A = M.algebra
+    key = _content_key(M)
+    built = A.presentation_cache.get(key)
+    if built is None:
+        built = A.presentation_cache[key] = _presentation(M)
+    comps, diff = built
+    return ProjComplex(A, comps, {0: diff}, name=label)
+
+
+def _presentation(M: Representation):
+    """The components and the degree-0 differential of the minimal
+    presentation of M."""
     A = M.algebra
     if M.is_zero():
         raise ValueError("presentation of the zero module is empty")
@@ -576,8 +599,7 @@ def min_proj_presentation(M: Representation, label=None):
                 if coeff:
                     local[q] = coeff
             diff[h][g] = local
-    comps = {0: tuple(cover_edges0), 1: tuple(cover_edges1)}
-    return ProjComplex(A, comps, {0: diff}, name=label)
+    return {0: tuple(cover_edges0), 1: tuple(cover_edges1)}, diff
 
 
 def uniserial_presentation(A: BrauerTreeAlgebra, top, length):

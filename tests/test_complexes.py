@@ -166,6 +166,15 @@ def test_direct_sum_matches_dense_reference(data):
     assert got.content_id == want.content_id
     own = {id(x) for P in parts for mat in P.diffs.values() for row in mat for x in row}
     assert not any(id(x) in own for mat in got.diffs.values() for row in mat for x in row)
+    # the sum holds its grid as built, one dict per cell; editing it leaves
+    # every part as it was
+    cells = [x for mat in got.diffs.values() for row in mat for x in row]
+    assert len({id(x) for x in cells}) == len(cells)
+    assert all(isinstance(slots, tuple) for slots in got.comps.values())
+    before = [repr(P.diffs) for P in parts]
+    for x in cells:
+        x["edited"] = 1
+    assert [repr(P.diffs) for P in parts] == before
 
 
 def test_spaces_build_the_layouts_of_the_shifts_they_meet(monkeypatch):
@@ -413,28 +422,32 @@ def test_chain_map_space_properties(nk, data):
         assert f.is_chain_map()
         assert sp.is_null_homotopic(f)
     # quotient coordinates: the coefficients of the basis maps, whatever null
-    # map is added; a vector that is not a chain map is refused
+    # map is added; a vector that is not a chain map is refused, also by a
+    # space of dimension 0, which reads only the commuting squares
     p = U.algebra.prime
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=sp.dim, max_size=sp.dim))
     vec = sum((c * sp.vector_of(f) for c, f in zip(coeffs, maps)), sp.null_basis.sum(axis=0))
     assert sp.quotient_coords(vec % p).tolist() == coeffs
     units = np.eye(sp.total, dtype=np.int64)
     outside = [e for e in units if not sp.map_from_vector(e).is_chain_map()]
-    if maps and outside:
+    if outside:
         with pytest.raises(ValueError, match="not a chain map"):
             sp.quotient_coords(outside[0])
+        with pytest.raises(ValueError, match="not a chain map"):
+            sp.quotient_coords(np.stack([sp.null_basis.sum(axis=0), outside[-1]]))
 
 
 @PROPERTY
 @given(st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]),
        st.sampled_from((2, 3, 32003, 2**31 - 1)), st.data())
 def test_chain_map_compose(nk, p, data):
-    """EndoAlgebra.compose, the product of End in quotient coordinates,
-    against composites multiplied out entry by entry with _product: on basis
-    classes it gives the classes of the composites, the identity is a
-    two-sided unit, it is associative, and every product lifts to a chain
-    map.  U, V and W are sums of one or two summands rebuilt as one part,
-    so a part can have two slots in a degree."""
+    """The structure tensor of End, the product in quotient coordinates,
+    against composites multiplied out entry by entry with _product: its
+    entries are the classes of the composites of basis classes, the
+    identity is a two-sided unit of its products, they are associative,
+    and every product lifts to a chain map.  U, V and W are sums of one or
+    two summands rebuilt as one part, so a part can have two slots in a
+    degree."""
     A = star_algebra(*nk, p)
     summands = st.lists(st.sampled_from(covering_summands(*nk, p)), min_size=1, max_size=2)
     U, V, W = (ProjComplex(A, S.comps, S.diffs)
@@ -444,25 +457,29 @@ def test_chain_map_compose(nk, p, data):
     u, v, w, x = (data.draw(st.integers(0, 2)) for _ in range(4))
 
     target = E.space(u, w)
+    block = E.products((u, v, w), linalg.eye(E.space(u, v).dim), linalg.eye(E.space(v, w).dim))
     for i, f in enumerate(E.space(u, v).basis_maps()):
         for j, g in enumerate(E.space(v, w).basis_maps()):
             comps = {d: _product(A, f.entry(d), g.entry(d), len(E.parts[u].slots(d)))
                      for d in E.parts[u].degrees() if E.parts[w].slots(d)}
             composite = target.quotient_coords(target.vector_of(ChainMap(f.Q, g.R, 0, comps)))
-            unit_i, unit_j = linalg.eye(E.space(u, v).dim)[i], linalg.eye(E.space(v, w).dim)[j]
-            assert E.compose(u, v, w, unit_i, unit_j).tolist() == composite.tolist()
+            assert E.tensor[(u, v, w)][i, j].tolist() == composite.tolist()
+            assert block[i * E.space(v, w).dim + j].tolist() == composite.tolist()
 
     def some_class(a, b):
         dim = E.space(a, b).dim
         return np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)),
                         dtype=np.int64)
 
+    def compose(s, t, r, y, z):
+        return E.products((s, t, r), y[None, :], z[None, :])[0]
+
     a, b, c = some_class(u, v), some_class(v, w), some_class(w, x)
     ident_u, ident_v = (E.coords(t, t, identity_chain_map(E.parts[t])) for t in (u, v))
-    assert E.compose(u, u, v, ident_u, a).tolist() == a.tolist()
-    assert E.compose(u, v, v, a, ident_v).tolist() == a.tolist()
-    ab, bc = E.compose(u, v, w, a, b), E.compose(v, w, x, b, c)
-    assert E.compose(u, w, x, ab, c).tolist() == E.compose(u, v, x, a, bc).tolist()
+    assert compose(u, u, v, ident_u, a).tolist() == a.tolist()
+    assert compose(u, v, v, a, ident_v).tolist() == a.tolist()
+    ab, bc = compose(u, v, w, a, b), compose(v, w, x, b, c)
+    assert compose(u, w, x, ab, c).tolist() == compose(u, v, x, a, bc).tolist()
     for (s, t), coords in (((u, w), ab), ((v, x), bc)):
         sp = E.space(s, t)
         lift = linalg.matmul(coords[None, :], sp._reduction_data()[1], p)[0]

@@ -1,5 +1,7 @@
 import sys
 from collections import Counter
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from brauertilt.endo import (
     is_autoequivalence_covering,
     validate_cycles,
 )
+from brauertilt.realization import realize
 from brauertilt.tilting import is_tilting
-from brauertilt.trees import BrauerTree
+from brauertilt.trees import BrauerTree, all_brauer_trees
 
 
 def line_tree(n, exceptional=0, multiplicity=1):
@@ -262,3 +265,73 @@ def test_arrow_picker_runs_one_elimination_per_nonzero_block(monkeypatch):
     a_cycle_generic(E)
     assert nonzero_blocks > E.m
     assert callers.count("_pick_arrows") == nonzero_blocks
+
+
+def test_tensor_stores_the_blocks_with_classes_on_both_sides():
+    """Block (u, v, w) is stored exactly when dim(u, v) * dim(v, w) != 0,
+    with shape (dim(u, v), dim(v, w), dim(u, w)); coverings of two stars
+    and the realizations of the 4-edge trees of multiplicity 2."""
+    complexes = [covering_to_complex(cov, star_algebra(n, k))
+                 for n, k in [(3, 1), (4, 1)] for cov in enumerate_coverings(n)]
+    complexes += [realize(tree, star_algebra(4, 2)) for tree in all_brauer_trees(4, 2)]
+    zero_products = 0
+    for T in complexes:
+        E = EndoAlgebra(T)
+        dims = {(u, v): E.space(u, v).dim for u in range(E.m) for v in range(E.m)}
+        expected = {(u, v, w) for u, v, w in product(range(E.m), repeat=3)
+                    if dims[(u, v)] * dims[(v, w)]}
+        assert set(E.tensor) == expected
+        for (u, v, w), block in E.tensor.items():
+            assert block.shape == (dims[(u, v)], dims[(v, w)], dims[(u, w)])
+        zero_products += sum(1 for u, v, w in product(range(E.m), repeat=3)
+                             if dims[(u, v)] and not dims[(v, w)])
+    assert zero_products > 0
+
+
+def test_fast_decode_builds_one_tensor_with_few_reductions(monkeypatch):
+    """On the 68 coverings of star(4, 1), method "fast" builds one tensor
+    per decode, and building it reduces at most m^2 stacks of product
+    vectors (one quotient_coords per target summand pair)."""
+    builds, reductions = [], []
+    original_tensor = EndoAlgebra.tensor.func
+    original_coords = ChainMapSpace.quotient_coords
+
+    def counting_tensor(self):
+        builds.append(self)
+        return original_tensor(self)
+
+    def counting_coords(self, vecs):
+        if sys._getframe(1).f_code is original_tensor.__code__:
+            reductions.append(self)
+        return original_coords(self, vecs)
+
+    prop = cached_property(counting_tensor)
+    prop.__set_name__(EndoAlgebra, "tensor")
+    monkeypatch.setattr(EndoAlgebra, "tensor", prop)
+    monkeypatch.setattr(ChainMapSpace, "quotient_coords", counting_coords)
+    A = star_algebra(4, 1)
+    coverings = enumerate_coverings(4)
+    assert len(coverings) == 68
+    for cov in coverings:
+        T = covering_to_complex(cov, A)
+        builds.clear()
+        reductions.clear()
+        a_cycle_partition(T, method="fast")
+        assert len(builds) == 1
+        assert 0 < len(reductions) <= len(T.parts) ** 2
+
+
+def test_end_of_every_covering_of_star_5_1():
+    """The paper's application: End(T) of every two-term tilting complex
+    over the star.  The 250 coverings of star(5, 1), decoded with both
+    decoders, reach all 6 plane trees with 5 edges, each as often as
+    [10, 30, 30, 60, 60, 60] in some order."""
+    A = star_algebra(5, 1)
+    shapes = Counter()
+    for cov in enumerate_coverings(5):
+        tree, _ = endo_brauer_tree(covering_to_complex(cov, A), method="both")
+        assert tree.n == 5 and tree.multiplicity == 1
+        shapes[tree.canonical_key()] += 1
+    assert sum(shapes.values()) == 250
+    assert set(shapes) == {tree.canonical_key() for tree in all_brauer_trees(5, 1)}
+    assert sorted(shapes.values()) == [10, 30, 30, 60, 60, 60]

@@ -539,3 +539,42 @@ def test_presentation_and_criterion_compute_each_syzygy_once(monkeypatch):
         module_partial_tilting_test(M, presentation=min_proj_presentation(M))
     assert len(covered) == len(set(covered)) < 3 * len(catalogue)
     assert {_content(M) for M in catalogue} <= set(covered)
+
+
+def test_presentation_is_built_once_per_module_content(monkeypatch):
+    """min_proj_presentation builds a presentation's components and
+    differential once per module content: asked again for copies of the
+    star(4, 2) catalogue, and of a multiplicity-1 tree's, it spins no top
+    generators, yet each call returns a fresh complex with the caller's
+    label, equal to a presentation built on a fresh algebra and sharing no
+    entry with the earlier one."""
+    tops = []
+    original = Representation.top_generators
+
+    def counting(self):
+        tops.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Representation, "top_generators", counting)
+    for A in (star_algebra(4, 2), build_tree_algebra(all_brauer_trees(4, 1)[1])):
+        catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+        tops.clear()
+        first = [min_proj_presentation(M, label=("first", i)) for i, M in enumerate(catalogue)]
+        assert 0 < len(tops) <= 2 * len(catalogue)
+        tops.clear()
+        again = [min_proj_presentation(Representation(A, M.dims, M.act), label=("again", i))
+                 for i, M in enumerate(catalogue)]
+        assert tops == []
+        fresh = build_tree_algebra(A.tree, A.prime)
+        for i, (T, U, M) in enumerate(zip(first, again, catalogue)):
+            assert U is not T and U.name == ("again", i) and T.name == ("first", i)
+            assert U.summand.key == ("pres", ("again", i))
+            assert U.comps == T.comps and U.diffs == T.diffs
+            assert not {id(x) for row in U.diffs[0] for x in row} & {
+                id(x) for row in T.diffs[0] for x in row}
+            want = min_proj_presentation(Representation(fresh, M.dims, M.act))
+            assert U.comps == want.comps and U.diffs == want.diffs
+    with pytest.raises(ValueError, match="projective direct summand"):
+        min_proj_presentation(projective_rep(A, A.edges[0]))
+    with pytest.raises(ValueError, match="zero module"):
+        min_proj_presentation(Representation(A, [0] * A.n, {}))
