@@ -64,17 +64,34 @@ class ProjComplex:
 
     def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, name=None, check=True,
                  parts=None):
-        self.algebra = algebra
-        self.comps = {int(d): tuple(c) for d, c in comps.items() if len(c) > 0}
-        self.diffs = {}
+        self._adopt(algebra, comps, {}, name, parts)
         for d, mat in diffs.items():
             d = int(d)
             self.diffs[d] = _checked(algebra, mat, self.slots(d), self.slots(d + 1),
                                      f"differential at degree {d}", entries=check)
-        self.name = name
-        self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
         if check:
             self._validate()
+
+    def _adopt(self, algebra, comps, grid, name, parts):
+        """Set every field of the complex, holding grid as its
+        differentials as it is."""
+        self.algebra = algebra
+        self.comps = {int(d): tuple(c) for d, c in comps.items() if len(c) > 0}
+        self.diffs = grid
+        self.name = name
+        self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
+
+    @classmethod
+    def _of_fresh_grid(cls, algebra, comps, grid, parts) -> "ProjComplex":
+        """The complex whose differentials are grid itself, a grid this
+        module has just built from copies of entries (direct_sum): its
+        shape is checked as __init__ checks it, but it is not copied again
+        and its entries are not checked."""
+        P = cls.__new__(cls)
+        P._adopt(algebra, comps, grid, None, parts)
+        for d, mat in grid.items():
+            _check_shape(mat, P.slots(d), P.slots(d + 1), f"differential at degree {d}")
+        return P
 
     def _validate(self):
         for d in self.diffs:
@@ -172,8 +189,7 @@ def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str, entries: bool = Tru
     shape and (with entries) every entry [h][g] is a combination of basis
     classes from edge src[g] to edge tgt[h]."""
     mat = [[dict(entry) for entry in row] for row in mat]
-    if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
-        raise ValueError(f"{what} has wrong shape")
+    _check_shape(mat, src, tgt, what)
     for h, row in enumerate(mat if entries else ()):
         for g, entry in enumerate(row):
             for pc in entry:
@@ -182,6 +198,13 @@ def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str, entries: bool = Tru
                 if pc.start != src[g] or pc.end != tgt[h]:
                     raise ValueError(f"entry {pc} of {what} not in block ({src[g]}, {tgt[h]})")
     return mat
+
+
+def _check_shape(mat, src, tgt, what: str):
+    """Raises ValueError unless mat has a row per slot of tgt and an entry
+    per slot of src in each row."""
+    if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
+        raise ValueError(f"{what} has wrong shape")
 
 
 def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
@@ -240,11 +263,7 @@ def direct_sum(parts) -> ProjComplex:
     for P, at in zip(parts, starts):
         for d, h, g, x in _nonzero_entries(P):
             diffs[d][at[d + 1] + h][at[d] + g] = dict(x)
-    # the grid is fresh and holds copies of the parts' entries, so the sum
-    # takes it as it is rather than copying it again in __init__
-    total = ProjComplex(A, comps, {}, check=False, parts=[q for P in parts for q in P.parts])
-    total.diffs = diffs
-    return total
+    return ProjComplex._of_fresh_grid(A, comps, diffs, [q for P in parts for q in P.parts])
 
 
 # -- chain maps -----------------------------------------------------------------
@@ -438,26 +457,17 @@ class ChainMapSpace:
 
     def quotient_coords(self, vecs) -> np.ndarray:
         """Coordinates in the homotopy quotient of a chain-map vector, or
-        one row of them per row of a stack of such vectors.  A vector that
-        is not a chain map is refused; a space of dimension 0 checks that
-        against the commuting squares alone and makes no reduction."""
+        one row of them per row of a stack of such vectors."""
+        free, _, both = self._reduction_data()
         p = self.Q.algebra.prime
         vecs = np.asarray(vecs, dtype=np.int64) % p
         stack = vecs if vecs.ndim == 2 else vecs[None, :]
-        if self.dim == 0:
-            # every chain map is null-homotopic: no reduction, only the
-            # commuting squares, whose echelon rows span those of C
-            if linalg.matmul(stack, self._chain_ech.dense().T, p).any():
-                raise ValueError("vector is not a chain map")
-            out = linalg.zeros(len(stack), 0)
-        else:
-            # one product: the vector again if it is a chain map, then its
-            # quotient coordinates
-            free, _, both = self._reduction_data()
-            prod = linalg.matmul(stack[:, free], both, p)
-            if (prod[:, : self.total] != stack).any():
-                raise ValueError("vector is not a chain map")
-            out = prod[:, self.total :]
+        # one product: the vector again if it is a chain map, then its
+        # quotient coordinates
+        prod = linalg.matmul(stack[:, free], both, p)
+        if (prod[:, : self.total] != stack).any():
+            raise ValueError("vector is not a chain map")
+        out = prod[:, self.total :]
         return out if vecs.ndim == 2 else out[0]
 
     def is_null_homotopic(self, f: ChainMap) -> bool:

@@ -388,16 +388,10 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     jbasis = {(u, v): E.local_radical(u) if u == v else linalg.eye(E.space(u, v).dim)
               for u in range(m) for v in range(m)}
 
-    # radical squared per block: one contraction per block of the tensor;
-    # off the diagonal the radical basis is the identity, so between three
-    # blocks off it the contraction is the block itself
+    # radical squared per block: one contraction per block of the tensor
     jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
-    for (u, v, w), table in E.tensor.items():
-        if u != v != w:
-            a, b, c = table.shape
-            prods = table.reshape(a * b, c)
-        else:
-            prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
+    for u, v, w in E.tensor:
+        prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
         jsq[(u, w)].extend(prods[prods.any(axis=1)])
 
     arrows = []  # (u, v, coordinates)

@@ -423,7 +423,7 @@ def test_chain_map_space_properties(nk, data):
         assert sp.is_null_homotopic(f)
     # quotient coordinates: the coefficients of the basis maps, whatever null
     # map is added; a vector that is not a chain map is refused, also by a
-    # space of dimension 0, which reads only the commuting squares
+    # space of dimension 0
     p = U.algebra.prime
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=sp.dim, max_size=sp.dim))
     vec = sum((c * sp.vector_of(f) for c, f in zip(coeffs, maps)), sp.null_basis.sum(axis=0))
