@@ -166,7 +166,8 @@ class BrauerTreeAlgebra:
         self.arrows = arrows
 
     def _check_consistency(self):
-        """Symmetric Cartan matrix and an associative multiplication table.
+        """The Cartan matrix of the tree and an associative multiplication
+        table.
 
         The table holds composable pairs only, and every product must be a
         basis class running from the start of its left factor to the end of
@@ -176,11 +177,8 @@ class BrauerTreeAlgebra:
         wrong edge to be composed with the remaining factor.  So
         associativity needs checking only on composable triples.
         """
-        cart = self.cartan_matrix()
-        for i in range(self.n):
-            for j in range(self.n):
-                if cart[i][j] != cart[j][i]:
-                    raise AssertionError("Cartan matrix is not symmetric")
+        if self.cartan_matrix() != self.tree.cartan_matrix():
+            raise AssertionError("Cartan matrix of the basis disagrees with the tree")
         products = {p: {} for p in self.basis}  # p -> {q: pq} for pq != 0
         for (p, q), r in self.mult.items():
             if r not in self.index or (r.start, r.end) != (p.start, q.end):

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import BrauerTreeAlgebra, build_tree_algebra, idempotent, socle_class
+from .algebra import BrauerTreeAlgebra, idempotent, socle_class
 from .complexes import (
     ChainMap,
     ChainMapSpace,
@@ -509,7 +509,7 @@ def tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, 
     if len(exc_cycles) != 1:
         raise AssertionError("expected exactly one exceptional cycle")
     tree = BrauerTree(range(len(cyclic)), ends, cyclic, exc_cycles[0], A.tree.multiplicity)
-    if build_tree_algebra(tree, A.prime).cartan_matrix() != endo_cartan(T):
+    if tree.cartan_matrix() != endo_cartan(T):
         raise AssertionError(
             "tree Cartan matrix disagrees with the endomorphism Cartan matrix"
         )

@@ -354,14 +354,19 @@ def quotient_representation(M: Representation, spans) -> tuple[Representation, M
 # -- homomorphisms ---------------------------------------------------------------
 
 
-def _intertwiner_rows(M: Representation, N: Representation):
-    """The equations phi_a @ M.act = N.act @ phi_b of a module map phi: M -> N,
-    one row per arrow a -> b and entry of the M_b -> N_a block, in unknowns
-    holding phi_i (shape N_i x M_i) row-major from offs[i]; and offs."""
+def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
+    """A basis of the module maps phi: M -> N, the solutions of the
+    equations phi_a @ M.act = N.act @ phi_b, one row per arrow a -> b and
+    entry of the M_b -> N_a block, in unknowns holding phi_i (shape
+    N_i x M_i) row-major from offs[i]."""
     A = M.algebra
+    if N.algebra is not A:
+        raise ValueError("modules over different algebras")
     p = A.prime
     offs = np.cumsum([0] + [N.dims[i] * M.dims[i] for i in range(A.n)])
     total = int(offs[-1])
+    if total == 0:
+        return []
     rows = []
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
@@ -374,20 +379,9 @@ def _intertwiner_rows(M: Representation, N: Representation):
                 for s in range(N.dims[b]):
                     row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Na[r, s]) % p
                 rows.append(row)
-    return rows, offs
-
-
-def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
-    A = M.algebra
-    if N.algebra is not A:
-        raise ValueError("modules over different algebras")
-    rows, offs = _intertwiner_rows(M, N)
-    total = int(offs[-1])
-    if total == 0:
-        return []
     mat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
     basis = []
-    for vec in linalg.nullspace(mat, A.prime):
+    for vec in linalg.nullspace(mat, p):
         mats = [
             vec[offs[i] : offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)
         ]
@@ -737,78 +731,3 @@ def enumerate_indecomposables(A: BrauerTreeAlgebra):
             items.append((("projective", e), projective_rep(A, e)))
         return items
     raise ValueError("enumeration supports stars and small multiplicity-1 trees")
-
-
-# -- serial decomposition (star algebras) ------------------------------------------
-
-
-def _element_life(M: Representation, edge, vec) -> int:
-    """Composition length of the cyclic submodule generated by vec."""
-    A = M.algebra
-    A.require_star()
-    nk = A.n * A.tree.multiplicity
-    images = M.path_images(edge, vec)
-    return 1 + max(
-        (t for t in range(1, nk + 1) if images[A.star_path(A.star_next(edge, -t), t)].any()),
-        default=0,
-    )
-
-
-def decompose_serial(M: Representation) -> list[UniserialSpec]:
-    """Split a star-algebra module into uniserial summands (multiset)."""
-    A = M.algebra
-    A.require_star()
-    out = []
-    current = M
-    while not current.is_zero():
-        best = None
-        for a_idx, v in current.top_generators():
-            life = _element_life(current, A.edges[a_idx], v)
-            if best is None or life > best[0]:
-                best = (life, a_idx, v)
-        life, a_idx, v = best
-        top_edge = A.edges[a_idx]
-        spec = UniserialSpec(top_edge, life)
-        U = uniserial_rep(A, spec)
-        incl = _cyclic_inclusion(current, top_edge, v, U)
-        proj = _splitting_projection(current, U, incl)
-        current, _ = kernel_representation(proj)
-        out.append(spec)
-    return sorted(out, key=lambda s: (s.top, s.length))
-
-
-def _cyclic_inclusion(M: Representation, edge, vec, U: Representation) -> ModuleMap:
-    A = M.algebra
-    mats = [linalg.zeros(M.dims[i], U.dims[i]) for i in range(A.n)]
-    counters = [0] * A.n
-    images = M.path_images(edge, vec)
-    for t in range(U.total_dim):
-        e = A.star_next(edge, -t)
-        i = A.eidx[e]
-        mats[i][:, counters[i]] = images[A.star_path(e, t)]
-        counters[i] += 1
-    return ModuleMap(U, M, mats)
-
-
-def _splitting_projection(M: Representation, U: Representation, incl: ModuleMap) -> ModuleMap:
-    """Solve for a module map M -> U restricting to the identity on U."""
-    A = M.algebra
-    rows, offs = _intertwiner_rows(M, U)
-    total = int(offs[-1])
-    rhs = [0] * len(rows)
-    for i in range(A.n):
-        for r in range(U.dims[i]):
-            for c in range(U.dims[i]):
-                row = linalg.zeros(1, total)[0]
-                for s in range(M.dims[i]):
-                    row[offs[i] + r * M.dims[i] + s] = incl.mats[i][s, c]
-                rows.append(row)
-                rhs.append(1 if r == c else 0)
-    mat = np.array(rows, dtype=np.int64)
-    sol = linalg.solve(mat, np.array(rhs, dtype=np.int64), A.prime)
-    if sol is None:
-        raise AssertionError("maximal-length cyclic submodule failed to split")
-    mats = [
-        sol[offs[i] : offs[i + 1]].reshape(U.dims[i], M.dims[i]) for i in range(A.n)
-    ]
-    return ModuleMap(M, U, mats)

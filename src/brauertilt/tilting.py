@@ -12,15 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .complexes import (
-    ProjComplex,
-    direct_sum,
-    hom_complex_dim,
-    stalk_complex,
-)
+from .complexes import ProjComplex, hom_complex_dim
 from .modules import (
     Representation,
-    decompose_serial,
     has_projective_summand,
     hom_dim,
     min_proj_presentation,
@@ -28,7 +22,6 @@ from .modules import (
     projective_sum,
     quotient_representation,
     second_syzygy,
-    uniserial_presentation,
 )
 
 
@@ -149,7 +142,7 @@ def stalk_orthogonality_test(
     return hom_dim(N, P) == 0 and hom_dim(P, N) == 0
 
 
-# -- two-term decomposition (star algebras) -----------------------------------------
+# -- cokernel of a two-term complex -----------------------------------------------
 
 
 def cokernel_rep(T: ProjComplex) -> Representation:
@@ -178,43 +171,3 @@ def cokernel_rep(T: ProjComplex) -> Representation:
     ]
     quot, _ = quotient_representation(upper, spans)
     return quot
-
-
-def decompose_two_term(T: ProjComplex) -> ProjComplex:
-    """Rewrite a two-term complex over a star algebra as a sum of
-    minimal presentations, stalks in both degrees and nothing else
-    (contractible pieces are dropped)."""
-    A = T.algebra
-    A.require_star()
-    lo, hi = T.min_degree, T.max_degree
-    if (lo, hi) != (0, 1):
-        raise ValueError("decomposition expects a complex in degrees 0 and 1")
-    nk = A.n * A.tree.multiplicity
-    specs = decompose_serial(cokernel_rep(T))
-    parts = []
-    used_hi = {e: 0 for e in A.edges}
-    used_lo = {e: 0 for e in A.edges}
-    for spec in specs:
-        if spec.length == nk + 1:
-            parts.append(stalk_complex(A, spec.top, hi))
-            used_hi[spec.top] += 1
-        else:
-            parts.append(uniserial_presentation(A, spec.top, spec.length))
-            used_hi[spec.top] += 1
-            used_lo[A.star_next(spec.top, -spec.length)] += 1
-    contractible = {}
-    for e in A.edges:
-        c = list(T.slots(hi)).count(e) - used_hi[e]
-        if c < 0:
-            raise AssertionError("decomposition used more covers than present")
-        contractible[e] = c
-    for e in A.edges:
-        extra = list(T.slots(lo)).count(e) - used_lo[e] - contractible[e]
-        if extra < 0:
-            raise AssertionError("decomposition used more lower slots than present")
-        for _ in range(extra):
-            parts.append(stalk_complex(A, e, lo))
-    if not parts:
-        # everything was contractible
-        return ProjComplex(A, {}, {})
-    return direct_sum(parts)

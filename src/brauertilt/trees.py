@@ -114,6 +114,18 @@ class BrauerTree:
         """Length of the full winding around v (multiplicity times degree)."""
         return self.vertex_multiplicity(v) * self.degree(v)
 
+    def cartan_matrix(self) -> list[list[int]]:
+        """dim e_i A e_j of the tree's algebra, rows and columns in
+        edge_ids() order: the multiplicities of the vertices the two edges
+        share, so m(v) + m(w) on the diagonal, m(v) for edges meeting at v
+        and 0 for disjoint edges."""
+        ends = {e: set(vw) for e, vw in self.edges.items()}
+        ids = self.edge_ids()
+        return [
+            [sum(self.vertex_multiplicity(v) for v in ends[e] & ends[f]) for f in ids]
+            for e in ids
+        ]
+
     def succ(self, v, edge):
         """Next edge after `edge` in the cyclic order at v (arrow direction)."""
         return self._succ[(v, edge)]

@@ -398,10 +398,6 @@ def suite_realization_roundtrip(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def _star_cartan(n, k):
-    return [[k + 1 if i == j else k for j in range(n)] for i in range(n)]
-
-
 def suite_star_autoequivalences(prime=DEFAULT_PRIME) -> SuiteResult:
     """For multiplicity 1 exactly 2n nontrivial coverings give an
     endomorphism ring isomorphic to the star (plus the trivial covering);
@@ -411,7 +407,7 @@ def suite_star_autoequivalences(prime=DEFAULT_PRIME) -> SuiteResult:
     for k in (1, 2):
         for n in range(2, 6):
             A = _star(n, k, prime)
-            target = _star_cartan(n, k)
+            target = A.cartan_matrix()
             hits = []
             for cov in enumerate_coverings(n):
                 T = covering_to_complex(cov, A)

@@ -8,7 +8,7 @@ from brauertilt.algebra import (
     socle_class,
     star_algebra,
 )
-from brauertilt.trees import BrauerTree
+from brauertilt.trees import BrauerTree, all_brauer_trees
 
 
 def walk_dim_oracle(tree, edge):
@@ -93,18 +93,16 @@ def test_hom_basis_contains_identity():
 
 
 def test_cartan_symmetric_and_prime_free():
-    trees = [BrauerTree.star(4, 2)]
-    trees.append(
-        BrauerTree(range(4), {0: (0, 1), 1: (1, 2), 2: (1, 3)},
-                   {0: (0,), 1: (0, 1, 2), 2: (1,), 3: (2,)}, 1, 3)
-    )
-    for tree in trees:
-        carts = [build_tree_algebra(tree, p).cartan_matrix() for p in (2, 3, 32003)]
-        assert carts[0] == carts[1] == carts[2]
-        c = carts[0]
-        n = len(c)
-        assert all(c[i][j] == c[j][i] for i in range(n) for j in range(n))
-        assert all(c[i][i] > 0 for i in range(n))
+    """On every tree with at most 5 edges and k <= 3 the algebra's Cartan
+    matrix is the same at every prime and is the one read off the tree."""
+    for n in range(1, 6):
+        for k in (1, 2, 3):
+            for tree in all_brauer_trees(n, k):
+                c = tree.cartan_matrix()
+                assert all(c[i][j] == c[j][i] for i in range(n) for j in range(n))
+                assert all(c[i][i] > 0 for i in range(n))
+                for p in (2, 3, 32003):
+                    assert build_tree_algebra(tree, p).cartan_matrix() == c
 
 
 def test_parameter_validation():
@@ -148,3 +146,18 @@ def test_self_check_catches_product_with_wrong_endpoints(monkeypatch):
     corrupt_product(monkeypatch, (ARROW_1, ARROW_2), PathClass("p", 1, 4, 0, 3))
     with pytest.raises(AssertionError, match="not a basis class from edge 1 to edge 3"):
         star_algebra(13, 1)
+
+
+def test_self_check_catches_wrong_cartan(monkeypatch):
+    """Dropping one class from the blocks e_1 A e_2 and e_2 A e_1 keeps the
+    Cartan matrix symmetric; the comparison with the tree still fails."""
+    raw = BrauerTreeAlgebra._build_basis
+
+    def patched(self):
+        raw(self)
+        for key in ((1, 2), (2, 1)):
+            self.blocks[key] = self.blocks[key][:-1]
+
+    monkeypatch.setattr(BrauerTreeAlgebra, "_build_basis", patched)
+    with pytest.raises(AssertionError, match="Cartan matrix"):
+        star_algebra(3, 2)

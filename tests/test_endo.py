@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 from itertools import product
 
@@ -32,6 +33,7 @@ from brauertilt.endo import (
     endo_brauer_tree,
     endo_cartan,
     is_autoequivalence_covering,
+    tree_from_cycles,
     validate_cycles,
 )
 from brauertilt.realization import realize
@@ -220,6 +222,22 @@ def test_edge_count_and_multiplicity_preserved():
             assert tree.n == n
             assert tree.multiplicity == k
             assert len(label_map) == n
+
+
+def test_tree_from_cycles_rejects_a_moved_exceptional_mark():
+    """With k = 2 the exceptional vertex changes the tree's Cartan matrix,
+    so cycles whose mark sits on the wrong cycle fail the comparison with
+    End(T)."""
+    A = star_algebra(3, 2)
+    cov = Covering(3, (CyclicInterval(1, 1), CyclicInterval(2, 2)), ((), ()), "deg0")
+    T = covering_to_complex(cov, A)
+    cycles = a_cycle_partition(T)
+    assert [c.exceptional for c in cycles] == [True, False, False]
+    tree, _ = tree_from_cycles(T, cycles)
+    assert tree.cartan_matrix() == endo_cartan(T)
+    moved = [replace(c, exceptional=(i == 1)) for i, c in enumerate(cycles)]
+    with pytest.raises(AssertionError, match="Cartan matrix disagrees"):
+        tree_from_cycles(T, moved)
 
 
 def pick_arrows_by_rank(square_rows, candidates, p):

@@ -14,7 +14,6 @@ from brauertilt.modules import (
     ModuleMap,
     Representation,
     UniserialSpec,
-    decompose_serial,
     enumerate_indecomposables,
     enumerate_strings,
     has_projective_summand,
@@ -179,14 +178,6 @@ def test_string_walk_validation():
         string_rep(A, [(a, 1), (b, 1), (a, 1)])
     with pytest.raises(ValueError):
         string_rep(A, [])
-
-
-def test_serial_decomposition():
-    A = star_algebra(3, 1)
-    M = uniserial_rep(A, UniserialSpec(1, 2))
-    N = uniserial_rep(A, UniserialSpec(3, 1))
-    specs = decompose_serial(direct_sum_rep(M, N))
-    assert sorted((s.top, s.length) for s in specs) == [(1, 2), (3, 1)]
 
 
 def test_zero_module_top_socle_error():

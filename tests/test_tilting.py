@@ -1,4 +1,3 @@
-import random
 from functools import lru_cache
 
 import pytest
@@ -30,7 +29,6 @@ from brauertilt.modules import (
     uniserial_rep,
 )
 from brauertilt.tilting import (
-    decompose_two_term,
     hom_to_module,
     is_partial_tilting,
     is_tilting,
@@ -190,70 +188,16 @@ def test_stalk_membership_matches_chain_maps():
                 assert by_module == by_chain
 
 
-def random_two_term(A, rng):
-    n, k = A.n, A.tree.multiplicity
-    lower = [rng.choice(A.edges) for _ in range(rng.randint(1, 3))]
-    upper = [rng.choice(A.edges) for _ in range(rng.randint(1, 3))]
-    diff = []
-    for b in upper:
-        row = []
-        for a in lower:
-            entry = {}
-            for pc in A.blocks[(a, b)]:
-                if rng.random() < 0.5:
-                    entry[pc] = rng.randrange(1, A.prime)
-            row.append(entry)
-        diff.append(row)
-    return ProjComplex(A, {0: tuple(lower), 1: tuple(upper)}, {0: diff})
-
-
-def test_two_term_decomposition_preserves_homs():
-    rng = random.Random(7)
-    for n, k in [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]:
-        A = star_algebra(n, k)
-        probes = [stalk_complex(A, 1, 0), stalk_complex(A, A.n, 1), pres(A, 1, 1)]
-        for _ in range(6):
-            T = random_two_term(A, rng)
-            D = decompose_two_term(T)
-            assert D.labels is not None
-            for probe in probes:
-                for s in (-1, 0, 1):
-                    assert hom_complex_dim(T, probe, s, direct=True) == hom_complex_dim(
-                        D, probe, s, direct=True
-                    ), (n, k, s)
-                    assert hom_complex_dim(probe, T, s, direct=True) == hom_complex_dim(
-                        probe, D, s, direct=True
-                    )
-
-
-def test_decompose_identity_is_contractible():
-    A = star_algebra(2, 1)
-    from brauertilt.algebra import idempotent
-
-    T = ProjComplex(A, {0: (1,), 1: (1,)}, {0: [[{idempotent(1): 1}]]})
-    D = decompose_two_term(T)
-    assert D.labels == ()
-    probe = stalk_complex(A, 1, 0)
-    for s in (-1, 0, 1):
-        assert hom_complex_dim(T, probe, s, direct=True) == 0
-        assert hom_complex_dim(D, probe, s, direct=True) == 0
-
-
 def test_zero_complex_is_partial_tilting_and_not_tilting():
-    """The zero complex, which decompose_two_term returns when everything
-    is contractible, has no Homs: no shift to check, partial tilting, and
-    not tilting since its class spans nothing."""
+    """The zero complex has no Homs: no shift to check, partial tilting,
+    and not tilting since its class spans nothing."""
     A = star_algebra(3, 1)
-    from brauertilt.algebra import idempotent
-
     Z = ProjComplex(A, {}, {})
     assert shift_range(Z, Z) == []
     assert shift_range(Z, algebra_complex(A, 0)) == shift_range(algebra_complex(A, 0), Z) == []
     for direct in (False, True):
         assert is_partial_tilting(Z, direct=direct)
         assert not is_tilting(Z, direct=direct)
-    D = decompose_two_term(ProjComplex(A, {0: (2,), 1: (2,)}, {0: [[{idempotent(2): 1}]]}))
-    assert not D.comps and is_partial_tilting(D) and not is_tilting(D)
 
 
 @lru_cache(maxsize=None)
