@@ -140,6 +140,11 @@ class ProjComplex:
         return tuple(cls)
 
     @cached_property
+    def k0_terms(self) -> tuple:
+        """The nonzero entries of k0_class(), as (edge, multiplicity) pairs."""
+        return tuple((e, x) for e, x in zip(self.algebra.edges, self.k0_class()) if x)
+
+    @cached_property
     def content_id(self) -> int:
         """Number of this complex's comps and differentials among those
         interned on its algebra: complexes with equal content share it."""
@@ -341,26 +346,32 @@ class ChainMapSpace:
 
     The bases are made on first read, each once: null_basis (the reduced
     rows of N) and chain_basis (the nullspace of C) each back-substitute
-    their echelon form (`linalg.back_substitute`, in place) and turn dense;
-    at the cost of one more rref in the coordinates of chain_basis,
-    _reduction_data gives the quotient representatives and the matrix that
+    their echelon form (`linalg.back_substitute`, in place) and are dense
+    views of those sparse rows.  _reduction_data works on the same sparse
+    rows, with one code path for every space, dimension 0 included: the
+    null rows in the coordinates of chain_basis, eliminated once by their
+    last column, give the quotient representatives and the matrix that
     gives quotient coordinates, which holds chain_basis as its left block.
+
+    When Q and R are sums of parts, the Hom complex is block-diagonal by
+    pairs of parts, so `by_parts` splits one space into the space of each
+    pair of parts, each with the pivots and reduced forms it would get
+    built alone.
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
-        self.Q, self.R, self.s = Q, R, s
         A = Q.algebra
         if R.algebra is not A:
             raise ValueError("complexes over different algebras")
         p = A.prime
         here = _block_offsets(A, Q, R, s)
-        self.offsets, self.total = here
+        total = here[1]
         # C can have rows only if maps Q -> R[s] and Q -> R[s+1] exist, N
         # only if maps Q -> R[s] and Q -> R[s-1] do; the layout of another
         # shift is built only then
-        cmat = nmat = linalg.SparseRows([], self.total)
-        above = self.total > 0 and _meets(Q, R, s + 1)
-        below = self.total > 0 and _meets(Q, R, s - 1)
+        cmat = nmat = linalg.SparseRows([], total)
+        above = total > 0 and _meets(Q, R, s + 1)
+        below = total > 0 and _meets(Q, R, s - 1)
         if above or below:
             q_entries = _nonzero_entries(Q)
             entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
@@ -372,14 +383,67 @@ class ChainMapSpace:
                                      entries, transpose=True)
         # forward elimination only: dim needs the pivot counts, and the
         # echelon forms are reduced when a basis is first read
-        (self._chain_ech, self._chain_pivots), (self._null_ech, self._null_pivots) = [
-            linalg.echelon(m, p) if m.rows else (m, []) for m in (cmat, nmat)
-        ]
-        self.null_rank = len(self._null_pivots)
+        chain, null = [linalg.echelon(m, p) if m.rows else (m, []) for m in (cmat, nmat)]
         if not _product_vanishes(cmat, nmat, p):
             raise AssertionError("null-homotopic maps escaped the chain-map space")
+        self._adopt(Q, R, s, here, chain, null)
+
+    def _adopt(self, Q, R, s, here, chain, null):
+        """Set every field of the space from its _block_offsets `here` and
+        the echelon forms and pivots of C and N."""
+        self.Q, self.R, self.s = Q, R, s
+        self.offsets, self.total = here
+        (self._chain_ech, self._chain_pivots), (self._null_ech, self._null_pivots) = chain, null
+        self.null_rank = len(self._null_pivots)
         self.dim = self.total - len(self._chain_pivots) - self.null_rank
         self._reduction = None
+
+    def by_parts(self) -> dict[tuple[int, int], "ChainMapSpace"]:
+        """The space from part u of Q to part v of R, keyed (u, v) by their
+        positions in Q.parts and R.parts, split off this space without
+        building it again.
+
+        The differentials of Q and R map each part into itself, so each
+        row of C and N, and each row their elimination makes, lies in the
+        blocks of one pair of parts; those blocks come in the order of the
+        pair's own _block_offsets.  So a pair's rows, renumbered into its
+        own columns, have the pivots and reduced forms of its own space.
+        """
+        Q, R, s = self.Q, self.R, self.s
+        dims = Q.algebra.block_dims
+        offsets = {(u, v): {} for u in range(len(Q.parts)) for v in range(len(R.parts))}
+        totals = dict.fromkeys(offsets, 0)
+        # the pair and the column in the pair's space of each column here
+        pair_of, local, owners = [], [], {}
+        for d, j, i in self.offsets:
+            if d not in owners:
+                owners[d] = (_slot_owners(Q, d), _slot_owners(R, d + s))
+            (u, ii), (v, jj) = owners[d][0][i], owners[d][1][j]
+            start = totals[(u, v)]
+            offsets[(u, v)][(d, jj, ii)] = start
+            size = dims[(Q.slots(d)[i], R.slots(d + s)[j])]
+            totals[(u, v)] = start + size
+            pair_of.extend([(u, v)] * size)
+            local.extend(range(start, start + size))
+
+        def split(ech, pivots):
+            out = {key: ([], []) for key in offsets}
+            for c, row in zip(pivots, ech.rows):
+                rows, at = out[pair_of[c]]
+                rows.append({local[j]: v for j, v in row.items()})
+                at.append(local[c])
+            return out
+
+        chain = split(self._chain_ech, self._chain_pivots)
+        null = split(self._null_ech, self._null_pivots)
+        spaces = {}
+        for (u, v), here in offsets.items():
+            total = totals[(u, v)]
+            sp = spaces[(u, v)] = ChainMapSpace.__new__(ChainMapSpace)
+            sp._adopt(Q.parts[u], R.parts[v], s, (here, total),
+                      *[(linalg.SparseRows(rows, total), at)
+                        for rows, at in (chain[(u, v)], null[(u, v)])])
+        return spaces
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -389,12 +453,20 @@ class ChainMapSpace:
         return red.dense()[: self.null_rank]
 
     @cached_property
+    def free(self) -> list[int]:
+        """The free columns of C, the columns that are not its pivots: a
+        chain map is the combination of chain_basis with its entries there."""
+        taken = set(self._chain_pivots)
+        return [c for c in range(self.total) if c not in taken]
+
+    @cached_property
     def chain_basis(self) -> np.ndarray:
         """Rows span the chain maps: the nullspace of the commuting squares,
-        read off their reduced form."""
+        one row per free column, 1 there and minus that column of the
+        reduced rows of C at their pivots."""
         p = self.Q.algebra.prime
         red = linalg.back_substitute(self._chain_ech, self._chain_pivots, p)
-        return linalg.nullspace_of_rref(red.dense(), self._chain_pivots, p)
+        return _kernel_basis(red.rows, self._chain_pivots, self.free, self.total, p)
 
     # -- conversions ---------------------------------------------------------------
 
@@ -428,31 +500,42 @@ class ChainMapSpace:
         return ChainMap(self.Q, self.R, self.s, comps)
 
     def _reduction_data(self):
-        """The free columns of the rref of C, the chain-basis rows that are
-        independent of the null rows and of the earlier chain-basis rows,
-        and the matrix [chain_basis | F^T] that quotient_coords multiplies
-        by.
+        """The free columns of C, the chain-basis rows that are independent
+        of the null rows and of the earlier chain-basis rows, and the matrix
+        [chain_basis | F^T] that quotient_coords multiplies by.
 
         A chain map v is the combination of the chain basis with the
         coefficients y = v[free].  In these coordinates the chain basis is
-        the identity and the null rows are N_c = null_basis[:, free], so one
-        rref of [N_c^T | I] picks the representatives (its pivot columns in
-        I) and its right block E inverts the transposed stack of the null
-        rows and the representatives: the quotient coordinates of v are
-        F y, F the representatives' rows of E.  So y [chain_basis | F^T]
-        is v followed by its quotient coordinates.
+        the identity, and the null rows restricted to the free columns span
+        the null-homotopic maps.  Eliminated by their last column, they put
+        a pivot at every free column whose basis row is a null row plus
+        earlier basis rows, so the other free columns pick the
+        representatives greedily.  With the null rows reduced, y is the sum
+        of y[pivot] times each null row and a combination of the
+        representatives, whose coefficients, the quotient coordinates F y,
+        are y at the representatives minus what the null rows put there: F
+        has one row per representative, the kernel basis of the reduced
+        null rows.  So y [chain_basis | F^T] is v followed by its quotient
+        coordinates.
         """
         if self._reduction is None:
-            taken = set(self._chain_pivots)
-            free = [c for c in range(self.total) if c not in taken]
-            null_c = self.null_basis[:, free]
-            k, c = null_c.shape
-            aug = np.concatenate([null_c.T, linalg.eye(c)], axis=1)
-            red, pivots = linalg.rref(aug, self.Q.algebra.prime) if c else (aug, [])
-            chosen = np.array([j - k for j in pivots[k:]], dtype=np.intp)
+            p, free = self.Q.algebra.prime, self.free
+            last = len(free) - 1
+            # the null rows at the free columns, numbered backwards, so that
+            # the forward pass eliminates each row by its last column
+            back = {c: last - r for r, c in enumerate(free)}
+            rows = [{back[j]: v for j, v in row.items() if j in back}
+                    for row in self._null_ech.rows]
+            ech, pivots = linalg.echelon(linalg.SparseRows(rows, len(free)), p)
+            linalg.back_substitute(ech, pivots, p)
+            taken = set(pivots)
+            chosen = [r for r in range(len(free)) if last - r not in taken]
+            # the kernel basis, numbered backwards, turned back
+            f = _kernel_basis(ech.rows, pivots, [last - r for r in reversed(chosen)],
+                              len(free), p)[::-1, ::-1]
             chain_basis = self.chain_basis
-            both = np.concatenate([chain_basis, red[k:, k:].T], axis=1)
-            self._reduction = (free, chain_basis[chosen], both)
+            self._reduction = (free, chain_basis[chosen],
+                               np.concatenate([chain_basis, f.T], axis=1))
         return self._reduction
 
     def quotient_coords(self, vecs) -> np.ndarray:
@@ -491,6 +574,37 @@ def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: 
                 offsets[(d, j, i)] = total
                 total += dims[(a, b)]
     return offsets, total
+
+
+def _kernel_basis(rows, pivots, free, width, p) -> np.ndarray:
+    """Rows spanning the kernel of the reduced sparse rows `rows`, whose
+    pivot columns are `pivots` and other columns `free`, of `width`
+    columns: one row per free column, 1 there and minus that column of
+    the rows at their pivots (the basis linalg.nullspace_of_rref gives)."""
+    row_of = {c: r for r, c in enumerate(free)}
+    basis = linalg.zeros(len(free), width)
+    basis.put([r * width + c for r, c in enumerate(free)], 1)
+    at, vals = [], []
+    for c, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j != c:
+                at.append(row_of[j] * width + c)
+                vals.append(p - v)
+    basis.put(at, vals)
+    return basis
+
+
+def _slot_owners(X: ProjComplex, d: int) -> list[tuple[int, int]]:
+    """(part, slot within the part) of each slot of X in degree d; the
+    parts must lay out X's slots in order, as direct_sum does."""
+    owners, slots = [], []
+    for u, P in enumerate(X.parts):
+        here = P.slots(d)
+        owners.extend((u, i) for i in range(len(here)))
+        slots.extend(here)
+    if tuple(slots) != X.slots(d):
+        raise ValueError("the parts of the complex do not lay out its slots")
+    return owners
 
 
 def _meets(Q: ProjComplex, R: ProjComplex, shift: int) -> bool:
@@ -599,28 +713,19 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     total = 0
     for u in Q.parts:
         for v in R.parts:
-            dim = A.hom_cache.get((u.content_id, v.content_id, s))
-            total += hom_space(u, v, s).dim if dim is None else dim
+            key = (u.content_id, v.content_id, s)
+            dim = A.hom_cache.get(key)
+            if dim is None:
+                dim = A.hom_cache[key] = ChainMapSpace(u, v, s).dim
+            total += dim
     return total
-
-
-def hom_space(Q: ProjComplex, R: ProjComplex, s: int) -> ChainMapSpace:
-    """ChainMapSpace(Q, R, s), its dimension recorded in Q.algebra.hom_cache
-    under the content ids, where hom_complex_dim looks first."""
-    space = ChainMapSpace(Q, R, s)
-    Q.algebra.hom_cache[(Q.content_id, R.content_id, s)] = space.dim
-    return space
 
 
 def euler_pairing(Q: ProjComplex, R: ProjComplex) -> int:
-    """Alternating sum of module Hom dimensions between the components;
-    equals dim Hom_{K^b}(Q, R) whenever the pair has no Homs in nonzero
-    shifts."""
-    A = Q.algebra
-    total = 0
-    for r, qs in Q.comps.items():
-        for s, rs in R.comps.items():
-            sign = -1 if (r - s) % 2 else 1
-            block = sum(len(A.blocks[(a, b)]) for a in qs for b in rs)
-            total += sign * block
-    return total
+    """The classes of Q and R in K_0 paired by the Cartan matrix of A,
+    k0(Q) C k0(R): the alternating sum of module Hom dimensions between
+    the components, which equals dim Hom_{K^b}(Q, R) whenever the pair has
+    no Homs in nonzero shifts.  Entry (a, b) of C is the dimension of
+    block (a, b)."""
+    dims = Q.algebra.block_dims
+    return sum(x * y * dims[(a, b)] for a, x in Q.k0_terms for b, y in R.k0_terms)

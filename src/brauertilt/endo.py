@@ -26,9 +26,7 @@ from .complexes import (
     ChainMap,
     ChainMapSpace,
     ProjComplex,
-    euler_pairing,
     hom_complex_dim,
-    hom_space,
     identity_chain_map,
 )
 from .tilting import is_tilting
@@ -67,11 +65,15 @@ def endo_cartan(T: ProjComplex) -> list[list[int]]:
     parts = summand_complexes(T)
     m = len(parts)
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
+    # the Euler pairing of every pair of summands at once: K C K^T, K the
+    # summands' classes in K_0 and C the Cartan matrix of A
+    K = np.array([P.k0_class() for P in parts], dtype=np.int64)
+    euler = (K @ np.array(T.algebra.cartan_matrix(), dtype=np.int64) @ K.T).tolist()
     for i in range(m):
         for j in range(m):
             if cart[i][j] != cart[j][i]:
                 raise AssertionError("endomorphism Cartan matrix is not symmetric")
-            if cart[i][j] != euler_pairing(parts[i], parts[j]):
+            if cart[i][j] != euler[i][j]:
                 raise AssertionError("Cartan entry disagrees with the Euler pairing")
     return cart
 
@@ -201,10 +203,14 @@ def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
 
 class EndoAlgebra:
     """End(T) in quotient coordinates, with one block-sparse structure
-    tensor.  Per decode it owns the space of each summand pair (u, v),
-    built on first use through hom_space, so endo_cartan finds its
-    dimension cached; the space's quotient representatives are the basis
-    of block (u, v) of End(T), classes 0, ..., dim(u, v) - 1.
+    tensor.  Per decode it builds one space Hom(T, T) with the usual
+    ChainMapSpace constructor, on first use, and splits it into the space
+    of each summand pair (u, v) (ChainMapSpace.by_parts): the Hom complex
+    is block-diagonal by summands, so the whole-T pass is forward
+    elimination only, and every reduction stays per pair.  The pairs'
+    dimensions go to A.hom_cache, where endo_cartan finds them.  A pair
+    space's quotient representatives are the basis of block (u, v) of
+    End(T), classes 0, ..., dim(u, v) - 1.
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
     only where dim(u, v) and dim(v, w) are both nonzero, as an array of
@@ -219,11 +225,16 @@ class EndoAlgebra:
         self.p = T.algebra.prime
         self.parts = summand_complexes(T)
         self.m = len(self.parts)
-        self._spaces: dict[tuple, ChainMapSpace] = {}
+
+    @cached_property
+    def _spaces(self) -> dict[tuple, ChainMapSpace]:
+        spaces = ChainMapSpace(self.T, self.T, 0).by_parts()
+        cache, ids = self.T.algebra.hom_cache, [P.content_id for P in self.parts]
+        for (u, v), sp in spaces.items():
+            cache[(ids[u], ids[v], 0)] = sp.dim
+        return spaces
 
     def space(self, u, v) -> ChainMapSpace:
-        if (u, v) not in self._spaces:
-            self._spaces[(u, v)] = hom_space(self.parts[u], self.parts[v], 0)
         return self._spaces[(u, v)]
 
     def coords(self, u, v, f: ChainMap) -> np.ndarray:
@@ -378,6 +389,23 @@ def _pick_arrows(square_rows, candidates, p) -> list[int]:
     return [c - skip for c in linalg.rref(stacked.T, p)[1] if c >= skip]
 
 
+def _radical_square(E: EndoAlgebra, jbasis) -> dict[tuple, list[np.ndarray]]:
+    """The nonzero products of the radical bases jbasis over each block of
+    the tensor, listed under their target pair.  Only a diagonal pair has a
+    radical basis other than the identity, so a block (u, v, w) with
+    u != v != w gives the block itself, reshaped; the others take one
+    contraction each."""
+    jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
+    for (u, v, w), table in E.tensor.items():
+        if u != v and v != w:
+            a, b, c = table.shape
+            prods = table.reshape(a * b, c)
+        else:
+            prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
+        jsq[(u, w)].extend(prods[prods.any(axis=1)])
+    return jsq
+
+
 def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     """Quiver of End(T) from the radical modulo its square; cycles traced
     along maximal nonzero compositions of arrows."""
@@ -388,11 +416,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     jbasis = {(u, v): E.local_radical(u) if u == v else linalg.eye(E.space(u, v).dim)
               for u in range(m) for v in range(m)}
 
-    # radical squared per block: one contraction per block of the tensor
-    jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
-    for u, v, w in E.tensor:
-        prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
-        jsq[(u, w)].extend(prods[prods.any(axis=1)])
+    jsq = _radical_square(E, jbasis)
 
     arrows = []  # (u, v, coordinates)
     for u in range(m):

@@ -22,6 +22,8 @@ from brauertilt.complexes import (
 from brauertilt.coverings import covering_to_complex, enumerate_coverings, tilting_catalog
 from brauertilt.endo import EndoAlgebra, summand_complexes
 from brauertilt.modules import uniserial_presentation as pres
+from brauertilt.realization import realize
+from brauertilt.trees import all_brauer_trees
 
 
 def test_stalk_hom_dims():
@@ -375,6 +377,63 @@ def test_lazy_reduction_changes_nothing(n, k, monkeypatch):
                 assert sp._reduction_data()[1].tolist() == reps
 
 
+def dense_reduction(sp, chain_rows, null_rows, p):
+    """The quotient reduction of a space, made eagerly and densely from the
+    rows of C and N as built: the rref of [N_c^T | I] in the coordinates
+    y = v[free] of the chain basis picks the representatives (its pivot
+    columns in I), and its right block gives F.  Returns free, the
+    representatives and [chain_basis | F^T]."""
+    (c_red, c_piv), (n_red, n_piv) = (linalg.rref(rows, p) for rows in (chain_rows, null_rows))
+    chain_basis = linalg.nullspace_of_rref(c_red.dense(), c_piv, p)
+    free = [c for c in range(sp.total) if c not in set(c_piv)]
+    null_c = n_red.dense()[: len(n_piv)][:, free]
+    k, c = null_c.shape
+    aug = np.concatenate([null_c.T, linalg.eye(c)], axis=1)
+    red, pivots = linalg.rref(aug, p) if c else (aug, [])
+    chosen = [j - k for j in pivots[k:]]
+    return free, chain_basis[chosen], np.concatenate([chain_basis, red[k:, k:].T], axis=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
+def test_sparse_reduction_equals_dense_reference(n, k, p, monkeypatch):
+    """Over every ordered pair of catalogue members at shifts -2 to 2, the
+    reduction ChainMapSpace reads off its sparse rows gives the free
+    columns, representatives and [chain_basis | F^T] of the dense
+    reference, and quotient coordinates that undo [chain_basis | F^T]:
+    the chain-basis rows, plus any null rows, have the rows of F^T as
+    their coordinates."""
+    A = star_algebra(n, k, p)
+    built = []
+    hom_differential = complexes._hom_differential
+
+    def recording_differential(A, Q, R, t, *args, **kwargs):
+        m = hom_differential(A, Q, R, t, *args, **kwargs)
+        built.append((t, linalg.SparseRows([dict(r) for r in m.rows], m.cols)))
+        return m
+
+    monkeypatch.setattr(complexes, "_hom_differential", recording_differential)
+    catalog = tilting_catalog(A)
+    spaces = 0
+    for Q in catalog:
+        for R in catalog:
+            for s in range(-2, 3):
+                built.clear()
+                sp = ChainMapSpace(Q, R, s)
+                rows = dict(built)
+                empty = linalg.SparseRows([], sp.total)
+                free, reps, both = dense_reduction(sp, rows.get(s, empty), rows.get(s - 1, empty), p)
+                got_free, got_reps, got_both = sp._reduction_data()
+                assert got_free == free
+                assert got_reps.tolist() == reps.tolist()
+                assert got_both.tolist() == both.tolist()
+                f_t = both[:, sp.total:]
+                vecs = (sp.chain_basis + sp.null_basis.sum(axis=0)) % p
+                assert sp.quotient_coords(vecs).tolist() == f_t.tolist()
+                spaces += sp.dim > 0 and sp.null_rank > 0
+    assert spaces > 0
+
+
 def test_euler_pairing_signs():
     A = star_algebra(4, 1)
     # disjoint intervals pair to zero
@@ -383,6 +442,34 @@ def test_euler_pairing_signs():
     # stalk against a presentation: 1 exactly at the lower-term edge
     assert euler_pairing(stalk_complex(A, 1, 0), pres(A, 3, 2)) == 1
     assert euler_pairing(stalk_complex(A, 2, 0), pres(A, 3, 2)) == 0
+
+
+def euler_pairing_by_slots(Q, R):
+    """The alternating sum of module Hom dimensions between the components,
+    slot by slot: the reference for the K_0 form of euler_pairing."""
+    A = Q.algebra
+    total = 0
+    for r, qs in Q.comps.items():
+        for s, rs in R.comps.items():
+            sign = -1 if (r - s) % 2 else 1
+            total += sign * sum(len(A.blocks[(a, b)]) for a in qs for b in rs)
+    return total
+
+
+def test_euler_pairing_equals_slot_sum():
+    """k0(Q) C k0(R) equals the slot-by-slot sum on every ordered pair of
+    catalogue members of three stars, on sums of them, and on the
+    realizations of every 4-edge tree of multiplicity 2."""
+    cases = []
+    for n, k in [(3, 1), (3, 2), (4, 1)]:
+        catalog = tilting_catalog(star_algebra(n, k))
+        cases.append(catalog + [direct_sum(catalog[:3]), direct_sum(catalog[-2:])])
+    A = star_algebra(4, 2)
+    cases.append([realize(tree, A) for tree in all_brauer_trees(4, 2)])
+    for complexes_ in cases:
+        for Q in complexes_:
+            for R in complexes_:
+                assert euler_pairing(Q, R) == euler_pairing_by_slots(Q, R)
 
 
 # -- properties over the summands of tilting complexes --------------------------------

@@ -1,7 +1,7 @@
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import endo, linalg
+from brauertilt import complexes, endo, linalg
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import (
     ChainMap,
@@ -133,19 +133,118 @@ def test_parts_rebuilt_without_names_decode_alike():
 
 
 def test_one_space_per_summand_pair_per_decode(monkeypatch):
-    """The decoders and the Cartan check of one decode share one chain-map
-    space at shift 0 per ordered pair of summands."""
+    """One decode builds one chain-map space at shift 0, Hom(T, T), and
+    splits it into the space of each ordered pair of summands; the Cartan
+    check reads their dimensions from hom_cache and builds no further
+    space at shift 0."""
     _, T = worked_example_complex()  # on a fresh algebra: nothing cached
-    built = Counter()
+    built = []
     original = ChainMapSpace.__init__
 
     def counting_init(self, Q, R, s):
-        built[s] += 1
+        built.append((Q, R, s))
         original(self, Q, R, s)
 
     monkeypatch.setattr(ChainMapSpace, "__init__", counting_init)
     endo_brauer_tree(T, method="both")
-    assert built[0] == len(T.parts) ** 2 == 16
+    assert [b for b in built if b[2] == 0] == [(T, T, 0)]
+    built.clear()
+    endo_cartan(T)
+    assert [b for b in built if b[2] == 0] == []
+
+
+@lru_cache(maxsize=None)
+def split_cases():
+    """Tilting complexes whose End(T) the split tests read: every covering
+    of star(4, 1) and star(3, 2), and the realization of every tree with at
+    most 4 edges and multiplicity at most 2."""
+    cases = [covering_to_complex(cov, star_algebra(n, k))
+             for n, k in [(4, 1), (3, 2)] for cov in enumerate_coverings(n)]
+    for n in range(1, 5):
+        for k in (1, 2):
+            A = star_algebra(n, k)
+            cases += [realize(tree, A) for tree in all_brauer_trees(n, k)]
+    return cases
+
+
+def test_pair_spaces_split_from_hom_t_t_equal_spaces_built_alone():
+    """Each summand-pair space that EndoAlgebra splits out of Hom(T, T)
+    equals ChainMapSpace(T_u, T_v, 0) built on its own: offsets, total,
+    dim, pivots, both bases, reduced rows and reduction data; its
+    dimension is in hom_cache."""
+    for T in split_cases():
+        E = EndoAlgebra(T)
+        cache = T.algebra.hom_cache
+        for u, U in enumerate(E.parts):
+            for v, V in enumerate(E.parts):
+                got, alone = E.space(u, v), ChainMapSpace(U, V, 0)
+                assert (got.Q, got.R, got.s) == (U, V, 0)
+                assert got.offsets == alone.offsets and got.total == alone.total
+                assert (got.dim, got.null_rank) == (alone.dim, alone.null_rank)
+                assert cache[(U.content_id, V.content_id, 0)] == alone.dim
+                assert got._chain_pivots == alone._chain_pivots
+                assert got._null_pivots == alone._null_pivots
+                assert got.null_basis.tolist() == alone.null_basis.tolist()
+                assert got.chain_basis.tolist() == alone.chain_basis.tolist()
+                # reading the bases reduced the echelon rows in place
+                assert got._chain_ech.rows == alone._chain_ech.rows
+                assert got._null_ech.rows == alone._null_ech.rows
+                for mine, theirs in zip(got._reduction_data(), alone._reduction_data()):
+                    assert np.asarray(mine).tolist() == np.asarray(theirs).tolist()
+
+
+def test_split_refuses_parts_that_do_not_lay_out_the_slots():
+    A = star_algebra(3, 1)
+    first, second = stalk_complex(A, 1, 0), stalk_complex(A, 2, 0)
+    T = direct_sum([first, second])
+    swapped = ProjComplex(A, T.comps, T.diffs, parts=[second, first])
+    with pytest.raises(ValueError, match="do not lay out"):
+        ChainMapSpace(swapped, swapped, 0).by_parts()
+
+
+def test_radical_square_shortcut_equals_full_contraction():
+    """rad^2 reads a block (u, v, w) with u != v != w as the block itself;
+    that equals its contraction with the identity radical bases, and the
+    whole radical square equals the one contracted block by block."""
+    shortcuts = 0
+    for T in split_cases():
+        E = EndoAlgebra(T)
+        jbasis = {(u, v): E.local_radical(u) if u == v else linalg.eye(E.space(u, v).dim)
+                  for u in range(E.m) for v in range(E.m)}
+        full = {uv: [] for uv in jbasis}
+        for (u, v, w), table in E.tensor.items():
+            prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
+            if u != v and v != w:
+                a, b, c = table.shape
+                assert table.reshape(a * b, c).tolist() == prods.tolist()
+                shortcuts += 1
+            full[(u, w)].extend(prods[prods.any(axis=1)])
+        got = endo._radical_square(E, jbasis)
+        assert {uv: np.array(rows).tolist() for uv, rows in got.items()} == \
+            {uv: np.array(rows).tolist() for uv, rows in full.items()}
+    assert shortcuts > 0
+
+
+def test_decode_runs_no_rref_or_nullspace_in_complexes(monkeypatch):
+    """The pair spaces of a decode reduce their own sparse rows: decoding
+    every covering of star(4, 1) with both decoders calls neither
+    linalg.rref nor linalg.nullspace_of_rref from complexes.py."""
+    callers = Counter()
+    rref, nullspace_of_rref = linalg.rref, linalg.nullspace_of_rref
+
+    def record(original):
+        def wrapped(*args):
+            callers[sys._getframe(1).f_code.co_filename] += 1
+            return original(*args)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "rref", record(rref))
+    monkeypatch.setattr(linalg, "nullspace_of_rref", record(nullspace_of_rref))
+    A = star_algebra(4, 1)
+    for cov in enumerate_coverings(4):
+        endo_brauer_tree(covering_to_complex(cov, A), method="both")
+    assert sum(callers.values()) > 0  # the wrappers are reached
+    assert complexes.__file__ not in callers
 
 
 def test_decode_builds_few_chain_maps(monkeypatch):
