@@ -64,6 +64,11 @@ class BrauerTreeAlgebra:
         self.edges = tree.edge_ids()
         self.n = len(self.edges)
         self.eidx = {e: i for i, e in enumerate(self.edges)}
+        # per vertex, the full winding length and each edge's place in the
+        # cyclic order, read by every product of the table
+        self._bound = {v: tree.winding_bound(v) for v in tree.cyclic_order}
+        self._place = {v: {e: i for i, e in enumerate(order)}
+                       for v, order in tree.cyclic_order.items()}
         self._build_basis()
         self._build_mult()
         self._build_arrows()
@@ -94,7 +99,7 @@ class BrauerTreeAlgebra:
 
     def _winding_end(self, v, start_edge, length):
         order = self.tree.cyclic_order[v]
-        return order[(order.index(start_edge) + length) % len(order)]
+        return order[(self._place[v][start_edge] + length) % len(order)]
 
     def _build_basis(self):
         tree = self.tree
@@ -103,8 +108,7 @@ class BrauerTreeAlgebra:
             basis.append(idempotent(e))
         for e in self.edges:
             for v in tree.edges[e]:
-                bound = tree.winding_bound(v)
-                for t in range(1, bound):
+                for t in range(1, self._bound[v]):
                     basis.append(
                         PathClass("p", e, self._winding_end(v, e, t), v, t)
                     )
@@ -140,7 +144,7 @@ class BrauerTreeAlgebra:
         if p.vertex != q.vertex:
             return None
         total = p.length + q.length
-        bound = self.tree.winding_bound(p.vertex)
+        bound = self._bound[p.vertex]
         if total < bound:
             return PathClass("p", p.start, self._winding_end(p.vertex, p.start, total), p.vertex, total)
         if total == bound:
@@ -167,15 +171,23 @@ class BrauerTreeAlgebra:
 
     def _check_consistency(self):
         """The Cartan matrix of the tree and an associative multiplication
-        table.
+        table, proved by Light's test (Clifford and Preston, "The Algebraic
+        Theory of Semigroups", vol. 1, section 1.2).
 
         The table holds composable pairs only, and every product must be a
         basis class running from the start of its left factor to the end of
-        its right factor.  Then a triple (p, q, r) with p.end != q.start or
-        q.end != r.start is zero on both sides: the non-composable pair has
-        no product, and the product of the other pair starts or ends at the
-        wrong edge to be composed with the remaining factor.  So
-        associativity needs checking only on composable triples.
+        its right factor.  Then (pg)r and p(gr) are both zero unless
+        p.end == g.start: the product of the other pair starts at g.start.
+        The set G of the elements g with (pg)r = p(gr) for all p and r is
+        a subspace, since the table is extended bilinearly, and it is closed
+        under products: for g, h in G, (p(gh))r = ((pg)h)r = (pg)(hr) =
+        p(g(hr)) = p((gh)r).  So it is enough to check the generators (the
+        idempotents and `arrows`) as middle factors, comparing the maps
+        r -> (pg)r and r -> p(gr) for each composable pair (p, g), and then
+        that every basis class is a product of generators, which the table
+        itself shows: every class is reached from the generators by right
+        multiplication with generators.  Associativity is checked before
+        reachability, so a table that is not associative says so.
         """
         if self.cartan_matrix() != self.tree.cartan_matrix():
             raise AssertionError("Cartan matrix of the basis disagrees with the tree")
@@ -187,18 +199,33 @@ class BrauerTreeAlgebra:
                     f"edge {p.start} to edge {q.end}"
                 )
             products[p][q] = r
-        # per composable pair (p, q), compare r -> (pq)r with r -> p(qr)
+        generators = {e: [idempotent(e)] for e in self.edges}  # by start edge
+        for g in self.arrows:
+            generators[g.start].append(g)
         for p in self.basis:
             row = products[p]
-            for q in self._starting[p.end]:
-                pq = row.get(q)
-                left = products[pq] if pq is not None else {}
+            for g in generators[p.end]:
+                pg = row.get(g)
+                left = products[pg] if pg is not None else {}
                 right = {
-                    r: x for r, qr in products[q].items() if (x := row.get(qr)) is not None
+                    r: x for r, gr in products[g].items() if (x := row.get(gr)) is not None
                 }
                 if left != right:
-                    r = next(r for r in self._starting[q.end] if left.get(r) != right.get(r))
-                    raise AssertionError(f"multiplication not associative on ({p}, {q}, {r})")
+                    r = next(r for r in self._starting[g.end] if left.get(r) != right.get(r))
+                    raise AssertionError(f"multiplication not associative on ({p}, {g}, {r})")
+        reached = {g for gs in generators.values() for g in gs}
+        frontier = list(reached)
+        while frontier:
+            q = frontier.pop()
+            row = products[q]
+            for g in generators[q.end]:
+                qg = row.get(g)
+                if qg is not None and qg not in reached:
+                    reached.add(qg)
+                    frontier.append(qg)
+        for q in self.basis:
+            if q not in reached:
+                raise AssertionError(f"basis class {q} is not a product of generators")
 
     # -- public interface -------------------------------------------------------
 
@@ -265,39 +292,27 @@ class BrauerTreeAlgebra:
     def dim_projective(self, i) -> int:
         return sum(len(self.blocks[(a, i)]) for a in self.edges)
 
-    def arrow_letters(self, pc: PathClass) -> list[PathClass]:
-        """Decompose a path class into arrow factors, left factor first."""
-        if pc.kind == "e":
-            return []
+    def first_arrow(self, pc: PathClass) -> PathClass:
+        """The first arrow factor of a non-idempotent class, left factor
+        first: the arrow out of its start around its winding vertex; for a
+        socle class, around an end of its edge with a winding of length at
+        least 2, or the socle class itself when it is an arrow."""
         if pc.kind == "p":
-            v, e = pc.vertex, pc.start
-            letters = []
-            for t in range(pc.length):
-                start = self._winding_end(v, e, t)
-                letters.append(PathClass("p", start, self.tree.succ(v, start), v, 1))
-            return letters
-        # socle: expand the full winding at an endpoint that has arrows
+            return PathClass("p", pc.start, self.tree.succ(pc.vertex, pc.start), pc.vertex, 1)
         for v in self.tree.edges[pc.start]:
-            bound = self.tree.winding_bound(v)
-            if bound >= 2:
-                letters = []
-                e = pc.start
-                for _ in range(bound):
-                    letters.append(PathClass("p", e, self.tree.succ(v, e), v, 1))
-                    e = self.tree.succ(v, e)
-                return letters
-        return [pc]  # the socle class is itself an arrow here
+            if self._bound[v] >= 2:
+                return PathClass("p", pc.start, self.tree.succ(v, pc.start), v, 1)
+        return pc
 
     @property
     def path_factors(self) -> dict[PathClass, tuple[PathClass, PathClass]]:
         """Every non-idempotent class q as (first arrow, class that follows),
-        so that q = compose(first, rest) and `first` is the first of
-        `arrow_letters(q)`."""
+        so that q = compose(first, rest) with first = `first_arrow(q)`."""
         if self._path_factors is None:
             factors = {}
             for q in self.basis:
                 if q.kind != "e":
-                    first = self.arrow_letters(q)[0]
+                    first = self.first_arrow(q)
                     rest = next(r for r in self._starting[first.end] if self.mult.get((first, r)) == q)
                     factors[q] = (first, rest)
             self._path_factors = factors

@@ -466,7 +466,7 @@ class ChainMapSpace:
         reduced rows of C at their pivots."""
         p = self.Q.algebra.prime
         red = linalg.back_substitute(self._chain_ech, self._chain_pivots, p)
-        return _kernel_basis(red.rows, self._chain_pivots, self.free, self.total, p)
+        return linalg.kernel_basis(red.rows, self._chain_pivots, self.free, self.total, p)
 
     # -- conversions ---------------------------------------------------------------
 
@@ -531,7 +531,7 @@ class ChainMapSpace:
             taken = set(pivots)
             chosen = [r for r in range(len(free)) if last - r not in taken]
             # the kernel basis, numbered backwards, turned back
-            f = _kernel_basis(ech.rows, pivots, [last - r for r in reversed(chosen)],
+            f = linalg.kernel_basis(ech.rows, pivots, [last - r for r in reversed(chosen)],
                               len(free), p)[::-1, ::-1]
             chain_basis = self.chain_basis
             self._reduction = (free, chain_basis[chosen],
@@ -574,24 +574,6 @@ def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: 
                 offsets[(d, j, i)] = total
                 total += dims[(a, b)]
     return offsets, total
-
-
-def _kernel_basis(rows, pivots, free, width, p) -> np.ndarray:
-    """Rows spanning the kernel of the reduced sparse rows `rows`, whose
-    pivot columns are `pivots` and other columns `free`, of `width`
-    columns: one row per free column, 1 there and minus that column of
-    the rows at their pivots (the basis linalg.nullspace_of_rref gives)."""
-    row_of = {c: r for r, c in enumerate(free)}
-    basis = linalg.zeros(len(free), width)
-    basis.put([r * width + c for r, c in enumerate(free)], 1)
-    at, vals = [], []
-    for c, row in zip(pivots, rows):
-        for j, v in row.items():
-            if j != c:
-                at.append(row_of[j] * width + c)
-                vals.append(p - v)
-    basis.put(at, vals)
-    return basis
 
 
 def _slot_owners(X: ProjComplex, d: int) -> list[tuple[int, int]]:

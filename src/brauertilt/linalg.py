@@ -11,9 +11,17 @@ rank needs; `back_substitute` turns that echelon form into the reduced
 form.  `rref` runs both.  It takes either kind of matrix and returns the
 reduced form in the kind it was given; a dense input is read into rows
 first, and a caller that builds its rows directly (`ChainMapSpace`, the
-rank check of `is_tilting`) makes no dense array to eliminate.  `rank`
-takes either kind and runs the forward pass alone.  `nullspace`,
-`nullspace_of_rref` and `solve` take and return dense arrays.
+rank check of `is_tilting`, and the module layer: the radical, socle,
+kernel and span eliminations of modules.py and the intertwiner equations
+of `hom_basis`) makes no dense array to eliminate.  `rank` takes either
+kind and runs the forward pass alone.  `kernel_basis` reads a dense kernel
+basis off reduced sparse rows.  Several independent matrices are
+eliminated at once as the blocks of one block-diagonal matrix of sparse
+rows: blocks share no column, so each gets the pivots and the reduced
+form it would get alone (`block_pivots`, `reduced_bases`,
+`reduced_kernels`, which take reduced dense blocks and return dense
+bases).  `nullspace`, `nullspace_of_rref` and `solve` take and return
+dense arrays.
 `matmul` stays in numpy and reduces its operands first, since it may be
 handed unreduced entries.  A product of two reduced entries fits in int64
 for any prime < 2**31, but a sum of such products may not: `matmul` adds at
@@ -205,6 +213,122 @@ def nullspace_of_rref(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
         if pivots:
             basis[:, pivots] = (-red[: len(pivots)].take(free, axis=1).T) % p
     return basis
+
+
+def kernel_basis(rows: list, pivots: list[int], free: list[int], width: int, p: int) -> np.ndarray:
+    """Rows spanning the kernel of the reduced sparse rows `rows`, whose
+    pivot columns are `pivots` and other columns `free`, of `width`
+    columns: one row per free column, 1 there and minus that column of
+    the rows at their pivots (the basis `nullspace_of_rref` gives)."""
+    row_of = {c: r for r, c in enumerate(free)}
+    basis = zeros(len(free), width)
+    basis.put([r * width + c for r, c in enumerate(free)], 1)
+    at, vals = [], []
+    for c, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j != c:
+                at.append(row_of[j] * width + c)
+                vals.append(p - v)
+    basis.put(at, vals)
+    return basis
+
+
+def _block_diagonal(blocks, widths, reverse=False) -> tuple[SparseRows, list[int]]:
+    """The block-diagonal matrix whose block i stacks the reduced matrices
+    blocks[i], each with widths[i] columns, as sparse rows without their
+    zero rows, and the column offset of each block.  With reverse, each
+    block numbers its columns backwards.  Blocks share no column, so an
+    elimination of these rows eliminates each block on its own."""
+    offs = [0]
+    for w in widths:
+        offs.append(offs[-1] + w)
+    rows, height = [], 0
+    for o, w, mats in zip(offs, widths, blocks):
+        first, step = (o + w - 1, -1) if reverse else (o, 1)
+        for m in mats:
+            height += m.shape[0]
+            for values in m.tolist():
+                row = {first + step * c: v for c, v in enumerate(values) if v}
+                if row:
+                    rows.append(row)
+    return SparseRows(rows, offs[-1], height), offs
+
+
+def _split_pivots(pivots: list[int], offs: list[int]) -> list[list[int]]:
+    """Sorted pivot columns of a `_block_diagonal` matrix, split by block
+    and numbered within their block."""
+    out = [[] for _ in offs[1:]]
+    b = 0
+    for c in pivots:
+        while c >= offs[b + 1]:
+            b += 1
+        out[b].append(c - offs[b])
+    return out
+
+
+def block_pivots(blocks, widths, p: int) -> list[list[int]]:
+    """Per i, the pivot columns of the rows of the reduced matrices
+    blocks[i], each with widths[i] columns, from one forward pass over
+    the block-diagonal matrix of all of them."""
+    rows, offs = _block_diagonal(blocks, widths)
+    return _split_pivots(echelon(rows, p)[1], offs)
+
+
+def reduced_bases(mats, p: int) -> list[tuple[np.ndarray, list[int]]]:
+    """Per reduced matrix of mats, the reduced row echelon basis of its
+    rows and its pivot columns, from one rref of the block-diagonal matrix
+    of the mats."""
+    widths = [m.shape[1] for m in mats]
+    rows, offs = _block_diagonal([[m] for m in mats], widths)
+    red, pivots = rref(rows, p)
+    out = []
+    reduced = iter(red.rows)
+    for o, w, piv in zip(offs, widths, _split_pivots(pivots, offs)):
+        basis = zeros(len(piv), w)
+        at, vals = [], []
+        for r in range(len(piv)):
+            for j, v in next(reduced).items():
+                at.append(r * w + j - o)
+                vals.append(v)
+        basis.put(at, vals)
+        out.append((basis, piv))
+    return out
+
+
+def reduced_kernels(mats, p: int) -> list[tuple[np.ndarray, list[int]]]:
+    """Per reduced matrix m of mats, the reduced row echelon basis of
+    {x : m @ x = 0} and its pivots, from one rref of the block-diagonal
+    matrix of the mats with the columns of each block reversed.
+
+    With the columns of m reversed, the nullspace_of_rref basis has one
+    row per free column f: 1 there, 0 at the other free columns, and
+    nonzero entries only at pivot columns before f.  Read back in the
+    original column order each row leads with 1 at its free column and is
+    0 at the others, so, sorted by leading column, these rows are the
+    reduced basis of the kernel, which is unique, and its pivots are the
+    free columns.
+    """
+    widths = [m.shape[1] for m in mats]
+    rows, offs = _block_diagonal([[m] for m in mats], widths, reverse=True)
+    red, pivots = rref(rows, p)
+    out = []
+    reduced = iter(red.rows)
+    for o, w, piv in zip(offs, widths, _split_pivots(pivots, offs)):
+        # piv numbers the block's columns backwards: column c is w - 1 - c
+        taken = set(piv)
+        free = [c for c in range(w) if w - 1 - c not in taken]
+        row_of = {o + w - 1 - c: r for r, c in enumerate(free)}
+        basis = zeros(len(free), w)
+        basis.put([r * w + c for r, c in enumerate(free)], 1)
+        at, vals = [], []
+        for c in piv:
+            for j, v in next(reduced).items():
+                if j != o + c:
+                    at.append(row_of[j] * w + w - 1 - c)
+                    vals.append(p - v)
+        basis.put(at, vals)
+        out.append((basis, free))
+    return out
 
 
 def solve(a, b, p: int) -> np.ndarray | None:

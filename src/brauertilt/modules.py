@@ -15,6 +15,14 @@ socle class z_i acts nonzero on the i-component.  Sub- and quotient modules
 work in the reduced row echelon basis of each span, where the coordinates
 of a vector of the span are its entries at the pivot columns.
 
+The module layer eliminates on sparse rows (`linalg.SparseRows`), one
+elimination per step: the radical and the socle of a representation, the
+kernel of a map and the spans of a sub- or quotient module are one
+forward pass or one rref over the block-diagonal matrix of all edges
+(`linalg.block_pivots`, `reduced_kernels`, `reduced_bases`), which gives
+every edge the pivots and the reduced form it would get alone, and
+`hom_basis` builds its intertwiner equations as sparse rows.
+
 Syzygies are computed once per module content: the algebra's
 `syzygy_cache` holds the syzygy, its inclusion into the projective cover
 and the cover's slots, keyed by the module's dims and arrow matrices, and
@@ -124,34 +132,29 @@ class Representation:
 
     def radical_pivots(self) -> list[list[int]]:
         """Per edge, the pivot columns of the reduced span of the radical part
-        of that component; the unit vectors at the other columns lift a basis
-        of the top."""
+        of that component (the columns of the arrows starting there); the
+        unit vectors at the other columns lift a basis of the top.  One
+        forward pass over all edges."""
         A = self.algebra
-        out = []
-        for edge in A.edges:
-            vecs = []
-            for arrow in A.arrows:
-                if arrow.start == edge:
-                    m = self.act[arrow]
-                    vecs.extend(m[:, j] for j in range(m.shape[1]))
-            out.append(linalg.rref(np.array(vecs, dtype=np.int64), A.prime)[1] if vecs else [])
-        return out
+        blocks = [[] for _ in A.edges]
+        for arrow in A.arrows:
+            blocks[A.eidx[arrow.start]].append(self.act[arrow].T)
+        return linalg.block_pivots(blocks, self.dims, A.prime)
 
     def top_multiplicities(self) -> tuple[int, ...]:
         pivots = self.radical_pivots()
         return tuple(self.dims[i] - len(pivots[i]) for i in range(len(self.dims)))
 
     def socle_multiplicities(self) -> tuple[int, ...]:
+        """Per edge, the dimension of the common kernel of the arrows
+        ending there: the dimension minus the rank of their stacked
+        matrices, from one forward pass over all edges."""
         A = self.algebra
-        out = []
-        for b_idx, edge in enumerate(A.edges):
-            mats = [self.act[ar] for ar in A.arrows if ar.end == edge]
-            if not mats:
-                out.append(self.dims[b_idx])
-                continue
-            stacked = np.concatenate(mats, axis=0)
-            out.append(self.dims[b_idx] - linalg.rank(stacked, A.prime))
-        return tuple(out)
+        blocks = [[] for _ in A.edges]
+        for arrow in A.arrows:
+            blocks[A.eidx[arrow.end]].append(self.act[arrow])
+        pivots = linalg.block_pivots(blocks, self.dims, A.prime)
+        return tuple(d - len(piv) for d, piv in zip(self.dims, pivots))
 
     def top_generators(self) -> list[tuple[int, np.ndarray]]:
         """Deterministic lift of a basis of the top: (edge index, vector)."""
@@ -278,19 +281,17 @@ def socle_quotient_rep(A: BrauerTreeAlgebra, edge) -> tuple[Representation, Modu
 
 def _reduced_spans(M: Representation, spans) -> list[tuple[np.ndarray, list[int]]]:
     """Per edge, the reduced row echelon basis of spans[edge_idx] and its
-    pivot columns; an empty span needs no elimination."""
+    pivot columns, from one rref over all edges (`linalg.reduced_bases`)."""
     p = M.algebra.prime
-    out = []
+    mats = []
     for i, d in enumerate(M.dims):
         s = np.asarray(spans[i], dtype=np.int64) % p
         if s.size == 0:
-            out.append((linalg.zeros(0, d), []))
-            continue
-        if s.ndim != 2 or s.shape[1] != d:
+            s = linalg.zeros(0, d)
+        elif s.ndim != 2 or s.shape[1] != d:
             raise ValueError(f"span at edge index {i} must have rows of length {d}")
-        red, piv = linalg.rref(s, p)
-        out.append((red[: len(piv)], piv))
-    return out
+        mats.append(s)
+    return linalg.reduced_bases(mats, p)
 
 
 def sub_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
@@ -356,32 +357,47 @@ def quotient_representation(M: Representation, spans) -> tuple[Representation, M
 
 def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
     """A basis of the module maps phi: M -> N, the solutions of the
-    equations phi_a @ M.act = N.act @ phi_b, one row per arrow a -> b and
-    entry of the M_b -> N_a block, in unknowns holding phi_i (shape
-    N_i x M_i) row-major from offs[i]."""
+    equations phi_a @ M.act = N.act @ phi_b, one sparse row per arrow
+    a -> b and entry of the M_b -> N_a block, in unknowns holding phi_i
+    (shape N_i x M_i) row-major from offs[i]; the basis is read off one
+    rref of these rows."""
     A = M.algebra
     if N.algebra is not A:
         raise ValueError("modules over different algebras")
     p = A.prime
-    offs = np.cumsum([0] + [N.dims[i] * M.dims[i] for i in range(A.n)])
-    total = int(offs[-1])
+    offs = [0]
+    for i in range(A.n):
+        offs.append(offs[-1] + N.dims[i] * M.dims[i])
+    total = offs[-1]
     if total == 0:
         return []
-    rows = []
+    rows, height = [], 0
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        Ma, Na = M.act[arrow], N.act[arrow]
-        for r in range(N.dims[a]):
-            for c in range(M.dims[b]):
-                row = linalg.zeros(1, total)[0]
-                for s in range(M.dims[a]):
-                    row[offs[a] + r * M.dims[a] + s] = Ma[s, c]
-                for s in range(N.dims[b]):
-                    row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Na[r, s]) % p
-                rows.append(row)
-    mat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
+        ma, mb = M.dims[a], M.dims[b]
+        height += N.dims[a] * mb
+        # the nonzero entries of each column of M.act and each row of N.act
+        m_cols = [[(offs[a] + s, v) for s, v in enumerate(col) if v]
+                  for col in M.act[arrow].T.tolist()]
+        n_rows = [[(offs[b] + s * mb, v) for s, v in enumerate(row) if v]
+                  for row in N.act[arrow].tolist()]
+        for r, n_row in enumerate(n_rows):
+            for c, m_col in enumerate(m_cols):
+                row = {j + r * ma: v for j, v in m_col}
+                for j, v in n_row:
+                    j += c
+                    x = (row.get(j, 0) - v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                if row:
+                    rows.append(row)
+    red, pivots = linalg.rref(linalg.SparseRows(rows, total, height), p)
+    taken = set(pivots)
+    free = [c for c in range(total) if c not in taken]
     basis = []
-    for vec in linalg.nullspace(mat, p):
+    for vec in linalg.kernel_basis(red.rows, pivots, free, total, p):
         mats = [
             vec[offs[i] : offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)
         ]
@@ -522,29 +538,8 @@ def _syzygy_with_embedding(M: Representation):
 def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """The kernel of f as a subrepresentation of its source; returns
     (kernel, inclusion) as sub_representation does, with one elimination
-    per edge (see _reduced_kernel)."""
-    p = f.source.algebra.prime
-    return _sub_of_reduced(f.source, [_reduced_kernel(m, p) for m in f.mats])
-
-
-def _reduced_kernel(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The reduced row echelon basis of {x : m @ x = 0} and its pivots.
-
-    With the columns of m reversed, the nullspace_of_rref basis has one
-    row per free column f: 1 there, 0 at the other free columns, and
-    nonzero entries only at pivot columns before f.  Read back in the
-    original column order each row leads with 1 at its free column and is
-    0 at the others, so, sorted by leading column, these rows are the
-    reduced basis of the kernel, which is unique, and its pivots are the
-    free columns.
-    """
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return linalg.eye(cols), list(range(cols))
-    red, piv = linalg.rref(m[:, ::-1], p)
-    taken = {cols - 1 - c for c in piv}
-    return (linalg.nullspace_of_rref(red, piv, p)[::-1, ::-1],
-            [c for c in range(cols) if c not in taken])
+    over all edges (see linalg.reduced_kernels)."""
+    return _sub_of_reduced(f.source, linalg.reduced_kernels(f.mats, f.source.algebra.prime))
 
 
 def second_syzygy(M: Representation, _check=True) -> Representation:

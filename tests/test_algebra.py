@@ -161,3 +161,31 @@ def test_self_check_catches_wrong_cartan(monkeypatch):
     monkeypatch.setattr(BrauerTreeAlgebra, "_build_basis", patched)
     with pytest.raises(AssertionError, match="Cartan matrix"):
         star_algebra(3, 2)
+
+
+def test_self_check_catches_non_associative_product_of_longer_paths(monkeypatch):
+    """A wrong product of two paths of length 2, neither a generator: the
+    generators as middle factors still see it, at (p[1;1], arrow 2 -> 3,
+    p[3;2])."""
+    first, then = PathClass("p", 1, 3, 0, 2), PathClass("p", 3, 5, 0, 2)
+    assert star_algebra(13, 1).compose(first, then) == PathClass("p", 1, 5, 0, 4)
+    corrupt_product(monkeypatch, (first, then), None)
+    with pytest.raises(AssertionError, match="not associative"):
+        star_algebra(13, 1)
+
+
+def test_self_check_catches_class_that_is_no_product_of_generators(monkeypatch):
+    """Over star(1, 3), with e, a, a^2 and z, dropping the products a a^2
+    and a^2 a leaves an associative table (z is orthogonal to a) in which
+    z is not a product of generators, so associativity is not proved."""
+    a, a2 = PathClass("p", 1, 1, 0, 1), PathClass("p", 1, 1, 0, 2)
+    A = star_algebra(1, 3)
+    assert A.compose(a, a2) == A.compose(a2, a) == socle_class(1)
+    raw = BrauerTreeAlgebra._compose_raw
+
+    def patched(self, p, q):
+        return None if {p, q} == {a, a2} else raw(self, p, q)
+
+    monkeypatch.setattr(BrauerTreeAlgebra, "_compose_raw", patched)
+    with pytest.raises(AssertionError, match=r"basis class z\[1\] is not a product of generators"):
+        star_algebra(1, 3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from brauertilt import linalg, modules
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.modules import (
-    _reduced_kernel,
+    _reduced_spans,
     ModuleMap,
     Representation,
     UniserialSpec,
@@ -386,15 +386,22 @@ def test_spans_that_are_not_submodules_are_refused():
         quotient_representation(P, spans)
 
 
-def test_sub_representation_runs_one_elimination_per_nonempty_span(monkeypatch):
+def counting_rref(monkeypatch):
+    """Record (calling function, argument) for every linalg.rref call."""
     calls = []
     original = linalg.rref
 
-    def counting_rref(a, p):
-        calls.append(np.shape(a))
+    def counting(a, p):
+        calls.append((sys._getframe(1).f_code.co_name, a))
         return original(a, p)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rref", counting)
+    return calls
+
+
+def test_sub_representation_runs_one_elimination_for_all_spans(monkeypatch):
+    """The spans of every edge are reduced by one rref of sparse rows."""
+    calls = counting_rref(monkeypatch)
     A = star_algebra(3, 1)
     P = projective_rep(A, 1)
     # the socle alone: one nonempty span
@@ -404,52 +411,180 @@ def test_sub_representation_runs_one_elimination_per_nonempty_span(monkeypatch):
     sub, _ = sub_representation(P, spans)
     assert sub.dims == (1, 0, 0) and len(calls) == 1
     # the radical, generated by the arrow 3 -> 1, with a redundant row:
-    # three nonempty spans
+    # three nonempty spans, still one elimination
     calls.clear()
     rad = [[] for _ in A.edges]
     for q, img in P.path_images(3, np.array([1], dtype=np.int64)).items():
         rad[A.eidx[q.start]].append(img)
     rad[0].append(2 * rad[0][0])
     sub, _ = sub_representation(P, [np.array(r) for r in rad])
-    assert sub.dims == (1, 1, 1) and len(calls) == 3
+    assert sub.dims == (1, 1, 1) and len(calls) == 1
+    assert all(name == "reduced_bases" and isinstance(a, linalg.SparseRows)
+               for name, a in calls)
+
+
+# the per-edge dense eliminations the module layer ran before it eliminated
+# all edges at once, kept as references
+
+
+def radical_pivots_by_edge(M):
+    A = M.algebra
+    out = []
+    for edge in A.edges:
+        vecs = []
+        for arrow in A.arrows:
+            if arrow.start == edge:
+                m = M.act[arrow]
+                vecs.extend(m[:, j] for j in range(m.shape[1]))
+        out.append(linalg.rref(np.array(vecs, dtype=np.int64), A.prime)[1] if vecs else [])
+    return out
+
+
+def socle_multiplicities_by_edge(M):
+    A = M.algebra
+    out = []
+    for b_idx, edge in enumerate(A.edges):
+        mats = [M.act[ar] for ar in A.arrows if ar.end == edge]
+        if not mats:
+            out.append(M.dims[b_idx])
+            continue
+        out.append(M.dims[b_idx] - linalg.rank(np.concatenate(mats, axis=0), A.prime))
+    return tuple(out)
+
+
+def reduced_kernel_dense(m, p):
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return linalg.eye(cols), list(range(cols))
+    red, piv = linalg.rref(m[:, ::-1], p)
+    taken = {cols - 1 - c for c in piv}
+    return (linalg.nullspace_of_rref(red, piv, p)[::-1, ::-1],
+            [c for c in range(cols) if c not in taken])
+
+
+def reduced_spans_by_edge(M, spans):
+    p = M.algebra.prime
+    out = []
+    for i, d in enumerate(M.dims):
+        s = np.asarray(spans[i], dtype=np.int64) % p
+        if s.size == 0:
+            out.append((linalg.zeros(0, d), []))
+            continue
+        red, piv = linalg.rref(s, p)
+        out.append((red[: len(piv)], piv))
+    return out
+
+
+def hom_basis_dense(M, N):
+    A = M.algebra
+    p = A.prime
+    offs = np.cumsum([0] + [N.dims[i] * M.dims[i] for i in range(A.n)])
+    total = int(offs[-1])
+    if total == 0:
+        return []
+    rows = []
+    for arrow in A.arrows:
+        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
+        Ma, Na = M.act[arrow], N.act[arrow]
+        for r in range(N.dims[a]):
+            for c in range(M.dims[b]):
+                row = linalg.zeros(1, total)[0]
+                for s in range(M.dims[a]):
+                    row[offs[a] + r * M.dims[a] + s] = Ma[s, c]
+                for s in range(N.dims[b]):
+                    row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Na[r, s]) % p
+                rows.append(row)
+    mat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
+    return [[vec[offs[i]: offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)]
+            for vec in linalg.nullspace(mat, p)]
+
+
+def same_reduced(got, want):
+    return len(got) == len(want) and all(
+        piv == wpiv and basis.shape == wbasis.shape and np.array_equal(basis, wbasis)
+        for (basis, piv), (wbasis, wpiv) in zip(got, want))
+
+
+@PROPERTY
+@given(small_modules(), st.data())
+def test_batched_eliminations_equal_per_edge_references(M, data):
+    """Radical pivots, socle, kernel bases and pivots, reduced spans and
+    hom_basis from one elimination over all edges equal the per-edge dense
+    eliminations, on uniserials, string modules and projectives and on
+    their sub and quotient modules."""
+    A = M.algebra
+    p = A.prime
+    spans = generated_spans(data.draw, M) if data.draw(st.booleans()) else random_spans(data.draw, M)
+    assert same_reduced(_reduced_spans(M, spans), reduced_spans_by_edge(M, spans))
+    family = [M]
+    with suppress(ValueError):  # random spans need not span a submodule
+        family.append(sub_representation(M, spans)[0])
+        family.append(quotient_representation(M, spans)[0])
+    for X in family:
+        assert X.radical_pivots() == radical_pivots_by_edge(X)
+        assert X.socle_multiplicities() == socle_multiplicities_by_edge(X)
+        if not X.is_zero():
+            mats = projective_cover(X)[3].mats
+            assert same_reduced(linalg.reduced_kernels(mats, p), [reduced_kernel_dense(m, p) for m in mats])
+        for Y in (M, X):
+            got = hom_basis(Y, X)
+            want = hom_basis_dense(Y, X)
+            assert len(got) == len(want)
+            for f, g in zip(got, want):
+                assert all(np.array_equal(x, y) for x, y in zip(f.mats, g))
+                assert f.is_valid()
+            # the kernels of the maps, a second source of matrices
+            for f in got[:2]:
+                assert same_reduced(linalg.reduced_kernels(f.mats, p),
+                                    [reduced_kernel_dense(m, p) for m in f.mats])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([2, 3, 5, 32003]), st.data())
 def test_reduced_kernel_is_the_rref_of_the_nullspace(p, data):
-    """One elimination of the column-reversed matrix gives the reduced
-    kernel basis that rref(nullspace(m)) gives with two."""
-    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    """One elimination of the block-diagonal matrix of a few matrices, the
+    columns of each block reversed, gives the reduced kernel basis of each
+    that rref(nullspace(m)) gives with two eliminations per matrix."""
     entry = st.one_of(st.sampled_from([0, 0, 0, 1, p - 1]), st.integers(0, p - 1))
-    m = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                                    min_size=rows, max_size=rows)),
-                 dtype=np.int64).reshape(rows, cols)
-    basis, pivots = _reduced_kernel(m, p)
-    ns = linalg.nullspace(m, p)
-    red, ref_pivots = linalg.rref(ns, p) if ns.size else (ns, [])
-    assert pivots == ref_pivots
-    assert basis.shape == (len(pivots), cols)
-    assert basis.tolist() == red[: len(ref_pivots)].tolist()
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+        mats.append(np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                                min_size=rows, max_size=rows)),
+                             dtype=np.int64).reshape(rows, cols))
+    for m, (basis, pivots) in zip(mats, linalg.reduced_kernels(mats, p), strict=True):
+        ns = linalg.nullspace(m, p)
+        red, ref_pivots = linalg.rref(ns, p) if ns.size else (ns, [])
+        assert pivots == ref_pivots
+        assert basis.shape == (len(pivots), m.shape[1])
+        assert basis.tolist() == red[: len(ref_pivots)].tolist()
 
 
-def test_syzygy_runs_one_elimination_per_nonempty_component(monkeypatch):
-    """The kernel of the cover map costs one rref per component with rows
-    and columns, and its reduced basis is not eliminated again."""
+def test_syzygy_runs_one_elimination_for_all_components(monkeypatch):
+    """The kernel of the cover map costs one rref of sparse rows over all
+    components, and its reduced basis is not eliminated again."""
     A = star_algebra(3, 2)
     M = uniserial_rep(A, UniserialSpec(1, 3))
     mats = projective_cover(M)[3].mats
-    callers = []
-    original = linalg.rref
-
-    def counting_rref(a, p):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(a, p)
-
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    assert sum(1 for m in mats if m.size) > 1
+    calls = counting_rref(monkeypatch)
     omega = syzygy(M)
-    assert callers.count("_reduced_kernel") == sum(1 for m in mats if m.size)
-    assert "_reduced_spans" not in callers
+    assert [name for name, _ in calls] == ["reduced_kernels"]
+    assert isinstance(calls[0][1], linalg.SparseRows)
     assert sum(omega.dims) == sum(m.shape[1] for m in mats) - sum(M.dims)
+
+
+def test_uniserial_presentation_runs_few_sparse_eliminations(monkeypatch):
+    """Every uniserial presentation over a fresh star(10, 3), each the
+    first of its module content, makes at most 6 linalg.rref calls, and
+    every call receives sparse rows."""
+    A = star_algebra(10, 3)
+    calls = counting_rref(monkeypatch)
+    for length in range(1, 31):
+        calls.clear()
+        modules.uniserial_presentation(A, 1 + length % 10, length)
+        assert 0 < len(calls) <= 6
+        assert all(isinstance(a, linalg.SparseRows) for _, a in calls)
 
 
 def _content(M):
