@@ -235,9 +235,14 @@ def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
 
 
 def stalk_complex(A: BrauerTreeAlgebra, edge, degree=0) -> ProjComplex:
-    if edge not in A.eidx:
-        raise ValueError(f"unknown edge {edge}")
-    return ProjComplex(A, {degree: (edge,)}, {})
+    """P_edge in that degree, built once per algebra (A.summand_cache)."""
+    key = ("stalk", edge, degree)
+    P = A.summand_cache.get(key)
+    if P is None:
+        if edge not in A.eidx:
+            raise ValueError(f"unknown edge {edge}")
+        P = A.summand_cache[key] = ProjComplex(A, {degree: (edge,)}, {})
+    return P
 
 
 def algebra_complex(A: BrauerTreeAlgebra, degree=0) -> ProjComplex:
@@ -547,7 +552,7 @@ class ChainMapSpace:
         stack = vecs if vecs.ndim == 2 else vecs[None, :]
         # one product: the vector again if it is a chain map, then its
         # quotient coordinates
-        prod = linalg.matmul(stack[:, free], both, p)
+        prod = linalg._matmul_reduced(stack[:, free], both, p)
         if (prod[:, : self.total] != stack).any():
             raise ValueError("vector is not a chain map")
         out = prod[:, self.total :]

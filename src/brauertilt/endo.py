@@ -67,7 +67,10 @@ def endo_cartan(T: ProjComplex) -> list[list[int]]:
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
     # the Euler pairing of every pair of summands at once: K C K^T, K the
     # summands' classes in K_0 and C the Cartan matrix of A
-    K = np.array([P.k0_class() for P in parts], dtype=np.int64)
+    K = np.zeros((m, T.algebra.n), dtype=np.int64)
+    for i, P in enumerate(parts):
+        for e, x in P.k0_terms:
+            K[i, T.algebra.eidx[e]] = x
     euler = (K @ np.array(T.algebra.cartan_matrix(), dtype=np.int64) @ K.T).tolist()
     for i in range(m):
         for j in range(m):
@@ -254,7 +257,7 @@ class EndoAlgebra:
             return linalg.zeros(rows, self.space(u, w).dim)
         a, b, c = table.shape
         outer = (xs[:, None, :, None] * ys[None, :, None, :]) % self.p
-        return linalg.matmul(outer.reshape(rows, a * b), table.reshape(a * b, c), self.p)
+        return linalg._matmul_reduced(outer.reshape(rows, a * b), table.reshape(a * b, c), self.p)
 
     @cached_property
     def tensor(self) -> dict[tuple, np.ndarray]:

@@ -23,7 +23,9 @@ form it would get alone (`block_pivots`, `reduced_bases`,
 bases).  `nullspace`, `nullspace_of_rref` and `solve` take and return
 dense arrays.
 `matmul` stays in numpy and reduces its operands first, since it may be
-handed unreduced entries.  A product of two reduced entries fits in int64
+handed unreduced entries; `_matmul_reduced` is the same product for
+callers whose operands are reduced already (`ChainMapSpace.quotient_coords`,
+`EndoAlgebra.products`).  A product of two reduced entries fits in int64
 for any prime < 2**31, but a sum of such products may not: `matmul` adds at
 most (2**63 - 1) // (p - 1)**2 of them before reducing, which is a single
 step at the default prime and two products at p near 2**31.
@@ -50,9 +52,14 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a, b, p: int) -> np.ndarray:
+    return _matmul_reduced(np.remainder(asmat(a), p), np.remainder(asmat(b), p), p)
+
+
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The product mod p of two 2d int64 arrays already reduced into
+    [0, p), as matmul gives it, without reducing them again."""
     # reduced operands keep every product and partial sum inside int64;
     # np.remainder and ndarray.dot are the cheapest calls on tiny matrices
-    a, b = np.remainder(asmat(a), p), np.remainder(asmat(b), p)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     inner = a.shape[1]

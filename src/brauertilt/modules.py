@@ -238,32 +238,35 @@ def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, np.ndarray
     return i, v
 
 
-def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
-    """Uniserial module over a star algebra with the given top and length;
-    basis vector t sits at edge top - t mod n."""
+def _uniserial_bound(A: BrauerTreeAlgebra, top, length) -> int:
+    """n k for the uniserial star module with this top and length, which
+    must be a star algebra's module with 1 <= length <= n k + 1 and a
+    known top (checked in that order)."""
     A.require_star()
     nk = A.n * A.tree.multiplicity
-    if not 1 <= spec.length <= nk + 1:
-        raise ValueError(f"uniserial length {spec.length} out of range 1..{nk + 1}")
-    if spec.top not in A.eidx:
-        raise ValueError(f"unknown edge {spec.top}")
+    if not 1 <= length <= nk + 1:
+        raise ValueError(f"uniserial length {length} out of range 1..{nk + 1}")
+    if top not in A.eidx:
+        raise ValueError(f"unknown edge {top}")
+    return nk
+
+
+def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
+    """Uniserial module over a star algebra with the given top and length;
+    basis vector t sits at edge top - t mod n, and the one arrow from edge
+    top - t - 1 to edge top - t moves it to vector t + 1."""
+    _uniserial_bound(A, spec.top, spec.length)
     dims = [0] * A.n
-    position = []  # basis index within its component, per depth
+    position = []  # (edge, basis index within its component), per depth
     for t in range(spec.length):
-        e = A.eidx[A.star_next(spec.top, -t)]
-        position.append(dims[e])
-        dims[e] += 1
-    act = {}
-    for arrow in A.arrows:
-        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        m = linalg.zeros(dims[a], dims[b])
-        for t in range(spec.length - 1):
-            # arrow (top-t-1) -> (top-t) moves depth t to depth t+1
-            if arrow.end == A.star_next(spec.top, -t) and arrow.start == A.star_next(
-                spec.top, -(t + 1)
-            ):
-                m[position[t + 1], position[t]] = 1
-        act[arrow] = m
+        e = A.star_next(spec.top, -t)
+        position.append((e, dims[A.eidx[e]]))
+        dims[A.eidx[e]] += 1
+    act = {arrow: linalg.zeros(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]])
+           for arrow in A.arrows}
+    arrow_at = {(arrow.start, arrow.end): arrow for arrow in A.arrows}
+    for (e, i), (f, j) in zip(position, position[1:]):
+        act[arrow_at[(f, e)]][j, i] = 1
     return Representation(A, dims, act)
 
 
@@ -592,13 +595,28 @@ def _presentation(M: Representation):
 
 
 def uniserial_presentation(A: BrauerTreeAlgebra, top, length):
-    """Minimal presentation of the uniserial with the given top and length,
-    named ("uniserial", top, length); built once per algebra."""
-    key = (top, length)
+    """Minimal presentation of the uniserial M(top, length), named
+    ("uniserial", top, length); built once per algebra (`summand_cache`).
+
+    The star algebra is a symmetric Nakayama algebra: P_a is uniserial,
+    with the path of length t from a - t to a spanning its depth t.  So
+    M(a, l) = P_a / rad^l P_a, and for l <= n k the radical power rad^l P_a
+    is the image of P_{a-l} under right multiplication by the path of
+    length l from a - l to a, a projective cover of it.  The presentation
+    is that one entry, read off the star path, with no module computed;
+    at l = n k + 1 the module is P_a itself.  `min_proj_presentation`
+    builds the same complex from the module.
+    """
+    from .complexes import ProjComplex
+
+    key = ("uniserial", top, length)
     T = A.summand_cache.get(key)
     if T is None:
-        T = A.summand_cache[key] = min_proj_presentation(
-            uniserial_rep(A, UniserialSpec(top, length)), label=("uniserial", *key)
+        if length > _uniserial_bound(A, top, length):
+            raise ValueError("module has a projective direct summand")
+        src = A.star_next(top, -length)
+        T = A.summand_cache[key] = ProjComplex(
+            A, {0: (src,), 1: (top,)}, {0: [[{A.star_path(src, length): 1}]]}, name=key
         )
     return T
 

@@ -68,7 +68,9 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     if T.comps and T.max_degree - T.min_degree > 1:
         raise ValueError("is_tilting decides two-term complexes only")
     A, p = T.algebra, T.algebra.prime
-    classes = [{j: c % p for j, c in enumerate(P.k0_class()) if c % p} for P in T.parts]
+    # each part's class read from its cached k0_terms, so a shared part
+    # (an interned stalk or presentation) computes it once
+    classes = [{A.eidx[e]: x % p for e, x in P.k0_terms if x % p} for P in T.parts]
     if linalg.rank(linalg.SparseRows(classes, A.n), p) != A.n:
         return False
     return is_partial_tilting(T, direct=direct)

@@ -13,7 +13,7 @@ import brauertilt
 from brauertilt import complexes, coverings, endo, tilting, trees, verify
 from brauertilt.algebra import star_algebra
 from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
-from brauertilt.modules import UniserialSpec, uniserial_presentation, uniserial_rep
+from brauertilt.modules import UniserialSpec, min_proj_presentation, uniserial_rep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,13 +51,15 @@ def test_traced_sizes_are_recorded():
     of a ChainMapSpace, the cells of an rref, the dimension of an algebra
     and the number of trees) still resolve and are recorded, and one decode
     passes through the spans of both decoders, the witness check and the
-    Cartan check."""
+    Cartan check.  The covering complex's presentations are read off the
+    star with no elimination, so a generic presentation supplies the rref."""
     tracer = _load_layertrace().Tracer()
     tracer.install()
     try:
         A = star_algebra(3, 1)
         T = coverings.covering_to_complex(coverings.enumerate_coverings(3)[0], A)
         complexes.hom_complex_dim(T, T, 0, direct=True)
+        min_proj_presentation(uniserial_rep(A, UniserialSpec(1, 2)))
         trees.all_brauer_trees(3, 1)
     finally:
         tracer.uninstall()
@@ -99,7 +101,7 @@ def test_syzygy_memo_lives_on_each_algebra():
     assert len(A.syzygy_cache) == 2 and B.syzygy_cache == {}
     assert tracer.stats["modules.syzygy"]["calls"] == 2
     assert tracer.stats["modules.presentation"]["calls"] == 1
-    uniserial_presentation(B, 1, 2)
+    min_proj_presentation(uniserial_rep(B, UniserialSpec(1, 2)))
     assert len(B.syzygy_cache) == 1 and B.syzygy_cache.keys() <= A.syzygy_cache.keys()
     assert all(A.syzygy_cache[k][0] is not B.syzygy_cache[k][0] for k in B.syzygy_cache)
 

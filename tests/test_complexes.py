@@ -147,6 +147,21 @@ def _dense_direct_sum(parts):
     return ProjComplex(A, comps, diffs, check=False, parts=[q for P in parts for q in P.parts])
 
 
+def test_stalks_are_interned_per_algebra():
+    """One stalk per (edge, degree) per algebra; algebras share none, and an
+    unknown edge is still refused."""
+    A, B = star_algebra(3, 1), star_algebra(3, 1)
+    for e in A.edges:
+        for d in (-1, 0, 1):
+            S = stalk_complex(A, e, d)
+            assert stalk_complex(A, e, d) is S
+            assert S.comps == {d: (e,)} and S.summand.key == ("stalk", e, d)
+            assert stalk_complex(B, e, d) is not S and stalk_complex(B, e, d).algebra is B
+    assert stalk_complex(A, 2) is stalk_complex(A, 2, 0)
+    with pytest.raises(ValueError, match="unknown edge 4"):
+        stalk_complex(A, 4, 0)
+
+
 @lru_cache(maxsize=None)
 def _summand_pool():
     """The catalogue of star(4, 2) and every stalk in degrees -1 to 2."""

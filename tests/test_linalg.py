@@ -187,15 +187,17 @@ def test_matmul_equals_exact_product(p, data):
     a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
     b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
     exact = [[sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(cols)] for i in range(rows)]
-    got = linalg.matmul(np.array(a, dtype=np.int64).reshape(rows, inner),
-                        np.array(b, dtype=np.int64).reshape(inner, cols), p)
-    assert got.tolist() == exact
+    a, b = np.array(a, dtype=np.int64).reshape(rows, inner), np.array(b, dtype=np.int64).reshape(inner, cols)
+    assert linalg.matmul(a, b, p).tolist() == exact
+    # the entries are reduced, so the product for reduced operands is the same
+    assert linalg._matmul_reduced(a, b, p).tolist() == exact
 
 
 def test_matmul_sums_do_not_overflow():
     p = 2**31 - 1
     a = np.full((1, 8), p - 1, dtype=np.int64)
     assert linalg.matmul(a, a.T, p).tolist() == [[8]]
+    assert linalg._matmul_reduced(a, a.T, p).tolist() == [[8]]
 
 
 def test_matmul_reduces_unreduced_input_near_2_31():

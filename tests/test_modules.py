@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauertilt import linalg, modules
-from brauertilt.algebra import build_tree_algebra, star_algebra
+from brauertilt.algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
+from brauertilt.complexes import stalk_complex
 from brauertilt.modules import (
     _reduced_spans,
     ModuleMap,
@@ -575,16 +576,103 @@ def test_syzygy_runs_one_elimination_for_all_components(monkeypatch):
 
 
 def test_uniserial_presentation_runs_few_sparse_eliminations(monkeypatch):
-    """Every uniserial presentation over a fresh star(10, 3), each the
-    first of its module content, makes at most 6 linalg.rref calls, and
-    every call receives sparse rows."""
+    """The generic presentation of every uniserial over a fresh star(10, 3),
+    each the first of its module content, makes at most 6 linalg.rref
+    calls, and every call receives sparse rows."""
     A = star_algebra(10, 3)
     calls = counting_rref(monkeypatch)
     for length in range(1, 31):
+        M = uniserial_rep(A, UniserialSpec(1 + length % 10, length))
         calls.clear()
-        modules.uniserial_presentation(A, 1 + length % 10, length)
+        modules.min_proj_presentation(M)
         assert 0 < len(calls) <= 6
         assert all(isinstance(a, linalg.SparseRows) for _, a in calls)
+
+
+def _stars(p=DEFAULT_PRIME):
+    """Every star algebra with n <= 6 edges and multiplicity k <= 3."""
+    return [star_algebra(n, k, p) for n in range(1, 7) for k in range(1, 4)]
+
+
+def _scanned_uniserial(A, spec):
+    """(dims, arrow matrices) of a uniserial as a scan of every arrow at
+    every depth places its ones: the reference for uniserial_rep's walk."""
+    dims, position = [0] * A.n, []
+    for t in range(spec.length):
+        e = A.eidx[A.star_next(spec.top, -t)]
+        position.append(dims[e])
+        dims[e] += 1
+    act = {}
+    for arrow in A.arrows:
+        m = np.zeros((dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]]), dtype=np.int64)
+        for t in range(spec.length - 1):
+            if (arrow.end, arrow.start) == (A.star_next(spec.top, -t), A.star_next(spec.top, -t - 1)):
+                m[position[t + 1], position[t]] = 1
+        act[arrow] = m
+    return tuple(dims), act
+
+
+def test_uniserial_rep_walk_matches_the_arrow_scan():
+    for A in _stars():
+        nk = A.n * A.tree.multiplicity
+        for top in A.edges:
+            for length in range(1, nk + 2):
+                M = uniserial_rep(A, UniserialSpec(top, length))
+                dims, act = _scanned_uniserial(A, UniserialSpec(top, length))
+                assert M.dims == dims
+                assert all(np.array_equal(M.act[a], act[a]) for a in A.arrows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_uniserial_presentation_is_the_generic_presentation(p):
+    """The presentation read off the star path is the one the module
+    machinery builds, down to its name, label and content id."""
+    for A in _stars(p):
+        for top in A.edges:
+            for length in range(1, A.n * A.tree.multiplicity + 1):
+                T = modules.uniserial_presentation(A, top, length)
+                M = uniserial_rep(A, UniserialSpec(top, length))
+                G = min_proj_presentation(M, label=("uniserial", top, length))
+                assert (T.comps, T.diffs, T.name) == (G.comps, G.diffs, G.name)
+                assert T.summand.key == G.summand.key and T.content_id == G.content_id
+                assert modules.uniserial_presentation(A, top, length) is T
+
+
+def test_uniserial_presentation_keeps_the_generic_errors():
+    """A non-star algebra, an unknown top, a length below 1 or above n k + 1,
+    and the projective at n k + 1 are refused with the generic route's
+    words, and nothing is memoized."""
+    star = star_algebra(3, 2)
+    line = build_tree_algebra(next(t for t in all_brauer_trees(3, 1) if not t.is_star()))
+    cases = [
+        (line, 1, 1, "operation requires the canonical Brauer star algebra"),
+        (star, 9, 2, "unknown edge 9"),
+        (star, 1, 0, "uniserial length 0 out of range 1..7"),
+        (star, 1, 8, "uniserial length 8 out of range 1..7"),
+        (star, 1, 7, "module has a projective direct summand"),
+    ]
+    for A, top, length, message in cases:
+        with pytest.raises(ValueError) as generic:
+            min_proj_presentation(uniserial_rep(A, UniserialSpec(top, length)))
+        with pytest.raises(ValueError) as closed:
+            modules.uniserial_presentation(A, top, length)
+        assert str(closed.value) == str(generic.value) == message
+        assert A.summand_cache == {}
+
+
+def test_star_summands_run_no_elimination(monkeypatch):
+    """Every uniserial presentation and every stalk over a fresh
+    star(10, 3) is read off the star: no linalg.rref call, and the syzygy
+    and presentation memos stay empty."""
+    A = star_algebra(10, 3)
+    calls = counting_rref(monkeypatch)
+    for top in A.edges:
+        for length in range(1, 31):
+            modules.uniserial_presentation(A, top, length)
+        for degree in (0, 1):
+            stalk_complex(A, top, degree)
+    assert calls == []
+    assert A.syzygy_cache == {} and A.presentation_cache == {}
 
 
 def _content(M):
