@@ -17,8 +17,6 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-import numpy as np
-
 from .trees import BrauerTree
 
 DEFAULT_PRIME = 32003
@@ -56,7 +54,8 @@ class BrauerTreeAlgebra:
     """
 
     def __init__(self, tree: BrauerTree, prime: int = DEFAULT_PRIME):
-        # int64 elimination needs p < 2**31; trial division is cheap below it
+        # elimination runs on Python ints, so any prime would do; the bound
+        # keeps the primality check, trial division up to sqrt(p), cheap
         if not 2 <= prime < 2**31 or any(prime % q == 0 for q in range(2, isqrt(prime) + 1)):
             raise ValueError(f"working prime must be a prime below 2**31, got {prime}")
         self.tree = tree
@@ -79,7 +78,7 @@ class BrauerTreeAlgebra:
         # neither module memo) and complexes.stalk_complex;
         # syzygy_cache memoizes modules._syzygy_with_embedding and
         # presentation_cache the data of modules.min_proj_presentation, both
-        # keyed by a module's dims and the bytes of its arrow matrices;
+        # keyed by a module's dims and the entries of its arrow matrices;
         # mult_cache and product_cache hold the index form of the structure
         # constants (mult_coords, block_products)
         self.hom_cache: dict = {}
@@ -260,21 +259,18 @@ class BrauerTreeAlgebra:
             self.mult_cache[key] = coords
         return coords
 
-    def block_products(self, a, b, c) -> np.ndarray:
+    def block_products(self, a, b, c) -> tuple:
         """The products between blocks (a, b) and (b, c), as index triples
         (x, y, r): class x of block (a, b) followed by class y of block
-        (b, c) is class r of block (a, c).  An int array of shape (k, 3),
-        read off mult_coords and cached in `product_cache`."""
+        (b, c) is class r of block (a, c).  A tuple of such tuples, read off
+        mult_coords and cached in `product_cache`."""
         key = (a, b, c)
         triples = self.product_cache.get(key)
         if triples is None:
-            triples = np.array(
-                [(x, y, r) for x, pc in enumerate(self.blocks[(a, b)])
-                 for r, y in self.mult_coords(pc, "L", c)],
-                dtype=np.intp,
-            ).reshape(-1, 3)
-            triples.flags.writeable = False
-            self.product_cache[key] = triples
+            triples = self.product_cache[key] = tuple(
+                (x, y, r) for x, pc in enumerate(self.blocks[(a, b)])
+                for r, y in self.mult_coords(pc, "L", c)
+            )
         return triples
 
     def hom_basis(self, i, j) -> list[PathClass]:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import linalg
 from .algebra import BrauerTreeAlgebra
 
@@ -346,17 +344,17 @@ class ChainMapSpace:
     echelon forms, so dim = total - rank C - rank N from the pivot counts.
     D_s D_{s-1} = 0, the containment of the null-homotopic maps in the
     chain maps, is checked as C N^T = 0 on the rows as built, which are
-    then dropped.  A tilting decision reads only dim, so it makes no dense
-    array and back-substitutes nothing.
+    then dropped.  A tilting decision reads only dim, so it back-substitutes
+    nothing.
 
     The bases are made on first read, each once: null_basis (the reduced
     rows of N) and chain_basis (the nullspace of C) each back-substitute
-    their echelon form (`linalg.back_substitute`, in place) and are dense
-    views of those sparse rows.  _reduction_data works on the same sparse
-    rows, with one code path for every space, dimension 0 included: the
-    null rows in the coordinates of chain_basis, eliminated once by their
-    last column, give the quotient representatives and the matrix that
-    gives quotient coordinates, which holds chain_basis as its left block.
+    their echelon form (`linalg.back_substitute`, in place).
+    _reduction_data works on the same sparse rows, with one code path for
+    every space, dimension 0 included: the null rows in the coordinates of
+    chain_basis, eliminated once by their last column, give the quotient
+    representatives and the matrix that gives quotient coordinates, which
+    holds chain_basis as its left block.
 
     When Q and R are sums of parts, the Hom complex is block-diagonal by
     pairs of parts, so `by_parts` splits one space into the space of each
@@ -451,21 +449,20 @@ class ChainMapSpace:
         return spaces
 
     @cached_property
-    def null_basis(self) -> np.ndarray:
+    def null_basis(self) -> linalg.SparseRows:
         """Rows form a basis of the null-homotopic maps: the reduced rows
         of N."""
         red = linalg.back_substitute(self._null_ech, self._null_pivots, self.Q.algebra.prime)
-        return red.dense()[: self.null_rank]
+        return linalg.SparseRows(red.rows, self.total)
 
     @cached_property
     def free(self) -> list[int]:
         """The free columns of C, the columns that are not its pivots: a
         chain map is the combination of chain_basis with its entries there."""
-        taken = set(self._chain_pivots)
-        return [c for c in range(self.total) if c not in taken]
+        return linalg.free_columns(self._chain_pivots, self.total)
 
     @cached_property
-    def chain_basis(self) -> np.ndarray:
+    def chain_basis(self) -> linalg.SparseRows:
         """Rows span the chain maps: the nullspace of the commuting squares,
         one row per free column, 1 there and minus that column of the
         reduced rows of C at their pivots."""
@@ -475,18 +472,20 @@ class ChainMapSpace:
 
     # -- conversions ---------------------------------------------------------------
 
-    def vector_of(self, f: ChainMap) -> np.ndarray:
+    def vector_of(self, f: ChainMap) -> dict:
+        """The coefficients of f as an {index: value} vector."""
         A = self.Q.algebra
-        vec = linalg.zeros(1, self.total)[0]
+        p, vec = A.prime, {}
         for d, mat in f.comps.items():
             for j, row in enumerate(mat):
                 for i, entry in enumerate(row):
                     off = self.offsets[(d, j, i)]
                     for pc, c in entry.items():
-                        vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % A.prime
+                        if c % p:
+                            vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % p
         return vec
 
-    def map_from_vector(self, vec) -> ChainMap:
+    def map_from_vector(self, vec: dict) -> ChainMap:
         A = self.Q.algebra
         comps = {}
         for d in self.Q.degrees():
@@ -498,7 +497,7 @@ class ChainMapSpace:
                 for i, a in enumerate(src):
                     off = self.offsets[(d, j, i)]
                     for kk, pc in enumerate(A.blocks[(a, b)]):
-                        c = int(vec[off + kk])
+                        c = vec.get(off + kk)
                         if c:
                             mat[j][i][pc] = c
             comps[d] = mat
@@ -524,7 +523,7 @@ class ChainMapSpace:
         coordinates.
         """
         if self._reduction is None:
-            p, free = self.Q.algebra.prime, self.free
+            p, free, total = self.Q.algebra.prime, self.free, self.total
             last = len(free) - 1
             # the null rows at the free columns, numbered backwards, so that
             # the forward pass eliminates each row by its last column
@@ -535,35 +534,39 @@ class ChainMapSpace:
             linalg.back_substitute(ech, pivots, p)
             taken = set(pivots)
             chosen = [r for r in range(len(free)) if last - r not in taken]
-            # the kernel basis, numbered backwards, turned back
-            f = linalg.kernel_basis(ech.rows, pivots, [last - r for r in reversed(chosen)],
-                              len(free), p)[::-1, ::-1]
+            # row q of F, numbered backwards, goes into column total + q
+            f = linalg.kernel_basis(ech.rows, pivots, [last - r for r in chosen], len(free), p)
             chain_basis = self.chain_basis
-            self._reduction = (free, chain_basis[chosen],
-                               np.concatenate([chain_basis, f.T], axis=1))
+            both = [dict(row) for row in chain_basis.rows]
+            for q, row in enumerate(f.rows):
+                for c, v in row.items():
+                    both[last - c][total + q] = v
+            self._reduction = (free, linalg.SparseRows([chain_basis.rows[r] for r in chosen], total),
+                               linalg.SparseRows(both, total + len(chosen)))
         return self._reduction
 
-    def quotient_coords(self, vecs) -> np.ndarray:
-        """Coordinates in the homotopy quotient of a chain-map vector, or
-        one row of them per row of a stack of such vectors."""
+    def quotient_coords(self, vecs) -> list[dict]:
+        """Coordinates in the homotopy quotient of each chain-map vector
+        ({index: value} dict) of vecs."""
         free, _, both = self._reduction_data()
-        p = self.Q.algebra.prime
-        vecs = np.asarray(vecs, dtype=np.int64) % p
-        stack = vecs if vecs.ndim == 2 else vecs[None, :]
-        # one product: the vector again if it is a chain map, then its
-        # quotient coordinates
-        prod = linalg._matmul_reduced(stack[:, free], both, p)
-        if (prod[:, : self.total] != stack).any():
-            raise ValueError("vector is not a chain map")
-        out = prod[:, self.total :]
-        return out if vecs.ndim == 2 else out[0]
+        p, total = self.Q.algebra.prime, self.total
+        out = []
+        for vec in vecs:
+            vec = {j: x % p for j, x in vec.items() if x % p}
+            # one product: the vector again if it is a chain map, then its
+            # quotient coordinates
+            prod = linalg.combine({r: vec[c] for r, c in enumerate(free) if c in vec}, both, p)
+            coords = {j - total: prod.pop(j) for j in [j for j in prod if j >= total]}
+            if prod != vec:
+                raise ValueError("vector is not a chain map")
+            out.append(coords)
+        return out
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
-        return not self.quotient_coords(self.vector_of(f)).any()
+        return not self.quotient_coords([self.vector_of(f)])[0]
 
     def basis_maps(self) -> list[ChainMap]:
-        reps = self._reduction_data()[1]
-        return [self.map_from_vector(v) for v in reps]
+        return [self.map_from_vector(v) for v in self._reduction_data()[1].rows]
 
 
 def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: int):

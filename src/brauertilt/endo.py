@@ -6,8 +6,8 @@ Two independent decoders are provided.  The generic one holds End(T) in
 quotient coordinates with one block-sparse structure tensor per decode
 (EndoAlgebra), built in one pass over the slot triples of T, reads off the
 quiver from the radical modulo its square and traces maximal chains of
-arrows with nonzero products; every product is a batched contraction
-against one block of the tensor.  The star fast path groups summands by
+arrows with nonzero products; every product is a contraction against one
+block of the tensor.  The star fast path groups summands by
 shared components and orders them along the star, with explicit witness
 morphisms whose maximal nonzero compositions, walked through the same
 tensor, certify each cyclic order.
@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import linalg
 from .algebra import BrauerTreeAlgebra, idempotent, socle_class
 from .complexes import (
     ChainMap,
     ChainMapSpace,
     ProjComplex,
+    euler_pairing,
     hom_complex_dim,
     identity_chain_map,
 )
@@ -65,18 +64,11 @@ def endo_cartan(T: ProjComplex) -> list[list[int]]:
     parts = summand_complexes(T)
     m = len(parts)
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
-    # the Euler pairing of every pair of summands at once: K C K^T, K the
-    # summands' classes in K_0 and C the Cartan matrix of A
-    K = np.zeros((m, T.algebra.n), dtype=np.int64)
-    for i, P in enumerate(parts):
-        for e, x in P.k0_terms:
-            K[i, T.algebra.eidx[e]] = x
-    euler = (K @ np.array(T.algebra.cartan_matrix(), dtype=np.int64) @ K.T).tolist()
     for i in range(m):
         for j in range(m):
             if cart[i][j] != cart[j][i]:
                 raise AssertionError("endomorphism Cartan matrix is not symmetric")
-            if cart[i][j] != euler[i][j]:
+            if cart[i][j] != euler_pairing(parts[i], parts[j]):
                 raise AssertionError("Cartan entry disagrees with the Euler pairing")
     return cart
 
@@ -182,13 +174,13 @@ def validate_cycles(E: EndoAlgebra, cycles: list[ACycle]):
         bound = k * r if cyc.exceptional else r
         for start in range(r):
             *_, last, past = _walk(E, cyc.members, wits, start, bound + 1)
-            if not last.any():
+            if not last:
                 raise AssertionError("witness composition died too early")
-            if past.any():
+            if past:
                 raise AssertionError("witness composition survived past the bound")
 
 
-def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
+def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[dict]:
     """Quotient coordinates of the composites of the first 1, ..., steps
     witnesses around a cycle from member `start` on; wits[t] is in
     coordinates and maps members[t] to the next member.  Each step is one
@@ -197,7 +189,7 @@ def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[np.ndarray]:
     comps = [wits[start]]
     for t in range(start + 1, start + steps):
         block = (members[start], members[t % r], members[(t + 1) % r])
-        comps.append(E.products(block, comps[-1][None, :], wits[t % r][None, :])[0])
+        comps.append(E.products(block, [comps[-1]], [wits[t % r]])[0])
     return comps
 
 
@@ -216,11 +208,10 @@ class EndoAlgebra:
     End(T), classes 0, ..., dim(u, v) - 1.
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
-    only where dim(u, v) and dim(v, w) are both nonzero, as an array of
-    shape (dim(u, v), dim(v, w), dim(u, w)): entry [i, j, r] is the
-    coefficient of class r of (u, w) in class i of (u, v) followed by
-    class j of (v, w).  No dense D x D x D array is made.  Every product of
-    End(T) is a batched contraction against one block (`products`).
+    only where dim(u, v) and dim(v, w) are both nonzero, as sparse rows of
+    width dim(u, w): row i * dim(v, w) + j holds the coordinates of class
+    i of (u, v) followed by class j of (v, w).  Every product of End(T) is
+    a contraction against one block (`products`).
     """
 
     def __init__(self, T: ProjComplex):
@@ -240,27 +231,33 @@ class EndoAlgebra:
     def space(self, u, v) -> ChainMapSpace:
         return self._spaces[(u, v)]
 
-    def coords(self, u, v, f: ChainMap) -> np.ndarray:
+    def coords(self, u, v, f: ChainMap) -> dict:
         """Quotient coordinates of the chain map f from summand u to v."""
         sp = self.space(u, v)
-        return sp.quotient_coords(sp.vector_of(f))
+        return sp.quotient_coords([sp.vector_of(f)])[0]
 
-    def products(self, block, xs, ys) -> np.ndarray:
+    def products(self, block, xs, ys) -> list[dict]:
         """Row a * len(ys) + b: the class xs[a] followed by the class ys[b],
-        for block = (u, v, w), xs a stack of reduced coordinate rows of
-        (u, v) and ys one of (v, w): their outer products, contracted with
-        the block by one matmul."""
-        u, _, w = block
+        for block = (u, v, w), xs a list of reduced coordinate rows of
+        (u, v) and ys one of (v, w), contracted with the block."""
         table = self.tensor.get(block)
-        rows = len(xs) * len(ys)
         if table is None:  # dim(u, v) or dim(v, w) is 0: every class is 0
-            return linalg.zeros(rows, self.space(u, w).dim)
-        a, b, c = table.shape
-        outer = (xs[:, None, :, None] * ys[None, :, None, :]) % self.p
-        return linalg._matmul_reduced(outer.reshape(rows, a * b), table.reshape(a * b, c), self.p)
+            return [{} for _ in range(len(xs) * len(ys))]
+        width, rows, p = self.space(block[1], block[2]).dim, table.rows, self.p
+        out = []
+        for x in xs:
+            for y in ys:
+                acc = {}
+                for i, a in x.items():
+                    for j, b in y.items():
+                        f = a * b
+                        for r, c in rows[i * width + j].items():
+                            acc[r] = acc.get(r, 0) + f * c
+                out.append({r: s % p for r, s in acc.items() if s % p})
+        return out
 
     @cached_property
-    def tensor(self) -> dict[tuple, np.ndarray]:
+    def tensor(self) -> dict[tuple, linalg.SparseRows]:
         """The blocks of the structure tensor, built in one pass.
 
         Class i of (u, v) is the chain map reps_uv[i], its quotient
@@ -269,46 +266,22 @@ class EndoAlgebra:
         A.block_products(a, b, c) pairs coefficient x of the map from I to
         K, coefficient y of the map from K to J and coefficient r of their
         product from I to J.  So the chain-map vector of class i followed by
-        class j gets reps_uv[i, F] * reps_vw[j, G] at position H, with F, G
+        class j gets reps_uv[i][F] * reps_vw[j][G] at position H, with F, G
         and H those coefficients' positions in the three spaces.  One pass
-        over T's slot triples lists these positions, one gather and one
-        scatter form every product vector, and the products with target
-        pair (u, w), stacked over v, are reduced by one quotient_coords on
-        space(u, w), which refuses any that is not a chain map.
+        over T's slot triples adds up every product vector, and the products
+        with target pair (u, w), stacked over v, are reduced by one
+        quotient_coords on space(u, w), which refuses any that is not a
+        chain map.
         """
         A, p, m, parts = self.T.algebra, self.p, self.m, self.parts
         spaces = [[self.space(u, v) for v in range(m)] for u in range(m)]
         dims = [[sp.dim for sp in row] for row in spaces]
-        # the representatives of all pairs with classes, in one flat array
-        reps, rep_at, at = [], {}, 0
-        for u in range(m):
-            for v in range(m):
-                if dims[u][v]:
-                    rep = spaces[u][v]._reduction_data()[1]
-                    reps.append(rep.ravel())
-                    rep_at[(u, v)] = at
-                    at += rep.size
-        # the product vectors of target pair (u, w), stacked over v, lie at
-        # out_at[(u, w)] in one flat array; block (u, v, w) is numbered in
-        # `blocks`, and info holds where its vectors start, the sizes of the
-        # spaces (u, v), (v, w) and (u, w), dim(v, w) and its row count
-        blocks, info, out_at, size = {}, [], {}, 0
-        for u in range(m):
-            for w in range(m):
-                rows, total = 0, spaces[u][w].total
-                for v in range(m):
-                    if dims[u][v] and dims[v][w]:
-                        blocks[(u, v, w)] = len(info)
-                        count = dims[u][v] * dims[v][w]
-                        info.append((size + rows * total, spaces[u][v].total, spaces[v][w].total,
-                                     total, dims[v][w], count))
-                        rows += count
-                if rows:
-                    out_at[(u, w)] = (size, rows)
-                    size += rows * total
-        # one pass over the slot triples with products: the positions of
-        # their coefficients in the three spaces, and their block
-        bases, triples = [], []
+        reps = {(u, v): spaces[u][v]._reduction_data()[1].rows
+                for u in range(m) for v in range(m) if dims[u][v]}
+        # the product vectors of block (u, v, w): row i * dim(v, w) + j
+        vecs = {(u, v, w): [{} for _ in range(dims[u][v] * dims[v][w])]
+                for u in range(m) for w in range(m) for v in range(m)
+                if dims[u][v] and dims[v][w]}
         products_of = A.block_products
         for d in self.T.degrees():
             slots = [(u, i, a) for u, P in enumerate(parts) for i, a in enumerate(P.slots(d))]
@@ -316,69 +289,88 @@ class EndoAlgebra:
                 for v, k, b in slots:
                     if not dims[u][v]:
                         continue
-                    f = rep_at[(u, v)] + spaces[u][v].offsets[(d, k, i)]
+                    xs, f0 = reps[(u, v)], spaces[u][v].offsets[(d, k, i)]
                     for w, j, c in slots:
-                        if dims[v][w] and len(found := products_of(a, b, c)):
-                            bases.append((f, rep_at[(v, w)] + spaces[v][w].offsets[(d, j, k)],
-                                          spaces[u][w].offsets[(d, j, i)], blocks[(u, v, w)]))
-                            triples.append(found)
-        vecs = np.zeros(size, dtype=np.int64)
-        if triples:
-            found = np.concatenate(triples)
-            f, g, h, b = np.repeat(np.array(bases), [len(t) for t in triples], axis=0).T
-            start, f_total, g_total, h_total, width, count = np.array(info)[b].T
-            f, g, h = f + found[:, 0], g + found[:, 1], start + h + found[:, 2]
-            # one contribution per index triple t and class pair (i, j)
-            t = np.repeat(np.arange(len(found)), count)
-            i, j = np.divmod(np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count), width[t])
-            flat = np.concatenate(reps)
-            # reduced factors keep each product below 2^62; reduce before summing
-            vals = flat[f[t] + i * f_total[t]] * flat[g[t] + j * g_total[t]] % p
-            np.add.at(vecs, h[t] + (i * width[t] + j) * h_total[t], vals)
+                        if not dims[v][w] or not (found := products_of(a, b, c)):
+                            continue
+                        ys, g0 = reps[(v, w)], spaces[v][w].offsets[(d, j, k)]
+                        h0, out, width = spaces[u][w].offsets[(d, j, i)], vecs[(u, v, w)], dims[v][w]
+                        for x, y, r in found:
+                            for ii, rep in enumerate(xs):
+                                f = rep.get(f0 + x)
+                                if not f:
+                                    continue
+                                for jj, rep2 in enumerate(ys):
+                                    g = rep2.get(g0 + y)
+                                    if g:
+                                        row = out[ii * width + jj]
+                                        row[h0 + r] = row.get(h0 + r, 0) + f * g
         tensor = {}
-        for (u, w), (first, rows) in out_at.items():
-            out = spaces[u][w]
-            coords = out.quotient_coords(vecs[first:first + rows * out.total].reshape(rows, out.total))
-            r0 = 0
-            for v in range(m):
-                if (u, v, w) in blocks:
-                    shape = (dims[u][v], dims[v][w], out.dim)
-                    tensor[(u, v, w)] = coords[r0:r0 + shape[0] * shape[1]].reshape(shape)
-                    r0 += shape[0] * shape[1]
+        for u in range(m):
+            for w in range(m):
+                blocks = [(v, vecs[(u, v, w)]) for v in range(m) if (u, v, w) in vecs]
+                if not blocks:
+                    continue
+                coords = spaces[u][w].quotient_coords(
+                    [row for _, rows in blocks for row in rows])
+                r0 = 0
+                for v, rows in blocks:
+                    tensor[(u, v, w)] = linalg.SparseRows(coords[r0:r0 + len(rows)], dims[u][w])
+                    r0 += len(rows)
         return tensor
 
-    def local_radical(self, u) -> np.ndarray:
+    def local_radical(self, u) -> linalg.SparseRows:
         """Rows spanning rad End(T_u), read off the block (u, u, u)."""
         d = self.space(u, u).dim
         if d == 1:
-            return linalg.zeros(0, 1)
-        p, table = self.p, self.tensor[(u, u, u)]
+            return linalg.SparseRows([], 1)
+        p, rows = self.p, self.tensor[(u, u, u)].rows
         idc = self.coords(u, u, identity_chain_map(self.parts[u]))
         rad_rows = []
-        for i, e in enumerate(linalg.eye(d)):
-            # left multiplication by basis class i: column j is class i followed by class j
-            L = table[i].T
+        for i in range(d):
+            # left multiplication by basis class i, transposed: row j is
+            # class i followed by class j
+            lt = rows[i * d:(i + 1) * d]
             # its scalar part c, with L - c nilpotent, so trace L = d * c
-            candidates = [int(np.trace(L)) * pow(d, -1, p) % p] if p > d else range(p)
-            c = next((c for c in candidates if _is_nilpotent(L - c * linalg.eye(d), p, d)), None)
+            trace = sum(row.get(j, 0) for j, row in enumerate(lt))
+            candidates = [trace * pow(d, -1, p) % p] if p > d else range(p)
+            c = next((c for c in candidates if _is_nilpotent(_minus_scalar(lt, c, p), p, d)), None)
             if c is None:
                 raise AssertionError("local algebra has no scalar part")
-            rad_rows.append((e - c * idc) % p)
-        red, piv = linalg.rref(np.array(rad_rows, dtype=np.int64), p)
-        return red[:len(piv)]
+            # class i minus c times the identity class
+            row = {j: -c * x % p for j, x in idc.items() if c * x % p}
+            _add_at(row, i, 1, p)
+            rad_rows.append(row)
+        return linalg.SparseRows(linalg.rref(linalg.SparseRows(rad_rows, d), p)[0].rows, d)
 
 
-def _is_nilpotent(mat, p, d) -> bool:
-    m = mat.copy() % p
+def _add_at(row: dict, j: int, x: int, p: int) -> None:
+    """row[j] += x mod p, dropping the entry if it becomes zero."""
+    x = (row.get(j, 0) + x) % p
+    if x:
+        row[j] = x
+    else:
+        row.pop(j, None)
+
+
+def _minus_scalar(rows, c, p) -> linalg.SparseRows:
+    """The square matrix with these rows minus c times the identity."""
+    out = [dict(row) for row in rows]
+    for j, row in enumerate(out):
+        _add_at(row, j, -c, p)
+    return linalg.SparseRows(out, len(out))
+
+
+def _is_nilpotent(mat: linalg.SparseRows, p, d) -> bool:
     steps = max(1, d).bit_length() + 1
     for _ in range(steps):
-        if not m.any():
+        if not any(mat.rows):
             return True
-        m = linalg.matmul(m, m, p)
-    return not m.any()
+        mat = linalg.product(mat, mat, p)
+    return not any(mat.rows)
 
 
-def _pick_arrows(square_rows, candidates, p) -> list[int]:
+def _pick_arrows(square_rows, candidates: linalg.SparseRows, p) -> list[int]:
     """Indices of the candidates that a greedy pass keeps independent
     modulo the span of `square_rows` and the candidates kept before.
 
@@ -387,25 +379,24 @@ def _pick_arrows(square_rows, candidates, p) -> list[int]:
     of the transposed stack [rows; candidates]^T, so one elimination
     decides them all.
     """
-    stacked = np.array(list(square_rows) + list(candidates), dtype=np.int64)
+    stacked = linalg.SparseRows(list(square_rows) + candidates.rows, candidates.cols)
     skip = len(square_rows)
-    return [c - skip for c in linalg.rref(stacked.T, p)[1] if c >= skip]
+    return [c - skip for c in linalg.rref(linalg.transpose(stacked), p)[1] if c >= skip]
 
 
-def _radical_square(E: EndoAlgebra, jbasis) -> dict[tuple, list[np.ndarray]]:
+def _radical_square(E: EndoAlgebra, jbasis) -> dict[tuple, list[dict]]:
     """The nonzero products of the radical bases jbasis over each block of
     the tensor, listed under their target pair.  Only a diagonal pair has a
     radical basis other than the identity, so a block (u, v, w) with
-    u != v != w gives the block itself, reshaped; the others take one
+    u != v != w gives the rows of the block itself; the others take one
     contraction each."""
-    jsq: dict[tuple, list[np.ndarray]] = {uv: [] for uv in jbasis}
+    jsq: dict[tuple, list[dict]] = {uv: [] for uv in jbasis}
     for (u, v, w), table in E.tensor.items():
         if u != v and v != w:
-            a, b, c = table.shape
-            prods = table.reshape(a * b, c)
+            prods = table.rows
         else:
-            prods = E.products((u, v, w), jbasis[(u, v)], jbasis[(v, w)])
-        jsq[(u, w)].extend(prods[prods.any(axis=1)])
+            prods = E.products((u, v, w), jbasis[(u, v)].rows, jbasis[(v, w)].rows)
+        jsq[(u, w)].extend(row for row in prods if row)
     return jsq
 
 
@@ -416,7 +407,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     k = E.T.algebra.tree.multiplicity
 
     # radical basis per block, in quotient coordinates
-    jbasis = {(u, v): E.local_radical(u) if u == v else linalg.eye(E.space(u, v).dim)
+    jbasis = {(u, v): E.local_radical(u) if u == v else linalg.identity(E.space(u, v).dim)
               for u in range(m) for v in range(m)}
 
     jsq = _radical_square(E, jbasis)
@@ -424,11 +415,11 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     arrows = []  # (u, v, coordinates)
     for u in range(m):
         for v in range(m):
-            if not len(jbasis[(u, v)]):
+            if not jbasis[(u, v)].rows:
                 continue
             picked = _pick_arrows(jsq[(u, v)], jbasis[(u, v)], p)
             for i in picked:
-                arrows.append((u, v, jbasis[(u, v)][i]))
+                arrows.append((u, v, jbasis[(u, v)].rows[i]))
             if u != v and len(picked) > 1:
                 raise AssertionError("more than one arrow between distinct vertices")
 
@@ -443,9 +434,10 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
             thens = by_pair.get((v, w))
             if not thens:
                 continue
-            xs, ys = (np.array([arrows[a][2] for a in ids]) for ids in (firsts, thens))
-            live = E.products((u, v, w), xs, ys).any(axis=1).reshape(len(firsts), len(thens))
-            for ai, row in zip(firsts, live):
+            xs, ys = ([arrows[a][2] for a in ids] for ids in (firsts, thens))
+            live = E.products((u, v, w), xs, ys)
+            for t, ai in enumerate(firsts):
+                row = live[t * len(thens):(t + 1) * len(thens)]
                 nxt[ai].extend(bi for bi, nonzero in zip(thens, row) if nonzero)
     succ = {}
     for ai, found in nxt.items():
@@ -486,7 +478,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     for ci, cyc in enumerate(cycles):
         if k < 2:
             break
-        if _walk(E, cyc.members, cyc.witnesses, 0, 2 * len(cyc.members))[-1].any():
+        if _walk(E, cyc.members, cyc.witnesses, 0, 2 * len(cyc.members))[-1]:
             if exceptional_idx is not None:
                 raise AssertionError("two cycles look exceptional")
             exceptional_idx = ci

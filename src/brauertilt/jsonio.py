@@ -172,10 +172,9 @@ def complex_from_json(A: BrauerTreeAlgebra, doc) -> ProjComplex:
     parts = []
     for i, s in enumerate(summands):
         if "stalk" in s:
-            st = s["stalk"]
-            parts.append(
-                stalk_complex(A, _need(st, "edge", f"$.summands[{i}].stalk"), st.get("degree", 0))
-            )
+            st, path = s["stalk"], f"$.summands[{i}].stalk"
+            degree = _typed(st.get("degree", 0), int, f"{path}.degree")
+            parts.append(stalk_complex(A, _need(st, "edge", path), degree))
         elif "pres" in s:
             M = module_from_json(A, s["pres"])  # also validates a uniserial
             u = s["pres"].get("uniserial")

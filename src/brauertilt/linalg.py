@@ -1,77 +1,29 @@
 """Exact linear algebra over a prime field F_p.
 
-Dense matrices are numpy int64 arrays with entries reduced into [0, p).
-The elimination layer has one row type, `SparseRows`: a list of
-{column: value} dicts of reduced nonzero Python ints with a `.shape`.
-The matrices this package eliminates are small and sparse, so elimination
-runs on such rows: its cost follows the nonzero entries, not the cells,
-and no value can overflow.  It comes in two passes.  `echelon`, the
-forward pass, gives an echelon form and the pivot columns, which is all a
-rank needs; `back_substitute` turns that echelon form into the reduced
-form.  `rref` runs both.  It takes either kind of matrix and returns the
-reduced form in the kind it was given; a dense input is read into rows
-first, and a caller that builds its rows directly (`ChainMapSpace`, the
-rank check of `is_tilting`, and the module layer: the radical, socle,
-kernel and span eliminations of modules.py and the intertwiner equations
-of `hom_basis`) makes no dense array to eliminate.  `rank` takes either
-kind and runs the forward pass alone.  `kernel_basis` reads a dense kernel
-basis off reduced sparse rows.  Several independent matrices are
-eliminated at once as the blocks of one block-diagonal matrix of sparse
-rows: blocks share no column, so each gets the pivots and the reduced
-form it would get alone (`block_pivots`, `reduced_bases`,
-`reduced_kernels`, which take reduced dense blocks and return dense
-bases).  `nullspace`, `nullspace_of_rref` and `solve` take and return
-dense arrays.
-`matmul` stays in numpy and reduces its operands first, since it may be
-handed unreduced entries; `_matmul_reduced` is the same product for
-callers whose operands are reduced already (`ChainMapSpace.quotient_coords`,
-`EndoAlgebra.products`).  A product of two reduced entries fits in int64
-for any prime < 2**31, but a sum of such products may not: `matmul` adds at
-most (2**63 - 1) // (p - 1)**2 of them before reducing, which is a single
-step at the default prime and two products at p near 2**31.
+There is one matrix kind, `SparseRows`: a list of {column: value} dicts
+of reduced nonzero Python ints with a `.shape`, and a vector is one such
+{index: value} dict.  The matrices this package handles are small and
+sparse, and its structure constants are 0 or 1, so every operation runs
+on these rows: its cost follows the nonzero entries, not the cells, and
+no value can overflow.  Input from outside the package (a module's
+actions and maps, spans, and the arguments of `rref`, `rank`, `solve`)
+may be `SparseRows` or any nested sequence of ints; `as_rows` reads it
+into fresh reduced rows and checks its shape.  Elimination takes
+`SparseRows` as they are, their values reduced by contract.
+
+Elimination comes in two passes.  `echelon`, the forward pass, gives an
+echelon form and the pivot columns, which is all a rank needs;
+`back_substitute` turns that echelon form into the reduced form.  `rref`
+runs both.  `kernel_basis` reads a kernel basis off reduced rows.
+Several independent matrices are eliminated at once as the blocks of one
+block-diagonal matrix: blocks share no column, so each gets the pivots and
+the reduced form it would get alone (`block_pivots`, `reduced_bases`,
+`reduced_kernels`).  `product`, `transpose`, `apply` (a matrix times a
+column vector) and `combine` (a row vector times a matrix) are the
+products the module layer and End(T) need.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def asmat(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2d array, got shape {m.shape}")
-    return m
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
-def matmul(a, b, p: int) -> np.ndarray:
-    return _matmul_reduced(np.remainder(asmat(a), p), np.remainder(asmat(b), p), p)
-
-
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product mod p of two 2d int64 arrays already reduced into
-    [0, p), as matmul gives it, without reducing them again."""
-    # reduced operands keep every product and partial sum inside int64;
-    # np.remainder and ndarray.dot are the cheapest calls on tiny matrices
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    inner = a.shape[1]
-    if a.shape[0] == 0 or b.shape[1] == 0 or inner == 0:
-        return zeros(a.shape[0], b.shape[1])
-    chunk = max(1, (2**63 - 1) // (p - 1) ** 2)
-    if inner <= chunk:
-        return np.remainder(a.dot(b), p)
-    out = zeros(a.shape[0], b.shape[1])
-    for k in range(0, inner, chunk):
-        out = (out + a[:, k : k + chunk].dot(b[k : k + chunk]) % p) % p
-    return out
 
 
 class SparseRows:
@@ -80,7 +32,8 @@ class SparseRows:
     `rows` lists the first rows as {column: value} dicts whose values are
     nonzero Python ints in [1, p); the matrix has `height` rows (by
     default as many as are listed), the rows past the listed ones are
-    zero, and `cols` columns.
+    zero, and `cols` columns.  Two matrices are equal when their shapes
+    and entries are.
     """
 
     __slots__ = ("rows", "cols", "height")
@@ -94,45 +47,80 @@ class SparseRows:
     def shape(self) -> tuple[int, int]:
         return self.height, self.cols
 
-    def dense(self) -> np.ndarray:
-        out = zeros(self.height, self.cols)
-        cols = self.cols
-        out.put([i * cols + j for i, row in enumerate(self.rows) for j in row],
-                [v for row in self.rows for v in row.values()])
-        return out
+    def __eq__(self, other):
+        if not isinstance(other, SparseRows):
+            return NotImplemented
+        a, b = self.rows, other.rows
+        n = min(len(a), len(b))
+        return (self.shape == other.shape and a[:n] == b[:n]
+                and not any(a[n:]) and not any(b[n:]))
+
+    __hash__ = None
 
 
-def sparse(a, p: int) -> SparseRows:
-    """The dense matrix a, reduced mod p, as sparse rows: one ravel(), one
-    nonzero() and one gather, then one dict per row."""
-    m = asmat(a)
-    rows, cols = m.shape
-    flat = m.ravel()
-    nonzero = flat.nonzero()[0]
-    out: list[dict[int, int]] = [{} for _ in range(rows)]
-    for pos, val in zip(nonzero.tolist(), (flat[nonzero] % p).tolist()):
-        if val:
-            r, c = divmod(pos, cols)
-            out[r][c] = val
-    return SparseRows(out, cols)
+def zero(rows: int, cols: int) -> SparseRows:
+    return SparseRows([{} for _ in range(rows)], cols)
+
+
+def identity(n: int) -> SparseRows:
+    return SparseRows([{i: 1} for i in range(n)], n)
+
+
+def as_rows(a, p: int, shape: tuple[int, int] | None = None) -> SparseRows:
+    """a reduced mod p into fresh `SparseRows`, checked to have `shape` when
+    one is given.
+
+    a is `SparseRows`, whose columns must lie in range, or a nested
+    sequence of ints; an array with a `.shape` (a numpy array) keeps its
+    column count when it has no rows.  An input with no rows has the
+    columns of `shape`.
+    """
+    if isinstance(a, SparseRows):
+        if len(a.rows) > a.height or any(not 0 <= j < a.cols for row in a.rows for j in row):
+            raise ValueError(f"sparse rows outside their shape {a.shape}")
+        out = SparseRows([{j: v % p for j, v in row.items() if v % p} for row in a.rows]
+                         + [{} for _ in range(a.height - len(a.rows))], a.cols)
+    else:
+        dims = getattr(a, "shape", None)
+        if dims is not None and len(dims) != 2:
+            raise ValueError(f"expected a 2d array, got shape {tuple(dims)}")
+        data = a.tolist() if hasattr(a, "tolist") else a
+        rows, width = [], dims[1] if dims is not None else None
+        for row in data:
+            try:
+                values = [int(v) % p for v in row]
+            except TypeError:
+                raise ValueError("expected a 2d array, got a row that is not a sequence") from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ValueError("rows of different lengths")
+            rows.append({j: v for j, v in enumerate(values) if v})
+        if width is None:
+            width = shape[1] if shape is not None else 0
+        out = SparseRows(rows, width)
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"matrix has shape {out.shape}, expected {shape}")
+    return out
 
 
 def echelon(a, p: int) -> tuple[SparseRows, list[int]]:
     """Row echelon form by forward elimination alone, and its pivot columns.
 
-    a is a dense matrix or `SparseRows`; the result is `SparseRows` with the
-    shape of a.  Each incoming row is cleared at its least column for as
-    long as that column is a pivot; a row that keeps a least column makes
-    it a new pivot, scaled to 1 there.  Pivot rows are not cleared against
-    later pivots, so a row may still hold other pivot columns, but each
-    row's least column is its pivot and the rows come sorted by pivot.
-    The pivot count is the rank.  A caller's rows are copied, never edited.
+    a is `SparseRows` or a nested sequence (see `as_rows`); the result is
+    `SparseRows` with the shape of a.  Each incoming row is cleared at its
+    least column for as long as that column is a pivot; a row that keeps a
+    least column makes it a new pivot, scaled to 1 there.  Pivot rows are
+    not cleared against later pivots, so a row may still hold other pivot
+    columns, but each row's least column is its pivot and the rows come
+    sorted by pivot.  The pivot count is the rank.  A caller's rows are
+    copied, never edited.
     """
-    dense = not isinstance(a, SparseRows)
-    rows = sparse(a, p) if dense else a
+    fresh = not isinstance(a, SparseRows)
+    rows = as_rows(a, p) if fresh else a
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows.rows:
-        if not dense:
+        if not fresh:
             row = dict(row)
         while row:
             lead = min(row)
@@ -165,17 +153,16 @@ def back_substitute(ech: SparseRows, pivots: list[int], p: int) -> SparseRows:
     return ech
 
 
-def rref(a, p: int) -> tuple[np.ndarray | SparseRows, list[int]]:
+def rref(a, p: int) -> tuple[SparseRows, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    a is a dense matrix or `SparseRows`, and the reduced form comes back
-    in the same kind, with the shape of a (its zero rows last): `echelon`
-    followed by `back_substitute`.  The reduced form is unique, so it does
-    not depend on the order in which the rows were eliminated.
+    The reduced form is `SparseRows` with the shape of a, its nonzero rows
+    listed and its zero rows last: `echelon` followed by `back_substitute`.
+    The reduced form is unique, so it does not depend on the order in
+    which the rows were eliminated.
     """
     red, pivots = echelon(a, p)
-    back_substitute(red, pivots, p)
-    return (red if isinstance(a, SparseRows) else red.dense()), pivots
+    return back_substitute(red, pivots, p), pivots
 
 
 def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
@@ -189,60 +176,40 @@ def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> Non
 
 
 def rank(a, p: int) -> int:
-    """Rank of a dense matrix or `SparseRows`: the pivot count of the
-    forward pass alone."""
+    """Rank: the pivot count of the forward pass alone."""
     return len(echelon(a, p)[1])
 
 
-def nullspace(a, p: int) -> np.ndarray:
-    """Rows form a basis of {x : a @ x = 0 mod p}."""
-    m = asmat(a)
-    rows, cols = m.shape
-    if cols == 0:
-        return zeros(0, 0)
-    if rows == 0:
-        return eye(cols)
-    return nullspace_of_rref(*rref(m, p), p)
+def nullspace(a, p: int) -> SparseRows:
+    """Rows form a basis of {x : a @ x = 0 mod p}: `kernel_basis` of the
+    reduced form of a."""
+    red, pivots = rref(a, p)
+    return kernel_basis(red.rows, pivots, free_columns(pivots, red.cols), red.cols, p)
 
 
-def nullspace_of_rref(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """The basis `nullspace` returns, read off a matrix's reduced form: one
-    row per free column, 1 there and minus that column of the reduced rows
-    at the pivots.  The free columns are the gaps between the sorted pivots."""
-    cols = red.shape[1]
-    free, start = [], 0
-    for c in [*pivots, cols]:
-        free.extend(range(start, c))
-        start = c + 1
-    basis = zeros(len(free), cols)
-    if free:
-        basis.put([i * cols + f for i, f in enumerate(free)], 1)
-        if pivots:
-            basis[:, pivots] = (-red[: len(pivots)].take(free, axis=1).T) % p
-    return basis
+def free_columns(pivots: list[int], width: int) -> list[int]:
+    """The columns of range(width) that are not pivots."""
+    taken = set(pivots)
+    return [c for c in range(width) if c not in taken]
 
 
-def kernel_basis(rows: list, pivots: list[int], free: list[int], width: int, p: int) -> np.ndarray:
+def kernel_basis(rows: list, pivots: list[int], free: list[int], width: int, p: int) -> SparseRows:
     """Rows spanning the kernel of the reduced sparse rows `rows`, whose
     pivot columns are `pivots` and other columns `free`, of `width`
     columns: one row per free column, 1 there and minus that column of
-    the rows at their pivots (the basis `nullspace_of_rref` gives)."""
-    row_of = {c: r for r, c in enumerate(free)}
-    basis = zeros(len(free), width)
-    basis.put([r * width + c for r, c in enumerate(free)], 1)
-    at, vals = [], []
+    the rows at their pivots."""
+    basis = [{f: 1} for f in free]
+    row_of = dict(zip(free, basis))
     for c, row in zip(pivots, rows):
         for j, v in row.items():
             if j != c:
-                at.append(row_of[j] * width + c)
-                vals.append(p - v)
-    basis.put(at, vals)
-    return basis
+                row_of[j][c] = p - v
+    return SparseRows(basis, width)
 
 
 def _block_diagonal(blocks, widths, reverse=False) -> tuple[SparseRows, list[int]]:
-    """The block-diagonal matrix whose block i stacks the reduced matrices
-    blocks[i], each with widths[i] columns, as sparse rows without their
+    """The block-diagonal matrix whose block i stacks the matrices
+    blocks[i], `SparseRows` each with widths[i] columns, without their
     zero rows, and the column offset of each block.  With reverse, each
     block numbers its columns backwards.  Blocks share no column, so an
     elimination of these rows eliminates each block on its own."""
@@ -253,11 +220,8 @@ def _block_diagonal(blocks, widths, reverse=False) -> tuple[SparseRows, list[int
     for o, w, mats in zip(offs, widths, blocks):
         first, step = (o + w - 1, -1) if reverse else (o, 1)
         for m in mats:
-            height += m.shape[0]
-            for values in m.tolist():
-                row = {first + step * c: v for c, v in enumerate(values) if v}
-                if row:
-                    rows.append(row)
+            height += m.height
+            rows.extend({first + step * c: v for c, v in row.items()} for row in m.rows if row)
     return SparseRows(rows, offs[-1], height), offs
 
 
@@ -274,93 +238,131 @@ def _split_pivots(pivots: list[int], offs: list[int]) -> list[list[int]]:
 
 
 def block_pivots(blocks, widths, p: int) -> list[list[int]]:
-    """Per i, the pivot columns of the rows of the reduced matrices
-    blocks[i], each with widths[i] columns, from one forward pass over
-    the block-diagonal matrix of all of them."""
+    """Per i, the pivot columns of the rows of the matrices blocks[i],
+    each with widths[i] columns, from one forward pass over the
+    block-diagonal matrix of all of them."""
     rows, offs = _block_diagonal(blocks, widths)
     return _split_pivots(echelon(rows, p)[1], offs)
 
 
-def reduced_bases(mats, p: int) -> list[tuple[np.ndarray, list[int]]]:
-    """Per reduced matrix of mats, the reduced row echelon basis of its
-    rows and its pivot columns, from one rref of the block-diagonal matrix
-    of the mats."""
-    widths = [m.shape[1] for m in mats]
+def reduced_bases(mats, p: int) -> list[tuple[SparseRows, list[int]]]:
+    """Per matrix of mats, the reduced row echelon basis of its rows and
+    its pivot columns, from one rref of the block-diagonal matrix of the
+    mats."""
+    widths = [m.cols for m in mats]
     rows, offs = _block_diagonal([[m] for m in mats], widths)
     red, pivots = rref(rows, p)
-    out = []
-    reduced = iter(red.rows)
+    out, at = [], 0
     for o, w, piv in zip(offs, widths, _split_pivots(pivots, offs)):
-        basis = zeros(len(piv), w)
-        at, vals = [], []
-        for r in range(len(piv)):
-            for j, v in next(reduced).items():
-                at.append(r * w + j - o)
-                vals.append(v)
-        basis.put(at, vals)
-        out.append((basis, piv))
+        out.append((SparseRows([{j - o: v for j, v in row.items()}
+                                for row in red.rows[at:at + len(piv)]], w), piv))
+        at += len(piv)
     return out
 
 
-def reduced_kernels(mats, p: int) -> list[tuple[np.ndarray, list[int]]]:
-    """Per reduced matrix m of mats, the reduced row echelon basis of
+def reduced_kernels(mats, p: int) -> list[tuple[SparseRows, list[int]]]:
+    """Per matrix m of mats, the reduced row echelon basis of
     {x : m @ x = 0} and its pivots, from one rref of the block-diagonal
     matrix of the mats with the columns of each block reversed.
 
-    With the columns of m reversed, the nullspace_of_rref basis has one
-    row per free column f: 1 there, 0 at the other free columns, and
-    nonzero entries only at pivot columns before f.  Read back in the
-    original column order each row leads with 1 at its free column and is
-    0 at the others, so, sorted by leading column, these rows are the
-    reduced basis of the kernel, which is unique, and its pivots are the
-    free columns.
+    With the columns of m reversed, the kernel_basis rows have one row per
+    free column f: 1 there, 0 at the other free columns, and nonzero
+    entries only at pivot columns before f.  Read back in the original
+    column order each row leads with 1 at its free column and is 0 at the
+    others, so, sorted by leading column, these rows are the reduced basis
+    of the kernel, which is unique, and its pivots are the free columns.
     """
-    widths = [m.shape[1] for m in mats]
+    widths = [m.cols for m in mats]
     rows, offs = _block_diagonal([[m] for m in mats], widths, reverse=True)
     red, pivots = rref(rows, p)
-    out = []
-    reduced = iter(red.rows)
+    out, at = [], 0
     for o, w, piv in zip(offs, widths, _split_pivots(pivots, offs)):
         # piv numbers the block's columns backwards: column c is w - 1 - c
-        taken = set(piv)
-        free = [c for c in range(w) if w - 1 - c not in taken]
-        row_of = {o + w - 1 - c: r for r, c in enumerate(free)}
-        basis = zeros(len(free), w)
-        basis.put([r * w + c for r, c in enumerate(free)], 1)
-        at, vals = [], []
-        for c in piv:
-            for j, v in next(reduced).items():
-                if j != o + c:
-                    at.append(row_of[j] * w + w - 1 - c)
-                    vals.append(p - v)
-        basis.put(at, vals)
-        out.append((basis, free))
+        back = [{o + w - 1 - j: v for j, v in row.items()} for row in red.rows[at:at + len(piv)]]
+        at += len(piv)
+        free = free_columns([w - 1 - c for c in piv], w)
+        out.append((kernel_basis(back, [w - 1 - c for c in piv], free, w, p), free))
     return out
 
 
-def solve(a, b, p: int) -> np.ndarray | None:
+def solve(a, b, p: int):
     """One solution x of a @ x = b mod p, or None if inconsistent.
 
-    b may be a vector or a matrix of stacked right-hand columns.
+    b is a vector, an {index: value} dict or a flat sequence of ints, and
+    x is then a vector dict; or b is a matrix of stacked right-hand
+    columns, and x is then `SparseRows`.
     """
-    m = asmat(a)
-    bv = np.asarray(b, dtype=np.int64) % p
-    vector_input = bv.ndim == 1
-    if vector_input:
-        bv = bv[:, None]
-    if bv.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs shape mismatch {m.shape} vs {bv.shape}")
-    aug = np.concatenate([m, bv], axis=1) if m.shape[1] else bv.copy()
-    red, pivots = rref(aug, p)
-    ncols = m.shape[1]
-    x = zeros(ncols, bv.shape[1])
-    for r, c in enumerate(pivots):
-        if c >= ncols:
+    m = as_rows(a, p)
+    vector = isinstance(b, dict) or _is_flat(b)
+    if vector:
+        if not isinstance(b, dict):
+            b = b.tolist() if hasattr(b, "tolist") else list(b)
+            if len(b) != m.height:
+                raise ValueError(f"rhs of length {len(b)} for a matrix of shape {m.shape}")
+            b = dict(enumerate(b))
+        b = [[b.get(i, 0)] for i in range(m.height)]
+    b = as_rows(b, p)
+    if b.height != m.height:
+        raise ValueError(f"rhs shape mismatch {m.shape} vs {b.shape}")
+    n = m.cols
+    aug = [dict(row) for row in m.rows] + [{} for _ in range(m.height - len(m.rows))]
+    for row, rhs in zip(aug, b.rows):
+        row.update((n + j, v) for j, v in rhs.items())
+    red, pivots = rref(SparseRows(aug, n + b.cols), p)
+    x = zero(n, b.cols)
+    for c, row in zip(pivots, red.rows):
+        if c >= n:
             return None
-        x[c] = red[r, ncols:]
-    return x[:, 0] if vector_input else x
+        x.rows[c] = {j - n: v for j, v in row.items() if j >= n}
+    if vector:
+        return {i: row[0] for i, row in enumerate(x.rows) if row}
+    return x
+
+
+def _is_flat(b) -> bool:
+    """Whether b is a flat sequence of ints rather than a nested one."""
+    shape = getattr(b, "shape", None)
+    if shape is not None:
+        return len(shape) == 1
+    return not isinstance(b, SparseRows) and all(not hasattr(v, "__len__") for v in b)
 
 
 def is_invertible(a, p: int) -> bool:
-    m = asmat(a)
-    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]
+    m = as_rows(a, p)
+    return m.height == m.cols and rank(m, p) == m.cols
+
+
+def transpose(a: SparseRows) -> SparseRows:
+    out = [{} for _ in range(a.cols)]
+    for i, row in enumerate(a.rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return SparseRows(out, a.height)
+
+
+def combine(v: dict, b: SparseRows, p: int) -> dict:
+    """The row vector v times b: the combination of the rows of b with the
+    coefficients v."""
+    rows, n, acc = b.rows, len(b.rows), {}
+    for j, x in v.items():
+        if j < n:
+            for k, y in rows[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+    return {k: s % p for k, s in acc.items() if s % p}
+
+
+def apply(a: SparseRows, v: dict, p: int) -> dict:
+    """a times the column vector v."""
+    out = {}
+    for i, row in enumerate(a.rows):
+        s = sum(x * v[j] for j, x in row.items() if j in v) % p
+        if s:
+            out[i] = s
+    return out
+
+
+def product(a: SparseRows, b: SparseRows, p: int) -> SparseRows:
+    """a times b."""
+    if a.cols != b.height:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    return SparseRows([combine(row, b, p) for row in a.rows], b.cols, a.height)

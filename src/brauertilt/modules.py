@@ -1,5 +1,6 @@
 """Finite dimensional left modules over a Brauer tree algebra, stored as
-explicit representations: a dimension per edge and one matrix per arrow.
+explicit representations: a dimension per edge and one matrix per arrow,
+as sparse rows (`linalg.SparseRows`; a vector is one {index: value} row).
 
 Convention (left modules, paths composing left factor first): the arrow
 a -> b acts by a matrix from the b-component into the a-component.  With the
@@ -15,13 +16,12 @@ socle class z_i acts nonzero on the i-component.  Sub- and quotient modules
 work in the reduced row echelon basis of each span, where the coordinates
 of a vector of the span are its entries at the pivot columns.
 
-The module layer eliminates on sparse rows (`linalg.SparseRows`), one
-elimination per step: the radical and the socle of a representation, the
-kernel of a map and the spans of a sub- or quotient module are one
-forward pass or one rref over the block-diagonal matrix of all edges
-(`linalg.block_pivots`, `reduced_kernels`, `reduced_bases`), which gives
-every edge the pivots and the reduced form it would get alone, and
-`hom_basis` builds its intertwiner equations as sparse rows.
+Each step is one elimination: the radical and the socle of a
+representation, the kernel of a map and the spans of a sub- or quotient
+module are one forward pass or one rref over the block-diagonal matrix of
+all edges (`linalg.block_pivots`, `reduced_kernels`, `reduced_bases`),
+which gives every edge the pivots and the reduced form it would get alone,
+and `hom_basis` builds its intertwiner equations as sparse rows.
 
 Syzygies are computed once per module content: the algebra's
 `syzygy_cache` holds the syzygy, its inclusion into the projective cover
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .algebra import BrauerTreeAlgebra, PathClass, socle_class
 
@@ -46,8 +44,10 @@ from .algebra import BrauerTreeAlgebra, PathClass, socle_class
 class Representation:
     """A module given by per-edge dimensions and arrow action matrices.
 
-    act[arrow] has shape (dims[start], dims[end]) and maps the component at
-    the arrow's end edge into the component at its start edge.
+    act[arrow], `linalg.SparseRows` or a nested sequence of ints (see
+    `linalg.as_rows`), has shape (dims[start], dims[end]) and maps the
+    component at the arrow's end edge into the component at its start
+    edge; a missing arrow acts by zero.
     """
 
     def __init__(self, algebra: BrauerTreeAlgebra, dims, act):
@@ -57,15 +57,15 @@ class Representation:
             raise ValueError("dims must list one entry per edge")
         self.act = {}
         for arrow in algebra.arrows:
-            a, b = algebra.eidx[arrow.start], algebra.eidx[arrow.end]
+            shape = (self.dims[algebra.eidx[arrow.start]], self.dims[algebra.eidx[arrow.end]])
             m = act.get(arrow)
             if m is None:
-                m = linalg.zeros(self.dims[a], self.dims[b])
-            m = np.asarray(m, dtype=np.int64) % algebra.prime
-            if m.shape != (self.dims[a], self.dims[b]):
-                raise ValueError(f"action of {arrow} has shape {m.shape}, "
-                                 f"expected {(self.dims[a], self.dims[b])}")
-            self.act[arrow] = m
+                self.act[arrow] = linalg.zero(*shape)
+                continue
+            try:
+                self.act[arrow] = linalg.as_rows(m, algebra.prime, shape)
+            except ValueError as err:
+                raise ValueError(f"action of {arrow}: {err}") from None
 
     @property
     def total_dim(self) -> int:
@@ -77,41 +77,37 @@ class Representation:
     def component(self, edge) -> int:
         return self.dims[self.algebra.eidx[edge]]
 
-    def path_action(self, pc: PathClass) -> np.ndarray:
+    def path_action(self, pc: PathClass) -> linalg.SparseRows:
         """Matrix of the path class, mapping the end-edge component into the
         start-edge component: the product of its arrows' matrices, read off
         the algebra's `path_factors`."""
         A = self.algebra
         if pc.kind == "e":
-            d = self.dims[A.eidx[pc.start]]
-            return linalg.eye(d)
+            return linalg.identity(self.dims[A.eidx[pc.start]])
         factors = A.path_factors
         first, rest = factors[pc]
         out = self.act[first]
         while rest.kind != "e":
-            if not out.any():
-                return linalg.zeros(out.shape[0], self.dims[A.eidx[pc.end]])
+            if not any(out.rows):
+                return linalg.zero(out.height, self.dims[A.eidx[pc.end]])
             first, rest = factors[rest]
-            out = linalg.matmul(out, self.act[first], A.prime)
+            out = linalg.product(out, self.act[first], A.prime)
         return out
 
-    def path_images(self, edge, v) -> dict[PathClass, np.ndarray]:
-        """q.v for every basis class q ending at `edge`, where v lies in the
-        component at `edge`.  Spinning: with q = first * rest each image is
-        act[first] @ (rest.v), one matrix-vector product per class, none
-        once rest.v is zero."""
+    def path_images(self, edge, v: dict) -> dict[PathClass, dict]:
+        """q.v for every basis class q ending at `edge`, where v, an
+        {index: value} vector, lies in the component at `edge`.  Spinning:
+        with q = first * rest each image is act[first] @ (rest.v), one
+        matrix-vector product per class, none once rest.v is zero."""
         A = self.algebra
         factors = A.path_factors
         images = {}
         for q in A.classes_ending[edge]:
             if q.kind == "e":
-                images[q] = np.asarray(v, dtype=np.int64) % A.prime
+                images[q] = {j: x % A.prime for j, x in v.items() if x % A.prime}
                 continue
             first, rest = factors[q]
-            if images[rest].any():
-                images[q] = linalg.matmul(self.act[first], images[rest][:, None], A.prime)[:, 0]
-            else:
-                images[q] = linalg.zeros(1, self.dims[A.eidx[q.start]])[0]
+            images[q] = linalg.apply(self.act[first], images[rest], A.prime) if images[rest] else {}
         return images
 
     def check_relations(self):
@@ -122,10 +118,10 @@ class Representation:
             for q in A.basis:
                 if p.end != q.start:
                     continue
-                prod = linalg.matmul(actions[p], actions[q], A.prime)
+                prod = linalg.product(actions[p], actions[q], A.prime)
                 r = A.compose(p, q)
-                expected = actions[r] if r is not None else linalg.zeros(*prod.shape)
-                if not np.array_equal(prod, expected):
+                expected = actions[r] if r is not None else linalg.zero(*prod.shape)
+                if prod != expected:
                     raise AssertionError(f"relation violated on {p} * {q}")
 
     # -- structure --------------------------------------------------------------
@@ -138,7 +134,7 @@ class Representation:
         A = self.algebra
         blocks = [[] for _ in A.edges]
         for arrow in A.arrows:
-            blocks[A.eidx[arrow.start]].append(self.act[arrow].T)
+            blocks[A.eidx[arrow.start]].append(linalg.transpose(self.act[arrow]))
         return linalg.block_pivots(blocks, self.dims, A.prime)
 
     def top_multiplicities(self) -> tuple[int, ...]:
@@ -156,18 +152,11 @@ class Representation:
         pivots = linalg.block_pivots(blocks, self.dims, A.prime)
         return tuple(d - len(piv) for d, piv in zip(self.dims, pivots))
 
-    def top_generators(self) -> list[tuple[int, np.ndarray]]:
+    def top_generators(self) -> list[tuple[int, dict]]:
         """Deterministic lift of a basis of the top: (edge index, vector)."""
-        A = self.algebra
-        gens = []
         pivots = self.radical_pivots()
-        for a_idx in range(A.n):
-            free = [c for c in range(self.dims[a_idx]) if c not in pivots[a_idx]]
-            for c in free:
-                v = linalg.zeros(1, self.dims[a_idx])[0]
-                v[c] = 1
-                gens.append((a_idx, v))
-        return gens
+        return [(a_idx, {c: 1}) for a_idx, d in enumerate(self.dims)
+                for c in linalg.free_columns(pivots[a_idx], d)]
 
 
 @dataclass(frozen=True)
@@ -180,24 +169,26 @@ class UniserialSpec:
 
 
 class ModuleMap:
-    """Per-edge matrices intertwining the arrow actions."""
+    """Per-edge matrices intertwining the arrow actions; mats[i], read as
+    Representation reads an action, maps the source's component at edge i
+    into the target's."""
 
     def __init__(self, source: Representation, target: Representation, mats):
         self.source = source
         self.target = target
         p = source.algebra.prime
-        self.mats = [np.asarray(m, dtype=np.int64) % p for m in mats]
-        for i, m in enumerate(self.mats):
-            if m.shape != (target.dims[i], source.dims[i]):
-                raise ValueError("component matrix shape mismatch")
+        try:
+            self.mats = [linalg.as_rows(m, p, (t, s))
+                         for m, t, s in zip(mats, target.dims, source.dims, strict=True)]
+        except ValueError:
+            raise ValueError("component matrix shape mismatch") from None
 
     def is_valid(self) -> bool:
         A = self.source.algebra
         for arrow in A.arrows:
             a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-            left = linalg.matmul(self.mats[a], self.source.act[arrow], A.prime)
-            right = linalg.matmul(self.target.act[arrow], self.mats[b], A.prime)
-            if not np.array_equal(left, right):
+            left = linalg.product(self.mats[a], self.source.act[arrow], A.prime)
+            if left != linalg.product(self.target.act[arrow], self.mats[b], A.prime):
                 return False
         return True
 
@@ -208,7 +199,7 @@ class ModuleMap:
         )
 
     def is_zero(self) -> bool:
-        return all(not m.size or not m.any() for m in self.mats)
+        return not any(any(m.rows) for m in self.mats)
 
 
 # -- constructors ----------------------------------------------------------------
@@ -230,12 +221,9 @@ def projective_rep(A: BrauerTreeAlgebra, edge) -> Representation:
     return projective_sum(A, [edge])[0]
 
 
-def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, np.ndarray]:
+def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, dict]:
     """(edge index, vector) of the socle basis element z inside P_edge."""
-    i = A.eidx[edge]
-    v = linalg.zeros(1, len(A.blocks[(edge, edge)]))[0]
-    v[A.block_pos[(edge, edge)][socle_class(edge)]] = 1
-    return i, v
+    return A.eidx[edge], {A.block_pos[(edge, edge)][socle_class(edge)]: 1}
 
 
 def _uniserial_bound(A: BrauerTreeAlgebra, top, length) -> int:
@@ -262,11 +250,11 @@ def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
         e = A.star_next(spec.top, -t)
         position.append((e, dims[A.eidx[e]]))
         dims[A.eidx[e]] += 1
-    act = {arrow: linalg.zeros(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]])
+    act = {arrow: linalg.zero(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]])
            for arrow in A.arrows}
     arrow_at = {(arrow.start, arrow.end): arrow for arrow in A.arrows}
     for (e, i), (f, j) in zip(position, position[1:]):
-        act[arrow_at[(f, e)]][j, i] = 1
+        act[arrow_at[(f, e)]].rows[j][i] = 1
     return Representation(A, dims, act)
 
 
@@ -274,26 +262,29 @@ def socle_quotient_rep(A: BrauerTreeAlgebra, edge) -> tuple[Representation, Modu
     """P_edge / soc(P_edge) with the projection map."""
     P = projective_rep(A, edge)
     idxe, zvec = projective_socle_vector(A, edge)
-    spans = [linalg.zeros(0, P.dims[i]) for i in range(A.n)]
-    spans[idxe] = zvec[None, :]
+    spans = [linalg.SparseRows([], d) for d in P.dims]
+    spans[idxe] = linalg.SparseRows([zvec], P.dims[idxe])
     return quotient_representation(P, spans)
 
 
 # -- sub / quotient ---------------------------------------------------------------
 
 
-def _reduced_spans(M: Representation, spans) -> list[tuple[np.ndarray, list[int]]]:
+def _reduced_spans(M: Representation, spans) -> list[tuple[linalg.SparseRows, list[int]]]:
     """Per edge, the reduced row echelon basis of spans[edge_idx] and its
-    pivot columns, from one rref over all edges (`linalg.reduced_bases`)."""
+    pivot columns, from one rref over all edges (`linalg.reduced_bases`).
+    A span is read as `linalg.as_rows` reads it; an empty one may have any
+    shape."""
     p = M.algebra.prime
     mats = []
     for i, d in enumerate(M.dims):
-        s = np.asarray(spans[i], dtype=np.int64) % p
-        if s.size == 0:
-            s = linalg.zeros(0, d)
-        elif s.ndim != 2 or s.shape[1] != d:
+        try:
+            s = linalg.as_rows(spans[i], p)
+        except ValueError:
+            s = None
+        if s is None or s.height and s.cols and s.cols != d:
             raise ValueError(f"span at edge index {i} must have rows of length {d}")
-        mats.append(s)
+        mats.append(s if s.height and s.cols else linalg.SparseRows([], d))
     return linalg.reduced_bases(mats, p)
 
 
@@ -303,8 +294,8 @@ def sub_representation(M: Representation, spans) -> tuple[Representation, Module
 
     The sub's basis is the reduced basis of each span.  A reduced row is 1
     at its own pivot column and 0 at the others, so the coordinates of a
-    vector of the span are its entries at the pivot columns; one product
-    then checks that the arrow images lie in the span at all.
+    vector of the span are its entries at the pivot columns; recombining
+    the basis with them checks that the arrow images lie in the span.
     """
     return _sub_of_reduced(M, _reduced_spans(M, spans))
 
@@ -314,17 +305,21 @@ def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleM
     per edge, the reduced basis and its pivot columns."""
     A = M.algebra
     p = A.prime
-    bases = [red for red, _ in reduced]
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        images = linalg.matmul(M.act[arrow], bases[b].T, p)
-        coords = images[reduced[a][1]]  # the entries at the pivot columns
-        if not np.array_equal(linalg.matmul(bases[a].T, coords, p), images):
-            raise ValueError("spans are not stable under the arrow actions")
-        act[arrow] = coords
-    sub = Representation(A, [b.shape[0] for b in bases], act)
-    incl = ModuleMap(sub, M, [b.T for b in bases])
+        basis_a, piv_a = reduced[a]
+        # row t: the coordinates of the image of basis vector t at edge b
+        coords = []
+        for v in reduced[b][0].rows:
+            image = linalg.apply(M.act[arrow], v, p)
+            coord = {r: image[c] for r, c in enumerate(piv_a) if c in image}
+            if linalg.combine(coord, basis_a, p) != image:
+                raise ValueError("spans are not stable under the arrow actions")
+            coords.append(coord)
+        act[arrow] = linalg.transpose(linalg.SparseRows(coords, len(piv_a)))
+    sub = Representation(A, [len(piv) for _, piv in reduced], act)
+    incl = ModuleMap(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
     return sub, incl
 
 
@@ -336,20 +331,24 @@ def quotient_representation(M: Representation, spans) -> tuple[Representation, M
     (free) columns of the span's reduced basis.  Writing x as its pivot
     entries times the reduced rows plus the rest, the projection is
     x[free] - red[:, free]^T x[pivots]: the rows of the reduced form's
-    nullspace basis.  It must kill the arrow images of the span.
+    kernel basis.  It must kill the arrow images of the span.
     """
     A = M.algebra
     p = A.prime
     reduced = _reduced_spans(M, spans)
-    projs = [linalg.nullspace_of_rref(red, piv, p) for red, piv in reduced]
-    frees = [[c for c in range(d) if c not in piv] for d, (_, piv) in zip(M.dims, reduced)]
+    frees = [linalg.free_columns(piv, d) for d, (_, piv) in zip(M.dims, reduced)]
+    projs = [linalg.kernel_basis(red.rows, piv, free, d, p)
+             for d, (red, piv), free in zip(M.dims, reduced, frees)]
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        images = linalg.matmul(M.act[arrow], reduced[b][0].T, p)
-        if linalg.matmul(projs[a], images, p).any():
+        m = M.act[arrow]
+        if any(linalg.apply(projs[a], linalg.apply(m, v, p), p) for v in reduced[b][0].rows):
             raise ValueError("spans are not stable under the arrow actions")
-        act[arrow] = linalg.matmul(projs[a], M.act[arrow][:, frees[b]], p)
+        col = {c: r for r, c in enumerate(frees[b])}
+        at_free = linalg.SparseRows([{col[j]: v for j, v in row.items() if j in col}
+                                     for row in m.rows], len(col), m.height)
+        act[arrow] = linalg.product(projs[a], at_free, p)
     quot = Representation(A, [len(f) for f in frees], act)
     proj_map = ModuleMap(M, quot, projs)
     return quot, proj_map
@@ -359,11 +358,36 @@ def quotient_representation(M: Representation, spans) -> tuple[Representation, M
 
 
 def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
-    """A basis of the module maps phi: M -> N, the solutions of the
-    equations phi_a @ M.act = N.act @ phi_b, one sparse row per arrow
-    a -> b and entry of the M_b -> N_a block, in unknowns holding phi_i
-    (shape N_i x M_i) row-major from offs[i]; the basis is read off one
-    rref of these rows."""
+    """A basis of the module maps phi: M -> N, read off one rref of the
+    equations `_hom_equations`."""
+    A = M.algebra
+    p = A.prime
+    eqs, offs = _hom_equations(M, N)
+    red, pivots = linalg.rref(eqs, p)
+    free = linalg.free_columns(pivots, eqs.cols)
+    # the edge, row and column of each unknown
+    place = [(i, *divmod(j, M.dims[i])) for i in range(A.n) for j in range(offs[i + 1] - offs[i])]
+    basis = []
+    for vec in linalg.kernel_basis(red.rows, pivots, free, eqs.cols, p).rows:
+        mats = [linalg.zero(N.dims[i], M.dims[i]) for i in range(A.n)]
+        for j, v in vec.items():
+            i, r, c = place[j]
+            mats[i].rows[r][c] = v
+        basis.append(ModuleMap(M, N, mats))
+    return basis
+
+
+def hom_dim(M: Representation, N: Representation) -> int:
+    """dim Hom(M, N): the unknowns of `_hom_equations` less their rank."""
+    eqs, _ = _hom_equations(M, N)
+    return eqs.cols - linalg.rank(eqs, M.algebra.prime)
+
+
+def _hom_equations(M: Representation, N: Representation) -> tuple[linalg.SparseRows, list[int]]:
+    """The equations phi_a @ M.act = N.act @ phi_b of the module maps
+    phi: M -> N, one sparse row per arrow a -> b and entry of the
+    M_b -> N_a block, in unknowns holding phi_i (shape N_i x M_i)
+    row-major from offs[i]; and offs."""
     A = M.algebra
     if N.algebra is not A:
         raise ValueError("modules over different algebras")
@@ -371,19 +395,16 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
     offs = [0]
     for i in range(A.n):
         offs.append(offs[-1] + N.dims[i] * M.dims[i])
-    total = offs[-1]
-    if total == 0:
-        return []
     rows, height = [], 0
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
         ma, mb = M.dims[a], M.dims[b]
         height += N.dims[a] * mb
         # the nonzero entries of each column of M.act and each row of N.act
-        m_cols = [[(offs[a] + s, v) for s, v in enumerate(col) if v]
-                  for col in M.act[arrow].T.tolist()]
-        n_rows = [[(offs[b] + s * mb, v) for s, v in enumerate(row) if v]
-                  for row in N.act[arrow].tolist()]
+        m_cols = [[(offs[a] + s, v) for s, v in col.items()]
+                  for col in linalg.transpose(M.act[arrow]).rows]
+        n_rows = [[(offs[b] + s * mb, v) for s, v in row.items()]
+                  for row in N.act[arrow].rows]
         for r, n_row in enumerate(n_rows):
             for c, m_col in enumerate(m_cols):
                 row = {j + r * ma: v for j, v in m_col}
@@ -396,20 +417,7 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
                         del row[j]
                 if row:
                     rows.append(row)
-    red, pivots = linalg.rref(linalg.SparseRows(rows, total, height), p)
-    taken = set(pivots)
-    free = [c for c in range(total) if c not in taken]
-    basis = []
-    for vec in linalg.kernel_basis(red.rows, pivots, free, total, p):
-        mats = [
-            vec[offs[i] : offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)
-        ]
-        basis.append(ModuleMap(M, N, mats))
-    return basis
-
-
-def hom_dim(M: Representation, N: Representation) -> int:
-    return len(hom_basis(M, N))
+    return linalg.SparseRows(rows, offs[-1], height), offs
 
 
 def top_and_socle(M: Representation) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -436,10 +444,12 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         p = M.algebra.prime
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in basis]
-            mats = [
-                sum(c * f.mats[i] for c, f in zip(coeffs, basis)) % p
-                for i in range(len(M.dims))
-            ]
+            mats = [[[0] * d for _ in range(d)] for d in M.dims]
+            for c, f in zip(coeffs, basis):
+                for mat, fm in zip(mats, f.mats):
+                    for row, frow in zip(mat, fm.rows):
+                        for j, v in frow.items():
+                            row[j] += c * v
             if ModuleMap(M, N, mats).is_isomorphism():
                 return True
     return False
@@ -454,7 +464,7 @@ def has_projective_summand(M: Representation) -> bool:
     A = M.algebra
     return any(
         all(len(A.blocks[(c, edge)]) <= d for c, d in zip(A.edges, M.dims))
-        and M.path_action(socle_class(edge)).any()
+        and any(M.path_action(socle_class(edge)).rows)
         for edge in A.edges
     )
 
@@ -475,11 +485,10 @@ def projective_sum(A: BrauerTreeAlgebra, edges) -> tuple[Representation, list]:
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        m = linalg.zeros(dims[a], dims[b])
+        m = act[arrow] = linalg.zero(dims[a], dims[b])
         for slot, cover_edge in enumerate(edges):
             for r, c in A.mult_coords(arrow, "L", cover_edge):
-                m[offsets[slot][a] + r, offsets[slot][b] + c] = 1
-        act[arrow] = m
+                m.rows[offsets[slot][a] + r][offsets[slot][b] + c] = 1
     return Representation(A, dims, act), offsets
 
 
@@ -491,13 +500,15 @@ def projective_cover(M: Representation):
     gens = M.top_generators()
     cover_edges = [A.edges[a_idx] for a_idx, _ in gens]
     cover, offsets = projective_sum(A, cover_edges)
-    mats = [linalg.zeros(M.dims[i], cover.dims[i]) for i in range(A.n)]
+    mats = [linalg.zero(M.dims[i], cover.dims[i]) for i in range(A.n)]
     for slot, (a_idx, v) in enumerate(gens):
         # the slot's column for the class q holds the image q.v
         gen_edge = A.edges[a_idx]
         for q, img in M.path_images(gen_edge, v).items():
             c_idx = A.eidx[q.start]
-            mats[c_idx][:, offsets[slot][c_idx] + A.block_pos[(q.start, gen_edge)][q]] = img
+            col, rows = offsets[slot][c_idx] + A.block_pos[(q.start, gen_edge)][q], mats[c_idx].rows
+            for r, x in img.items():
+                rows[r][col] = x
     cover_map = ModuleMap(cover, M, mats)
     return cover_edges, cover, offsets, cover_map
 
@@ -512,10 +523,11 @@ def syzygy(M: Representation, _check=True) -> Representation:
 
 
 def _content_key(M: Representation) -> tuple:
-    """The dims and the bytes of the arrow matrices in arrow order.  With
+    """The dims and the entries of the arrow matrices in arrow order.  With
     the dims fixed every arrow matrix has a fixed shape, so the key
     identifies the module's content exactly."""
-    return (M.dims, b"".join(M.act[arrow].tobytes() for arrow in M.algebra.arrows))
+    return (M.dims, tuple(frozenset((i, *e) for i, row in enumerate(M.act[arrow].rows)
+                                    for e in row.items()) for arrow in M.algebra.arrows))
 
 
 def _syzygy_with_embedding(M: Representation):
@@ -523,8 +535,8 @@ def _syzygy_with_embedding(M: Representation):
     computed once per module content on the algebra (`syzygy_cache`).
 
     The computation reads nothing but the content, so a hit returns what a
-    fresh computation would.  The shared result is frozen: its arrays are
-    read-only and its edges and offsets are tuples.
+    fresh computation would.  The result is shared: its edges and offsets
+    are tuples, and no caller edits its matrices.
     """
     A = M.algebra
     key = _content_key(M)
@@ -532,8 +544,6 @@ def _syzygy_with_embedding(M: Representation):
     if hit is None:
         cover_edges, cover, offsets, cover_map = projective_cover(M)
         sub, incl = kernel_representation(cover_map)
-        for m in (*sub.act.values(), *cover.act.values(), *incl.mats):
-            m.flags.writeable = False
         hit = A.syzygy_cache[key] = (sub, incl, tuple(cover_edges), tuple(offsets))
     return hit
 
@@ -581,13 +591,13 @@ def _presentation(M: Representation):
     cover_edges0 = [A.edges[a_idx] for a_idx, _ in gens]
     diff = [[dict() for _ in cover_edges0] for _ in cover_edges1]
     for g, (a_idx, v) in enumerate(gens):
-        w = linalg.matmul(incl.mats[a_idx], v[:, None], A.prime)[:, 0]
+        w = linalg.apply(incl.mats[a_idx], v, A.prime)
         gen_edge = A.edges[a_idx]
         for h, cover_edge in enumerate(cover_edges1):
             start = offsets1[h][a_idx]
             local = {}
             for j, q in enumerate(A.blocks[(gen_edge, cover_edge)]):
-                coeff = int(w[start + j]) % A.prime
+                coeff = w.get(start + j)
                 if coeff:
                     local[q] = coeff
             diff[h][g] = local
@@ -682,12 +692,12 @@ def string_rep(A: BrauerTreeAlgebra, letters, edge=None) -> Representation:
         i = A.eidx[e]
         pos.append(dims[i])
         dims[i] += 1
-    act = {arrow: linalg.zeros(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]]) for arrow in A.arrows}
+    act = {arrow: linalg.zero(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]]) for arrow in A.arrows}
     for t, (c, s) in enumerate(letters):
         if s == 1:
-            act[c][pos[t], pos[t + 1]] = 1  # c . node_{t+1} = node_t
+            act[c].rows[pos[t]][pos[t + 1]] = 1  # c . node_{t+1} = node_t
         else:
-            act[c][pos[t + 1], pos[t]] = 1  # c . node_t = node_{t+1}
+            act[c].rows[pos[t + 1]][pos[t]] = 1  # c . node_t = node_{t+1}
     return Representation(A, dims, act)
 
 

@@ -9,8 +9,6 @@ they can cross-check each other.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import linalg
 from .complexes import ProjComplex, hom_complex_dim
 from .modules import (
@@ -88,22 +86,22 @@ def hom_to_module(T: ProjComplex, M: Representation) -> int:
     dim_maps = sum(M.dims[A.eidx[a]] for a in src)
     if not tgt or lo not in T.diffs:
         return dim_maps
-    diff = T.diffs[lo]
+    diff, p = T.diffs[lo], A.prime
     cols = sum(M.dims[A.eidx[b]] for b in tgt)
-    mat = linalg.zeros(dim_maps, cols)
-    roff = 0
+    # block (g, h) holds the sum of c times the action of each class pc of
+    # the entry from slot g to slot h
+    rows = []
     for g, a in enumerate(src):
+        here = [{} for _ in range(M.dims[A.eidx[a]])]
         coff = 0
-        da = M.dims[A.eidx[a]]
         for h, b in enumerate(tgt):
-            db = M.dims[A.eidx[b]]
-            block = linalg.zeros(da, db)
             for pc, c in diff[h][g].items():
-                block = (block + c * M.path_action(pc)) % A.prime
-            mat[roff : roff + da, coff : coff + db] = block
-            coff += db
-        roff += da
-    return dim_maps - linalg.rank(mat, A.prime)
+                for row, arow in zip(here, M.path_action(pc).rows):
+                    for j, v in arow.items():
+                        row[coff + j] = (row.get(coff + j, 0) + c * v) % p
+            coff += M.dims[A.eidx[b]]
+        rows.extend({j: v for j, v in row.items() if v} for row in here)
+    return dim_maps - linalg.rank(linalg.SparseRows(rows, cols), p)
 
 
 def module_partial_tilting_test(
@@ -159,17 +157,15 @@ def cokernel_rep(T: ProjComplex) -> Representation:
     diff = T.diff(lo)
     for g, a in enumerate(T.slots(lo)):
         for c_idx, c in enumerate(A.edges):
-            # row q: the image q * diff[.][g] of the basis class q of e_c A e_a
-            rows = linalg.zeros(len(A.blocks[(c, a)]), upper.dims[c_idx])
+            # row q: the image q * diff[.][g] of the basis class q of e_c A e_a,
+            # reduced when quotient_representation reads the spans
+            rows = [{} for _ in A.blocks[(c, a)]]
             for h in range(len(T.slots(hi))):
                 for pc, cf in diff[h][g].items():
                     for r, q in A.mult_coords(pc, "R", c):
-                        rows[q, offsets[h][c_idx] + r] += cf
-            rows %= A.prime
-            spans[c_idx].extend(row for row in rows if row.any())
-    spans = [
-        np.array(s, dtype=np.int64) if s else linalg.zeros(0, upper.dims[i])
-        for i, s in enumerate(spans)
-    ]
+                        j = offsets[h][c_idx] + r
+                        rows[q][j] = rows[q].get(j, 0) + cf
+            spans[c_idx].extend(rows)
+    spans = [linalg.SparseRows(rows, d) for rows, d in zip(spans, upper.dims)]
     quot, _ = quotient_representation(upper, spans)
     return quot

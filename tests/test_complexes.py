@@ -25,6 +25,22 @@ from brauertilt.modules import uniserial_presentation as pres
 from brauertilt.realization import realize
 from brauertilt.trees import all_brauer_trees
 
+from dense_reference import as_dict, column, dense
+
+
+def kernel_from_rref(red, pivots, p):
+    """The numpy reference kernel basis of a reduced matrix: one row per
+    free column, 1 there and minus that column of the reduced rows at the
+    pivots."""
+    cols = red.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=object)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, c in enumerate(pivots):
+            basis[i, c] = -red[r, f] % p
+    return basis
+
 
 def test_stalk_hom_dims():
     for n, k in [(2, 1), (3, 2)]:
@@ -293,10 +309,11 @@ def test_null_homotopies_of_three_term_complexes(n, k):
         for R in complexes:
             for s in range(-3, 4):
                 sp = ChainMapSpace(Q, R, s)
-                images = [sp.vector_of(_boundary(h)) for h in _unit_maps(Q, R, s - 1)]
+                images = [column(sp.vector_of(_boundary(h)), sp.total)
+                          for h in _unit_maps(Q, R, s - 1)]
                 images = np.array(images, dtype=np.int64).reshape(len(images), sp.total)
                 assert linalg.rank(images, A.prime) == sp.null_rank
-                both = np.concatenate([images, sp.null_basis])
+                both = np.concatenate([images, dense(sp.null_basis)])
                 assert linalg.rank(both, A.prime) == sp.null_rank
 
 
@@ -379,17 +396,17 @@ def test_lazy_reduction_changes_nothing(n, k, monkeypatch):
                 empty = linalg.SparseRows([], sp.total)
                 (c_red, c_piv), (n_red, n_piv) = (linalg.rref(rows.get(t, empty), p)
                                                   for t in (s, s - 1))
-                null_basis = n_red.dense()[: len(n_piv)]
-                chain_basis = linalg.nullspace_of_rref(c_red.dense(), c_piv, p)
+                null_basis = dense(n_red)[: len(n_piv)]
+                chain_basis = kernel_from_rref(dense(c_red), c_piv, p)
                 reps = _independent_rows(chain_basis.tolist(), null_basis.tolist(), p)
                 reduced.clear()  # the reference rrefs back-substitute too
                 assert sp.null_rank == len(n_piv)
                 assert sp.dim == sp.total - len(c_piv) - len(n_piv) == len(reps)
-                assert sp.null_basis.tolist() == null_basis.tolist()
+                assert dense(sp.null_basis).tolist() == null_basis.tolist()
                 assert sp.null_basis is sp.null_basis and len(reduced) == 1
-                assert sp.chain_basis.tolist() == chain_basis.tolist()
+                assert dense(sp.chain_basis).tolist() == chain_basis.tolist()
                 assert sp.chain_basis is sp.chain_basis and len(reduced) == 2
-                assert sp._reduction_data()[1].tolist() == reps
+                assert dense(sp._reduction_data()[1]).tolist() == reps
 
 
 def dense_reduction(sp, chain_rows, null_rows, p):
@@ -399,12 +416,13 @@ def dense_reduction(sp, chain_rows, null_rows, p):
     columns in I), and its right block gives F.  Returns free, the
     representatives and [chain_basis | F^T]."""
     (c_red, c_piv), (n_red, n_piv) = (linalg.rref(rows, p) for rows in (chain_rows, null_rows))
-    chain_basis = linalg.nullspace_of_rref(c_red.dense(), c_piv, p)
+    chain_basis = kernel_from_rref(dense(c_red), c_piv, p)
     free = [c for c in range(sp.total) if c not in set(c_piv)]
-    null_c = n_red.dense()[: len(n_piv)][:, free]
+    null_c = dense(n_red)[: len(n_piv)][:, free]
     k, c = null_c.shape
-    aug = np.concatenate([null_c.T, linalg.eye(c)], axis=1)
+    aug = np.concatenate([null_c.T, np.eye(c, dtype=object)], axis=1)
     red, pivots = linalg.rref(aug, p) if c else (aug, [])
+    red = dense(red) if c else red
     chosen = [j - k for j in pivots[k:]]
     return free, chain_basis[chosen], np.concatenate([chain_basis, red[k:, k:].T], axis=1)
 
@@ -440,11 +458,12 @@ def test_sparse_reduction_equals_dense_reference(n, k, p, monkeypatch):
                 free, reps, both = dense_reduction(sp, rows.get(s, empty), rows.get(s - 1, empty), p)
                 got_free, got_reps, got_both = sp._reduction_data()
                 assert got_free == free
-                assert got_reps.tolist() == reps.tolist()
-                assert got_both.tolist() == both.tolist()
+                assert dense(got_reps).tolist() == reps.tolist()
+                assert dense(got_both).tolist() == both.tolist()
                 f_t = both[:, sp.total:]
-                vecs = (sp.chain_basis + sp.null_basis.sum(axis=0)) % p
-                assert sp.quotient_coords(vecs).tolist() == f_t.tolist()
+                vecs = (dense(sp.chain_basis) + dense(sp.null_basis).sum(axis=0)) % p
+                coords = sp.quotient_coords([as_dict(v) for v in vecs])
+                assert [column(c, sp.dim).tolist() for c in coords] == f_t.tolist()
                 spaces += sp.dim > 0 and sp.null_rank > 0
     assert spaces > 0
 
@@ -519,7 +538,7 @@ def test_chain_map_space_properties(nk, data):
     for f in maps:
         assert f.is_chain_map()
         assert not sp.is_null_homotopic(f)
-    for row in sp.null_basis:
+    for row in sp.null_basis.rows:
         f = sp.map_from_vector(row)
         assert f.is_chain_map()
         assert sp.is_null_homotopic(f)
@@ -528,15 +547,16 @@ def test_chain_map_space_properties(nk, data):
     # space of dimension 0
     p = U.algebra.prime
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=sp.dim, max_size=sp.dim))
-    vec = sum((c * sp.vector_of(f) for c, f in zip(coeffs, maps)), sp.null_basis.sum(axis=0))
-    assert sp.quotient_coords(vec % p).tolist() == coeffs
-    units = np.eye(sp.total, dtype=np.int64)
+    null_sum = dense(sp.null_basis).sum(axis=0) % p
+    vec = sum((c * column(sp.vector_of(f), sp.total) for c, f in zip(coeffs, maps)), null_sum)
+    assert column(sp.quotient_coords([as_dict(vec % p)])[0], sp.dim).tolist() == coeffs
+    units = [{j: 1} for j in range(sp.total)]
     outside = [e for e in units if not sp.map_from_vector(e).is_chain_map()]
     if outside:
         with pytest.raises(ValueError, match="not a chain map"):
-            sp.quotient_coords(outside[0])
+            sp.quotient_coords([outside[0]])
         with pytest.raises(ValueError, match="not a chain map"):
-            sp.quotient_coords(np.stack([sp.null_basis.sum(axis=0), outside[-1]]))
+            sp.quotient_coords([as_dict(null_sum), outside[-1]])
 
 
 @PROPERTY
@@ -559,31 +579,33 @@ def test_chain_map_compose(nk, p, data):
     u, v, w, x = (data.draw(st.integers(0, 2)) for _ in range(4))
 
     target = E.space(u, w)
-    block = E.products((u, v, w), linalg.eye(E.space(u, v).dim), linalg.eye(E.space(v, w).dim))
+    width = E.space(v, w).dim
+    block = E.products((u, v, w), linalg.identity(E.space(u, v).dim).rows,
+                       linalg.identity(width).rows)
     for i, f in enumerate(E.space(u, v).basis_maps()):
         for j, g in enumerate(E.space(v, w).basis_maps()):
             comps = {d: _product(A, f.entry(d), g.entry(d), len(E.parts[u].slots(d)))
                      for d in E.parts[u].degrees() if E.parts[w].slots(d)}
-            composite = target.quotient_coords(target.vector_of(ChainMap(f.Q, g.R, 0, comps)))
-            assert E.tensor[(u, v, w)][i, j].tolist() == composite.tolist()
-            assert block[i * E.space(v, w).dim + j].tolist() == composite.tolist()
+            composite = target.quotient_coords([target.vector_of(ChainMap(f.Q, g.R, 0, comps))])[0]
+            want = column(composite, target.dim).tolist()
+            assert column(E.tensor[(u, v, w)].rows[i * width + j], target.dim).tolist() == want
+            assert column(block[i * width + j], target.dim).tolist() == want
 
     def some_class(a, b):
         dim = E.space(a, b).dim
-        return np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)),
-                        dtype=np.int64)
+        return as_dict(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)))
 
     def compose(s, t, r, y, z):
-        return E.products((s, t, r), y[None, :], z[None, :])[0]
+        return E.products((s, t, r), [y], [z])[0]
 
     a, b, c = some_class(u, v), some_class(v, w), some_class(w, x)
     ident_u, ident_v = (E.coords(t, t, identity_chain_map(E.parts[t])) for t in (u, v))
-    assert compose(u, u, v, ident_u, a).tolist() == a.tolist()
-    assert compose(u, v, v, a, ident_v).tolist() == a.tolist()
+    assert compose(u, u, v, ident_u, a) == a
+    assert compose(u, v, v, a, ident_v) == a
     ab, bc = compose(u, v, w, a, b), compose(v, w, x, b, c)
-    assert compose(u, w, x, ab, c).tolist() == compose(u, v, x, a, bc).tolist()
+    assert compose(u, w, x, ab, c) == compose(u, v, x, a, bc)
     for (s, t), coords in (((u, w), ab), ((v, x), bc)):
         sp = E.space(s, t)
-        lift = linalg.matmul(coords[None, :], sp._reduction_data()[1], p)[0]
+        lift = as_dict(column(coords, sp.dim) @ dense(sp._reduction_data()[1]) % p)
         assert sp.map_from_vector(lift).is_chain_map()
-        assert sp.quotient_coords(lift).tolist() == coords.tolist()
+        assert sp.quotient_coords([lift])[0] == coords

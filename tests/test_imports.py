@@ -1,9 +1,14 @@
-"""Every top-level import of a package module is used in that module.
+"""Every top-level import of a package module is used in that module, and
+no module imports numpy.
 
-`__init__.py` is skipped: its imports are the package's public names.
+`__init__.py` is skipped by the first check: its imports are the
+package's public names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,34 @@ def test_every_top_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of every module the source imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy(path):
+    """The package has no runtime dependency: numpy is for the tests alone."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "numpy" not in imported_modules(tree)
+
+
+def test_cli_runs_without_numpy():
+    """A verify suite runs end to end in a process where importing numpy
+    fails."""
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from brauertilt.cli import main; sys.exit(main(['verify', 'line-example']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS line-example" in done.stdout

@@ -74,6 +74,19 @@ def test_module_and_complex_literals():
     assert len(T.labels) == 2
 
 
+@pytest.mark.parametrize("degree", [1.5, "x", True])
+def test_stalk_degree_must_be_an_integer(degree):
+    """A stalk degree that is no JSON integer is refused with the path of
+    the field, and nothing is memoized for it."""
+    A = star_algebra(3, 1)
+    doc = {"summands": [{"pres": {"uniserial": {"top": 1, "len": 2}}},
+                        {"stalk": {"edge": 1, "degree": degree}}]}
+    with pytest.raises(SchemaError, match=r"\$\.summands\[1\]\.stalk\.degree: expected an integer") as err:
+        complex_from_json(A, doc)
+    assert err.value.path == "$.summands[1].stalk.degree"
+    assert not any(key[0] == "stalk" for key in A.summand_cache)
+
+
 def test_presentations_of_different_strings_stay_apart():
     A = star_algebra(3, 1)
     first = complex_from_json(A, {"summands": [{"pres": {"string": {"edge": 1}}}]})

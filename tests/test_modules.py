@@ -38,6 +38,8 @@ from brauertilt.modules import (
 from brauertilt.tilting import cokernel_rep, module_partial_tilting_test
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
+from dense_reference import column, dense
+
 
 def test_projective_rep_shapes():
     A = star_algebra(2, 1)
@@ -220,7 +222,7 @@ def direct_sum_rep(M, N):
     dims = [M.dims[i] + N.dims[i] for i in range(A.n)]
     act = {}
     for ar in A.arrows:
-        m, n = M.act[ar], N.act[ar]
+        m, n = dense(M.act[ar]), dense(N.act[ar])
         out = np.zeros((m.shape[0] + n.shape[0], m.shape[1] + n.shape[1]), dtype=np.int64)
         out[: m.shape[0], : m.shape[1]] = m
         out[m.shape[0] :, m.shape[1] :] = n
@@ -259,8 +261,9 @@ def small_modules(draw):
 
 
 def vectors(draw, length, p):
+    """A random vector of the given length, as an {index: value} dict."""
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
-    return np.array(draw(st.lists(entry, min_size=length, max_size=length)), dtype=np.int64)
+    return {i: x for i, x in enumerate(draw(st.lists(entry, min_size=length, max_size=length))) if x}
 
 
 @PROPERTY
@@ -272,7 +275,9 @@ def test_path_images_equal_path_actions(M, data):
     images = M.path_images(edge, v)
     assert set(images) == {q for q in A.basis if q.end == edge}
     for q, img in images.items():
-        assert np.array_equal(img, linalg.matmul(M.path_action(q), v[:, None], A.prime)[:, 0])
+        action = dense(M.path_action(q))
+        want = action @ column(v, action.shape[1]) % A.prime
+        assert np.array_equal(column(img, action.shape[0]), want)
 
 
 def has_projective_summand_by_hom(M):
@@ -284,7 +289,8 @@ def has_projective_summand_by_hom(M):
             continue
         zi, zvec = projective_socle_vector(A, edge)
         for f in hom_basis(P, M):
-            if linalg.matmul(f.mats[zi], zvec[:, None], A.prime).any():
+            m = dense(f.mats[zi])
+            if (m @ column(zvec, m.shape[1]) % A.prime).any():
                 return True
     return False
 
@@ -314,21 +320,21 @@ def sub_representation_by_express(M, spans):
     for i in range(A.n):
         s = np.asarray(spans[i], dtype=np.int64) % p
         if s.size == 0:
-            s = linalg.zeros(0, M.dims[i])
+            s = np.zeros((0, M.dims[i]), dtype=np.int64)
         red, piv = linalg.rref(s, p)
-        bases.append(red[: len(piv)])
+        bases.append(dense(red)[: len(piv)])
     dims = [b.shape[0] for b in bases]
     act = {}
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
         if dims[b] == 0 or dims[a] == 0:
-            act[arrow] = linalg.zeros(dims[a], dims[b])
+            act[arrow] = np.zeros((dims[a], dims[b]), dtype=np.int64)
             continue
-        images = linalg.matmul(M.act[arrow], bases[b].T, p).T
+        images = (dense(M.act[arrow]) @ bases[b].T % p).T
         coords = linalg.solve(bases[a].T, images.T, p)
         if coords is None:
             raise ValueError("spans are not stable under the arrow actions")
-        act[arrow] = coords
+        act[arrow] = dense(coords)
     sub = Representation(A, dims, act)
     return sub, ModuleMap(sub, M, [bases[i].T for i in range(A.n)])
 
@@ -341,14 +347,14 @@ def generated_spans(draw, M):
     for _ in range(draw(st.integers(0, 2))):
         edge = draw(st.sampled_from(A.edges))
         for q, img in M.path_images(edge, vectors(draw, M.component(edge), A.prime)).items():
-            rows[A.eidx[q.start]].append(img)
+            rows[A.eidx[q.start]].append(column(img, M.component(q.start)))
     return [np.array(r, dtype=np.int64).reshape(len(r), M.dims[i]) for i, r in enumerate(rows)]
 
 
 def random_spans(draw, M):
     spans = []
     for d in M.dims:
-        rows = [vectors(draw, d, M.algebra.prime) for _ in range(draw(st.integers(0, 2)))]
+        rows = [column(vectors(draw, d, M.algebra.prime), d) for _ in range(draw(st.integers(0, 2)))]
         spans.append(np.array(rows, dtype=np.int64).reshape(len(rows), d))
     return spans
 
@@ -369,9 +375,28 @@ def test_sub_representation_equals_express_version(M, data):
         return
     sub, incl = sub_representation(M, spans)
     assert sub.dims == expected[0].dims
-    assert all(np.array_equal(sub.act[ar], expected[0].act[ar]) for ar in M.algebra.arrows)
-    assert all(np.array_equal(x, y) for x, y in zip(incl.mats, expected[1].mats))
+    assert all(np.array_equal(dense(sub.act[ar]), dense(expected[0].act[ar])) for ar in M.algebra.arrows)
+    assert all(np.array_equal(dense(x), dense(y)) for x, y in zip(incl.mats, expected[1].mats))
     assert incl.is_valid()
+
+
+def test_actions_and_maps_are_read_reduced_and_shape_checked():
+    """A Representation reads its actions, and a ModuleMap its matrices,
+    as sparse rows, lists or numpy arrays alike, reduced mod p into fresh
+    rows, and refuses a wrong shape or columns outside it."""
+    A = star_algebra(2, 1, 5)
+    arrow = A.arrows[0]
+    given = linalg.SparseRows([{0: 6}], 1)
+    reps = [Representation(A, (1, 1), {arrow: m}) for m in (given, [[11]], np.array([[-4]]))]
+    assert all(M.act[arrow].rows == [{0: 1}] for M in reps)
+    assert reps[0].act[arrow] is not given and given.rows == [{0: 6}]
+    for bad in (linalg.SparseRows([{1: 1}], 1), [[1, 0]], np.zeros((2, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="action of"):
+            Representation(A, (1, 1), {arrow: bad})
+    f = ModuleMap(reps[0], reps[1], [linalg.SparseRows([{0: 5}], 1), [[7]]])
+    assert [m.rows for m in f.mats] == [[{}], [{0: 2}]]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ModuleMap(reps[0], reps[1], [[[1]], linalg.SparseRows([{3: 1}], 1)])
 
 
 def test_spans_that_are_not_submodules_are_refused():
@@ -379,7 +404,7 @@ def test_spans_that_are_not_submodules_are_refused():
     # sends it into the component at edge 2, where the span is empty
     A = star_algebra(2, 1)
     P = projective_rep(A, 1)
-    spans = [np.array([[1, 0]], dtype=np.int64), linalg.zeros(0, 1)]
+    spans = [np.array([[1, 0]], dtype=np.int64), np.zeros((0, 1), dtype=np.int64)]
     assert P.dims == (2, 1) and A.blocks[(1, 1)][0].kind == "e"
     with pytest.raises(ValueError, match="spans are not stable under the arrow actions"):
         sub_representation(P, spans)
@@ -407,16 +432,16 @@ def test_sub_representation_runs_one_elimination_for_all_spans(monkeypatch):
     P = projective_rep(A, 1)
     # the socle alone: one nonempty span
     i, z = projective_socle_vector(A, 1)
-    spans = [linalg.zeros(0, d) for d in P.dims]
-    spans[i] = z[None, :]
+    spans = [np.zeros((0, d), dtype=np.int64) for d in P.dims]
+    spans[i] = [column(z, P.dims[i])]
     sub, _ = sub_representation(P, spans)
     assert sub.dims == (1, 0, 0) and len(calls) == 1
     # the radical, generated by the arrow 3 -> 1, with a redundant row:
     # three nonempty spans, still one elimination
     calls.clear()
     rad = [[] for _ in A.edges]
-    for q, img in P.path_images(3, np.array([1], dtype=np.int64)).items():
-        rad[A.eidx[q.start]].append(img)
+    for q, img in P.path_images(3, {0: 1}).items():
+        rad[A.eidx[q.start]].append(column(img, P.component(q.start)))
     rad[0].append(2 * rad[0][0])
     sub, _ = sub_representation(P, [np.array(r) for r in rad])
     assert sub.dims == (1, 1, 1) and len(calls) == 1
@@ -435,7 +460,7 @@ def radical_pivots_by_edge(M):
         vecs = []
         for arrow in A.arrows:
             if arrow.start == edge:
-                m = M.act[arrow]
+                m = dense(M.act[arrow])
                 vecs.extend(m[:, j] for j in range(m.shape[1]))
         out.append(linalg.rref(np.array(vecs, dtype=np.int64), A.prime)[1] if vecs else [])
     return out
@@ -445,7 +470,7 @@ def socle_multiplicities_by_edge(M):
     A = M.algebra
     out = []
     for b_idx, edge in enumerate(A.edges):
-        mats = [M.act[ar] for ar in A.arrows if ar.end == edge]
+        mats = [dense(M.act[ar]) for ar in A.arrows if ar.end == edge]
         if not mats:
             out.append(M.dims[b_idx])
             continue
@@ -454,12 +479,13 @@ def socle_multiplicities_by_edge(M):
 
 
 def reduced_kernel_dense(m, p):
+    m = dense(m)
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return linalg.eye(cols), list(range(cols))
-    red, piv = linalg.rref(m[:, ::-1], p)
+        return np.eye(cols, dtype=np.int64), list(range(cols))
+    piv = linalg.rref(m[:, ::-1], p)[1]
     taken = {cols - 1 - c for c in piv}
-    return (linalg.nullspace_of_rref(red, piv, p)[::-1, ::-1],
+    return (dense(linalg.nullspace(m[:, ::-1], p))[::-1, ::-1],
             [c for c in range(cols) if c not in taken])
 
 
@@ -469,10 +495,10 @@ def reduced_spans_by_edge(M, spans):
     for i, d in enumerate(M.dims):
         s = np.asarray(spans[i], dtype=np.int64) % p
         if s.size == 0:
-            out.append((linalg.zeros(0, d), []))
+            out.append((np.zeros((0, d), dtype=np.int64), []))
             continue
         red, piv = linalg.rref(s, p)
-        out.append((red[: len(piv)], piv))
+        out.append((dense(red)[: len(piv)], piv))
     return out
 
 
@@ -486,23 +512,23 @@ def hom_basis_dense(M, N):
     rows = []
     for arrow in A.arrows:
         a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        Ma, Na = M.act[arrow], N.act[arrow]
+        Ma, Na = dense(M.act[arrow]), dense(N.act[arrow])
         for r in range(N.dims[a]):
             for c in range(M.dims[b]):
-                row = linalg.zeros(1, total)[0]
+                row = np.zeros(total, dtype=np.int64)
                 for s in range(M.dims[a]):
                     row[offs[a] + r * M.dims[a] + s] = Ma[s, c]
                 for s in range(N.dims[b]):
                     row[offs[b] + s * M.dims[b] + c] = (row[offs[b] + s * M.dims[b] + c] - Na[r, s]) % p
                 rows.append(row)
-    mat = np.array(rows, dtype=np.int64) if rows else linalg.zeros(0, total)
+    mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, total), dtype=np.int64)
     return [[vec[offs[i]: offs[i + 1]].reshape(N.dims[i], M.dims[i]) for i in range(A.n)]
-            for vec in linalg.nullspace(mat, p)]
+            for vec in dense(linalg.nullspace(mat, p))]
 
 
 def same_reduced(got, want):
     return len(got) == len(want) and all(
-        piv == wpiv and basis.shape == wbasis.shape and np.array_equal(basis, wbasis)
+        piv == wpiv and basis.shape == wbasis.shape and np.array_equal(dense(basis), wbasis)
         for (basis, piv), (wbasis, wpiv) in zip(got, want))
 
 
@@ -530,9 +556,9 @@ def test_batched_eliminations_equal_per_edge_references(M, data):
         for Y in (M, X):
             got = hom_basis(Y, X)
             want = hom_basis_dense(Y, X)
-            assert len(got) == len(want)
+            assert len(got) == len(want) == hom_dim(Y, X)
             for f, g in zip(got, want):
-                assert all(np.array_equal(x, y) for x, y in zip(f.mats, g))
+                assert all(np.array_equal(dense(x), y) for x, y in zip(f.mats, g))
                 assert f.is_valid()
             # the kernels of the maps, a second source of matrices
             for f in got[:2]:
@@ -553,12 +579,12 @@ def test_reduced_kernel_is_the_rref_of_the_nullspace(p, data):
         mats.append(np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                                                 min_size=rows, max_size=rows)),
                              dtype=np.int64).reshape(rows, cols))
-    for m, (basis, pivots) in zip(mats, linalg.reduced_kernels(mats, p), strict=True):
-        ns = linalg.nullspace(m, p)
-        red, ref_pivots = linalg.rref(ns, p) if ns.size else (ns, [])
+    rows = [linalg.as_rows(m, p) for m in mats]
+    for m, (basis, pivots) in zip(mats, linalg.reduced_kernels(rows, p), strict=True):
+        red, ref_pivots = linalg.rref(linalg.nullspace(m, p), p)
         assert pivots == ref_pivots
         assert basis.shape == (len(pivots), m.shape[1])
-        assert basis.tolist() == red[: len(ref_pivots)].tolist()
+        assert dense(basis).tolist() == dense(red)[: len(ref_pivots)].tolist()
 
 
 def test_syzygy_runs_one_elimination_for_all_components(monkeypatch):
@@ -567,7 +593,7 @@ def test_syzygy_runs_one_elimination_for_all_components(monkeypatch):
     A = star_algebra(3, 2)
     M = uniserial_rep(A, UniserialSpec(1, 3))
     mats = projective_cover(M)[3].mats
-    assert sum(1 for m in mats if m.size) > 1
+    assert sum(1 for m in mats if m.height and m.cols) > 1
     calls = counting_rref(monkeypatch)
     omega = syzygy(M)
     assert [name for name, _ in calls] == ["reduced_kernels"]
@@ -620,7 +646,7 @@ def test_uniserial_rep_walk_matches_the_arrow_scan():
                 M = uniserial_rep(A, UniserialSpec(top, length))
                 dims, act = _scanned_uniserial(A, UniserialSpec(top, length))
                 assert M.dims == dims
-                assert all(np.array_equal(M.act[a], act[a]) for a in A.arrows)
+                assert all(np.array_equal(dense(M.act[a]), act[a]) for a in A.arrows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -676,7 +702,8 @@ def test_star_summands_run_no_elimination(monkeypatch):
 
 
 def _content(M):
-    return M.dims, b"".join(M.act[arrow].tobytes() for arrow in M.algebra.arrows)
+    return M.dims, b"".join(dense(M.act[arrow]).astype(np.int64).tobytes()
+                            for arrow in M.algebra.arrows)
 
 
 def _same_syzygy(got, want):
@@ -684,9 +711,9 @@ def _same_syzygy(got, want):
     A = omega.algebra
     return (
         omega.dims == omega_w.dims
-        and all(np.array_equal(omega.act[a], omega_w.act[a]) for a in A.arrows)
+        and all(np.array_equal(dense(omega.act[a]), dense(omega_w.act[a])) for a in A.arrows)
         and len(incl.mats) == len(incl_w.mats)
-        and all(np.array_equal(x, y) for x, y in zip(incl.mats, incl_w.mats))
+        and all(np.array_equal(dense(x), dense(y)) for x, y in zip(incl.mats, incl_w.mats))
         and edges == edges_w
         and offsets == offsets_w
     )
@@ -697,7 +724,7 @@ def _same_syzygy(got, want):
 def test_syzygy_memo_is_exact(which, p, monkeypatch):
     """A memo hit returns what a fresh algebra built from the same tree
     computes, a module differing in one entry misses, and the shared
-    arrays are read-only."""
+    matrices are not edited by the computations that read them."""
     def fresh():
         if which == "star(3,2)":
             return star_algebra(3, 2, p)
@@ -719,18 +746,19 @@ def test_syzygy_memo_is_exact(which, p, monkeypatch):
         assert _same_syzygy(hit, modules._syzygy_with_embedding(Representation(B, M.dims, M.act)))
 
         # B's memo holds M alone; a copy differing in one entry must miss
-        for arrow in (a for a in B.arrows if M.act[a].size):
-            act = {a: M.act[a].copy() for a in B.arrows}
+        for arrow in (a for a in B.arrows if M.act[a].height and M.act[a].cols):
+            act = {a: dense(M.act[a]).astype(np.int64) for a in B.arrows}
             act[arrow][0, 0] = (act[arrow][0, 0] + 1) % p
             computed = len(covers)
             with suppress(ValueError):  # the changed copy need not be a module
                 modules._syzygy_with_embedding(Representation(B, M.dims, act))
             assert len(covers) == computed + 1
 
-        omega, incl, _, _ = hit
-        for m in (*omega.act.values(), *incl.mats, *incl.target.act.values()):
-            with pytest.raises(ValueError, match="read-only"):
-                m[...] = 0
+        # the presentation and the second syzygy read the shared result;
+        # it must still be what a fresh algebra computes
+        min_proj_presentation(M)
+        second_syzygy(M)
+        assert _same_syzygy(hit, modules._syzygy_with_embedding(Representation(fresh(), M.dims, M.act)))
 
 
 def test_presentation_and_criterion_compute_each_syzygy_once(monkeypatch):
