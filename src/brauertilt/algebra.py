@@ -273,13 +273,6 @@ class BrauerTreeAlgebra:
             )
         return triples
 
-    def hom_basis(self, i, j) -> list[PathClass]:
-        """Basis of Hom(P_i, P_j): the path classes from edge i to edge j,
-        acting by right multiplication."""
-        if i not in self.eidx or j not in self.eidx:
-            raise ValueError(f"unknown edge in ({i}, {j})")
-        return list(self.blocks[(i, j)])
-
     def cartan_matrix(self) -> list[list[int]]:
         return [
             [len(self.blocks[(self.edges[i], self.edges[j])]) for j in range(self.n)]

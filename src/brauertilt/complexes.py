@@ -56,19 +56,17 @@ class ProjComplex:
     comps[d+1], stored as rows over target slots with path-element entries.
     parts are the summands the complex was assembled from (see direct_sum);
     a complex built on its own is its only part.  name is what its
-    constructor called such a part (min_proj_presentation sets it); the
+    constructor called such a part (uniserial_presentation sets it); the
     labels, one Summand per part, are read off the parts, for display only.
     """
 
-    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, name=None, check=True,
-                 parts=None):
-        self._adopt(algebra, comps, {}, name, parts)
+    def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, name=None):
+        self._adopt(algebra, comps, {}, name, None)
         for d, mat in diffs.items():
             d = int(d)
             self.diffs[d] = _checked(algebra, mat, self.slots(d), self.slots(d + 1),
-                                     f"differential at degree {d}", entries=check)
-        if check:
-            self._validate()
+                                     f"differential at degree {d}")
+        self._validate()
 
     def _adopt(self, algebra, comps, grid, name, parts):
         """Set every field of the complex, holding grid as its
@@ -119,13 +117,6 @@ class ProjComplex:
         if d in self.diffs:
             return self.diffs[d]
         return [[{} for _ in src] for _ in tgt]
-
-    def is_minimal(self) -> bool:
-        return all(
-            all(pc.kind != "e" for entry in row for pc in entry)
-            for mat in self.diffs.values()
-            for row in mat
-        )
 
     def k0_class(self) -> tuple:
         """The class sum_d (-1)^d [X^d] in K_0, as multiplicities over the edges."""
@@ -186,14 +177,14 @@ class ProjComplex:
         return " + ".join(l.display() for l in self.labels)
 
 
-def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str, entries: bool = True) -> list:
+def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str) -> list:
     """A copy of the path-element matrix mat from the slots src to the slots
     tgt, stored as rows over tgt.  Raises ValueError unless it has that
-    shape and (with entries) every entry [h][g] is a combination of basis
-    classes from edge src[g] to edge tgt[h]."""
+    shape and every entry [h][g] is a combination of basis classes from
+    edge src[g] to edge tgt[h]."""
     mat = [[dict(entry) for entry in row] for row in mat]
     _check_shape(mat, src, tgt, what)
-    for h, row in enumerate(mat if entries else ()):
+    for h, row in enumerate(mat):
         for g, entry in enumerate(row):
             for pc in entry:
                 if pc not in A.index:
@@ -485,24 +476,6 @@ class ChainMapSpace:
                             vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % p
         return vec
 
-    def map_from_vector(self, vec: dict) -> ChainMap:
-        A = self.Q.algebra
-        comps = {}
-        for d in self.Q.degrees():
-            src, tgt = self.Q.slots(d), self.R.slots(d + self.s)
-            if not src or not tgt:
-                continue
-            mat = [[{} for _ in src] for _ in tgt]
-            for j, b in enumerate(tgt):
-                for i, a in enumerate(src):
-                    off = self.offsets[(d, j, i)]
-                    for kk, pc in enumerate(A.blocks[(a, b)]):
-                        c = vec.get(off + kk)
-                        if c:
-                            mat[j][i][pc] = c
-            comps[d] = mat
-        return ChainMap(self.Q, self.R, self.s, comps)
-
     def _reduction_data(self):
         """The free columns of C, the chain-basis rows that are independent
         of the null rows and of the earlier chain-basis rows, and the matrix
@@ -561,12 +534,6 @@ class ChainMapSpace:
                 raise ValueError("vector is not a chain map")
             out.append(coords)
         return out
-
-    def is_null_homotopic(self, f: ChainMap) -> bool:
-        return not self.quotient_coords([self.vector_of(f)])[0]
-
-    def basis_maps(self) -> list[ChainMap]:
-        return [self.map_from_vector(v) for v in self._reduction_data()[1].rows]
 
 
 def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: int):

@@ -139,15 +139,6 @@ class Covering:
         if sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError("outer intervals do not partition the vertices")
 
-    @staticmethod
-    def trivial(n: int, mode: str = "deg0") -> "Covering":
-        return Covering(
-            n,
-            tuple(CyclicInterval(s, 1) for s in range(1, n + 1)),
-            tuple(() for _ in range(n)),
-            mode,
-        )
-
     def is_trivial(self) -> bool:
         return all(o.size == 1 for o in self.outer)
 
@@ -233,9 +224,9 @@ def _outer_partitions(n: int):
     return out
 
 
-def enumerate_coverings(n: int, include_trivial: bool = False) -> list[Covering]:
-    """All coverings of the n-gon by distinguished intervals, both modes;
-    the trivial covering (all singletons) is excluded unless requested."""
+def enumerate_coverings(n: int) -> list[Covering]:
+    """All coverings of the n-gon by distinguished intervals, both modes,
+    except the trivial covering (all singletons)."""
     if n < 1:
         raise ValueError("n must be positive")
     from itertools import product
@@ -258,11 +249,8 @@ def enumerate_coverings(n: int, include_trivial: bool = False) -> list[Covering]
         for fams in product(*fam_choices):
             for mode in ("deg0", "deg1"):
                 cov = Covering(n, outer, fams, mode)
-                if cov.is_trivial():
-                    if include_trivial and mode == "deg0":
-                        out.append(cov)
-                    continue
-                out.append(cov)
+                if not cov.is_trivial():
+                    out.append(cov)
     return sorted(out, key=Covering.sort_key)
 
 

@@ -58,14 +58,17 @@ def summand_complexes(T: ProjComplex) -> list[ProjComplex]:
 
 def endo_cartan(T: ProjComplex) -> list[list[int]]:
     """Cartan matrix of End(T): Hom dimensions at shift zero between the
-    summands, cross-checked against the alternating-sum pairing."""
+    summands, checked to be symmetric and cross-checked against the
+    alternating-sum pairing.  The pairing is symmetric, since A's block
+    dimensions are (the algebra checks them against the tree's symmetric
+    Cartan matrix), so it is compared once per unordered pair."""
     if not is_tilting(T):
         raise ValueError("complex is not tilting")
     parts = summand_complexes(T)
     m = len(parts)
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             if cart[i][j] != cart[j][i]:
                 raise AssertionError("endomorphism Cartan matrix is not symmetric")
             if cart[i][j] != euler_pairing(parts[i], parts[j]):
@@ -572,11 +575,14 @@ def endo_brauer_tree(T: ProjComplex, method: str = "both"):
     return tree_from_cycles(T, a_cycle_partition(T, method=method))
 
 
-def is_autoequivalence_covering(cov, A: BrauerTreeAlgebra, method: str = "fast") -> bool:
+def is_autoequivalence_covering(cov, A: BrauerTreeAlgebra) -> bool:
     """Whether the covering's tilting complex has endomorphism ring
-    isomorphic to the star algebra itself."""
+    isomorphic to the star algebra itself: its Cartan matrix must be A's,
+    and then the tree both decoders agree on must be A's tree."""
     from .coverings import covering_to_complex
 
     T = covering_to_complex(cov, A)
-    tree, _ = endo_brauer_tree(T, method=method)
+    if endo_cartan(T) != A.cartan_matrix():
+        return False
+    tree, _ = endo_brauer_tree(T)
     return tree.is_isomorphic_to(A.tree)

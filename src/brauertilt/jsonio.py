@@ -1,20 +1,12 @@
-"""JSON schemas and DOT export for trees, coverings, modules and complexes."""
+"""JSON schemas of the CLI: readers for trees and coverings, writers for
+trees and complexes, and DOT export of trees."""
 
 from __future__ import annotations
 
 import json
 
-from .algebra import BrauerTreeAlgebra
-from .complexes import ProjComplex, direct_sum, stalk_complex
+from .complexes import ProjComplex
 from .coverings import Covering, CyclicInterval
-from .modules import (
-    Representation,
-    UniserialSpec,
-    min_proj_presentation,
-    string_rep,
-    uniserial_presentation,
-    uniserial_rep,
-)
 from .trees import BrauerTree
 
 
@@ -131,60 +123,6 @@ def covering_from_json(doc, n=None) -> Covering:
         return Covering(n, tuple(outer), tuple(inner), mode)
     except ValueError as exc:
         raise SchemaError("$", str(exc))
-
-
-def covering_to_json(cov: Covering) -> dict:
-    return {
-        "outer": [{"start": o.start, "size": o.size} for o in cov.outer],
-        "inner": {
-            str(i): [{"start": iv.start, "size": iv.size} for iv in fam]
-            for i, fam in enumerate(cov.inner)
-            if fam
-        },
-        "mode": cov.mode,
-    }
-
-
-def module_from_json(A: BrauerTreeAlgebra, doc) -> Representation:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if "uniserial" in doc:
-        u = doc["uniserial"]
-        return uniserial_rep(A, UniserialSpec(_need(u, "top", "$.uniserial"), _need(u, "len", "$.uniserial")))
-    if "string" in doc:
-        s = doc["string"]
-        walk = s.get("walk", [])
-        letters = []
-        for w in walk:
-            if not isinstance(w, int) or w == 0 or abs(w) > len(A.arrows):
-                raise SchemaError("$.string.walk", f"bad signed arrow id {w}")
-            letters.append((A.arrows[abs(w) - 1], 1 if w > 0 else -1))
-        if letters:
-            return string_rep(A, letters)
-        return string_rep(A, [], edge=_need(s, "edge", "$.string"))
-    raise SchemaError("$", "expected 'uniserial' or 'string'")
-
-
-def complex_from_json(A: BrauerTreeAlgebra, doc) -> ProjComplex:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    summands = _need(doc, "summands", "$")
-    parts = []
-    for i, s in enumerate(summands):
-        if "stalk" in s:
-            st, path = s["stalk"], f"$.summands[{i}].stalk"
-            degree = _typed(st.get("degree", 0), int, f"{path}.degree")
-            parts.append(stalk_complex(A, _need(st, "edge", path), degree))
-        elif "pres" in s:
-            M = module_from_json(A, s["pres"])  # also validates a uniserial
-            u = s["pres"].get("uniserial")
-            if u is not None:
-                parts.append(uniserial_presentation(A, u["top"], u["len"]))
-            else:
-                parts.append(min_proj_presentation(M, label=("module", i)))
-        else:
-            raise SchemaError(f"$.summands[{i}]", "expected 'stalk' or 'pres'")
-    return direct_sum(parts)
 
 
 def complex_to_json(T: ProjComplex) -> dict:

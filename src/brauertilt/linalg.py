@@ -6,8 +6,8 @@ of reduced nonzero Python ints with a `.shape`, and a vector is one such
 sparse, and its structure constants are 0 or 1, so every operation runs
 on these rows: its cost follows the nonzero entries, not the cells, and
 no value can overflow.  Input from outside the package (a module's
-actions and maps, spans, and the arguments of `rref`, `rank`, `solve`)
-may be `SparseRows` or any nested sequence of ints; `as_rows` reads it
+actions and maps, spans, and the arguments of `rref` and `rank`) may
+be `SparseRows` or any nested sequence of ints; `as_rows` reads it
 into fresh reduced rows and checks its shape.  Elimination takes
 `SparseRows` as they are, their values reduced by contract.
 
@@ -180,13 +180,6 @@ def rank(a, p: int) -> int:
     return len(echelon(a, p)[1])
 
 
-def nullspace(a, p: int) -> SparseRows:
-    """Rows form a basis of {x : a @ x = 0 mod p}: `kernel_basis` of the
-    reduced form of a."""
-    red, pivots = rref(a, p)
-    return kernel_basis(red.rows, pivots, free_columns(pivots, red.cols), red.cols, p)
-
-
 def free_columns(pivots: list[int], width: int) -> list[int]:
     """The columns of range(width) that are not pivots."""
     taken = set(pivots)
@@ -283,48 +276,6 @@ def reduced_kernels(mats, p: int) -> list[tuple[SparseRows, list[int]]]:
         free = free_columns([w - 1 - c for c in piv], w)
         out.append((kernel_basis(back, [w - 1 - c for c in piv], free, w, p), free))
     return out
-
-
-def solve(a, b, p: int):
-    """One solution x of a @ x = b mod p, or None if inconsistent.
-
-    b is a vector, an {index: value} dict or a flat sequence of ints, and
-    x is then a vector dict; or b is a matrix of stacked right-hand
-    columns, and x is then `SparseRows`.
-    """
-    m = as_rows(a, p)
-    vector = isinstance(b, dict) or _is_flat(b)
-    if vector:
-        if not isinstance(b, dict):
-            b = b.tolist() if hasattr(b, "tolist") else list(b)
-            if len(b) != m.height:
-                raise ValueError(f"rhs of length {len(b)} for a matrix of shape {m.shape}")
-            b = dict(enumerate(b))
-        b = [[b.get(i, 0)] for i in range(m.height)]
-    b = as_rows(b, p)
-    if b.height != m.height:
-        raise ValueError(f"rhs shape mismatch {m.shape} vs {b.shape}")
-    n = m.cols
-    aug = [dict(row) for row in m.rows] + [{} for _ in range(m.height - len(m.rows))]
-    for row, rhs in zip(aug, b.rows):
-        row.update((n + j, v) for j, v in rhs.items())
-    red, pivots = rref(SparseRows(aug, n + b.cols), p)
-    x = zero(n, b.cols)
-    for c, row in zip(pivots, red.rows):
-        if c >= n:
-            return None
-        x.rows[c] = {j - n: v for j, v in row.items() if j >= n}
-    if vector:
-        return {i: row[0] for i, row in enumerate(x.rows) if row}
-    return x
-
-
-def _is_flat(b) -> bool:
-    """Whether b is a flat sequence of ints rather than a nested one."""
-    shape = getattr(b, "shape", None)
-    if shape is not None:
-        return len(shape) == 1
-    return not isinstance(b, SparseRows) and all(not hasattr(v, "__len__") for v in b)
 
 
 def is_invertible(a, p: int) -> bool:

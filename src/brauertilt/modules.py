@@ -74,9 +74,6 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def component(self, edge) -> int:
-        return self.dims[self.algebra.eidx[edge]]
-
     def path_action(self, pc: PathClass) -> linalg.SparseRows:
         """Matrix of the path class, mapping the end-edge component into the
         start-edge component: the product of its arrows' matrices, read off
@@ -109,20 +106,6 @@ class Representation:
             first, rest = factors[q]
             images[q] = linalg.apply(self.act[first], images[rest], A.prime) if images[rest] else {}
         return images
-
-    def check_relations(self):
-        """Every product of basis path classes must act consistently."""
-        A = self.algebra
-        actions = {pc: self.path_action(pc) for pc in A.basis}
-        for p in A.basis:
-            for q in A.basis:
-                if p.end != q.start:
-                    continue
-                prod = linalg.product(actions[p], actions[q], A.prime)
-                r = A.compose(p, q)
-                expected = actions[r] if r is not None else linalg.zero(*prod.shape)
-                if prod != expected:
-                    raise AssertionError(f"relation violated on {p} * {q}")
 
     # -- structure --------------------------------------------------------------
 
@@ -183,15 +166,6 @@ class ModuleMap:
         except ValueError:
             raise ValueError("component matrix shape mismatch") from None
 
-    def is_valid(self) -> bool:
-        A = self.source.algebra
-        for arrow in A.arrows:
-            a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-            left = linalg.product(self.mats[a], self.source.act[arrow], A.prime)
-            if left != linalg.product(self.target.act[arrow], self.mats[b], A.prime):
-                return False
-        return True
-
     def is_isomorphism(self) -> bool:
         p = self.source.algebra.prime
         return self.source.dims == self.target.dims and all(
@@ -203,10 +177,6 @@ class ModuleMap:
 
 
 # -- constructors ----------------------------------------------------------------
-
-
-def zero_rep(A: BrauerTreeAlgebra) -> Representation:
-    return Representation(A, [0] * A.n, {})
 
 
 def simple_rep(A: BrauerTreeAlgebra, edge) -> Representation:
@@ -288,21 +258,16 @@ def _reduced_spans(M: Representation, spans) -> list[tuple[linalg.SparseRows, li
     return linalg.reduced_bases(mats, p)
 
 
-def sub_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation spanned per edge by the rows of spans[edge_idx];
-    returns (sub, inclusion).
+def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleMap]:
+    """The subrepresentation of M spanned per edge by a reduced basis,
+    given as `_reduced_spans` returns it: per edge, the reduced basis and
+    its pivot columns; returns (sub, inclusion).
 
     The sub's basis is the reduced basis of each span.  A reduced row is 1
     at its own pivot column and 0 at the others, so the coordinates of a
     vector of the span are its entries at the pivot columns; recombining
     the basis with them checks that the arrow images lie in the span.
     """
-    return _sub_of_reduced(M, _reduced_spans(M, spans))
-
-
-def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleMap]:
-    """sub_representation of spans given as _reduced_spans returns them:
-    per edge, the reduced basis and its pivot columns."""
     A = M.algebra
     p = A.prime
     act = {}
@@ -550,7 +515,7 @@ def _syzygy_with_embedding(M: Representation):
 
 def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """The kernel of f as a subrepresentation of its source; returns
-    (kernel, inclusion) as sub_representation does, with one elimination
+    (kernel, inclusion) as _sub_of_reduced does, with one elimination
     over all edges (see linalg.reduced_kernels)."""
     return _sub_of_reduced(f.source, linalg.reduced_kernels(f.mats, f.source.algebra.prime))
 
@@ -559,9 +524,9 @@ def second_syzygy(M: Representation, _check=True) -> Representation:
     return syzygy(syzygy(M, _check=_check), _check=False)
 
 
-def min_proj_presentation(M: Representation, label=None):
+def min_proj_presentation(M: Representation):
     """Two-term complex (degree 0: cover of the syzygy) -> (degree 1: cover
-    of M) with cokernel M and radical differential entries, named label.
+    of M) with cokernel M and radical differential entries.
 
     The components and the differential are built once per module content
     (`presentation_cache`, keyed like the syzygy memo they are read from);
@@ -575,7 +540,7 @@ def min_proj_presentation(M: Representation, label=None):
     if built is None:
         built = A.presentation_cache[key] = _presentation(M)
     comps, diff = built
-    return ProjComplex(A, comps, {0: diff}, name=label)
+    return ProjComplex(A, comps, {0: diff})
 
 
 def _presentation(M: Representation):

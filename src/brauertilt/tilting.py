@@ -17,8 +17,6 @@ from .modules import (
     hom_dim,
     min_proj_presentation,
     projective_rep,
-    projective_sum,
-    quotient_representation,
     second_syzygy,
 )
 
@@ -140,32 +138,3 @@ def stalk_orthogonality_test(
     if N.is_zero():
         return True
     return hom_dim(N, P) == 0 and hom_dim(P, N) == 0
-
-
-# -- cokernel of a two-term complex -----------------------------------------------
-
-
-def cokernel_rep(T: ProjComplex) -> Representation:
-    """Cokernel of the differential of a two-term complex, as a module on
-    the upper term."""
-    A = T.algebra
-    lo, hi = T.min_degree, T.max_degree
-    if hi - lo != 1:
-        raise ValueError("cokernel is defined for two-term complexes")
-    upper, offsets = projective_sum(A, T.slots(hi))
-    spans = [[] for _ in range(A.n)]
-    diff = T.diff(lo)
-    for g, a in enumerate(T.slots(lo)):
-        for c_idx, c in enumerate(A.edges):
-            # row q: the image q * diff[.][g] of the basis class q of e_c A e_a,
-            # reduced when quotient_representation reads the spans
-            rows = [{} for _ in A.blocks[(c, a)]]
-            for h in range(len(T.slots(hi))):
-                for pc, cf in diff[h][g].items():
-                    for r, q in A.mult_coords(pc, "R", c):
-                        j = offsets[h][c_idx] + r
-                        rows[q][j] = rows[q].get(j, 0) + cf
-            spans[c_idx].extend(rows)
-    spans = [linalg.SparseRows(rows, d) for rows, d in zip(spans, upper.dims)]
-    quot, _ = quotient_representation(upper, spans)
-    return quot

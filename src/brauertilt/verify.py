@@ -29,7 +29,7 @@ from .coverings import (
     interval_module,
     compatible_stalk,
 )
-from .endo import endo_brauer_tree, endo_cartan
+from .endo import endo_brauer_tree, endo_cartan, is_autoequivalence_covering
 from .modules import (
     enumerate_indecomposables,
     is_isomorphic,
@@ -407,15 +407,8 @@ def suite_star_autoequivalences(prime=DEFAULT_PRIME) -> SuiteResult:
     for k in (1, 2):
         for n in range(2, 6):
             A = _star(n, k, prime)
-            target = A.cartan_matrix()
-            hits = []
-            for cov in enumerate_coverings(n):
-                T = covering_to_complex(cov, A)
-                if endo_cartan(T) != target:
-                    continue
-                tree, _ = endo_brauer_tree(T, method="both")
-                if tree.is_isomorphic_to(A.tree):
-                    hits.append(cov.sort_key())
+            hits = [cov.sort_key() for cov in enumerate_coverings(n)
+                    if is_autoequivalence_covering(cov, A)]
             trivial_ok = all(
                 endo_brauer_tree(algebra_complex(A, d), method="both")[0].is_isomorphic_to(A.tree)
                 for d in (0, 1)

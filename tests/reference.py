@@ -1,0 +1,245 @@
+"""Independent references that the tests check the package against.
+
+Nothing in `brauertilt` calls these: they are general routes the package
+does not need, kept here as oracles.  They are a linear solver and a
+nullspace over F_p, the relations check of a representation and the
+intertwining check of a module map, the minimality of a complex, the
+cokernel of a two-term complex, the chain maps of a space's quotient
+representatives, and JSON readers for modules and complexes with a
+writer for coverings.  Each is built from the package's own primitives
+by a different path than the one the package takes.
+"""
+
+import json
+
+from brauertilt import linalg
+from brauertilt.complexes import ChainMap, ChainMapSpace, ProjComplex, direct_sum, stalk_complex
+from brauertilt.coverings import Covering, CyclicInterval
+from brauertilt.jsonio import SchemaError, _need, _typed
+from brauertilt.modules import (
+    ModuleMap,
+    Representation,
+    UniserialSpec,
+    min_proj_presentation,
+    projective_sum,
+    quotient_representation,
+    string_rep,
+    uniserial_presentation,
+    uniserial_rep,
+)
+
+# -- linear algebra --------------------------------------------------------------
+
+
+def nullspace(a, p: int) -> linalg.SparseRows:
+    """Rows form a basis of {x : a @ x = 0 mod p}: `kernel_basis` of the
+    reduced form of a."""
+    red, pivots = linalg.rref(a, p)
+    return linalg.kernel_basis(red.rows, pivots, linalg.free_columns(pivots, red.cols),
+                               red.cols, p)
+
+
+def solve(a, b, p: int):
+    """One solution x of a @ x = b mod p, or None if inconsistent.
+
+    b is a vector, an {index: value} dict or a flat sequence of ints, and
+    x is then a vector dict; or b is a matrix of stacked right-hand
+    columns, and x is then `SparseRows`.
+    """
+    m = linalg.as_rows(a, p)
+    vector = isinstance(b, dict) or _is_flat(b)
+    if vector:
+        if not isinstance(b, dict):
+            b = b.tolist() if hasattr(b, "tolist") else list(b)
+            if len(b) != m.height:
+                raise ValueError(f"rhs of length {len(b)} for a matrix of shape {m.shape}")
+            b = dict(enumerate(b))
+        b = [[b.get(i, 0)] for i in range(m.height)]
+    b = linalg.as_rows(b, p)
+    if b.height != m.height:
+        raise ValueError(f"rhs shape mismatch {m.shape} vs {b.shape}")
+    n = m.cols
+    aug = [dict(row) for row in m.rows] + [{} for _ in range(m.height - len(m.rows))]
+    for row, rhs in zip(aug, b.rows):
+        row.update((n + j, v) for j, v in rhs.items())
+    red, pivots = linalg.rref(linalg.SparseRows(aug, n + b.cols), p)
+    x = linalg.zero(n, b.cols)
+    for c, row in zip(pivots, red.rows):
+        if c >= n:
+            return None
+        x.rows[c] = {j - n: v for j, v in row.items() if j >= n}
+    if vector:
+        return {i: row[0] for i, row in enumerate(x.rows) if row}
+    return x
+
+
+def _is_flat(b) -> bool:
+    """Whether b is a flat sequence of ints rather than a nested one."""
+    shape = getattr(b, "shape", None)
+    if shape is not None:
+        return len(shape) == 1
+    return not isinstance(b, linalg.SparseRows) and all(not hasattr(v, "__len__") for v in b)
+
+
+# -- modules ---------------------------------------------------------------------
+
+
+def check_relations(M: Representation) -> None:
+    """Raises AssertionError unless every product of basis path classes
+    acts on M as the product of their actions."""
+    A = M.algebra
+    actions = {pc: M.path_action(pc) for pc in A.basis}
+    for p in A.basis:
+        for q in A.basis:
+            if p.end != q.start:
+                continue
+            prod = linalg.product(actions[p], actions[q], A.prime)
+            r = A.compose(p, q)
+            expected = actions[r] if r is not None else linalg.zero(*prod.shape)
+            if prod != expected:
+                raise AssertionError(f"relation violated on {p} * {q}")
+
+
+def is_module_map(f: ModuleMap) -> bool:
+    """Whether the matrices of f intertwine the arrow actions."""
+    A = f.source.algebra
+    for arrow in A.arrows:
+        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
+        left = linalg.product(f.mats[a], f.source.act[arrow], A.prime)
+        if left != linalg.product(f.target.act[arrow], f.mats[b], A.prime):
+            return False
+    return True
+
+
+def named_presentation(M: Representation, name) -> ProjComplex:
+    """min_proj_presentation(M) named `name`, set before its summand label
+    is first read."""
+    T = min_proj_presentation(M)
+    T.name = name
+    return T
+
+
+# -- complexes -------------------------------------------------------------------
+
+
+def is_minimal(T: ProjComplex) -> bool:
+    """Whether no differential entry of T has an idempotent term."""
+    return all(
+        all(pc.kind != "e" for entry in row for pc in entry)
+        for mat in T.diffs.values()
+        for row in mat
+    )
+
+
+def cokernel_rep(T: ProjComplex) -> Representation:
+    """Cokernel of the differential of a two-term complex, as a module on
+    the upper term."""
+    A = T.algebra
+    lo, hi = T.min_degree, T.max_degree
+    if hi - lo != 1:
+        raise ValueError("cokernel is defined for two-term complexes")
+    upper, offsets = projective_sum(A, T.slots(hi))
+    spans = [[] for _ in range(A.n)]
+    diff = T.diff(lo)
+    for g, a in enumerate(T.slots(lo)):
+        for c_idx, c in enumerate(A.edges):
+            # row q: the image q * diff[.][g] of the basis class q of e_c A e_a,
+            # reduced when quotient_representation reads the spans
+            rows = [{} for _ in A.blocks[(c, a)]]
+            for h in range(len(T.slots(hi))):
+                for pc, cf in diff[h][g].items():
+                    for r, q in A.mult_coords(pc, "R", c):
+                        j = offsets[h][c_idx] + r
+                        rows[q][j] = rows[q].get(j, 0) + cf
+            spans[c_idx].extend(rows)
+    spans = [linalg.SparseRows(rows, d) for rows, d in zip(spans, upper.dims)]
+    quot, _ = quotient_representation(upper, spans)
+    return quot
+
+
+def map_from_vector(sp: ChainMapSpace, vec: dict) -> ChainMap:
+    """The map of sp whose coefficients are the {index: value} vector vec."""
+    A = sp.Q.algebra
+    comps = {}
+    for d in sp.Q.degrees():
+        src, tgt = sp.Q.slots(d), sp.R.slots(d + sp.s)
+        if not src or not tgt:
+            continue
+        mat = [[{} for _ in src] for _ in tgt]
+        for j, b in enumerate(tgt):
+            for i, a in enumerate(src):
+                off = sp.offsets[(d, j, i)]
+                for kk, pc in enumerate(A.blocks[(a, b)]):
+                    c = vec.get(off + kk)
+                    if c:
+                        mat[j][i][pc] = c
+        comps[d] = mat
+    return ChainMap(sp.Q, sp.R, sp.s, comps)
+
+
+def basis_maps(sp: ChainMapSpace) -> list[ChainMap]:
+    """The chain maps of sp's quotient representatives, a basis of the
+    space modulo homotopy."""
+    return [map_from_vector(sp, v) for v in sp._reduction_data()[1].rows]
+
+
+def trivial_covering(n: int, mode: str = "deg0") -> Covering:
+    """The covering of the n-gon by its n singletons."""
+    return Covering(n, tuple(CyclicInterval(s, 1) for s in range(1, n + 1)), ((),) * n, mode)
+
+
+# -- JSON ------------------------------------------------------------------------
+
+
+def covering_to_json(cov: Covering) -> dict:
+    return {
+        "outer": [{"start": o.start, "size": o.size} for o in cov.outer],
+        "inner": {
+            str(i): [{"start": iv.start, "size": iv.size} for iv in fam]
+            for i, fam in enumerate(cov.inner)
+            if fam
+        },
+        "mode": cov.mode,
+    }
+
+
+def module_from_json(A, doc) -> Representation:
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    if "uniserial" in doc:
+        u = doc["uniserial"]
+        return uniserial_rep(A, UniserialSpec(_need(u, "top", "$.uniserial"), _need(u, "len", "$.uniserial")))
+    if "string" in doc:
+        s = doc["string"]
+        walk = s.get("walk", [])
+        letters = []
+        for w in walk:
+            if not isinstance(w, int) or w == 0 or abs(w) > len(A.arrows):
+                raise SchemaError("$.string.walk", f"bad signed arrow id {w}")
+            letters.append((A.arrows[abs(w) - 1], 1 if w > 0 else -1))
+        if letters:
+            return string_rep(A, letters)
+        return string_rep(A, [], edge=_need(s, "edge", "$.string"))
+    raise SchemaError("$", "expected 'uniserial' or 'string'")
+
+
+def complex_from_json(A, doc) -> ProjComplex:
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    summands = _need(doc, "summands", "$")
+    parts = []
+    for i, s in enumerate(summands):
+        if "stalk" in s:
+            st, path = s["stalk"], f"$.summands[{i}].stalk"
+            degree = _typed(st.get("degree", 0), int, f"{path}.degree")
+            parts.append(stalk_complex(A, _need(st, "edge", path), degree))
+        elif "pres" in s:
+            M = module_from_json(A, s["pres"])  # also validates a uniserial
+            u = s["pres"].get("uniserial")
+            if u is not None:
+                parts.append(uniserial_presentation(A, u["top"], u["len"]))
+            else:
+                parts.append(named_presentation(M, ("module", i)))
+        else:
+            raise SchemaError(f"$.summands[{i}]", "expected 'stalk' or 'pres'")
+    return direct_sum(parts)

