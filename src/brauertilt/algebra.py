@@ -73,19 +73,18 @@ class BrauerTreeAlgebra:
         self._build_arrows()
         self._check_consistency()
         # dim Hom(X, Y[s]) keyed (X.content_id, Y.content_id, s); the ids
-        # number the contents in complex_ids; summand_cache memoizes
+        # number the contents in complex_ids; summand_cache interns
         # modules.uniserial_presentation (read off the star path, filling
-        # neither module memo) and complexes.stalk_complex;
-        # syzygy_cache memoizes modules._syzygy_with_embedding and
-        # presentation_cache the data of modules.min_proj_presentation, both
-        # keyed by a module's dims and the entries of its arrow matrices;
+        # no module memo), complexes.stalk_complex and
+        # modules.min_proj_presentation; syzygy_cache memoizes
+        # modules._syzygy_with_embedding, keyed like the presentations by
+        # a module's dims and the entries of its arrow matrices;
         # mult_cache and product_cache hold the index form of the structure
         # constants (mult_coords, block_products)
         self.hom_cache: dict = {}
         self.complex_ids: dict = {}
         self.summand_cache: dict = {}
         self.syzygy_cache: dict = {}
-        self.presentation_cache: dict = {}
         self.mult_cache: dict = {}
         self.product_cache: dict = {}
         # built on first use (most algebras never act on a module); not a

@@ -40,10 +40,6 @@ class Summand:
     def kind(self) -> str:
         return self.key[0]
 
-    @property
-    def degree(self) -> int | None:
-        return self.key[2] if self.kind == "stalk" else None
-
     def display(self) -> str:
         return self.text
 

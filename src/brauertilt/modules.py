@@ -27,10 +27,10 @@ Syzygies are computed once per module content: the algebra's
 `syzygy_cache` holds the syzygy, its inclusion into the projective cover
 and the cover's slots, keyed by the module's dims and arrow matrices, and
 `syzygy`, `second_syzygy` and `min_proj_presentation` all read it; the
-presentation's components and differential are memoized the same way, in
-`presentation_cache`.  The memos only share the results of deterministic
-computations, so the module route and the chain-map route of the
-presentation criterion still cross-check each other.
+presentation itself is interned per module content in `summand_cache`.
+The memos only share the results of deterministic computations, so the
+module route and the chain-map route of the presentation criterion still
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -171,9 +171,6 @@ class ModuleMap:
         return self.source.dims == self.target.dims and all(
             linalg.is_invertible(m, p) for m in self.mats
         )
-
-    def is_zero(self) -> bool:
-        return not any(any(m.rows) for m in self.mats)
 
 
 # -- constructors ----------------------------------------------------------------
@@ -478,11 +475,12 @@ def projective_cover(M: Representation):
     return cover_edges, cover, offsets, cover_map
 
 
-def syzygy(M: Representation, _check=True) -> Representation:
-    """Kernel of the projective cover."""
+def syzygy(M: Representation) -> Representation:
+    """Kernel of the projective cover of M, which must have no projective
+    summand."""
     if M.is_zero():
         raise ValueError("syzygy of the zero module is undefined here")
-    if _check and has_projective_summand(M):
+    if has_projective_summand(M):
         raise ValueError("module has a projective direct summand")
     return _syzygy_with_embedding(M)[0]
 
@@ -520,32 +518,29 @@ def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return _sub_of_reduced(f.source, linalg.reduced_kernels(f.mats, f.source.algebra.prime))
 
 
-def second_syzygy(M: Representation, _check=True) -> Representation:
-    return syzygy(syzygy(M, _check=_check), _check=False)
+def second_syzygy(M: Representation) -> Representation:
+    return syzygy(syzygy(M))
 
 
 def min_proj_presentation(M: Representation):
     """Two-term complex (degree 0: cover of the syzygy) -> (degree 1: cover
     of M) with cokernel M and radical differential entries.
 
-    The components and the differential are built once per module content
-    (`presentation_cache`, keyed like the syzygy memo they are read from);
-    every call returns a fresh ProjComplex, checked and holding its own
-    copy of the differential."""
-    from .complexes import ProjComplex
-
+    Interned per module content in `summand_cache`, under
+    ("presentation", content key), so modules with equal content share one
+    complex."""
     A = M.algebra
-    key = _content_key(M)
-    built = A.presentation_cache.get(key)
-    if built is None:
-        built = A.presentation_cache[key] = _presentation(M)
-    comps, diff = built
-    return ProjComplex(A, comps, {0: diff})
+    key = ("presentation", _content_key(M))
+    T = A.summand_cache.get(key)
+    if T is None:
+        T = A.summand_cache[key] = _presentation(M)
+    return T
 
 
 def _presentation(M: Representation):
-    """The components and the degree-0 differential of the minimal
-    presentation of M."""
+    """The minimal presentation of M, built from its syzygy."""
+    from .complexes import ProjComplex
+
     A = M.algebra
     if M.is_zero():
         raise ValueError("presentation of the zero module is empty")
@@ -566,7 +561,7 @@ def _presentation(M: Representation):
                 if coeff:
                     local[q] = coeff
             diff[h][g] = local
-    return {0: tuple(cover_edges0), 1: tuple(cover_edges1)}, diff
+    return ProjComplex(A, {0: cover_edges0, 1: cover_edges1}, {0: diff})
 
 
 def uniserial_presentation(A: BrauerTreeAlgebra, top, length):
@@ -636,13 +631,11 @@ def string_letters_valid(A: BrauerTreeAlgebra, letters) -> str | None:
     return None
 
 
-def string_rep(A: BrauerTreeAlgebra, letters, edge=None) -> Representation:
-    """String module of a reduced walk.  letters is a list of
-    (arrow, +1 or -1); the empty walk needs `edge` and gives the simple."""
+def string_rep(A: BrauerTreeAlgebra, letters) -> Representation:
+    """String module of a nonempty reduced walk.  letters is a list of
+    (arrow, +1 or -1); the empty walk at an edge gives its simple_rep."""
     if not letters:
-        if edge is None:
-            raise ValueError("the empty walk needs an edge")
-        return simple_rep(A, edge)
+        raise ValueError("the empty walk is a simple module: use simple_rep")
     msg = string_letters_valid(A, letters)
     if msg is not None:
         raise ValueError(f"invalid string walk: {msg}")

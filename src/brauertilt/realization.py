@@ -15,7 +15,7 @@ reproduces the input.
 
 from __future__ import annotations
 
-from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, star_algebra
+from .algebra import BrauerTreeAlgebra, star_algebra
 from .complexes import ProjComplex, direct_sum, stalk_complex
 from .modules import uniserial_presentation
 from .tilting import is_tilting
@@ -79,18 +79,18 @@ def realize(
     tree: BrauerTree,
     A: BrauerTreeAlgebra | None = None,
     stalk_degree: int = 0,
-    prime: int | None = None,
 ) -> ProjComplex:
     """Two-term tilting complex over the star algebra of type
     (n, multiplicity) whose endomorphism Brauer tree is the given tree.
 
     stalk_degree 0 is the primary construction; stalk_degree 1 builds the
     mirrored variant with all projective stalks in the upper degree.
+    Without A the star algebra is built at the default prime.
     """
     if stalk_degree not in (0, 1):
         raise ValueError("stalk_degree must be 0 or 1")
     if A is None:
-        A = star_algebra(tree.n, tree.multiplicity, prime or DEFAULT_PRIME)
+        A = star_algebra(tree.n, tree.multiplicity)
     else:
         A.require_star()
         if A.n != tree.n or A.tree.multiplicity != tree.multiplicity:

@@ -13,7 +13,6 @@ from . import linalg
 from .complexes import ProjComplex, hom_complex_dim
 from .modules import (
     Representation,
-    has_projective_summand,
     hom_dim,
     min_proj_presentation,
     projective_rep,
@@ -102,39 +101,28 @@ def hom_to_module(T: ProjComplex, M: Representation) -> int:
     return dim_maps - linalg.rank(linalg.SparseRows(rows, cols), p)
 
 
-def module_partial_tilting_test(
-    M: Representation, presentation: ProjComplex | None = None
-) -> bool:
+def module_partial_tilting_test(M: Representation) -> bool:
     """Decide partial tilting of the minimal presentation from module data
-    alone: no maps M -> second syzygy and no chain maps onto M.
-
-    A caller that already holds min_proj_presentation(M) may pass it, so
-    it is not built twice; only the maps onto M are read from it.
+    alone: no maps M -> second syzygy and no chain maps onto M.  A module
+    with a projective summand is refused by `syzygy`; only the maps onto M
+    are read from the (interned) presentation.
     """
     if M.is_zero():
         raise ValueError("zero module")
-    if has_projective_summand(M):
-        raise ValueError("module has a projective direct summand")
-    omega2 = second_syzygy(M, _check=False)
-    if not omega2.is_zero() and hom_dim(M, omega2) != 0:
+    if hom_dim(M, second_syzygy(M)) != 0:
         return False
-    T = presentation if presentation is not None else min_proj_presentation(M)
-    return hom_to_module(T, M) == 0
+    return hom_to_module(min_proj_presentation(M), M) == 0
 
 
-def stalk_orthogonality_test(
-    M: Representation, edge, degree: int, check_precondition: bool = True
-) -> bool:
+def stalk_orthogonality_test(M: Representation, edge, degree: int) -> bool:
     """Whether the stalk of P_edge (at the given degree of a two-term
-    presentation) can join the minimal presentation of M in a partial
-    tilting complex."""
+    presentation) can join the minimal presentation of M, which must be
+    partial tilting, in a partial tilting complex."""
     if degree not in (0, 1):
         raise ValueError("degree must be 0 or 1")
-    if check_precondition and not is_partial_tilting(min_proj_presentation(M)):
+    if not is_partial_tilting(min_proj_presentation(M)):
         raise ValueError("minimal presentation of M is not partial tilting")
     A = M.algebra
     P = projective_rep(A, edge)
-    N = M if degree == 0 else second_syzygy(M, _check=False)
-    if N.is_zero():
-        return True
+    N = M if degree == 0 else second_syzygy(M)
     return hom_dim(N, P) == 0 and hom_dim(P, N) == 0

@@ -135,19 +135,17 @@ class BrauerTree:
 
     # -- isomorphism -------------------------------------------------------------
 
-    def canonical_key(self, respect_exceptional: bool | None = None):
+    def canonical_key(self):
         """Canonical form; equal keys mean isomorphic trees with matching
-        cyclic orders (and matching exceptional vertex when respected).
+        cyclic orders, and with matching exceptional vertex when the
+        multiplicity is at least 2, where the mark changes the algebra.
 
-        By default the exceptional mark is compared only when the
-        multiplicity is at least 2, where it changes the algebra.  The key
-        is the least code over the roots and the rotations at the root; the
-        code of the subtree entered through edge e at vertex v lists its
-        children in cyclic order after e, and is computed once per call.
+        The key is the least code over the roots and the rotations at the
+        root; the code of the subtree entered through edge e at vertex v
+        lists its children in cyclic order after e, and is computed once
+        per call.
         """
-        if respect_exceptional is None:
-            respect_exceptional = self.multiplicity >= 2
-        marked = {self.exceptional} if respect_exceptional else set()
+        marked = {self.exceptional} if self.multiplicity >= 2 else set()
         memo = {}
 
         def code(v, in_edge):
@@ -169,10 +167,8 @@ class BrauerTree:
         key = min(root_code(v) for v in self.vertices)
         return (self.n, self.multiplicity, key)
 
-    def is_isomorphic_to(self, other: "BrauerTree", respect_exceptional=None) -> bool:
-        return self.canonical_key(respect_exceptional) == other.canonical_key(
-            respect_exceptional
-        )
+    def is_isomorphic_to(self, other: "BrauerTree") -> bool:
+        return self.canonical_key() == other.canonical_key()
 
 
 def _labeled_trees(num_vertices: int):

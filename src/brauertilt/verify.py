@@ -75,7 +75,7 @@ def _tree_algebras(n, k, prime):
 # -- suites ----------------------------------------------------------------------------
 
 
-def suite_presentation_criterion(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_presentation_criterion(prime) -> SuiteResult:
     """The module-level partial tilting test agrees with the chain-map
     decision for every indecomposable nonprojective module over the test
     algebras (stars up to (5,3), multiplicity-1 trees up to 4 edges)."""
@@ -89,9 +89,8 @@ def suite_presentation_criterion(prime=DEFAULT_PRIME) -> SuiteResult:
         for label, M in enumerate_indecomposables(A):
             if label[0] == "projective":
                 continue
-            T = min_proj_presentation(M)
-            by_module = module_partial_tilting_test(M, presentation=T)
-            by_chain = is_partial_tilting(T, direct=True)
+            by_module = module_partial_tilting_test(M)
+            by_chain = is_partial_tilting(min_proj_presentation(M), direct=True)
             entries.append((name, label, by_module))
             if by_module != by_chain:
                 failures.append((name, label, by_module, by_chain))
@@ -105,7 +104,7 @@ def suite_presentation_criterion(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_socle_quotient(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_socle_quotient(prime) -> SuiteResult:
     """Over every multiplicity-1 tree algebra with up to 4 edges, exactly
     the n modules P/soc(P) fail partial tilting."""
     failures = []
@@ -139,7 +138,7 @@ def suite_socle_quotient(prime=DEFAULT_PRIME) -> SuiteResult:
     return SuiteResult("socle-quotient", not failures, lines, failures, tuple(entries))
 
 
-def suite_length_bound(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_length_bound(prime) -> SuiteResult:
     """Over star(n,k) for n <= 5, k <= 3, the presentation of a uniserial
     is partial tilting exactly when its length is below n."""
     failures = []
@@ -158,6 +157,8 @@ def suite_length_bound(prime=DEFAULT_PRIME) -> SuiteResult:
 
 
 def _duality_corpus(prime):
+    """Each uniserial presentation and stalk over four small stars, each
+    pair of them, and overlapping triples of star(3, 1)'s."""
     corpus = []
     for n, k in [(2, 1), (3, 1), (2, 2), (3, 2)]:
         A = _star(n, k, prime)
@@ -165,19 +166,17 @@ def _duality_corpus(prime):
             uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)
         ]
         parts += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
-        singles = list(parts)
-        corpus.extend(singles)
+        corpus.extend(parts)
         for a, b in combinations_with_replacement(range(len(parts)), 2):
             corpus.append(direct_sum([parts[a], parts[b]]))
-    A = _star(3, 1, prime)
-    parts = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, 4)]
-    parts += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
-    for t in range(0, len(parts) - 2, 2):
-        corpus.append(direct_sum([parts[t], parts[t + 1], parts[t + 2]]))
+        if (n, k) == (3, 1):
+            star31 = parts
+    for t in range(0, len(star31) - 2, 2):
+        corpus.append(direct_sum(star31[t : t + 3]))
     return corpus
 
 
-def suite_shift_duality(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_shift_duality(prime) -> SuiteResult:
     """dim Hom(T, T[1]) = dim Hom(T, T[-1]) across the assembled corpus
     (the algebras are symmetric).  Both sides are computed directly: this
     is the check on the duality that is_partial_tilting, tilting_catalog
@@ -208,7 +207,7 @@ def _brute(n, k, prime):
     return _ALGEBRAS[key]
 
 
-def suite_covering_bijection(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_covering_bijection(prime) -> SuiteResult:
     """Coverings biject with the basic two-term tilting complexes other
     than A and A[-1], checked against the exhaustive search oracle."""
     failures = []
@@ -239,7 +238,7 @@ def suite_covering_bijection(prime=DEFAULT_PRIME) -> SuiteResult:
     return SuiteResult("covering-bijection", not failures, lines, failures, tuple(entries))
 
 
-def suite_hom_tables(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_hom_tables(prime) -> SuiteResult:
     """Hom dimensions at shift zero between summand types reproduce the
     five presentation-pair cases, both mixed values and both stalk values,
     over star(4,1), star(5,1) and star(3,2)."""
@@ -301,7 +300,7 @@ def suite_hom_tables(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_euler_pairing(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_euler_pairing(prime) -> SuiteResult:
     """The alternating-sum pairing equals the shift-zero Hom dimension on
     every summand pair of every enumerated tilting complex."""
     failures = []
@@ -330,7 +329,7 @@ LINE_EXAMPLE_GOLDEN = {
 }
 
 
-def suite_line_example(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_line_example(prime) -> SuiteResult:
     """The worked 4-gon covering: summand list, endomorphism quiver
     d <-> a <-> b <-> c and the 4-edge line Brauer graph."""
     failures = []
@@ -376,7 +375,7 @@ def suite_line_example(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_realization_roundtrip(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_realization_roundtrip(prime) -> SuiteResult:
     """Every Brauer tree with up to 4 edges and multiplicity 1 or 2 is
     recovered from the endomorphism ring of its realization, for both
     stalk placements."""
@@ -398,7 +397,7 @@ def suite_realization_roundtrip(prime=DEFAULT_PRIME) -> SuiteResult:
     )
 
 
-def suite_star_autoequivalences(prime=DEFAULT_PRIME) -> SuiteResult:
+def suite_star_autoequivalences(prime) -> SuiteResult:
     """For multiplicity 1 exactly 2n nontrivial coverings give an
     endomorphism ring isomorphic to the star (plus the trivial covering);
     for multiplicity 2 only the trivial covering does."""
@@ -449,15 +448,14 @@ def run_suite(name: str, prime: int = DEFAULT_PRIME) -> SuiteResult:
     return _MEMO[key]
 
 
-def field_independence(names=None, primes=FIELD_PRIMES):
-    """Fingerprints of the suites across the given primes; returns
+def field_independence():
+    """Fingerprints of every suite at each of FIELD_PRIMES; returns
     (ok, per-suite fingerprint table)."""
-    names = list(names or SUITES)
     table = {}
     ok = True
-    for name in names:
+    for name in SUITES:
         prints = []
-        for p in primes:
+        for p in FIELD_PRIMES:
             res = run_suite(name, prime=p)
             prints.append(res.fingerprint)
             ok = ok and res.ok

@@ -23,6 +23,7 @@ from brauertilt.modules import (
     min_proj_presentation,
     projective_sum,
     quotient_representation,
+    simple_rep,
     string_rep,
     uniserial_presentation,
     uniserial_rep,
@@ -112,11 +113,10 @@ def is_module_map(f: ModuleMap) -> bool:
 
 
 def named_presentation(M: Representation, name) -> ProjComplex:
-    """min_proj_presentation(M) named `name`, set before its summand label
-    is first read."""
+    """A copy of min_proj_presentation(M) named `name`; the interned
+    presentation itself keeps no name."""
     T = min_proj_presentation(M)
-    T.name = name
-    return T
+    return ProjComplex(M.algebra, T.comps, T.diffs, name=name)
 
 
 # -- complexes -------------------------------------------------------------------
@@ -219,7 +219,7 @@ def module_from_json(A, doc) -> Representation:
             letters.append((A.arrows[abs(w) - 1], 1 if w > 0 else -1))
         if letters:
             return string_rep(A, letters)
-        return string_rep(A, [], edge=_need(s, "edge", "$.string"))
+        return simple_rep(A, _need(s, "edge", "$.string"))
     raise SchemaError("$", "expected 'uniserial' or 'string'")
 
 

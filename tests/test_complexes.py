@@ -247,7 +247,7 @@ def test_algebra_complex_and_shift():
     assert TA.comps == {0: (1, 2)}
     shifted = algebra_complex(A, 1)
     assert shifted.comps == {1: (1, 2)}
-    assert [l.degree for l in shifted.labels] == [1, 1]
+    assert [l.key[2] for l in shifted.labels] == [1, 1]
 
 
 def test_chain_map_space_consistency():

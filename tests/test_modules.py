@@ -98,7 +98,7 @@ def test_second_syzygy_shift_formula():
                 expected = uniserial_rep(
                     A, UniserialSpec((top - 2) % n + 1, l)
                 )
-                assert is_isomorphic(second_syzygy(M, _check=False), expected)
+                assert is_isomorphic(second_syzygy(M), expected)
 
 
 def test_presentation_cokernel_is_the_module():
@@ -700,8 +700,8 @@ def test_uniserial_presentation_keeps_the_generic_errors():
 
 def test_star_summands_run_no_elimination(monkeypatch):
     """Every uniserial presentation and every stalk over a fresh
-    star(10, 3) is read off the star: no linalg.rref call, and the syzygy
-    and presentation memos stay empty."""
+    star(10, 3) is read off the star: no linalg.rref call, no syzygy is
+    memoized and no module presentation is interned."""
     A = star_algebra(10, 3)
     calls = counting_rref(monkeypatch)
     for top in A.edges:
@@ -710,7 +710,8 @@ def test_star_summands_run_no_elimination(monkeypatch):
         for degree in (0, 1):
             stalk_complex(A, top, degree)
     assert calls == []
-    assert A.syzygy_cache == {} and A.presentation_cache == {}
+    assert A.syzygy_cache == {}
+    assert {key[0] for key in A.summand_cache} == {"uniserial", "stalk"}
 
 
 def _content(M):
@@ -790,18 +791,19 @@ def test_presentation_and_criterion_compute_each_syzygy_once(monkeypatch):
     monkeypatch.setattr(modules, "projective_cover", counting_cover)
     catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
     for M in catalogue:
-        module_partial_tilting_test(M, presentation=min_proj_presentation(M))
+        min_proj_presentation(M)
+        module_partial_tilting_test(M)
     assert len(covered) == len(set(covered)) < 3 * len(catalogue)
     assert {_content(M) for M in catalogue} <= set(covered)
 
 
 def test_presentation_is_built_once_per_module_content(monkeypatch):
-    """min_proj_presentation builds a presentation's components and
-    differential once per module content: asked again for copies of the
-    star(4, 2) catalogue, and of a multiplicity-1 tree's, it spins no top
-    generators, yet each call returns a fresh complex with the caller's
-    label, equal to a presentation built on a fresh algebra and sharing no
-    entry with the earlier one."""
+    """min_proj_presentation builds a presentation once per module
+    content: asked again for copies of the star(4, 2) catalogue, and of a
+    multiplicity-1 tree's, it spins no top generators and returns the
+    interned complex, equal to a presentation built on a fresh algebra.
+    A named copy (reference.named_presentation) carries its own label and
+    leaves the interned complex unnamed."""
     tops = []
     original = Representation.top_generators
 
@@ -813,22 +815,45 @@ def test_presentation_is_built_once_per_module_content(monkeypatch):
     for A in (star_algebra(4, 2), build_tree_algebra(all_brauer_trees(4, 1)[1])):
         catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
         tops.clear()
-        first = [named_presentation(M, ("first", i)) for i, M in enumerate(catalogue)]
+        first = [min_proj_presentation(M) for M in catalogue]
         assert 0 < len(tops) <= 2 * len(catalogue)
         tops.clear()
-        again = [named_presentation(Representation(A, M.dims, M.act), ("again", i))
-                 for i, M in enumerate(catalogue)]
+        again = [min_proj_presentation(Representation(A, M.dims, M.act)) for M in catalogue]
+        named = [named_presentation(M, ("named", i)) for i, M in enumerate(catalogue)]
         assert tops == []
         fresh = build_tree_algebra(A.tree, A.prime)
-        for i, (T, U, M) in enumerate(zip(first, again, catalogue)):
-            assert U is not T and U.name == ("again", i) and T.name == ("first", i)
-            assert U.summand.key == ("pres", ("again", i))
-            assert U.comps == T.comps and U.diffs == T.diffs
-            assert not {id(x) for row in U.diffs[0] for x in row} & {
-                id(x) for row in T.diffs[0] for x in row}
+        for i, (T, U, N, M) in enumerate(zip(first, again, named, catalogue)):
+            assert U is T and T.name is None
+            assert N is not T and N.summand.key == ("pres", ("named", i))
+            assert N.comps == T.comps and N.diffs == T.diffs
             want = min_proj_presentation(Representation(fresh, M.dims, M.act))
-            assert U.comps == want.comps and U.diffs == want.diffs
+            assert want is not T and T.comps == want.comps and T.diffs == want.diffs
     with pytest.raises(ValueError, match="projective direct summand"):
         min_proj_presentation(projective_rep(A, A.edges[0]))
     with pytest.raises(ValueError, match="zero module"):
         min_proj_presentation(Representation(A, [0] * A.n, {}))
+
+
+def test_presentation_is_interned_per_content(monkeypatch):
+    """Over one algebra, a module and a copy of its content share one
+    presentation, built by one `_presentation` call."""
+    A = star_algebra(3, 2)
+    built = []
+    original = modules._presentation
+    monkeypatch.setattr(modules, "_presentation", lambda M: built.append(M) or original(M))
+    catalogue = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+    for M in catalogue:
+        assert min_proj_presentation(M) is min_proj_presentation(Representation(A, M.dims, M.act))
+    assert len(built) == len(catalogue)
+
+
+def test_syzygies_refuse_a_projective_summand():
+    """A module with a projective summand has no second syzygy here, and
+    the module criterion refuses it through `syzygy`."""
+    A = star_algebra(3, 1)
+    M = direct_sum_rep(projective_rep(A, 1), simple_rep(A, 2))
+    assert has_projective_summand(M)
+    with pytest.raises(ValueError, match="projective direct summand"):
+        second_syzygy(M)
+    with pytest.raises(ValueError, match="projective direct summand"):
+        module_partial_tilting_test(M)

@@ -49,16 +49,16 @@ def test_four_line_labels_and_realization():
 
 def test_realize_star_is_algebra():
     T = realize(BrauerTree.star(4, 2))
-    assert all(l.kind == "stalk" and l.degree == 0 for l in T.labels)
+    assert all(l.kind == "stalk" and l.key[2] == 0 for l in T.labels)
     T1 = realize(BrauerTree.star(3, 1), stalk_degree=1)
-    assert all(l.kind == "stalk" and l.degree == 1 for l in T1.labels)
+    assert all(l.kind == "stalk" and l.key[2] == 1 for l in T1.labels)
 
 
 def test_realize_uniform_stalk_degree_and_count():
     for t in all_brauer_trees(3, 2):
         T = realize(t)
         assert len(T.labels) == 3
-        assert {l.degree for l in T.labels if l.kind == "stalk"} == {0}
+        assert {l.key[2] for l in T.labels if l.kind == "stalk"} == {0}
 
 
 def test_roundtrip_with_exceptional_placement():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import complexes, linalg, tilting
+from brauertilt import complexes, linalg, modules
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ProjComplex,
@@ -123,16 +123,17 @@ def test_partial_tilting_classes_distinct_on_trees():
 
 
 def test_module_criterion_reads_a_given_presentation(monkeypatch):
+    """Once the module criterion has built a module's presentation, it
+    reads the interned complex again and builds none."""
     A = star_algebra(3, 2)
-    modules = nonprojective_indecomposables(3, 2, A.prime)
-    expected = [module_partial_tilting_test(M) for M in modules]
-    presentations = [min_proj_presentation(M) for M in modules]
+    catalogue = nonprojective_indecomposables(3, 2, A.prime)
+    expected = [module_partial_tilting_test(M) for M in catalogue]
 
     def refuse(M):
         raise AssertionError("presentation built again")
 
-    monkeypatch.setattr(tilting, "min_proj_presentation", refuse)
-    got = [module_partial_tilting_test(M, presentation=T) for M, T in zip(modules, presentations)]
+    monkeypatch.setattr(modules, "_presentation", refuse)
+    got = [module_partial_tilting_test(M) for M in catalogue]
     assert got == expected
     assert True in got and False in got
 
@@ -168,7 +169,7 @@ def test_stalk_orthogonality():
     A5 = star_algebra(5, 1)
     M = uniserial_rep(A5, UniserialSpec(3, 2))  # factors (3, 2)
     for m in A5.edges:
-        assert stalk_orthogonality_test(M, m, 0, check_precondition=False) == (
+        assert stalk_orthogonality_test(M, m, 0) == (
             m not in (3, 2)
         )
 
@@ -180,7 +181,7 @@ def test_stalk_membership_matches_chain_maps():
         T = pres(A, top, 2)
         for m in A.edges:
             for d in (0, 1):
-                by_module = stalk_orthogonality_test(M, m, d, check_precondition=False)
+                by_module = stalk_orthogonality_test(M, m, d)
                 S = stalk_complex(A, m, d)
                 by_chain = all(
                     hom_complex_dim(X, Y, s, direct=True) == 0

@@ -58,7 +58,6 @@ def test_exceptional_respected_for_higher_multiplicity():
     assert not mid.is_isomorphic_to(end)
     # with multiplicity 1 the mark is immaterial
     assert line_tree(2, 1, 1).is_isomorphic_to(line_tree(2, 0, 1))
-    assert mid.is_isomorphic_to(end, respect_exceptional=False)
 
 
 def test_enumeration_counts():
@@ -92,10 +91,9 @@ def reference_encode(tree, v, in_edge, marked):
     )
 
 
-def reference_key(tree, respect_exceptional=None):
-    if respect_exceptional is None:
-        respect_exceptional = tree.multiplicity >= 2
-    key = min(reference_encode(tree, v, None, respect_exceptional) for v in tree.vertices)
+def reference_key(tree):
+    marked = tree.multiplicity >= 2
+    key = min(reference_encode(tree, v, None, marked) for v in tree.vertices)
     return (tree.n, tree.multiplicity, key)
 
 
@@ -170,6 +168,6 @@ def brauer_trees(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(brauer_trees(), st.sampled_from([None, True, False]))
-def test_canonical_key_equals_reference(tree, respect):
-    assert tree.canonical_key(respect) == reference_key(tree, respect)
+@given(brauer_trees())
+def test_canonical_key_equals_reference(tree):
+    assert tree.canonical_key() == reference_key(tree)
