@@ -340,7 +340,7 @@ class BrauerTreeAlgebra:
         if not self.is_canonical_star:
             raise ValueError("operation requires the canonical Brauer star algebra")
 
-    def star_next(self, edge, steps=1):
+    def star_next(self, edge, steps):
         """Edge label shifted by +steps around the star (labels 1..n)."""
         return (edge - 1 + steps) % self.n + 1
 

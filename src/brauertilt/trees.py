@@ -221,6 +221,22 @@ def _shape_code(adj) -> tuple:
     return min(ahu(v, None) for v in layer)
 
 
+def _shape_count(num_vertices: int) -> int:
+    """Number of unlabeled trees on num_vertices vertices (OEIS A000055):
+    every shape grows from the single vertex one leaf at a time, so the
+    shapes of each size are those of the size before with one leaf added
+    anywhere, deduplicated by `_shape_code`."""
+    shapes = [[[]]]
+    for size in range(1, num_vertices):
+        grown = {}
+        for adj in shapes:
+            for v in range(size):
+                bigger = [ws + [size] if w == v else ws for w, ws in enumerate(adj)] + [[v]]
+                grown.setdefault(_shape_code(bigger), bigger)
+        shapes = list(grown.values())
+    return len(shapes)
+
+
 def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
     """Representatives of every isomorphism class of Brauer trees with n
     edges and the given multiplicity (shape, cyclic orders and, for
@@ -236,8 +252,14 @@ def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
       isomorphism onto the earlier tree carries each of its cyclic orders
       and exceptional placements onto one already met there;
     - at multiplicity 1, every exceptional vertex but 0, since the key
-      ignores the mark there and 0 is the placement met first.
+      ignores the mark there and 0 is the placement met first;
+    - every labeled tree after the one that brings the count of shapes met
+      up to the number of unlabeled trees on n + 1 vertices, since each
+      later tree has a shape met earlier and falls under the first rule.
     """
+    if n < 1 or multiplicity < 1:
+        raise ValueError("a census needs n >= 1 edges and multiplicity >= 1")
+    total = _shape_count(n + 1)
     placements = range(n + 1) if multiplicity >= 2 else (0,)
     shapes = set()
     seen = {}
@@ -264,4 +286,6 @@ def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
             for exc in placements:
                 tree = BrauerTree(range(n + 1), edges, cyclic, exc, multiplicity)
                 seen.setdefault(tree.canonical_key(), tree)
+        if len(shapes) == total:
+            break
     return [seen[k] for k in sorted(seen)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauertilt import trees
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
 
@@ -68,6 +69,35 @@ def test_enumeration_counts():
     assert len(all_brauer_trees(2, 2)) == 2
     for t in all_brauer_trees(4, 2):
         assert t.n == 4 and t.multiplicity == 2
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (-1, 1), (3, 0)])
+def test_enumeration_rejects_bad_sizes(n, k):
+    with pytest.raises(ValueError):
+        all_brauer_trees(n, k)
+
+
+def test_shape_count_is_the_number_of_unlabeled_trees():
+    # OEIS A000055 for 1..12 vertices
+    a000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    assert [trees._shape_count(v) for v in range(1, 13)] == a000055
+
+
+@pytest.mark.parametrize("n, k, read", [(5, 1, 52), (5, 2, 52), (4, 1, 8)])
+def test_enumeration_stops_once_every_shape_is_met(monkeypatch, n, k, read):
+    # the last new shape is the path, Prufer sequence (0, 1, ..., n - 2)
+    labeled = trees._labeled_trees
+    count = 0
+
+    def counted(num_vertices):
+        nonlocal count
+        for edge_list in labeled(num_vertices):
+            count += 1
+            yield edge_list
+
+    monkeypatch.setattr(trees, "_labeled_trees", counted)
+    all_brauer_trees(n, k)
+    assert count == read
 
 
 # -- reference implementations: the full sweep and a memo-free key ----------------
@@ -141,7 +171,7 @@ def representation(trees):
 
 
 @pytest.mark.parametrize(
-    "n, k", [(n, k) for n in range(1, 5) for k in (1, 2, 3)] + [(5, 1)]
+    "n, k", [(n, k) for n in range(1, 5) for k in (1, 2, 3)] + [(5, 1), (5, 2)]
 )
 def test_enumeration_keeps_the_full_sweep_representatives(n, k):
     assert representation(all_brauer_trees(n, k)) == representation(
@@ -152,6 +182,11 @@ def test_enumeration_keeps_the_full_sweep_representatives(n, k):
 def test_enumeration_counts_six_edges():
     assert len(all_brauer_trees(6, 1)) == 14  # OEIS A002995
     assert len(all_brauer_trees(6, 2)) == 80  # OEIS A003239
+
+
+def test_enumeration_counts_seven_edges():
+    assert len(all_brauer_trees(7, 1)) == 34  # OEIS A002995
+    assert len(all_brauer_trees(7, 2)) == 246  # OEIS A003239
 
 
 @st.composite
