@@ -59,7 +59,7 @@ class ProjComplex:
     def __init__(self, algebra: BrauerTreeAlgebra, comps, diffs, name=None):
         self._adopt(algebra, comps, {}, name, None)
         for d, mat in diffs.items():
-            d = int(d)
+            d = _degree(d)
             self.diffs[d] = _checked(algebra, mat, self.slots(d), self.slots(d + 1),
                                      f"differential at degree {d}")
         self._validate()
@@ -68,7 +68,7 @@ class ProjComplex:
         """Set every field of the complex, holding grid as its
         differentials as it is."""
         self.algebra = algebra
-        self.comps = {int(d): tuple(c) for d, c in comps.items() if len(c) > 0}
+        self.comps = {_degree(d): tuple(c) for d, c in comps.items() if len(c) > 0}
         self.diffs = grid
         self.name = name
         self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
@@ -173,6 +173,18 @@ class ProjComplex:
         return " + ".join(l.display() for l in self.labels)
 
 
+def _degree(d) -> int:
+    """The degree d as an int: d is an integer, or the digit string of a
+    JSON key.  Raises ValueError for any other value, such as 1.5."""
+    try:
+        n = int(d)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or n != d and str(n) != d:
+        raise ValueError(f"degree {d!r} is not an integer")
+    return n
+
+
 def _checked(A: BrauerTreeAlgebra, mat, src, tgt, what: str) -> list:
     """A copy of the path-element matrix mat from the slots src to the slots
     tgt, stored as rows over tgt.  Raises ValueError unless it has that
@@ -221,12 +233,12 @@ def _product(A: BrauerTreeAlgebra, first, then, width: int) -> list:
 
 def stalk_complex(A: BrauerTreeAlgebra, edge, degree=0) -> ProjComplex:
     """P_edge in that degree, built once per algebra (A.summand_cache)."""
-    key = ("stalk", edge, degree)
+    key = ("stalk", edge, _degree(degree))
     P = A.summand_cache.get(key)
     if P is None:
         if edge not in A.eidx:
             raise ValueError(f"unknown edge {edge}")
-        P = A.summand_cache[key] = ProjComplex(A, {degree: (edge,)}, {})
+        P = A.summand_cache[key] = ProjComplex(A, {key[2]: (edge,)}, {})
     return P
 
 
@@ -274,7 +286,7 @@ class ChainMap:
         self.Q, self.R, self.s = Q, R, s
         self.comps = {}
         for d, mat in comps.items():
-            d = int(d)
+            d = _degree(d)
             self.comps[d] = _checked(Q.algebra, mat, Q.slots(d), R.slots(d + s),
                                      f"chain map at degree {d}")
 
@@ -341,12 +353,13 @@ class ChainMapSpace:
     every space, dimension 0 included: the null rows in the coordinates of
     chain_basis, eliminated once by their last column, give the quotient
     representatives and the matrix that gives quotient coordinates, which
-    holds chain_basis as its left block.
+    holds chain_basis as its left block.  quotient_coords finds a
+    vector's free columns through a {column: position} map.
 
     When Q and R are sums of parts, the Hom complex is block-diagonal by
-    pairs of parts, so `by_parts` splits one space into the space of each
-    pair of parts, each with the pivots and reduced forms it would get
-    built alone.
+    pairs of parts, and so is every elimination above: the classes of a
+    pair of parts are those of its space built alone, in the same order
+    (EndoAlgebra reads them so).
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -388,53 +401,6 @@ class ChainMapSpace:
         self.dim = self.total - len(self._chain_pivots) - self.null_rank
         self._reduction = None
 
-    def by_parts(self) -> dict[tuple[int, int], "ChainMapSpace"]:
-        """The space from part u of Q to part v of R, keyed (u, v) by their
-        positions in Q.parts and R.parts, split off this space without
-        building it again.
-
-        The differentials of Q and R map each part into itself, so each
-        row of C and N, and each row their elimination makes, lies in the
-        blocks of one pair of parts; those blocks come in the order of the
-        pair's own _block_offsets.  So a pair's rows, renumbered into its
-        own columns, have the pivots and reduced forms of its own space.
-        """
-        Q, R, s = self.Q, self.R, self.s
-        dims = Q.algebra.block_dims
-        offsets = {(u, v): {} for u in range(len(Q.parts)) for v in range(len(R.parts))}
-        totals = dict.fromkeys(offsets, 0)
-        # the pair and the column in the pair's space of each column here
-        pair_of, local, owners = [], [], {}
-        for d, j, i in self.offsets:
-            if d not in owners:
-                owners[d] = (_slot_owners(Q, d), _slot_owners(R, d + s))
-            (u, ii), (v, jj) = owners[d][0][i], owners[d][1][j]
-            start = totals[(u, v)]
-            offsets[(u, v)][(d, jj, ii)] = start
-            size = dims[(Q.slots(d)[i], R.slots(d + s)[j])]
-            totals[(u, v)] = start + size
-            pair_of.extend([(u, v)] * size)
-            local.extend(range(start, start + size))
-
-        def split(ech, pivots):
-            out = {key: ([], []) for key in offsets}
-            for c, row in zip(pivots, ech.rows):
-                rows, at = out[pair_of[c]]
-                rows.append({local[j]: v for j, v in row.items()})
-                at.append(local[c])
-            return out
-
-        chain = split(self._chain_ech, self._chain_pivots)
-        null = split(self._null_ech, self._null_pivots)
-        spaces = {}
-        for (u, v), here in offsets.items():
-            total = totals[(u, v)]
-            sp = spaces[(u, v)] = ChainMapSpace.__new__(ChainMapSpace)
-            sp._adopt(Q.parts[u], R.parts[v], s, (here, total),
-                      *[(linalg.SparseRows(rows, total), at)
-                        for rows, at in (chain[(u, v)], null[(u, v)])])
-        return spaces
-
     @cached_property
     def null_basis(self) -> linalg.SparseRows:
         """Rows form a basis of the null-homotopic maps: the reduced rows
@@ -449,6 +415,11 @@ class ChainMapSpace:
         return linalg.free_columns(self._chain_pivots, self.total)
 
     @cached_property
+    def _free_index(self) -> dict[int, int]:
+        """The position of each free column in free."""
+        return {c: r for r, c in enumerate(self.free)}
+
+    @cached_property
     def chain_basis(self) -> linalg.SparseRows:
         """Rows span the chain maps: the nullspace of the commuting squares,
         one row per free column, 1 there and minus that column of the
@@ -456,21 +427,6 @@ class ChainMapSpace:
         p = self.Q.algebra.prime
         red = linalg.back_substitute(self._chain_ech, self._chain_pivots, p)
         return linalg.kernel_basis(red.rows, self._chain_pivots, self.free, self.total, p)
-
-    # -- conversions ---------------------------------------------------------------
-
-    def vector_of(self, f: ChainMap) -> dict:
-        """The coefficients of f as an {index: value} vector."""
-        A = self.Q.algebra
-        p, vec = A.prime, {}
-        for d, mat in f.comps.items():
-            for j, row in enumerate(mat):
-                for i, entry in enumerate(row):
-                    off = self.offsets[(d, j, i)]
-                    for pc, c in entry.items():
-                        if c % p:
-                            vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % p
-        return vec
 
     def _reduction_data(self):
         """The free columns of C, the chain-basis rows that are independent
@@ -517,19 +473,36 @@ class ChainMapSpace:
     def quotient_coords(self, vecs) -> list[dict]:
         """Coordinates in the homotopy quotient of each chain-map vector
         ({index: value} dict) of vecs."""
-        free, _, both = self._reduction_data()
-        p, total = self.Q.algebra.prime, self.total
+        _, _, both = self._reduction_data()
+        p, total, index = self.Q.algebra.prime, self.total, self._free_index
         out = []
         for vec in vecs:
             vec = {j: x % p for j, x in vec.items() if x % p}
             # one product: the vector again if it is a chain map, then its
             # quotient coordinates
-            prod = linalg.combine({r: vec[c] for r, c in enumerate(free) if c in vec}, both, p)
+            prod = linalg.combine({index[c]: x for c, x in vec.items() if c in index}, both, p)
             coords = {j - total: prod.pop(j) for j in [j for j in prod if j >= total]}
             if prod != vec:
                 raise ValueError("vector is not a chain map")
             out.append(coords)
         return out
+
+
+def map_vector(f: ChainMap, offsets: dict) -> dict:
+    """The coefficients of the chain map f as an {index: value} vector,
+    with the block of its entry from Q_d slot i to R_{d+s} slot j at
+    offsets[(d, j, i)]: a space's offsets, or those of one of its pairs
+    of parts (see EndoAlgebra)."""
+    A = f.Q.algebra
+    p, vec = A.prime, {}
+    for d, mat in f.comps.items():
+        for j, row in enumerate(mat):
+            for i, entry in enumerate(row):
+                off = offsets[(d, j, i)]
+                for pc, c in entry.items():
+                    if c % p:
+                        vec[off + A.block_pos[(pc.start, pc.end)][pc]] = c % p
+    return vec
 
 
 def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: int):
@@ -545,19 +518,6 @@ def _block_offsets(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, shift: 
                 offsets[(d, j, i)] = total
                 total += dims[(a, b)]
     return offsets, total
-
-
-def _slot_owners(X: ProjComplex, d: int) -> list[tuple[int, int]]:
-    """(part, slot within the part) of each slot of X in degree d; the
-    parts must lay out X's slots in order, as direct_sum does."""
-    owners, slots = [], []
-    for u, P in enumerate(X.parts):
-        here = P.slots(d)
-        owners.extend((u, i) for i in range(len(here)))
-        slots.extend(here)
-    if tuple(slots) != X.slots(d):
-        raise ValueError("the parts of the complex do not lay out its slots")
-    return owners
 
 
 def _meets(Q: ProjComplex, R: ProjComplex, shift: int) -> bool:

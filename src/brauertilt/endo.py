@@ -3,9 +3,10 @@ algebra: Cartan matrix, partition of the summands into A-cycles with their
 cyclic orders, and the resulting Brauer tree.
 
 Two independent decoders are provided.  The generic one holds End(T) in
-quotient coordinates with one block-sparse structure tensor per decode
-(EndoAlgebra), built in one pass over the slot triples of T, reads off the
-quiver from the radical modulo its square and traces maximal chains of
+quotient coordinates, the classes of one reduced Hom(T, T) numbered per
+summand pair, with one block-sparse structure tensor per decode
+(EndoAlgebra), built in one pass over the slot triples of T; it reads off
+the quiver from the radical modulo its square and traces maximal chains of
 arrows with nonzero products; every product is a contraction against one
 block of the tensor.  The star fast path groups summands by
 shared components and orders them along the star, with explicit witness
@@ -27,6 +28,7 @@ from .complexes import (
     euler_pairing,
     hom_complex_dim,
     identity_chain_map,
+    map_vector,
 )
 from .tilting import is_tilting
 from .trees import BrauerTree
@@ -202,13 +204,14 @@ def _walk(E: EndoAlgebra, members, wits, start, steps) -> list[dict]:
 class EndoAlgebra:
     """End(T) in quotient coordinates, with one block-sparse structure
     tensor.  Per decode it builds one space Hom(T, T) with the usual
-    ChainMapSpace constructor, on first use, and splits it into the space
-    of each summand pair (u, v) (ChainMapSpace.by_parts): the Hom complex
-    is block-diagonal by summands, so the whole-T pass is forward
-    elimination only, and every reduction stays per pair.  The pairs'
-    dimensions go to A.hom_cache, where endo_cartan finds them.  A pair
-    space's quotient representatives are the basis of block (u, v) of
-    End(T), classes 0, ..., dim(u, v) - 1.
+    ChainMapSpace constructor and reduces it once.  The Hom complex is
+    block-diagonal by summand pairs, so each quotient class of Hom(T, T)
+    lies in one pair (u, v), and the pair's classes, in their order there,
+    are those of ChainMapSpace(T_u, T_v, 0) built alone: the basis of
+    block (u, v) of End(T), classes 0, ..., dim(u, v) - 1.  A class's pair
+    is read off the slots the parts take in T, so the parts must lay out
+    T's slots in order, as direct_sum does.  Every pair's dimension, 0
+    included, goes to A.hom_cache, where endo_cartan finds it.
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
     only where dim(u, v) and dim(v, w) are both nonzero, as sparse rows of
@@ -218,26 +221,52 @@ class EndoAlgebra:
     """
 
     def __init__(self, T: ProjComplex):
-        self.T = T
-        self.p = T.algebra.prime
+        A = T.algebra
+        self.T, self.p = T, A.prime
         self.parts = summand_complexes(T)
-        self.m = len(self.parts)
+        self.m = m = len(self.parts)
+        # the part and the slot within it of each slot of T, per degree
+        self._owner = {}
+        for d in T.degrees():
+            if tuple(a for P in self.parts for a in P.slots(d)) != T.slots(d):
+                raise ValueError("the parts of the complex do not lay out its slots")
+            self._owner[d] = [(u, i) for u, P in enumerate(self.parts)
+                              for i in range(len(P.slots(d)))]
+        self.hom = ChainMapSpace(T, T, 0)
+        # per pair, the offset here of each of its blocks, keyed as in the
+        # pair's own space; and the pair of each column here
+        self._offsets = {(u, v): {} for u in range(m) for v in range(m)}
+        pair_of = []
+        for (d, j, i), off in self.hom.offsets.items():
+            (u, ii), (v, jj) = self._owner[d][i], self._owner[d][j]
+            self._offsets[(u, v)][(d, jj, ii)] = off
+            pair_of.extend([(u, v)] * A.block_dims[(T.slots(d)[i], T.slots(d)[j])])
+        # class q of Hom(T, T) is class _local[q] of its pair, whose
+        # representatives are _reps[pair], in the columns here
+        self._reps = {uv: [] for uv in self._offsets}
+        self._local = []
+        for rep in self.hom._reduction_data()[1].rows:
+            reps = self._reps[pair_of[next(iter(rep))]]
+            self._local.append(len(reps))
+            reps.append(rep)
+        ids = [P.content_id for P in self.parts]
+        for (u, v), reps in self._reps.items():
+            A.hom_cache[(ids[u], ids[v], 0)] = len(reps)
 
-    @cached_property
-    def _spaces(self) -> dict[tuple, ChainMapSpace]:
-        spaces = ChainMapSpace(self.T, self.T, 0).by_parts()
-        cache, ids = self.T.algebra.hom_cache, [P.content_id for P in self.parts]
-        for (u, v), sp in spaces.items():
-            cache[(ids[u], ids[v], 0)] = sp.dim
-        return spaces
+    def dim(self, u, v) -> int:
+        """dim Hom(T_u, T_v) in the homotopy category."""
+        return len(self._reps[(u, v)])
 
-    def space(self, u, v) -> ChainMapSpace:
-        return self._spaces[(u, v)]
+    def _localize(self, coords: dict) -> dict:
+        """Quotient coordinates of Hom(T, T) that lie in one pair,
+        renumbered as that pair's classes."""
+        local = self._local
+        return {local[q]: x for q, x in coords.items()}
 
     def coords(self, u, v, f: ChainMap) -> dict:
         """Quotient coordinates of the chain map f from summand u to v."""
-        sp = self.space(u, v)
-        return sp.quotient_coords([sp.vector_of(f)])[0]
+        vec = map_vector(f, self._offsets[(u, v)])
+        return self._localize(self.hom.quotient_coords([vec])[0])
 
     def products(self, block, xs, ys) -> list[dict]:
         """Row a * len(ys) + b: the class xs[a] followed by the class ys[b],
@@ -246,7 +275,7 @@ class EndoAlgebra:
         table = self.tensor.get(block)
         if table is None:  # dim(u, v) or dim(v, w) is 0: every class is 0
             return [{} for _ in range(len(xs) * len(ys))]
-        width, rows, p = self.space(block[1], block[2]).dim, table.rows, self.p
+        width, rows, p = self.dim(block[1], block[2]), table.rows, self.p
         out = []
         for x in xs:
             for y in ys:
@@ -264,40 +293,39 @@ class EndoAlgebra:
         """The blocks of the structure tensor, built in one pass.
 
         Class i of (u, v) is the chain map reps_uv[i], its quotient
-        representative.  In degree d, for slot I of part u, slot K of part v
-        and slot J of part w, on edges a, b and c, each triple (x, y, r) of
-        A.block_products(a, b, c) pairs coefficient x of the map from I to
-        K, coefficient y of the map from K to J and coefficient r of their
-        product from I to J.  So the chain-map vector of class i followed by
-        class j gets reps_uv[i][F] * reps_vw[j][G] at position H, with F, G
-        and H those coefficients' positions in the three spaces.  One pass
-        over T's slot triples adds up every product vector, and the products
-        with target pair (u, w), stacked over v, are reduced by one
-        quotient_coords on space(u, w), which refuses any that is not a
-        chain map.
+        representative in Hom(T, T).  In degree d, for slots I, K and J of
+        T, in parts u, v and w, on edges a, b and c, each triple (x, y, r)
+        of A.block_products(a, b, c) pairs coefficient x of the map from I
+        to K, coefficient y of the map from K to J and coefficient r of
+        their product from I to J.  So the chain-map vector of class i
+        followed by class j gets reps_uv[i][F] * reps_vw[j][G] at position
+        H, with F, G and H those coefficients' positions in Hom(T, T).  One
+        pass over T's slot triples adds up every product vector, and one
+        quotient_coords on Hom(T, T), which refuses any vector that is not
+        a chain map, reduces them all; the coordinates of a product of
+        block (u, v, w) lie in pair (u, w) and are renumbered as its
+        classes.
         """
-        A, p, m, parts = self.T.algebra, self.p, self.m, self.parts
-        spaces = [[self.space(u, v) for v in range(m)] for u in range(m)]
-        dims = [[sp.dim for sp in row] for row in spaces]
-        reps = {(u, v): spaces[u][v]._reduction_data()[1].rows
-                for u in range(m) for v in range(m) if dims[u][v]}
+        A, m, T = self.T.algebra, self.m, self.T
+        offsets, reps = self.hom.offsets, self._reps
+        dims = [[self.dim(u, v) for v in range(m)] for u in range(m)]
         # the product vectors of block (u, v, w): row i * dim(v, w) + j
         vecs = {(u, v, w): [{} for _ in range(dims[u][v] * dims[v][w])]
                 for u in range(m) for w in range(m) for v in range(m)
                 if dims[u][v] and dims[v][w]}
         products_of = A.block_products
-        for d in self.T.degrees():
-            slots = [(u, i, a) for u, P in enumerate(parts) for i, a in enumerate(P.slots(d))]
+        for d in T.degrees():
+            slots = [(u, i, a) for i, ((u, _), a) in enumerate(zip(self._owner[d], T.slots(d)))]
             for u, i, a in slots:
                 for v, k, b in slots:
                     if not dims[u][v]:
                         continue
-                    xs, f0 = reps[(u, v)], spaces[u][v].offsets[(d, k, i)]
+                    xs, f0 = reps[(u, v)], offsets[(d, k, i)]
                     for w, j, c in slots:
                         if not dims[v][w] or not (found := products_of(a, b, c)):
                             continue
-                        ys, g0 = reps[(v, w)], spaces[v][w].offsets[(d, j, k)]
-                        h0, out, width = spaces[u][w].offsets[(d, j, i)], vecs[(u, v, w)], dims[v][w]
+                        ys, g0 = reps[(v, w)], offsets[(d, j, k)]
+                        h0, out, width = offsets[(d, j, i)], vecs[(u, v, w)], dims[v][w]
                         for x, y, r in found:
                             for ii, rep in enumerate(xs):
                                 f = rep.get(f0 + x)
@@ -308,23 +336,13 @@ class EndoAlgebra:
                                     if g:
                                         row = out[ii * width + jj]
                                         row[h0 + r] = row.get(h0 + r, 0) + f * g
-        tensor = {}
-        for u in range(m):
-            for w in range(m):
-                blocks = [(v, vecs[(u, v, w)]) for v in range(m) if (u, v, w) in vecs]
-                if not blocks:
-                    continue
-                coords = spaces[u][w].quotient_coords(
-                    [row for _, rows in blocks for row in rows])
-                r0 = 0
-                for v, rows in blocks:
-                    tensor[(u, v, w)] = linalg.SparseRows(coords[r0:r0 + len(rows)], dims[u][w])
-                    r0 += len(rows)
-        return tensor
+        coords = iter(self.hom.quotient_coords([row for rows in vecs.values() for row in rows]))
+        return {(u, v, w): linalg.SparseRows([self._localize(next(coords)) for _ in rows], dims[u][w])
+                for (u, v, w), rows in vecs.items()}
 
     def local_radical(self, u) -> linalg.SparseRows:
         """Rows spanning rad End(T_u), read off the block (u, u, u)."""
-        d = self.space(u, u).dim
+        d = self.dim(u, u)
         if d == 1:
             return linalg.SparseRows([], 1)
         p, rows = self.p, self.tensor[(u, u, u)].rows
@@ -410,7 +428,7 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
     k = E.T.algebra.tree.multiplicity
 
     # radical basis per block, in quotient coordinates
-    jbasis = {(u, v): E.local_radical(u) if u == v else linalg.identity(E.space(u, v).dim)
+    jbasis = {(u, v): E.local_radical(u) if u == v else linalg.identity(E.dim(u, v))
               for u in range(m) for v in range(m)}
 
     jsq = _radical_square(E, jbasis)

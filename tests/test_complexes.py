@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,7 @@ from brauertilt.complexes import (
     euler_pairing,
     hom_complex_dim,
     identity_chain_map,
+    map_vector,
     stalk_complex,
 )
 from brauertilt.coverings import covering_to_complex, enumerate_coverings, tilting_catalog
@@ -31,7 +33,7 @@ from reference import basis_maps, map_from_vector, trivial_covering
 
 def is_null_homotopic(sp, f):
     """Whether the chain map f of the space sp is zero modulo homotopy."""
-    return not sp.quotient_coords([sp.vector_of(f)])[0]
+    return not sp.quotient_coords([map_vector(f, sp.offsets)])[0]
 
 
 def kernel_from_rref(red, pivots, p):
@@ -54,6 +56,31 @@ def test_stalk_hom_dims():
         for d in (0, 1):
             assert hom_complex_dim(stalk_complex(A, 1, d), stalk_complex(A, 1, d), 0) == k + 1
             assert hom_complex_dim(stalk_complex(A, 1, d), stalk_complex(A, 2, d), 0) == k
+
+
+@pytest.mark.parametrize("degree", [1.5, "1.5", "x", None], ids=["float", "string", "word", "none"])
+def test_degrees_must_be_integers(degree):
+    """ProjComplex, ChainMap and stalk_complex refuse a degree that is no
+    integer, naming it, where int() would truncate 1.5 to degree 1, and
+    stalk_complex interns nothing for it; integers and the digit strings
+    of JSON keys are read as their integers."""
+    A = star_algebra(3, 1)
+    named = re.escape(f"degree {degree!r} is not an integer")
+    P = stalk_complex(A, 1, 1)
+    interned = set(A.summand_cache)
+    with pytest.raises(ValueError, match=named):
+        ProjComplex(A, {degree: (1,)}, {})
+    with pytest.raises(ValueError, match=named):
+        ProjComplex(A, {0: (2,), 1: (1,)}, {degree: [[{}]]})
+    with pytest.raises(ValueError, match=named):
+        stalk_complex(A, 1, degree)
+    with pytest.raises(ValueError, match=named):
+        ChainMap(P, P, 0, {degree: [[{idempotent(1): 1}]]})
+    assert set(A.summand_cache) == interned
+    assert ProjComplex(A, {"1": (1,)}, {}).comps == P.comps == {1: (1,)}
+    assert ProjComplex(A, {"-1": (1,)}, {}).comps == {-1: (1,)}
+    assert ChainMap(P, P, 0, {"1": [[{idempotent(1): 1}]]}).comps == identity_chain_map(P).comps
+    assert stalk_complex(A, 1, 1) is P
 
 
 def test_disjoint_degrees_vanish():
@@ -317,7 +344,7 @@ def test_null_homotopies_of_three_term_complexes(n, k):
         for R in complexes:
             for s in range(-3, 4):
                 sp = ChainMapSpace(Q, R, s)
-                images = [column(sp.vector_of(_boundary(h)), sp.total)
+                images = [column(map_vector(_boundary(h), sp.offsets), sp.total)
                           for h in _unit_maps(Q, R, s - 1)]
                 images = np.array(images, dtype=np.int64).reshape(len(images), sp.total)
                 assert linalg.rank(images, A.prime) == sp.null_rank
@@ -556,7 +583,7 @@ def test_chain_map_space_properties(nk, data):
     p = U.algebra.prime
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=sp.dim, max_size=sp.dim))
     null_sum = dense(sp.null_basis).sum(axis=0) % p
-    vec = sum((c * column(sp.vector_of(f), sp.total) for c, f in zip(coeffs, maps)), null_sum)
+    vec = sum((c * column(map_vector(f, sp.offsets), sp.total) for c, f in zip(coeffs, maps)), null_sum)
     assert column(sp.quotient_coords([as_dict(vec % p)])[0], sp.dim).tolist() == coeffs
     units = [{j: 1} for j in range(sp.total)]
     outside = [e for e in units if not map_from_vector(sp, e).is_chain_map()]
@@ -586,21 +613,26 @@ def test_chain_map_compose(nk, p, data):
     assert E.parts == [U, V, W]
     u, v, w, x = (data.draw(st.integers(0, 2)) for _ in range(4))
 
-    target = E.space(u, w)
-    width = E.space(v, w).dim
-    block = E.products((u, v, w), linalg.identity(E.space(u, v).dim).rows,
+    def space(a, b):
+        # the pair's space built alone: its classes are those of block (a, b)
+        return ChainMapSpace(E.parts[a], E.parts[b], 0)
+
+    target = space(u, w)
+    width = E.dim(v, w)
+    block = E.products((u, v, w), linalg.identity(E.dim(u, v)).rows,
                        linalg.identity(width).rows)
-    for i, f in enumerate(basis_maps(E.space(u, v))):
-        for j, g in enumerate(basis_maps(E.space(v, w))):
+    for i, f in enumerate(basis_maps(space(u, v))):
+        for j, g in enumerate(basis_maps(space(v, w))):
             comps = {d: _product(A, f.entry(d), g.entry(d), len(E.parts[u].slots(d)))
                      for d in E.parts[u].degrees() if E.parts[w].slots(d)}
-            composite = target.quotient_coords([target.vector_of(ChainMap(f.Q, g.R, 0, comps))])[0]
+            composite = target.quotient_coords([map_vector(ChainMap(f.Q, g.R, 0, comps),
+                                                           target.offsets)])[0]
             want = column(composite, target.dim).tolist()
             assert column(E.tensor[(u, v, w)].rows[i * width + j], target.dim).tolist() == want
             assert column(block[i * width + j], target.dim).tolist() == want
 
     def some_class(a, b):
-        dim = E.space(a, b).dim
+        dim = E.dim(a, b)
         return as_dict(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)))
 
     def compose(s, t, r, y, z):
@@ -613,7 +645,7 @@ def test_chain_map_compose(nk, p, data):
     ab, bc = compose(u, v, w, a, b), compose(v, w, x, b, c)
     assert compose(u, w, x, ab, c) == compose(u, v, x, a, bc)
     for (s, t), coords in (((u, w), ab), ((v, x), bc)):
-        sp = E.space(s, t)
+        sp = space(s, t)
         lift = as_dict(column(coords, sp.dim) @ dense(sp._reduction_data()[1]) % p)
         assert map_from_vector(sp, lift).is_chain_map()
         assert sp.quotient_coords([lift])[0] == coords

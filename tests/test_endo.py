@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -40,7 +41,7 @@ from brauertilt.realization import realize
 from brauertilt.tilting import is_tilting
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
-from dense_reference import dense
+from reference import map_from_vector
 
 
 def line_tree(n, exceptional=0, multiplicity=1):
@@ -169,42 +170,63 @@ def split_cases():
     return cases
 
 
-def test_pair_spaces_split_from_hom_t_t_equal_spaces_built_alone():
-    """Each summand-pair space that EndoAlgebra splits out of Hom(T, T)
-    equals ChainMapSpace(T_u, T_v, 0) built on its own: offsets, total,
-    dim, pivots, both bases, reduced rows and reduction data; its
-    dimension is in hom_cache."""
+def pair_columns(E: EndoAlgebra, u: int, v: int, alone: ChainMapSpace) -> dict:
+    """The column of the pair space `alone` of T_u and T_v that each of
+    its columns of Hom(T, T) is, from the slots the parts before u and v
+    take in each degree."""
+    T, A = E.T, E.T.algebra
+    start = {d: [sum(len(P.slots(d)) for P in E.parts[:x]) for x in (u, v)]
+             for d in T.degrees()}
+    out = {}
+    for (d, j, i), off in alone.offsets.items():
+        here = E.hom.offsets[(d, start[d][1] + j, start[d][0] + i)]
+        size = A.block_dims[(alone.Q.slots(d)[i], alone.R.slots(d)[j])]
+        out.update((here + t, off + t) for t in range(size))
+    return out
+
+
+def test_pair_classes_of_one_hom_t_t_equal_spaces_built_alone():
+    """The classes that EndoAlgebra reads for each summand pair (u, v) off
+    its one reduced Hom(T, T) are those of ChainMapSpace(T_u, T_v, 0)
+    built on its own: the same dimension, also in hom_cache, the same
+    representatives, renumbered into the pair's columns and in the same
+    order, and the same quotient coordinates of random chain maps."""
+    rng = random.Random(0)
     for T in split_cases():
         E = EndoAlgebra(T)
-        cache = T.algebra.hom_cache
+        p, cache = T.algebra.prime, T.algebra.hom_cache
+        reps = E.hom._reduction_data()[1].rows
+        owned = 0
         for u, U in enumerate(E.parts):
             for v, V in enumerate(E.parts):
-                got, alone = E.space(u, v), ChainMapSpace(U, V, 0)
-                assert (got.Q, got.R, got.s) == (U, V, 0)
-                assert got.offsets == alone.offsets and got.total == alone.total
-                assert (got.dim, got.null_rank) == (alone.dim, alone.null_rank)
+                alone = ChainMapSpace(U, V, 0)
+                assert E.dim(u, v) == alone.dim
                 assert cache[(U.content_id, V.content_id, 0)] == alone.dim
-                assert got._chain_pivots == alone._chain_pivots
-                assert got._null_pivots == alone._null_pivots
-                assert dense(got.null_basis).tolist() == dense(alone.null_basis).tolist()
-                assert dense(got.chain_basis).tolist() == dense(alone.chain_basis).tolist()
-                # reading the bases reduced the echelon rows in place
-                assert got._chain_ech.rows == alone._chain_ech.rows
-                assert got._null_ech.rows == alone._null_ech.rows
-                for mine, theirs in zip(got._reduction_data(), alone._reduction_data()):
-                    if isinstance(mine, linalg.SparseRows):
-                        mine, theirs = dense(mine).tolist(), dense(theirs).tolist()
-                    assert mine == theirs
+                columns = pair_columns(E, u, v, alone)
+                # a representative lies in one pair: a column outside it
+                # would raise KeyError
+                mine = [{columns[j]: x for j, x in rep.items()} for rep in reps
+                        if next(iter(rep)) in columns]
+                assert mine == alone._reduction_data()[1].rows
+                owned += len(mine)
+                for _ in range(2):
+                    vec = linalg.combine({r: rng.randrange(p) for r in range(len(alone.free))},
+                                         alone.chain_basis, p)
+                    f = map_from_vector(alone, vec)
+                    assert E.coords(u, v, f) == alone.quotient_coords([vec])[0]
+        assert owned == len(reps)
 
 
 def test_split_refuses_parts_that_do_not_lay_out_the_slots():
+    """The decode reads each class's summand pair off the slots the parts
+    take in T, so parts out of T's slot order are refused."""
     A = star_algebra(3, 1)
     first, second = stalk_complex(A, 1, 0), stalk_complex(A, 2, 0)
     T = direct_sum([first, second])
     swapped = ProjComplex(A, T.comps, T.diffs)
     swapped.parts = (second, first)
     with pytest.raises(ValueError, match="do not lay out"):
-        ChainMapSpace(swapped, swapped, 0).by_parts()
+        EndoAlgebra(swapped)
 
 
 def test_radical_square_shortcut_equals_full_contraction():
@@ -214,7 +236,7 @@ def test_radical_square_shortcut_equals_full_contraction():
     shortcuts = 0
     for T in split_cases():
         E = EndoAlgebra(T)
-        jbasis = {(u, v): E.local_radical(u) if u == v else linalg.identity(E.space(u, v).dim)
+        jbasis = {(u, v): E.local_radical(u) if u == v else linalg.identity(E.dim(u, v))
                   for u in range(E.m) for v in range(E.m)}
         full = {uv: [] for uv in jbasis}
         for (u, v, w), table in E.tensor.items():
@@ -372,7 +394,7 @@ def test_arrow_picker_runs_one_elimination_per_nonzero_block(monkeypatch):
         1
         for u in range(E.m)
         for v in range(E.m)
-        if (E.space(u, v).dim if u != v else E.local_radical(u).height)
+        if (E.dim(u, v) if u != v else E.local_radical(u).height)
     )
     callers = []
     original = linalg.rref
@@ -398,7 +420,7 @@ def test_tensor_stores_the_blocks_with_classes_on_both_sides():
     zero_products = 0
     for T in complexes:
         E = EndoAlgebra(T)
-        dims = {(u, v): E.space(u, v).dim for u in range(E.m) for v in range(E.m)}
+        dims = {(u, v): E.dim(u, v) for u in range(E.m) for v in range(E.m)}
         expected = {(u, v, w) for u, v, w in product(range(E.m), repeat=3)
                     if dims[(u, v)] * dims[(v, w)]}
         assert set(E.tensor) == expected
@@ -412,8 +434,8 @@ def test_tensor_stores_the_blocks_with_classes_on_both_sides():
 
 def test_fast_decode_builds_one_tensor_with_few_reductions(monkeypatch):
     """On the 68 coverings of star(4, 1), method "fast" builds one tensor
-    per decode, and building it reduces at most m^2 stacks of product
-    vectors (one quotient_coords per target summand pair)."""
+    per decode, and building it reduces every product vector in one
+    quotient_coords call on Hom(T, T)."""
     builds, reductions = [], []
     original_tensor = EndoAlgebra.tensor.func
     original_coords = ChainMapSpace.quotient_coords
@@ -440,7 +462,39 @@ def test_fast_decode_builds_one_tensor_with_few_reductions(monkeypatch):
         reductions.clear()
         a_cycle_partition(T, method="fast")
         assert len(builds) == 1
-        assert 0 < len(reductions) <= len(T.parts) ** 2
+        assert reductions == [builds[0].hom]
+
+
+def test_both_decode_builds_and_reduces_one_hom_t_t(monkeypatch):
+    """On the 68 coverings of star(4, 1), a_cycle_partition(T, "both")
+    constructs exactly one ChainMapSpace at shift 0, Hom(T, T), and runs
+    the whole-space reduction (_reduction_data) once, on that space."""
+    spaces, reductions = [], []
+    original_init = ChainMapSpace.__init__
+    original_reduction = ChainMapSpace._reduction_data
+
+    def counting_init(self, Q, R, s):
+        if s == 0:
+            spaces.append(self)
+        original_init(self, Q, R, s)
+
+    def counting_reduction(self):
+        if self._reduction is None:
+            reductions.append(self)
+        return original_reduction(self)
+
+    monkeypatch.setattr(ChainMapSpace, "__init__", counting_init)
+    monkeypatch.setattr(ChainMapSpace, "_reduction_data", counting_reduction)
+    A = star_algebra(4, 1)
+    coverings = enumerate_coverings(4)
+    assert len(coverings) == 68
+    for cov in coverings:
+        T = covering_to_complex(cov, A)
+        spaces.clear()
+        reductions.clear()
+        a_cycle_partition(T, method="both")
+        assert len(spaces) == 1 and (spaces[0].Q, spaces[0].R) == (T, T)
+        assert reductions == spaces
 
 
 def test_end_of_every_covering_of_star_5_1():
