@@ -88,11 +88,7 @@ def cmd_enumerate_tilting(args) -> int:
         out["total_from_coverings"] = len(covs) + 2
         cov_keys = sorted(cov_keys + special)
     if args.mode in ("brute", "both"):
-        try:
-            brute = enumerate_two_term_tilting_bruteforce(A)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        brute = enumerate_two_term_tilting_bruteforce(A)
         brute_keys = sorted(complex_label_key(T) for T in brute)
         out["brute_total"] = len(brute)
     if args.mode == "both":

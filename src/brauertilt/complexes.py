@@ -389,11 +389,6 @@ class ChainMapSpace:
         chain, null = [linalg.echelon(m, p) if m.rows else (m, []) for m in (cmat, nmat)]
         if not _product_vanishes(cmat, nmat, p):
             raise AssertionError("null-homotopic maps escaped the chain-map space")
-        self._adopt(Q, R, s, here, chain, null)
-
-    def _adopt(self, Q, R, s, here, chain, null):
-        """Set every field of the space from its _block_offsets `here` and
-        the echelon forms and pivots of C and N."""
         self.Q, self.R, self.s = Q, R, s
         self.offsets, self.total = here
         (self._chain_ech, self._chain_pivots), (self._null_ech, self._null_pivots) = chain, null

@@ -50,9 +50,15 @@ class CyclicInterval:
         off = (other.start - self.start) % n
         return off + other.size <= self.size
 
-    def disjoint_from(self, other: "CyclicInterval", n: int) -> bool:
+    def nested_or_disjoint(self, other: "CyclicInterval", n: int) -> bool:
+        """Whether the two arcs of the n-gon do not cross: one contains the
+        other or they share no vertex."""
         off = (other.start - self.start) % n
-        return off >= self.size and off + other.size <= n
+        return (
+            self.contains(other, n)
+            or other.contains(self, n)
+            or (off >= self.size and off + other.size <= n)
+        )
 
 
 def interval_module(iv: CyclicInterval, n: int) -> UniserialSpec:
@@ -72,11 +78,7 @@ def compatible_pres(m1: UniserialSpec, m2: UniserialSpec, n: int) -> bool:
             raise ValueError(f"length {m.length} out of range 1..{n - 1}")
     a1 = CyclicInterval(mod1(m1.top - m1.length, n), m1.length + 1)
     a2 = CyclicInterval(mod1(m2.top - m2.length, n), m2.length + 1)
-    return (
-        a1.contains(a2, n)
-        or a2.contains(a1, n)
-        or a1.disjoint_from(a2, n)
-    )
+    return a1.nested_or_disjoint(a2, n)
 
 
 def compatible_stalk(m: UniserialSpec, edge: int, degree: int, n: int) -> bool:
@@ -130,11 +132,7 @@ class Covering:
                 if not o.contains(iv, self.n):
                     raise ValueError(f"inner interval {iv} escapes its outer {o}")
             for u, v in combinations(fam, 2):
-                if not (
-                    u.contains(v, self.n)
-                    or v.contains(u, self.n)
-                    or u.disjoint_from(v, self.n)
-                ):
+                if not u.nested_or_disjoint(v, self.n):
                     raise ValueError(f"inner intervals {u}, {v} cross")
         if sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError("outer intervals do not partition the vertices")
@@ -185,26 +183,16 @@ def covering_to_complex(cov: Covering, A: BrauerTreeAlgebra) -> ProjComplex:
 def _inner_families(size: int):
     """Families of exactly size-2 distinct sub-intervals of a linear window
     of `size` points, each with 2..size-1 points, pairwise nested or
-    disjoint; positions are offsets into the window."""
-    if size == 2:
-        return ((),)
-    cands = [
-        (x, w)
-        for w in range(2, size)
-        for x in range(0, size - w + 1)
-    ]
-
-    def ok(u, v):
-        (x1, w1), (x2, w2) = u, v
-        if x1 + w1 <= x2 or x2 + w2 <= x1:
-            return True
-        return (x1 <= x2 and x2 + w2 <= x1 + w1) or (x2 <= x1 and x1 + w1 <= x2 + w2)
-
-    out = []
-    for combo in combinations(cands, size - 2):
-        if all(ok(u, v) for u, v in combinations(combo, 2)):
-            out.append(tuple(sorted(combo)))
-    return tuple(out)
+    disjoint; each is a CyclicInterval of the window read as a cycle of
+    `size` points 0..size-1, whose start is its offset into the window
+    (sub-intervals of a window never wrap, so they cross as arcs exactly
+    when they cross as segments)."""
+    cands = [CyclicInterval(x, w) for w in range(2, size) for x in range(size - w + 1)]
+    return tuple(
+        tuple(sorted(combo))
+        for combo in combinations(cands, size - 2)
+        if all(u.nested_or_disjoint(v, size) for u, v in combinations(combo, 2))
+    )
 
 
 def _outer_partitions(n: int):
@@ -241,7 +229,7 @@ def enumerate_coverings(n: int) -> list[Covering]:
                 fam_choices.append(
                     tuple(
                         tuple(
-                            CyclicInterval(mod1(o.start + x, n), w) for (x, w) in fam
+                            CyclicInterval(mod1(o.start + iv.start, n), iv.size) for iv in fam
                         )
                         for fam in _inner_families(o.size)
                     )

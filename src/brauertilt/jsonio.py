@@ -74,7 +74,7 @@ def tree_from_json(doc) -> BrauerTree:
         v = int(key) if isinstance(key, str) and key.lstrip("-").isdigit() else key
         if not isinstance(order, list):
             raise SchemaError(f"$.cyclic_order[{key}]", "expected a list of edges")
-        cyclic[v] = tuple(order)
+        cyclic[v] = tuple(_scalar(e, f"$.cyclic_order[{key}][{j}]") for j, e in enumerate(order))
     try:
         return BrauerTree(vertices, edges, cyclic, exceptional, multiplicity)
     except ValueError as exc:

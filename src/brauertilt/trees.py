@@ -62,15 +62,24 @@ class BrauerTree:
             raise ValueError("edge count must be vertex count minus one")
         if self.exceptional not in self.vertices:
             raise ValueError(f"exceptional vertex {self.exceptional} unknown")
+        try:
+            sorted(self.edges)
+        except TypeError:
+            raise ValueError("edge ids cannot be ordered") from None
         incident = {v: [] for v in self.vertices}
         for e, (v, w) in self.edges.items():
             if v == w or v not in incident or w not in incident:
                 raise ValueError(f"edge {e} has invalid endpoints {(v, w)}")
             incident[v].append(e)
             incident[w].append(e)
+        for v in self.cyclic_order:
+            if v not in incident:
+                raise ValueError(f"cyclic order at unknown vertex {v}")
         for v in self.vertices:
-            order = self.cyclic_order.get(v)
-            if order is None or sorted(order) != sorted(incident[v]):
+            # a permutation of the incident edges; counting compares entries
+            # by ==, so an entry that is no edge id is refused, not hashed
+            order = self.cyclic_order.get(v, ())
+            if len(order) != len(incident[v]) or any(order.count(e) != 1 for e in incident[v]):
                 raise ValueError(
                     f"cyclic order at vertex {v} does not match its incident edges"
                 )

@@ -57,6 +57,24 @@ def test_pairwise_compatibility_matches_chain_maps():
                 assert combinatorial == chain, (n, k, s1, s2)
 
 
+@pytest.mark.parametrize("size", range(2, 9))
+def test_nested_or_disjoint_is_the_window_rule(size):
+    """On the sub-intervals (offset, width) of a window of `size` points,
+    read as arcs of a cycle of that many points, nested_or_disjoint is the
+    rule on segments: disjoint, or one inside the other."""
+
+    def segments_ok(x1, w1, x2, w2):
+        if x1 + w1 <= x2 or x2 + w2 <= x1:
+            return True
+        return (x1 <= x2 and x2 + w2 <= x1 + w1) or (x2 <= x1 and x1 + w1 <= x2 + w2)
+
+    subs = [(x, w) for w in range(1, size + 1) for x in range(size - w + 1)]
+    for x1, w1 in subs:
+        for x2, w2 in subs:
+            got = CyclicInterval(x1, w1).nested_or_disjoint(CyclicInterval(x2, w2), size)
+            assert got == segments_ok(x1, w1, x2, w2)
+
+
 def test_covering_validation():
     with pytest.raises(ValueError):
         Covering(3, (CyclicInterval(1, 2),), ((),), "deg0")  # misses vertex 3

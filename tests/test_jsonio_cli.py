@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauertilt import cli
 from brauertilt.algebra import star_algebra
@@ -52,6 +55,62 @@ def test_covering_json_roundtrip():
     cov = covering_from_json(doc)
     assert covering_to_json(cov)["mode"] == "deg0"
     assert covering_from_json(covering_to_json(cov)).sort_key() == cov.sort_key()
+
+
+README_COVERING = {
+    "outer": [{"start": 1, "size": 4}],
+    "inner": {"0": [{"start": 2, "size": 3}, {"start": 2, "size": 2}]},
+    "mode": "deg0",
+}
+VALID_TREE = {"vertices": [0, 1, 2], "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 2]}],
+              "cyclic_order": {"0": [0], "1": [0, 1], "2": [1]}, "exceptional": 0, "multiplicity": 1}
+DELETE = object()
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 3) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
+    st.just(DELETE),
+)
+
+
+def _fields(doc, path=()):
+    """The path of every field below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_documents_are_read_or_refused_with_value_error(data):
+    """A valid tree document and the README covering document with one to
+    three fields replaced by null, a bool, a float, a string, a list or an
+    object, or deleted: the readers return a value or raise ValueError
+    (SchemaError is one), never another exception."""
+    for reader, doc in ((tree_from_json, VALID_TREE), (covering_from_json, README_COVERING)):
+        for _ in range(data.draw(st.integers(1, 3))):
+            fields = list(_fields(doc))
+            if not fields:
+                break
+            doc = _replaced(doc, data.draw(st.sampled_from(fields)), data.draw(JUNK))
+        try:
+            reader(doc)
+        except ValueError:
+            pass
 
 
 def test_module_and_complex_literals():
@@ -148,11 +207,28 @@ MALFORMED = [
      "$.vertices[1]"),
 ]
 
+# the valid 2-edge path, changed in one place each
+PATH_DOC = {"vertices": [0, 1, 2], "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 2]}],
+            "cyclic_order": {"0": [0], "1": [0, 1], "2": [1]}, "exceptional": 0, "multiplicity": 1}
+MALFORMED_PATHS = [
+    ({**PATH_DOC, "cyclic_order": {**PATH_DOC["cyclic_order"], "1": [[0], 1]}},
+     "$.cyclic_order[1][0]"),
+    ({**PATH_DOC, "edges": [{"id": 0, "ends": [0, 1]}, {"id": "x", "ends": [1, 2]}],
+      "cyclic_order": {"0": [0], "1": [0, "x"], "2": ["x"]}},
+     "edge ids cannot be ordered"),
+    ({**PATH_DOC, "cyclic_order": {**PATH_DOC["cyclic_order"], "9": [0, 1]}},
+     "cyclic order at unknown vertex 9"),
+]
+MALFORMED += [(command, doc, where) for command in ("algebra", "realize")
+              for doc, where in MALFORMED_PATHS]
+
 
 @pytest.mark.parametrize(
     "command, doc, where", MALFORMED,
     ids=["outer-int", "inner-list", "start-string", "cyclic-order-list", "directory",
-         "star-bool", "edge-id-list", "end-list", "vertex-list"],
+         "star-bool", "edge-id-list", "end-list", "vertex-list",
+         *(f"{command}-{case}" for command in ("algebra", "realize")
+           for case in ("order-entry-list", "edge-id-string", "order-at-unknown-vertex"))],
 )
 def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, where):
     """Malformed input exits 2, naming where it is wrong, with no traceback

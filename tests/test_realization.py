@@ -1,7 +1,14 @@
+import json
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
+from brauertilt import cli
 from brauertilt.algebra import star_algebra
+from brauertilt.complexes import stalk_complex
 from brauertilt.endo import endo_brauer_tree
+from brauertilt.modules import uniserial_presentation
 from brauertilt.realization import label_brauer_tree, realize
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
@@ -76,3 +83,99 @@ def test_algebra_type_mismatch_rejected():
         realize(line_tree(2), star_algebra(3, 1))
     with pytest.raises(ValueError):
         realize(line_tree(2), stalk_degree=2)
+
+
+@lru_cache(maxsize=None)
+def small_trees():
+    """Every Brauer tree with at most 6 edges at multiplicity 1 and 2."""
+    return [t for n in range(1, 7) for k in (1, 2) for t in all_brauer_trees(n, k)]
+
+
+def rooted(tree):
+    """Read off the tree rooted at its exceptional vertex, independently of
+    the realization: the level of the vertex above each edge, the edge above
+    it (None for a root edge) and the edges of the subtree it heads."""
+    level, above, through = {tree.exceptional: 0}, {}, {tree.exceptional: None}
+    stack = [tree.exceptional]
+    while stack:
+        v = stack.pop()
+        for e in tree.cyclic_order[v]:
+            w = tree.other_end(e, v)
+            if w not in level:
+                level[w] = level[v] + 1
+                above[e] = (level[v], through[v])
+                through[w] = e
+                stack.append(w)
+    subtree = {e: {e} for e in tree.edges}
+    for e in sorted(tree.edges, key=lambda e: -above[e][0]):
+        if above[e][1] is not None:
+            subtree[above[e][1]] |= subtree[e]
+    return above, subtree
+
+
+@pytest.mark.parametrize("stalk_degree", [0, 1])
+def test_labels_are_blocks_with_the_edge_at_the_parity_end(stalk_degree):
+    """(i) the labels are a bijection onto 1..n; (ii) every edge's subtree
+    holds one contiguous block of labels, and the edge sits at its bottom
+    under an even-level vertex (odd-level when mirrored) and at its top
+    otherwise."""
+    for tree in small_trees():
+        labels = label_brauer_tree(tree, mirror=stalk_degree == 1)
+        assert sorted(labels.values()) == list(range(1, tree.n + 1))
+        above, subtree = rooted(tree)
+        for e, (level, _) in above.items():
+            block = sorted(labels[f] for f in subtree[e])
+            assert block == list(range(block[0], block[-1] + 1))
+            at_bottom = (level % 2 == 0) != (stalk_degree == 1)
+            assert labels[e] == (block[0] if at_bottom else block[-1])
+
+
+@pytest.mark.parametrize("stalk_degree", [0, 1])
+def test_parts_are_root_stalks_and_edge_pair_presentations(stalk_degree):
+    """(iii) the parts of realize are the stalks at the root-edge labels,
+    and for each other edge and the edge above it, labelled lo < hi, the
+    presentation of the uniserial with top hi and length hi - lo, which
+    lies in 1..n-1, all in summand-key order."""
+    algebras = {}
+    for tree in small_trees():
+        n = tree.n
+        if (n, tree.multiplicity) not in algebras:
+            algebras[n, tree.multiplicity] = star_algebra(n, tree.multiplicity)
+        A = algebras[n, tree.multiplicity]
+        labels = label_brauer_tree(tree, mirror=stalk_degree == 1)
+        expect = []
+        for e, (_, up) in rooted(tree)[0].items():
+            if up is None:
+                expect.append(stalk_complex(A, labels[e], stalk_degree))
+                continue
+            lo, hi = sorted((labels[e], labels[up]))
+            assert 1 <= hi - lo <= n - 1
+            expect.append(uniserial_presentation(A, hi, hi - lo))
+        expect.sort(key=lambda P: P.summand.key)
+        parts = realize(tree, A, stalk_degree).parts
+        assert len(parts) == n and all(P is Q for P, Q in zip(parts, expect))
+
+
+LINE_4_2_MID = {"vertices": [0, 1, 2, 3, 4],
+                "edges": [{"id": i, "ends": [i, i + 1]} for i in range(4)],
+                "cyclic_order": {"0": [0], "1": [0, 1], "2": [1, 2], "3": [2, 3], "4": [3]},
+                "exceptional": 2, "multiplicity": 2}
+
+
+@pytest.mark.parametrize(
+    "doc, stalk_degree, golden",
+    [
+        ({"star": {"n": 5, "k": 2}}, 0, "realize_star_5_2.json"),
+        (LINE_4_2_MID, 0, "realize_line_4_2_mid_deg0.json"),
+        (LINE_4_2_MID, 1, "realize_line_4_2_mid_deg1.json"),
+    ],
+    ids=["star-5-2", "line-4-2-mid-deg0", "line-4-2-mid-deg1"],
+)
+def test_realize_json_golden(tmp_path, capsys, doc, stalk_degree, golden):
+    """`brauertilt --json realize` matches the committed output byte for
+    byte: the summands, their order and their differentials are pinned."""
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["--json", "realize", str(path), "--stalk-degree", str(stalk_degree)])
+    assert rc == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()

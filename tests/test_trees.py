@@ -39,6 +39,27 @@ def test_validation_errors():
         BrauerTree([0, 1], {0: (0, 1)}, {0: (0,), 1: (0,)}, 7, 1)
 
 
+PATH_EDGES = {0: (0, 1), 1: (1, 2)}
+PATH_ORDER = {0: (0,), 1: (0, 1), 2: (1,)}
+
+
+@pytest.mark.parametrize(
+    "edges, cyclic_order, message",
+    [
+        (PATH_EDGES, {**PATH_ORDER, 1: ([0], 1)}, "cyclic order at vertex 1"),
+        ({0: (0, 1), "x": (1, 2)}, {0: (0,), 1: (0, "x"), 2: ("x",)}, "cannot be ordered"),
+        (PATH_EDGES, {**PATH_ORDER, 9: (0, 1)}, "unknown vertex 9"),
+    ],
+    ids=["entry-not-an-edge", "unordered-ids", "unknown-vertex"],
+)
+def test_malformed_cyclic_orders_and_ids_are_value_errors(edges, cyclic_order, message):
+    """An order entry that is no edge id (here unhashable), edge ids that
+    cannot be sorted, and an order at a vertex the tree does not have are
+    refused with ValueError, not a TypeError or silence."""
+    with pytest.raises(ValueError, match=message):
+        BrauerTree([0, 1, 2], edges, cyclic_order, 0, 1)
+
+
 def test_isomorphism_detects_shape():
     assert line_tree(3).is_isomorphic_to(line_tree(3))
     assert not line_tree(3).is_isomorphic_to(BrauerTree.star(3, 1))
