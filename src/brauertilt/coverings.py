@@ -106,6 +106,8 @@ class Covering:
     mode: str
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"an n-gon needs n >= 1, got {self.n}")
         if self.mode not in ("deg0", "deg1"):
             raise ValueError("mode must be 'deg0' or 'deg1'")
         if len(self.inner) != len(self.outer):

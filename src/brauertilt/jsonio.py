@@ -72,6 +72,8 @@ def tree_from_json(doc) -> BrauerTree:
     cyclic = {}
     for key, order in cyclic_doc.items():
         v = int(key) if isinstance(key, str) and key.lstrip("-").isdigit() else key
+        if v in cyclic:
+            raise SchemaError(f"$.cyclic_order[{key}]", f"a second order for vertex {v}")
         if not isinstance(order, list):
             raise SchemaError(f"$.cyclic_order[{key}]", "expected a list of edges")
         cyclic[v] = tuple(_scalar(e, f"$.cyclic_order[{key}][{j}]") for j, e in enumerate(order))

@@ -6,9 +6,9 @@ of reduced nonzero Python ints with a `.shape`, and a vector is one such
 sparse, and its structure constants are 0 or 1, so every operation runs
 on these rows: its cost follows the nonzero entries, not the cells, and
 no value can overflow.  Input from outside the package (a module's
-actions and maps, spans, and the arguments of `rref` and `rank`) may
-be `SparseRows` or any nested sequence of ints; `as_rows` reads it
-into fresh reduced rows and checks its shape.  Elimination takes
+actions and maps, and the arguments of `rref` and `rank`) may be
+`SparseRows` or any nested sequence of ints; `as_rows` reads it into
+fresh reduced rows and checks its shape.  Elimination takes
 `SparseRows` as they are, their values reduced by contract.
 
 Elimination comes in two passes.  `echelon`, the forward pass, gives an
@@ -17,10 +17,10 @@ echelon form and the pivot columns, which is all a rank needs;
 runs both.  `kernel_basis` reads a kernel basis off reduced rows.
 Several independent matrices are eliminated at once as the blocks of one
 block-diagonal matrix: blocks share no column, so each gets the pivots and
-the reduced form it would get alone (`block_pivots`, `reduced_bases`,
-`reduced_kernels`).  `product`, `transpose`, `apply` (a matrix times a
-column vector) and `combine` (a row vector times a matrix) are the
-products the module layer and End(T) need.
+the reduced form it would get alone (`block_pivots`, `reduced_kernels`).
+`product`, `transpose`, `apply` (a matrix times a column vector) and
+`combine` (a row vector times a matrix) are the products the module layer
+and End(T) need.
 """
 
 from __future__ import annotations
@@ -236,21 +236,6 @@ def block_pivots(blocks, widths, p: int) -> list[list[int]]:
     block-diagonal matrix of all of them."""
     rows, offs = _block_diagonal(blocks, widths)
     return _split_pivots(echelon(rows, p)[1], offs)
-
-
-def reduced_bases(mats, p: int) -> list[tuple[SparseRows, list[int]]]:
-    """Per matrix of mats, the reduced row echelon basis of its rows and
-    its pivot columns, from one rref of the block-diagonal matrix of the
-    mats."""
-    widths = [m.cols for m in mats]
-    rows, offs = _block_diagonal([[m] for m in mats], widths)
-    red, pivots = rref(rows, p)
-    out, at = [], 0
-    for o, w, piv in zip(offs, widths, _split_pivots(pivots, offs)):
-        out.append((SparseRows([{j - o: v for j, v in row.items()}
-                                for row in red.rows[at:at + len(piv)]], w), piv))
-        at += len(piv)
-    return out
 
 
 def reduced_kernels(mats, p: int) -> list[tuple[SparseRows, list[int]]]:

@@ -12,16 +12,17 @@ times the class that follows (the algebra's `path_factors`), so the images
 q.v of one vector under every class ending at its edge are spun out with
 one matrix-vector product per class (`Representation.path_images`); the
 projective cover fills its map this way.  P_i splits off M exactly when the
-socle class z_i acts nonzero on the i-component.  Sub- and quotient modules
-work in the reduced row echelon basis of each span, where the coordinates
-of a vector of the span are its entries at the pivot columns.
+socle class z_i acts nonzero on the i-component.  The kernel of a map is a
+submodule held in the reduced row echelon basis of its span at each edge,
+where the coordinates of a vector of the span are its entries at the pivot
+columns.
 
 Each step is one elimination: the radical and the socle of a
-representation, the kernel of a map and the spans of a sub- or quotient
-module are one forward pass or one rref over the block-diagonal matrix of
-all edges (`linalg.block_pivots`, `reduced_kernels`, `reduced_bases`),
-which gives every edge the pivots and the reduced form it would get alone,
-and `hom_basis` builds its intertwiner equations as sparse rows.
+representation and the kernel of a map are one forward pass or one rref
+over the block-diagonal matrix of all edges (`linalg.block_pivots`,
+`reduced_kernels`), which gives every edge the pivots and the reduced form
+it would get alone, and `hom_basis` builds its intertwiner equations as
+sparse rows.
 
 Syzygies are computed once per module content: the algebra's
 `syzygy_cache` holds the syzygy, its inclusion into the projective cover
@@ -188,11 +189,6 @@ def projective_rep(A: BrauerTreeAlgebra, edge) -> Representation:
     return projective_sum(A, [edge])[0]
 
 
-def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, dict]:
-    """(edge index, vector) of the socle basis element z inside P_edge."""
-    return A.eidx[edge], {A.block_pos[(edge, edge)][socle_class(edge)]: 1}
-
-
 def _uniserial_bound(A: BrauerTreeAlgebra, top, length) -> int:
     """n k for the uniserial star module with this top and length, which
     must be a star algebra's module with 1 <= length <= n k + 1 and a
@@ -225,40 +221,13 @@ def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
     return Representation(A, dims, act)
 
 
-def socle_quotient_rep(A: BrauerTreeAlgebra, edge) -> tuple[Representation, ModuleMap]:
-    """P_edge / soc(P_edge) with the projection map."""
-    P = projective_rep(A, edge)
-    idxe, zvec = projective_socle_vector(A, edge)
-    spans = [linalg.SparseRows([], d) for d in P.dims]
-    spans[idxe] = linalg.SparseRows([zvec], P.dims[idxe])
-    return quotient_representation(P, spans)
-
-
-# -- sub / quotient ---------------------------------------------------------------
-
-
-def _reduced_spans(M: Representation, spans) -> list[tuple[linalg.SparseRows, list[int]]]:
-    """Per edge, the reduced row echelon basis of spans[edge_idx] and its
-    pivot columns, from one rref over all edges (`linalg.reduced_bases`).
-    A span is read as `linalg.as_rows` reads it; an empty one may have any
-    shape."""
-    p = M.algebra.prime
-    mats = []
-    for i, d in enumerate(M.dims):
-        try:
-            s = linalg.as_rows(spans[i], p)
-        except ValueError:
-            s = None
-        if s is None or s.height and s.cols and s.cols != d:
-            raise ValueError(f"span at edge index {i} must have rows of length {d}")
-        mats.append(s if s.height and s.cols else linalg.SparseRows([], d))
-    return linalg.reduced_bases(mats, p)
+# -- submodules -------------------------------------------------------------------
 
 
 def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleMap]:
     """The subrepresentation of M spanned per edge by a reduced basis,
-    given as `_reduced_spans` returns it: per edge, the reduced basis and
-    its pivot columns; returns (sub, inclusion).
+    given as `linalg.reduced_kernels` returns it: per edge, the reduced
+    basis and its pivot columns; returns (sub, inclusion).
 
     The sub's basis is the reduced basis of each span.  A reduced row is 1
     at its own pivot column and 0 at the others, so the coordinates of a
@@ -283,37 +252,6 @@ def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleM
     sub = Representation(A, [len(piv) for _, piv in reduced], act)
     incl = ModuleMap(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
     return sub, incl
-
-
-def quotient_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
-    """Quotient of M by the submodule spanned by spans; returns
-    (quotient, projection).
-
-    The quotient's basis at each edge is the unit vectors at the non-pivot
-    (free) columns of the span's reduced basis.  Writing x as its pivot
-    entries times the reduced rows plus the rest, the projection is
-    x[free] - red[:, free]^T x[pivots]: the rows of the reduced form's
-    kernel basis.  It must kill the arrow images of the span.
-    """
-    A = M.algebra
-    p = A.prime
-    reduced = _reduced_spans(M, spans)
-    frees = [linalg.free_columns(piv, d) for d, (_, piv) in zip(M.dims, reduced)]
-    projs = [linalg.kernel_basis(red.rows, piv, free, d, p)
-             for d, (red, piv), free in zip(M.dims, reduced, frees)]
-    act = {}
-    for arrow in A.arrows:
-        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        m = M.act[arrow]
-        if any(linalg.apply(projs[a], linalg.apply(m, v, p), p) for v in reduced[b][0].rows):
-            raise ValueError("spans are not stable under the arrow actions")
-        col = {c: r for r, c in enumerate(frees[b])}
-        at_free = linalg.SparseRows([{col[j]: v for j, v in row.items() if j in col}
-                                     for row in m.rows], len(col), m.height)
-        act[arrow] = linalg.product(projs[a], at_free, p)
-    quot = Representation(A, [len(f) for f in frees], act)
-    proj_map = ModuleMap(M, quot, projs)
-    return quot, proj_map
 
 
 # -- homomorphisms ---------------------------------------------------------------
@@ -389,32 +327,16 @@ def top_and_socle(M: Representation) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
-    """Isomorphism test; for indecomposables scanning a hom basis for an
-    invertible member is conclusive, random combinations cover the rest."""
+    """Isomorphism test.  An invertible member of a hom basis proves it,
+    which settles indecomposables; otherwise M and N are isomorphic iff
+    dim Hom(X, M) = dim Hom(X, N) for every indecomposable X (Auslander),
+    read over `enumerate_indecomposables`, which raises ValueError where
+    its catalogue is not known to be complete."""
     if M.dims != N.dims:
         return False
-    if M.is_zero():
+    if M.is_zero() or any(f.is_isomorphism() for f in hom_basis(M, N)):
         return True
-    basis = hom_basis(M, N)
-    for f in basis:
-        if f.is_isomorphism():
-            return True
-    if len(basis) > 1:
-        import random
-
-        rng = random.Random(0)
-        p = M.algebra.prime
-        for _ in range(8):
-            coeffs = [rng.randrange(p) for _ in basis]
-            mats = [[[0] * d for _ in range(d)] for d in M.dims]
-            for c, f in zip(coeffs, basis):
-                for mat, fm in zip(mats, f.mats):
-                    for row, frow in zip(mat, fm.rows):
-                        for j, v in frow.items():
-                            row[j] += c * v
-            if ModuleMap(M, N, mats).is_isomorphism():
-                return True
-    return False
+    return all(hom_dim(X, M) == hom_dim(X, N) for _, X in enumerate_indecomposables(M.algebra))
 
 
 def has_projective_summand(M: Representation) -> bool:
@@ -519,7 +441,10 @@ def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 
 def second_syzygy(M: Representation) -> Representation:
-    return syzygy(syzygy(M))
+    """Ω²(M), for M as `syzygy` takes it.  The outer step reads the memo
+    alone: over a self-injective algebra Ω(M) has no projective summand
+    when M has none."""
+    return _syzygy_with_embedding(syzygy(M))[0]
 
 
 def min_proj_presentation(M: Representation):

@@ -251,25 +251,45 @@ def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
     edges and the given multiplicity (shape, cyclic orders and, for
     multiplicity >= 2, exceptional placement all vary), sorted by key.
 
+    At multiplicity 1 these are the trees of `_planar_trees`.  At
+    multiplicity >= 2 each of those is marked at each of its vertices in
+    vertex order, and each class keeps the first marked tree.  A sweep
+    that also ran over the exceptional vertex would meet the class of a
+    planar tree P marked at v first at the multiplicity-1 representative
+    of P, at its least vertex marking it into that class, so the
+    representatives are again those of the full sweep.
+    """
+    if n < 1 or multiplicity < 1:
+        raise ValueError("a census needs n >= 1 edges and multiplicity >= 1")
+    if multiplicity == 1:
+        return _planar_trees(n)
+    seen = {}
+    for tree in _planar_trees(n):
+        for v in tree.vertices:
+            marked = BrauerTree(tree.vertices, tree.edges, tree.cyclic_order, v, multiplicity)
+            seen.setdefault(marked.canonical_key(), marked)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _planar_trees(n: int) -> list[BrauerTree]:
+    """The multiplicity-1 Brauer trees with n edges, one per class and
+    sorted by key, all with exceptional vertex 0, since the key ignores
+    the mark there.
+
     The sweep runs over the labeled trees on vertices 0..n in Prufer order
     (edge i is the i-th edge of the decoding), then over the cyclic orders
-    at each vertex (first incident edge fixed, the others permuted), then
-    over the exceptional vertex; each class is represented by the first
-    tree the sweep meets in it.  Work that cannot meet a class first is
-    skipped, so the representatives are those of the full sweep:
+    at each vertex (first incident edge fixed, the others permuted); each
+    class is represented by the first tree the sweep meets in it.  Work
+    that cannot meet a class first is skipped, so the representatives are
+    those of the full sweep:
     - a labeled tree whose shape appeared earlier in the sweep, since an
       isomorphism onto the earlier tree carries each of its cyclic orders
-      and exceptional placements onto one already met there;
-    - at multiplicity 1, every exceptional vertex but 0, since the key
-      ignores the mark there and 0 is the placement met first;
+      onto one already met there;
     - every labeled tree after the one that brings the count of shapes met
       up to the number of unlabeled trees on n + 1 vertices, since each
       later tree has a shape met earlier and falls under the first rule.
     """
-    if n < 1 or multiplicity < 1:
-        raise ValueError("a census needs n >= 1 edges and multiplicity >= 1")
     total = _shape_count(n + 1)
-    placements = range(n + 1) if multiplicity >= 2 else (0,)
     shapes = set()
     seen = {}
     for edge_list in _labeled_trees(n + 1):
@@ -291,10 +311,8 @@ def all_brauer_trees(n: int, multiplicity: int) -> list[BrauerTree]:
             for inc in incident
         ]
         for orders in product(*per_vertex):
-            cyclic = dict(enumerate(orders))
-            for exc in placements:
-                tree = BrauerTree(range(n + 1), edges, cyclic, exc, multiplicity)
-                seen.setdefault(tree.canonical_key(), tree)
+            tree = BrauerTree(range(n + 1), edges, dict(enumerate(orders)), 0, 1)
+            seen.setdefault(tree.canonical_key(), tree)
         if len(shapes) == total:
             break
     return [seen[k] for k in sorted(seen)]

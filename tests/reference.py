@@ -1,18 +1,22 @@
 """Independent references that the tests check the package against.
 
 Nothing in `brauertilt` calls these: they are general routes the package
-does not need, kept here as oracles.  They are a linear solver and a
-nullspace over F_p, the relations check of a representation and the
-intertwining check of a module map, the minimality of a complex, the
-cokernel of a two-term complex, the chain maps of a space's quotient
-representatives, and JSON readers for modules and complexes with a
-writer for coverings.  Each is built from the package's own primitives
-by a different path than the one the package takes.
+does not need, kept here as oracles.  They are a linear solver, a
+nullspace and the reduced bases of several matrices at once over F_p,
+the relations check of a representation and the intertwining check of a
+module map, the reduced spans of a module's subspaces, the quotient of a
+module by a submodule and the module P/soc(P) built that way, the
+minimality of a complex, the cokernel of a two-term complex, the chain
+maps of a space's quotient representatives, and JSON readers for modules
+and complexes with a writer for coverings.  Each is built from the
+package's own primitives by a different path than the one the package
+takes; the package reads P/soc(P) off its presentation instead.
 """
 
 import json
 
 from brauertilt import linalg
+from brauertilt.algebra import BrauerTreeAlgebra, socle_class
 from brauertilt.complexes import ChainMap, ChainMapSpace, ProjComplex, direct_sum, stalk_complex
 from brauertilt.coverings import Covering, CyclicInterval
 from brauertilt.jsonio import SchemaError, _need, _typed
@@ -21,8 +25,8 @@ from brauertilt.modules import (
     Representation,
     UniserialSpec,
     min_proj_presentation,
+    projective_rep,
     projective_sum,
-    quotient_representation,
     simple_rep,
     string_rep,
     uniserial_presentation,
@@ -82,6 +86,21 @@ def _is_flat(b) -> bool:
     return not isinstance(b, linalg.SparseRows) and all(not hasattr(v, "__len__") for v in b)
 
 
+def reduced_bases(mats, p: int) -> list[tuple[linalg.SparseRows, list[int]]]:
+    """Per matrix of mats, the reduced row echelon basis of its rows and
+    its pivot columns, from one rref of the block-diagonal matrix of the
+    mats."""
+    widths = [m.cols for m in mats]
+    rows, offs = linalg._block_diagonal([[m] for m in mats], widths)
+    red, pivots = linalg.rref(rows, p)
+    out, at = [], 0
+    for o, w, piv in zip(offs, widths, linalg._split_pivots(pivots, offs)):
+        out.append((linalg.SparseRows([{j - o: v for j, v in row.items()}
+                                       for row in red.rows[at:at + len(piv)]], w), piv))
+        at += len(piv)
+    return out
+
+
 # -- modules ---------------------------------------------------------------------
 
 
@@ -117,6 +136,68 @@ def named_presentation(M: Representation, name) -> ProjComplex:
     presentation itself keeps no name."""
     T = min_proj_presentation(M)
     return ProjComplex(M.algebra, T.comps, T.diffs, name=name)
+
+
+def projective_socle_vector(A: BrauerTreeAlgebra, edge) -> tuple[int, dict]:
+    """(edge index, vector) of the socle basis element z inside P_edge."""
+    return A.eidx[edge], {A.block_pos[(edge, edge)][socle_class(edge)]: 1}
+
+
+def reduced_spans(M: Representation, spans) -> list[tuple[linalg.SparseRows, list[int]]]:
+    """Per edge, the reduced row echelon basis of spans[edge_idx] and its
+    pivot columns, from one rref over all edges (`reduced_bases`).  A span
+    is read as `linalg.as_rows` reads it; an empty one may have any
+    shape."""
+    p = M.algebra.prime
+    mats = []
+    for i, d in enumerate(M.dims):
+        try:
+            s = linalg.as_rows(spans[i], p)
+        except ValueError:
+            s = None
+        if s is None or s.height and s.cols and s.cols != d:
+            raise ValueError(f"span at edge index {i} must have rows of length {d}")
+        mats.append(s if s.height and s.cols else linalg.SparseRows([], d))
+    return reduced_bases(mats, p)
+
+
+def quotient_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
+    """Quotient of M by the submodule spanned by spans; returns
+    (quotient, projection).
+
+    The quotient's basis at each edge is the unit vectors at the non-pivot
+    (free) columns of the span's reduced basis.  Writing x as its pivot
+    entries times the reduced rows plus the rest, the projection is
+    x[free] - red[:, free]^T x[pivots]: the rows of the reduced form's
+    kernel basis.  It must kill the arrow images of the span.
+    """
+    A = M.algebra
+    p = A.prime
+    reduced = reduced_spans(M, spans)
+    frees = [linalg.free_columns(piv, d) for d, (_, piv) in zip(M.dims, reduced)]
+    projs = [linalg.kernel_basis(red.rows, piv, free, d, p)
+             for d, (red, piv), free in zip(M.dims, reduced, frees)]
+    act = {}
+    for arrow in A.arrows:
+        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
+        m = M.act[arrow]
+        if any(linalg.apply(projs[a], linalg.apply(m, v, p), p) for v in reduced[b][0].rows):
+            raise ValueError("spans are not stable under the arrow actions")
+        col = {c: r for r, c in enumerate(frees[b])}
+        at_free = linalg.SparseRows([{col[j]: v for j, v in row.items() if j in col}
+                                     for row in m.rows], len(col), m.height)
+        act[arrow] = linalg.product(projs[a], at_free, p)
+    quot = Representation(A, [len(f) for f in frees], act)
+    return quot, ModuleMap(M, quot, projs)
+
+
+def socle_quotient_rep(A: BrauerTreeAlgebra, edge) -> tuple[Representation, ModuleMap]:
+    """P_edge / soc(P_edge) with the projection map."""
+    P = projective_rep(A, edge)
+    idxe, zvec = projective_socle_vector(A, edge)
+    spans = [linalg.SparseRows([], d) for d in P.dims]
+    spans[idxe] = linalg.SparseRows([zvec], P.dims[idxe])
+    return quotient_representation(P, spans)
 
 
 # -- complexes -------------------------------------------------------------------

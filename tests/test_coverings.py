@@ -96,6 +96,9 @@ def test_covering_validation():
         )  # crossing inners
     with pytest.raises(ValueError):
         Covering(2, (CyclicInterval(1, 2),), ((),), "deg2")
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Covering(n, (), (), "deg1")  # no polygon to cover
 
 
 def test_enumeration_counts():

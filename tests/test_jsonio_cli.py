@@ -218,6 +218,8 @@ MALFORMED_PATHS = [
      "edge ids cannot be ordered"),
     ({**PATH_DOC, "cyclic_order": {**PATH_DOC["cyclic_order"], "9": [0, 1]}},
      "cyclic order at unknown vertex 9"),
+    ({**PATH_DOC, "cyclic_order": {**PATH_DOC["cyclic_order"], "01": [1, 0]}},
+     "$.cyclic_order[01]"),
 ]
 MALFORMED += [(command, doc, where) for command in ("algebra", "realize")
               for doc, where in MALFORMED_PATHS]
@@ -228,7 +230,8 @@ MALFORMED += [(command, doc, where) for command in ("algebra", "realize")
     ids=["outer-int", "inner-list", "start-string", "cyclic-order-list", "directory",
          "star-bool", "edge-id-list", "end-list", "vertex-list",
          *(f"{command}-{case}" for command in ("algebra", "realize")
-           for case in ("order-entry-list", "edge-id-string", "order-at-unknown-vertex"))],
+           for case in ("order-entry-list", "edge-id-string", "order-at-unknown-vertex",
+                        "order-key-repeated"))],
 )
 def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, where):
     """Malformed input exits 2, naming where it is wrong, with no traceback
@@ -241,6 +244,13 @@ def test_cli_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, w
     rc, _, err = run_cli(capsys, [command, str(path), *extra])
     assert rc == 2
     assert err.startswith("input error:") and where in err
+
+
+def test_covering_of_no_vertices_is_refused():
+    """With no n given, n is the sum of the outer sizes; no outer
+    intervals would make a covering of a 0-gon."""
+    with pytest.raises(SchemaError, match="n >= 1"):
+        covering_from_json({"outer": [], "mode": "deg0"})
 
 
 def test_cli_enumerate_both(capsys):

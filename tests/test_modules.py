@@ -1,6 +1,7 @@
 import sys
 from contextlib import suppress
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from brauertilt import linalg, modules
 from brauertilt.algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
 from brauertilt.complexes import stalk_complex
 from brauertilt.modules import (
-    _reduced_spans,
     ModuleMap,
     Representation,
     UniserialSpec,
@@ -23,11 +23,8 @@ from brauertilt.modules import (
     is_isomorphic,
     min_proj_presentation,
     projective_rep,
-    projective_socle_vector,
-    quotient_representation,
     second_syzygy,
     simple_rep,
-    socle_quotient_rep,
     string_rep,
     projective_cover,
     syzygy,
@@ -45,6 +42,10 @@ from reference import (
     is_module_map,
     named_presentation,
     nullspace,
+    projective_socle_vector,
+    quotient_representation,
+    reduced_spans,
+    socle_quotient_rep,
     solve,
 )
 
@@ -101,6 +102,18 @@ def test_second_syzygy_shift_formula():
                 assert is_isomorphic(second_syzygy(M), expected)
 
 
+def test_second_syzygy_checks_for_projective_summands_once(monkeypatch):
+    """Only M is checked for a projective summand: its syzygy has none
+    (the algebra is self-injective), and the outer step reads the memo."""
+    A = star_algebra(3, 1)
+    M = uniserial_rep(A, UniserialSpec(1, 2))
+    calls = []
+    original = modules.has_projective_summand
+    monkeypatch.setattr(modules, "has_projective_summand", lambda X: calls.append(X) or original(X))
+    assert is_isomorphic(second_syzygy(M), uniserial_rep(A, UniserialSpec(3, 2)))
+    assert calls == [M]
+
+
 def test_presentation_cokernel_is_the_module():
     for A in [star_algebra(3, 1), star_algebra(2, 2)]:
         for label, M in enumerate_indecomposables(A):
@@ -154,6 +167,47 @@ def test_enumeration_counts():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not is_isomorphic(reps[i], reps[j])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_isomorphism_of_semisimple_modules_at_small_primes(p):
+    """Every semisimple module with multiplicities <= 3 over star(n, 1),
+    n = 2..4, is isomorphic to itself; no hom basis member of S_1^3 + S_2
+    is invertible, and at p = 2 and 3 random combinations of them missed
+    an isomorphism for about a third of these modules."""
+    A = star_algebra(2, 1, 2)
+    M = Representation(A, [3, 1], {})
+    assert not any(f.is_isomorphism() for f in hom_basis(M, M))
+    assert is_isomorphic(M, M)
+    for n in (2, 3, 4):
+        A = star_algebra(n, 1, p)
+        for mult in product(range(4), repeat=n):
+            M = Representation(A, mult, {})
+            assert is_isomorphic(M, M)
+
+
+def test_isomorphism_tells_apart_modules_of_equal_dimensions():
+    """The uniserial with factors (2, 1) and S_1 + S_2 over star(2, 1) have the same
+    dimensions and no isomorphism; Hom(S_2, -) tells them apart."""
+    A = star_algebra(2, 1)
+    U = uniserial_rep(A, UniserialSpec(2, 2))
+    S = Representation(A, [1, 1], {})
+    assert U.dims == S.dims
+    assert not is_isomorphic(U, S) and not is_isomorphic(S, U)
+    assert is_isomorphic(S, direct_sum_rep(simple_rep(A, 1), simple_rep(A, 2)))
+
+
+def test_isomorphism_without_a_complete_catalogue_is_refused():
+    """Over a tree of multiplicity 2 that is no star the catalogue of
+    indecomposables is not known; where the hom basis holds no
+    isomorphism the test raises instead of guessing."""
+    line = BrauerTree(range(4), {0: (0, 1), 1: (1, 2), 2: (2, 3)},
+                      {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2,)}, 0, 2)
+    A = build_tree_algebra(line)
+    assert is_isomorphic(simple_rep(A, 0), simple_rep(A, 0))
+    M = Representation(A, [2, 0, 0], {})
+    with pytest.raises(ValueError, match="enumeration supports"):
+        is_isomorphic(M, M)
 
 
 def test_tree_enumeration_strings():
@@ -320,7 +374,7 @@ def test_projective_summand_reads_the_socle_action(algebra, data):
 def sub_representation(M, spans):
     """The subrepresentation spanned per edge by the rows of
     spans[edge_idx], with its inclusion."""
-    return modules._sub_of_reduced(M, _reduced_spans(M, spans))
+    return modules._sub_of_reduced(M, reduced_spans(M, spans))
 
 
 def sub_representation_by_express(M, spans):
@@ -554,7 +608,7 @@ def test_batched_eliminations_equal_per_edge_references(M, data):
     A = M.algebra
     p = A.prime
     spans = generated_spans(data.draw, M) if data.draw(st.booleans()) else random_spans(data.draw, M)
-    assert same_reduced(_reduced_spans(M, spans), reduced_spans_by_edge(M, spans))
+    assert same_reduced(reduced_spans(M, spans), reduced_spans_by_edge(M, spans))
     family = [M]
     with suppress(ValueError):  # random spans need not span a submodule
         family.append(sub_representation(M, spans)[0])

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import complexes, linalg, modules
-from brauertilt.algebra import build_tree_algebra, star_algebra
+from brauertilt import complexes, linalg, modules, verify
+from brauertilt.algebra import DEFAULT_PRIME, build_tree_algebra, socle_class, star_algebra
 from brauertilt.complexes import (
     ProjComplex,
     algebra_complex,
@@ -24,7 +24,6 @@ from brauertilt.modules import (
     enumerate_indecomposables,
     min_proj_presentation,
     simple_rep,
-    socle_quotient_rep,
     uniserial_presentation as pres,
     uniserial_rep,
 )
@@ -38,7 +37,7 @@ from brauertilt.tilting import (
 )
 from brauertilt.trees import all_brauer_trees
 
-from reference import named_presentation
+from reference import named_presentation, socle_quotient_rep
 
 
 def test_algebra_stalks_tilting():
@@ -55,6 +54,49 @@ def test_socle_quotient_not_partial_tilting():
     assert not module_partial_tilting_test(PS)
     assert is_partial_tilting(min_proj_presentation(simple_rep(A, 1)), direct=True)
     assert module_partial_tilting_test(simple_rep(A, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_socle_quotient_presentation_is_the_socle_map(k):
+    """P_e/soc(P_e), built as a quotient module, is presented by P_e -> P_e,
+    right multiplication by a nonzero multiple of z_e: the rule the
+    socle-quotient suite checks its failing presentations against, over
+    every star with n <= 5 and, at k = 1, every tree with at most 5 edges."""
+    algebras = [star_algebra(n, k) for n in range(1, 6)]
+    if k == 1:
+        algebras += [build_tree_algebra(t) for n in range(1, 6) for t in all_brauer_trees(n, 1)]
+    for A in algebras:
+        for e in A.edges:
+            T = min_proj_presentation(socle_quotient_rep(A, e)[0])
+            assert T.comps == {0: (e,), 1: (e,)}
+            (entry,), = T.diff(0)
+            assert list(entry) == [socle_class(e)] and entry[socle_class(e)] % A.prime
+            assert verify._socle_edge(T) == e
+
+
+@pytest.mark.parametrize("swap", ["shape", "edge"])
+def test_socle_quotient_suite_reports_a_presentation_of_another_shape(monkeypatch, swap):
+    """The suite fails when a failing presentation is not P_e -> P_e by a
+    socle multiple ("shape": the first one is doubled), or when the edges
+    of those presentations do not cover the edges once each ("edge": each
+    is replaced by the one of the algebra's first edge)."""
+    real = verify.min_proj_presentation
+    swapped = []
+
+    def presentation(M):
+        T = real(M)
+        A = M.algebra
+        if verify._socle_edge(T) is None or (swap == "shape" and swapped):
+            return T
+        swapped.append(T)
+        if swap == "shape":
+            return direct_sum([T, T])
+        return real(socle_quotient_rep(A, A.edges[0])[0])
+
+    monkeypatch.setattr(verify, "min_proj_presentation", presentation)
+    res = verify.suite_socle_quotient(DEFAULT_PRIME)
+    assert swapped and not res.ok
+    assert {f[1] for f in res.failures} == {"unmatched" if swap == "shape" else "edges"}
 
 
 def test_is_tilting_needs_labels_and_distinct_summands():
