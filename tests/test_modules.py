@@ -187,8 +187,9 @@ def test_isomorphism_of_semisimple_modules_at_small_primes(p):
 
 
 def test_isomorphism_tells_apart_modules_of_equal_dimensions():
-    """The uniserial with factors (2, 1) and S_1 + S_2 over star(2, 1) have the same
-    dimensions and no isomorphism; Hom(S_2, -) tells them apart."""
+    """The uniserial with factors (2, 1) and S_1 + S_2 over star(2, 1)
+    have the same dimensions and no isomorphism; Hom(S_2, -) tells them
+    apart."""
     A = star_algebra(2, 1)
     U = uniserial_rep(A, UniserialSpec(2, 2))
     S = Representation(A, [1, 1], {})
