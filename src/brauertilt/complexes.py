@@ -255,21 +255,21 @@ def direct_sum(parts) -> ProjComplex:
     if any(P.algebra is not A for P in parts):
         raise ValueError("summands live over different algebras")
     degrees = sorted({d for P in parts for d in P.comps})
-    # starts[k][d]: the first slot of part k in degree d of the sum
+    # starts[k][d]: the first slot of part k in its degree d of the sum
     comps = {d: [] for d in degrees}
     starts = []
     for P in parts:
-        starts.append({d: len(slots) for d, slots in comps.items()})
+        starts.append({d: len(comps[d]) for d in P.comps})
         for d, slots in P.comps.items():
             comps[d].extend(slots)
-    diffs = {
-        d: [[{} for _ in comps[d]] for _ in comps.get(d + 1, ())]
-        for d in degrees
-        if any(d in P.diffs for P in parts)
-    }
+    used = {d for P in parts for d in P.diffs}
+    diffs = {d: [[{} for _ in comps[d]] for _ in comps.get(d + 1, ())] for d in degrees if d in used}
+    # each entry of a part joins two degrees where the part has slots
     for P, at in zip(parts, starts):
-        for d, h, g, x in _nonzero_entries(P):
-            diffs[d][at[d + 1] + h][at[d] + g] = dict(x)
+        for d, mat in P.diffs.items():
+            for h, xs in enumerate(mat):
+                for g, x in enumerate(xs):
+                    diffs[d][at[d + 1] + h][at[d] + g] = dict(x)
     return ProjComplex._of_fresh_grid(A, comps, diffs, [q for P in parts for q in P.parts])
 
 
@@ -329,14 +329,14 @@ class ChainMapSpace:
     D_t(f) = d_Q f + sign * f d_R.
 
     The unknowns are the coefficients of a map Q -> R[s], in blocks at the
-    offsets of `_block_offsets`.  One builder, `_hom_differential`, gives
-    both matrices as `linalg.SparseRows` without their zero rows: the
-    commuting squares C = D_s with sign -1 (the chain maps are ker D_s),
-    and N = D_{s-1}^T with sign +1, whose rows span the null-homotopic
-    maps (im D_{s-1}).  A matrix is built, with the layout of its other
-    shift, only when maps Q -> R[s] and maps at that shift exist; for a
-    two-term pair at s = 1 there are no maps Q -> R[2], so C has no rows
-    and is not built.
+    offsets of `_block_offsets` at s, the one layout a space builds.  One
+    builder, `_hom_differential`, gives both matrices as `linalg.SparseRows`
+    without their zero rows, rows told apart by their blocks at the other
+    shift: the commuting squares C = D_s with sign -1 (the chain maps are
+    ker D_s), and N = D_{s-1}^T with sign +1, whose rows span the
+    null-homotopic maps (im D_{s-1}).  A matrix is built only when maps
+    Q -> R[s] and maps at its other shift exist; for a two-term pair at
+    s = 1 there are no maps Q -> R[2], so C has no rows and is not built.
 
     Construction is rank-first: it runs only the forward pass of
     elimination (`linalg.echelon`) on each matrix with rows and keeps the
@@ -370,8 +370,7 @@ class ChainMapSpace:
         here = _block_offsets(A, Q, R, s)
         total = here[1]
         # C can have rows only if maps Q -> R[s] and Q -> R[s+1] exist, N
-        # only if maps Q -> R[s] and Q -> R[s-1] do; the layout of another
-        # shift is built only then
+        # only if maps Q -> R[s] and Q -> R[s-1] do
         cmat = nmat = linalg.SparseRows([], total)
         above = total > 0 and _meets(Q, R, s + 1)
         below = total > 0 and _meets(Q, R, s - 1)
@@ -379,11 +378,9 @@ class ChainMapSpace:
             q_entries = _nonzero_entries(Q)
             entries = (q_entries, q_entries if R is Q else _nonzero_entries(R))
         if above:
-            cmat = _hom_differential(A, Q, R, s, -1, here, _block_offsets(A, Q, R, s + 1),
-                                     entries)
+            cmat = _hom_differential(A, Q, R, s, -1, here, entries)
         if below:
-            nmat = _hom_differential(A, Q, R, s - 1, 1, _block_offsets(A, Q, R, s - 1), here,
-                                     entries, transpose=True)
+            nmat = _hom_differential(A, Q, R, s - 1, 1, here, entries, transpose=True)
         # forward elimination only: dim needs the pivot counts, and the
         # echelon forms are reduced when a basis is first read
         chain, null = [linalg.echelon(m, p) if m.rows else (m, []) for m in (cmat, nmat)]
@@ -538,29 +535,33 @@ def _nonzero_entries(X: ProjComplex) -> list:
 
 
 def _hom_differential(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, t: int,
-                      sign: int, src, tgt, entries, transpose: bool = False) -> linalg.SparseRows:
+                      sign: int, here, entries, transpose: bool = False) -> linalg.SparseRows:
     """The nonzero rows, reduced mod p, of the matrix of
     D_t(f) = d_Q f + sign * f d_R from the maps Q -> R[t] to the maps
-    Q -> R[t+1], or of its transpose; src and tgt are their
-    _block_offsets, entries the _nonzero_entries of Q and of R.  Row block
-    (d, j, i) of D_t holds the coordinates of the map from Q_d slot i to
-    R_{d+t+1} slot j.  Each product of A.mult_coords is added into its row
-    as it comes, and an entry that cancels to 0 is dropped."""
-    (src_off, cols), (tgt_off, rows) = src, tgt
+    Q -> R[t+1], or of its transpose; entries are the _nonzero_entries of
+    Q and of R.  Columns are numbered by here, the _block_offsets of the
+    space's own shift (t, or t + 1 with transpose).  A row is keyed by its
+    block (d, j, i) at the other shift u, the map from Q_d slot i to
+    R_{d+u} slot j, and its coordinate there; rows come in the order the
+    traversal meets them, so shift u needs no layout.  Each product of
+    A.mult_coords is added into its row as it comes, and an entry that
+    cancels to 0 is dropped."""
+    offsets, cols = here
     q_entries, r_entries = entries
     p = A.prime
-    acc: dict[int, dict[int, int]] = {}
+    acc: dict[tuple, dict[int, int]] = {}
 
-    def put(r0: int, c0: int, x, side: str, edge, sign: int) -> None:
-        # add sign times the block of multiplication by the element x (see
-        # BrauerTreeAlgebra.mult_coords for side and edge) at (r0, c0)
+    def put(tgt: tuple, src: tuple, x, side: str, edge, sign: int) -> None:
+        # add sign times the block of multiplication by x (see A.mult_coords
+        # for side and edge) at row block tgt and column block src of D_t
+        block, off = (src, offsets[tgt]) if transpose else (tgt, offsets[src])
         for pc, v in x.items():
             v *= sign
             for r, c in A.mult_coords(pc, side, edge):
-                i, j = (c0 + c, r0 + r) if transpose else (r0 + r, c0 + c)
-                row = acc.get(i)
+                key, j = ((block, c), off + r) if transpose else ((block, r), off + c)
+                row = acc.get(key)
                 if row is None:
-                    row = acc[i] = {}
+                    row = acc[key] = {}
                 val = (row.get(j, 0) + v) % p
                 if val:
                     row[j] = val
@@ -570,13 +571,13 @@ def _hom_differential(A: BrauerTreeAlgebra, Q: ProjComplex, R: ProjComplex, t: i
     for d, m, i, x in q_entries:
         # x from Q_d slot i to Q_{d+1} slot m, followed by f_{d+1}
         for j, b in enumerate(R.slots(d + t + 1)):
-            put(tgt_off[(d, j, i)], src_off[(d + 1, j, m)], x, "L", b, 1)
+            put((d, j, i), (d + 1, j, m), x, "L", b, 1)
     for e, j, jj, x in r_entries:
         # f_d into R_e slot jj, followed by x from there to R_{e+1} slot j
         d = e - t
         for i, a in enumerate(Q.slots(d)):
-            put(tgt_off[(d, j, i)], src_off[(d, jj, i)], x, "R", a, sign)
-    return linalg.SparseRows([row for row in acc.values() if row], rows if transpose else cols)
+            put((d, j, i), (d, jj, i), x, "R", a, sign)
+    return linalg.SparseRows([row for row in acc.values() if row], cols)
 
 
 def _product_vanishes(a: linalg.SparseRows, b: linalg.SparseRows, p: int) -> bool:

@@ -68,6 +68,16 @@ class Representation:
             except ValueError as err:
                 raise ValueError(f"action of {arrow}: {err}") from None
 
+    @classmethod
+    def _of_fresh_rows(cls, algebra: BrauerTreeAlgebra, dims, act) -> "Representation":
+        """As __init__, for reduced `SparseRows` built here: shapes are checked, nothing copied."""
+        M = cls.__new__(cls)
+        M.algebra, M.dims, M.act = algebra, tuple(dims), act
+        if any(act[a].shape != (M.dims[algebra.eidx[a.start]], M.dims[algebra.eidx[a.end]])
+               for a in algebra.arrows):
+            raise ValueError("action matrix shape mismatch")
+        return M
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -167,6 +177,15 @@ class ModuleMap:
         except ValueError:
             raise ValueError("component matrix shape mismatch") from None
 
+    @classmethod
+    def _of_fresh_rows(cls, source: Representation, target: Representation, mats) -> "ModuleMap":
+        """As __init__, for reduced `SparseRows` built here: shapes are checked, nothing copied."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.mats = source, target, mats
+        if [m.shape for m in mats] != list(zip(target.dims, source.dims)):
+            raise ValueError("component matrix shape mismatch")
+        return f
+
     def is_isomorphism(self) -> bool:
         p = self.source.algebra.prime
         return self.source.dims == self.target.dims and all(
@@ -218,7 +237,7 @@ def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
     arrow_at = {(arrow.start, arrow.end): arrow for arrow in A.arrows}
     for (e, i), (f, j) in zip(position, position[1:]):
         act[arrow_at[(f, e)]].rows[j][i] = 1
-    return Representation(A, dims, act)
+    return Representation._of_fresh_rows(A, dims, act)
 
 
 # -- submodules -------------------------------------------------------------------
@@ -249,8 +268,8 @@ def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleM
                 raise ValueError("spans are not stable under the arrow actions")
             coords.append(coord)
         act[arrow] = linalg.transpose(linalg.SparseRows(coords, len(piv_a)))
-    sub = Representation(A, [len(piv) for _, piv in reduced], act)
-    incl = ModuleMap(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
+    sub = Representation._of_fresh_rows(A, [len(piv) for _, piv in reduced], act)
+    incl = ModuleMap._of_fresh_rows(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
     return sub, incl
 
 
@@ -273,7 +292,7 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
         for j, v in vec.items():
             i, r, c = place[j]
             mats[i].rows[r][c] = v
-        basis.append(ModuleMap(M, N, mats))
+        basis.append(ModuleMap._of_fresh_rows(M, N, mats))
     return basis
 
 
@@ -373,7 +392,7 @@ def projective_sum(A: BrauerTreeAlgebra, edges) -> tuple[Representation, list]:
         for slot, cover_edge in enumerate(edges):
             for r, c in A.mult_coords(arrow, "L", cover_edge):
                 m.rows[offsets[slot][a] + r][offsets[slot][b] + c] = 1
-    return Representation(A, dims, act), offsets
+    return Representation._of_fresh_rows(A, dims, act), offsets
 
 
 def projective_cover(M: Representation):
@@ -393,7 +412,7 @@ def projective_cover(M: Representation):
             col, rows = offsets[slot][c_idx] + A.block_pos[(q.start, gen_edge)][q], mats[c_idx].rows
             for r, x in img.items():
                 rows[r][col] = x
-    cover_map = ModuleMap(cover, M, mats)
+    cover_map = ModuleMap._of_fresh_rows(cover, M, mats)
     return cover_edges, cover, offsets, cover_map
 
 
@@ -581,7 +600,7 @@ def string_rep(A: BrauerTreeAlgebra, letters) -> Representation:
             act[c].rows[pos[t]][pos[t + 1]] = 1  # c . node_{t+1} = node_t
         else:
             act[c].rows[pos[t + 1]][pos[t]] = 1  # c . node_t = node_{t+1}
-    return Representation(A, dims, act)
+    return Representation._of_fresh_rows(A, dims, act)
 
 
 def _walk_key(A: BrauerTreeAlgebra, letters):

@@ -10,6 +10,7 @@ from brauertilt.complexes import (
     ProjComplex,
     algebra_complex,
     direct_sum,
+    euler_pairing,
     hom_complex_dim,
     stalk_complex,
 )
@@ -19,6 +20,7 @@ from brauertilt.coverings import (
     enumerate_two_term_tilting_bruteforce,
     tilting_catalog,
 )
+from brauertilt.endo import summand_complexes
 from brauertilt.modules import (
     UniserialSpec,
     enumerate_indecomposables,
@@ -354,3 +356,67 @@ def test_direct_decisions_eliminate_sparse_rows_only(monkeypatch):
     assert len(kinds) >= 2 * 68
     assert set(kinds) == {linalg.SparseRows}
     assert reduced == []
+
+
+class _RecordingCache(dict):
+    """A dict that records every read and write of an entry."""
+
+    def __init__(self, touched):
+        super().__init__()
+        self.touched = touched
+
+    def get(self, key, default=None):
+        self.touched.append(("get", key))
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.touched.append(("getitem", key))
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.touched.append(("contains", key))
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.touched.append(("set", key))
+        super().__setitem__(key, value)
+
+    def setdefault(self, key, default=None):
+        self.touched.append(("setdefault", key))
+        return super().setdefault(key, default)
+
+
+def test_direct_decisions_build_one_space_over_the_complex(monkeypatch):
+    """direct=True is one whole-complex elimination: is_tilting(T,
+    direct=True) and hom_complex_dim(T, T, s, direct=True) each build
+    exactly one ChainMapSpace, over T itself at the shift asked for, and
+    read or write no entry of hom_cache.  Checked on the covering complex
+    of star(4, 1) and on a permuted direct sum of its parts."""
+    A = star_algebra(4, 1)
+    T = covering_to_complex(enumerate_coverings(4)[-1], A)
+    parts = summand_complexes(T)
+    assert len(parts) == 4
+    S = direct_sum([parts[j] for j in (2, 0, 3, 1)])
+    built, touched = [], []
+    init = complexes.ChainMapSpace.__init__
+
+    def recording_init(self, Q, R, s):
+        built.append((Q, R, s))
+        init(self, Q, R, s)
+
+    monkeypatch.setattr(complexes.ChainMapSpace, "__init__", recording_init)
+    monkeypatch.setattr(A, "hom_cache", _RecordingCache(touched))
+    for X in (T, S):
+        built.clear()
+        assert is_tilting(X, direct=True)
+        assert [(Q is X, R is X, s) for Q, R, s in built] == [(True, True, 1)]
+        for s in (-1, 0, 1):
+            built.clear()
+            dim = hom_complex_dim(X, X, s, direct=True)
+            assert [(Q is X, R is X, t) for Q, R, t in built] == [(True, True, s)]
+            # a tilting complex has Homs in shift 0 only, where they pair to
+            # the Euler form
+            assert dim == (euler_pairing(X, X) if s == 0 else 0)
+    assert touched == [] and len(A.hom_cache) == 0
+    # the spy sees the cached route
+    assert hom_complex_dim(S, S, 1) == 0 and touched
