@@ -72,8 +72,8 @@ class BrauerTreeAlgebra:
         self._build_mult()
         self._build_arrows()
         self._check_consistency()
-        # dim Hom(X, Y[s]) keyed (X.content_id, Y.content_id, s); the ids
-        # number the contents in complex_ids; summand_cache interns
+        # dim Hom(X, Y[s]) keyed (X, Y, s) by the parts themselves, which
+        # the constructors intern in summand_cache: it holds
         # modules.uniserial_presentation (read off the star path, filling
         # no module memo), complexes.stalk_complex and
         # modules.min_proj_presentation; syzygy_cache memoizes
@@ -82,7 +82,6 @@ class BrauerTreeAlgebra:
         # mult_cache and product_cache hold the index form of the structure
         # constants (mult_coords, block_products)
         self.hom_cache: dict = {}
-        self.complex_ids: dict = {}
         self.summand_cache: dict = {}
         self.syzygy_cache: dict = {}
         self.mult_cache: dict = {}

@@ -30,7 +30,8 @@ class Summand:
 
     A stalk P_e in degree d has key ("stalk", e, d); any other part has
     key ("pres", name) for the name its constructor gave it, or
-    ("pres", (), content id) when it has none.
+    ("pres", (), content) when it has none: the content alone, so equal
+    complexes get equal keys whatever order they were built in.
     """
 
     key: tuple
@@ -129,20 +130,6 @@ class ProjComplex:
         """The nonzero entries of k0_class(), as (edge, multiplicity) pairs."""
         return tuple((e, x) for e, x in zip(self.algebra.edges, self.k0_class()) if x)
 
-    @cached_property
-    def content_id(self) -> int:
-        """Number of this complex's comps and differentials among those
-        interned on its algebra: complexes with equal content share it."""
-        content = (
-            tuple(sorted(self.comps.items())),
-            tuple(sorted(
-                (d, tuple(tuple(frozenset(e.items()) for e in row) for row in mat))
-                for d, mat in self.diffs.items()
-            )),
-        )
-        ids = self.algebra.complex_ids
-        return ids.setdefault(content, len(ids))
-
     @property
     def labels(self) -> tuple:
         """One Summand per part, read off the part."""
@@ -152,14 +139,21 @@ class ProjComplex:
     def summand(self) -> Summand:
         """This complex named as one part: a stalk when it has one slot in
         one degree, else a presentation, shown as P_b->P_a when it has one
-        slot in each of degrees 0 and 1."""
+        slot in each of degrees 0 and 1.  An unnamed presentation is keyed
+        by its content: its comps, and each nonzero differential entry as
+        its sorted (basis index, coefficient mod p) pairs."""
         if len(self.comps) == 1:
             (d, slots), = self.comps.items()
             if len(slots) == 1:
                 return Summand(("stalk", slots[0], d), f"P_{slots[0]}[deg {d}]")
         name = self.name
         if name is None:
-            key = ("pres", (), self.content_id)
+            index, p = self.algebra.index, self.algebra.prime
+            entries = ((d, h, g, tuple(sorted((index[pc], c % p) for pc, c in x.items() if c % p)))
+                       for d in sorted(self.diffs) for h, row in enumerate(self.diffs[d])
+                       for g, x in enumerate(row))
+            key = ("pres", (), (tuple(sorted(self.comps.items())),
+                                tuple(e for e in entries if e[3])))
             text = "; ".join(f"deg {d}: {list(self.comps[d])}" for d in self.degrees())
         else:
             key = ("pres", tuple(name) if isinstance(name, (list, tuple)) else (name,))
@@ -283,11 +277,11 @@ class ChainMap:
     differentials is left to is_chain_map."""
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int, comps):
-        self.Q, self.R, self.s = Q, R, s
+        self.Q, self.R, self.s = Q, R, _degree(s)
         self.comps = {}
         for d, mat in comps.items():
             d = _degree(d)
-            self.comps[d] = _checked(Q.algebra, mat, Q.slots(d), R.slots(d + s),
+            self.comps[d] = _checked(Q.algebra, mat, Q.slots(d), R.slots(d + self.s),
                                      f"chain map at degree {d}")
 
     def entry(self, d):
@@ -363,7 +357,7 @@ class ChainMapSpace:
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
-        A = Q.algebra
+        A, s = Q.algebra, _degree(s)
         if R.algebra is not A:
             raise ValueError("complexes over different algebras")
         p = A.prime
@@ -603,8 +597,10 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     """dim Hom_{K^b}(Q, R[s]).
 
     Hom is additive, so the dimension is the sum over pairs of parts, each
-    pair computed once and cached on the algebra under the content ids of
-    the two parts; the parts' labels take no part in it.
+    pair computed once and cached on the algebra under the two parts
+    themselves, (u, v, s): the constructors intern every part they build,
+    so equal parts are one object.  The parts' labels take no part in it.
+    A shift that is not an integer is refused (ValueError).
     direct=True forces one whole-complex elimination instead; the
     shift-duality suite computes that way, independently of the cache.
 
@@ -614,7 +610,7 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     no space at s = -1.  The shift-duality suite checks the identity by
     computing both Hom(T, T[1]) and Hom(T, T[-1]) with direct=True.
     """
-    A = Q.algebra
+    A, s = Q.algebra, _degree(s)
     if R.algebra is not A:
         raise ValueError("complexes over different algebras")
     if direct:
@@ -622,7 +618,7 @@ def hom_complex_dim(Q: ProjComplex, R: ProjComplex, s: int, direct: bool = False
     total = 0
     for u in Q.parts:
         for v in R.parts:
-            key = (u.content_id, v.content_id, s)
+            key = (u, v, s)
             dim = A.hom_cache.get(key)
             if dim is None:
                 dim = A.hom_cache[key] = ChainMapSpace(u, v, s).dim

@@ -249,9 +249,8 @@ class EndoAlgebra:
             reps = self._reps[pair_of[next(iter(rep))]]
             self._local.append(len(reps))
             reps.append(rep)
-        ids = [P.content_id for P in self.parts]
         for (u, v), reps in self._reps.items():
-            A.hom_cache[(ids[u], ids[v], 0)] = len(reps)
+            A.hom_cache[(self.parts[u], self.parts[v], 0)] = len(reps)
 
     def dim(self, u, v) -> int:
         """dim Hom(T_u, T_v) in the homotopy category."""

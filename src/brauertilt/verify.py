@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .algebra import DEFAULT_PRIME, BrauerTreeAlgebra, build_tree_algebra, socle_class, star_algebra
+from .algebra import DEFAULT_PRIME, build_tree_algebra, socle_class, star_algebra
 from .complexes import (
     algebra_complex,
     direct_sum,
@@ -50,19 +50,18 @@ class SuiteResult:
     fingerprint: object = None
 
 
-def _star(n, k, prime) -> BrauerTreeAlgebra:
-    key = ("star", n, k, prime)
+def _shared(kind, n, k, prime):
+    """Built once per (kind, n, k, prime) in _ALGEBRAS and shared by the
+    suites: the star algebra ("star"), every tree with its algebra
+    ("trees"), or the brute-force tilting complexes over the star ("brute")."""
+    key = (kind, n, k, prime)
     if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = star_algebra(n, k, prime)
-    return _ALGEBRAS[key]
-
-
-def _tree_algebras(n, k, prime):
-    key = ("trees", n, k, prime)
-    if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = [
-            (t, build_tree_algebra(t, prime)) for t in all_brauer_trees(n, k)
-        ]
+        if kind == "star":
+            _ALGEBRAS[key] = star_algebra(n, k, prime)
+        elif kind == "trees":
+            _ALGEBRAS[key] = [(t, build_tree_algebra(t, prime)) for t in all_brauer_trees(n, k)]
+        else:
+            _ALGEBRAS[key] = enumerate_two_term_tilting_bruteforce(_shared("star", n, k, prime))
     return _ALGEBRAS[key]
 
 
@@ -75,9 +74,10 @@ def suite_presentation_criterion(prime) -> SuiteResult:
     algebras (stars up to (5,3), multiplicity-1 trees up to 4 edges)."""
     entries = []
     failures = []
-    algebras = [(f"star({n},{k})", _star(n, k, prime)) for n in range(1, 6) for k in range(1, 4)]
+    algebras = [(f"star({n},{k})", _shared("star", n, k, prime))
+                 for n in range(1, 6) for k in range(1, 4)]
     for n in range(1, 5):
-        for i, (tree, A) in enumerate(_tree_algebras(n, 1, prime)):
+        for i, (tree, A) in enumerate(_shared("trees", n, 1, prime)):
             algebras.append((f"tree(n={n},#{i})", A))
     for name, A in algebras:
         for label, M in enumerate_indecomposables(A):
@@ -117,7 +117,7 @@ def suite_socle_quotient(prime) -> SuiteResult:
     entries = []
     total_algebras = 0
     for n in range(1, 5):
-        for i, (tree, A) in enumerate(_tree_algebras(n, 1, prime)):
+        for i, (tree, A) in enumerate(_shared("trees", n, 1, prime)):
             total_algebras += 1
             name = f"tree(n={n},#{i})"
             failing = []
@@ -148,7 +148,7 @@ def suite_length_bound(prime) -> SuiteResult:
     entries = []
     for n in range(1, 6):
         for k in range(1, 4):
-            A = _star(n, k, prime)
+            A = _shared("star", n, k, prime)
             for top in A.edges:
                 for l in range(1, n * k + 1):
                     pt = is_partial_tilting(uniserial_presentation(A, top, l))
@@ -164,7 +164,7 @@ def _duality_corpus(prime):
     pair of them, and overlapping triples of star(3, 1)'s."""
     corpus = []
     for n, k in [(2, 1), (3, 1), (2, 2), (3, 2)]:
-        A = _star(n, k, prime)
+        A = _shared("star", n, k, prime)
         parts = [
             uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)
         ]
@@ -203,21 +203,14 @@ def suite_shift_duality(prime) -> SuiteResult:
 BIJECTION_CASES = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
 
 
-def _brute(n, k, prime):
-    key = ("brute", n, k, prime)
-    if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = enumerate_two_term_tilting_bruteforce(_star(n, k, prime))
-    return _ALGEBRAS[key]
-
-
 def suite_covering_bijection(prime) -> SuiteResult:
     """Coverings biject with the basic two-term tilting complexes other
     than A and A[-1], checked against the exhaustive search oracle."""
     failures = []
     entries = []
     for n, k in BIJECTION_CASES:
-        A = _star(n, k, prime)
-        brute = _brute(n, k, prime)
+        A = _shared("star", n, k, prime)
+        brute = _shared("brute", n, k, prime)
         brute_keys = {complex_label_key(T) for T in brute}
         if len(brute_keys) != len(brute):
             failures.append((n, k, "duplicate complexes in brute force"))
@@ -248,7 +241,7 @@ def suite_hom_tables(prime) -> SuiteResult:
     failures = []
     counts = {"pair": 0, "mixed": 0, "stalk": 0}
     for n, k in ((4, 1), (5, 1), (3, 2)):
-        A = _star(n, k, prime)
+        A = _shared("star", n, k, prime)
         intervals = [
             CyclicInterval(s, r) for s in range(1, n + 1) for r in range(2, n + 1)
         ]
@@ -310,7 +303,7 @@ def suite_euler_pairing(prime) -> SuiteResult:
     pairs = 0
     complexes = 0
     for n, k in BIJECTION_CASES:
-        for T in _brute(n, k, prime):
+        for T in _shared("brute", n, k, prime):
             complexes += 1
             parts = T.parts
             for i in range(len(parts)):
@@ -336,7 +329,7 @@ def suite_line_example(prime) -> SuiteResult:
     """The worked 4-gon covering: summand list, endomorphism quiver
     d <-> a <-> b <-> c and the 4-edge line Brauer graph."""
     failures = []
-    A = _star(4, 1, prime)
+    A = _shared("star", 4, 1, prime)
     cov = Covering(
         4,
         (CyclicInterval(1, 4),),
@@ -386,7 +379,7 @@ def suite_realization_roundtrip(prime) -> SuiteResult:
     count = 0
     for n in range(1, 5):
         for k in (1, 2):
-            A = _star(n, k, prime)
+            A = _shared("star", n, k, prime)
             for t in all_brauer_trees(n, k):
                 for sd in (0, 1):
                     count += 1
@@ -408,7 +401,7 @@ def suite_star_autoequivalences(prime) -> SuiteResult:
     fingerprint = []
     for k in (1, 2):
         for n in range(2, 6):
-            A = _star(n, k, prime)
+            A = _shared("star", n, k, prime)
             hits = [cov.sort_key() for cov in enumerate_coverings(n)
                     if is_autoequivalence_covering(cov, A)]
             trivial_ok = all(

@@ -6,6 +6,7 @@ the stated runtime budgets are asserted where they exist.
 import hashlib
 import time
 
+from brauertilt import coverings, verify
 from brauertilt.verify import (
     FIELD_PRIMES,
     SUITES,
@@ -148,3 +149,16 @@ def test_criterion_11_field_independence():
                 f"suite {name} at p = {p} moved from its recorded fingerprint"
             )
     assert ok
+
+
+def test_fingerprints_do_not_depend_on_suite_order(monkeypatch):
+    """Every suite, run cold in reverse order at the default prime, gives
+    its recorded digest: no cache shared between suites, such as one on an
+    algebra that an earlier suite warmed, moves a fingerprint."""
+    monkeypatch.setattr(verify, "_MEMO", {})
+    monkeypatch.setattr(verify, "_ALGEBRAS", {})
+    coverings._inner_families.cache_clear()
+    for name in sorted(SUITES, reverse=True):
+        res = run_suite(name)
+        assert res.ok, (name, res.failures[:5])
+        assert fingerprint_digest(res.fingerprint) == SUITE_DIGESTS[name], name

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauertilt import complexes, linalg
-from brauertilt.algebra import DEFAULT_PRIME, PathClass, idempotent, star_algebra
+from brauertilt.algebra import (
+    DEFAULT_PRIME,
+    PathClass,
+    build_tree_algebra,
+    idempotent,
+    star_algebra,
+)
 from brauertilt.complexes import (
     ChainMap,
     ChainMapSpace,
@@ -21,8 +27,14 @@ from brauertilt.complexes import (
     map_vector,
     stalk_complex,
 )
-from brauertilt.coverings import covering_to_complex, enumerate_coverings, tilting_catalog
+from brauertilt.coverings import (
+    complex_label_key,
+    covering_to_complex,
+    enumerate_coverings,
+    tilting_catalog,
+)
 from brauertilt.endo import EndoAlgebra, summand_complexes
+from brauertilt.modules import enumerate_indecomposables, min_proj_presentation
 from brauertilt.modules import uniserial_presentation as pres
 from brauertilt.realization import realize
 from brauertilt.trees import all_brauer_trees
@@ -81,6 +93,32 @@ def test_degrees_must_be_integers(degree):
     assert ProjComplex(A, {"-1": (1,)}, {}).comps == {-1: (1,)}
     assert ChainMap(P, P, 0, {"1": [[{idempotent(1): 1}]]}).comps == identity_chain_map(P).comps
     assert stalk_complex(A, 1, 1) is P
+
+
+@pytest.mark.parametrize("shift", [0.5, 1.5, "1.5", "x", None],
+                         ids=["half", "float", "string", "word", "none"])
+def test_shifts_must_be_integers(shift):
+    """hom_complex_dim, ChainMapSpace and ChainMap refuse a shift that is no
+    integer, naming it, as they refuse such a degree, and hom_complex_dim
+    caches nothing for it; integer shifts, and their digit strings, are
+    read as before."""
+    A = star_algebra(3, 1)
+    P = pres(A, 2, 1)
+    named = re.escape(f"degree {shift!r} is not an integer")
+    with pytest.raises(ValueError, match=named):
+        hom_complex_dim(P, P, shift)
+    with pytest.raises(ValueError, match=named):
+        hom_complex_dim(P, P, shift, direct=True)
+    with pytest.raises(ValueError, match=named):
+        ChainMapSpace(P, P, shift)
+    with pytest.raises(ValueError, match=named):
+        ChainMap(P, P, shift, {})
+    assert A.hom_cache == {}
+    for s in (-1, 0, 1):
+        assert hom_complex_dim(P, P, s) == hom_complex_dim(P, P, str(s)) == ChainMapSpace(P, P, s).dim
+        assert ChainMapSpace(P, P, str(s)).s == ChainMap(P, P, str(s), {}).s == s
+    assert hom_complex_dim(P, P, 0) == 2 and hom_complex_dim(P, P, 1) == 0
+    assert set(A.hom_cache) == {(P, P, s) for s in (-1, 0, 1)}
 
 
 def test_disjoint_degrees_vanish():
@@ -167,10 +205,70 @@ def test_parts_travel_with_the_sum():
     T = direct_sum([direct_sum([U, V]), W])
     assert T.parts == (U, V, W) and U.parts == (U,)
     assert [l.key for l in T.labels] == [l.key for X in (U, V, W) for l in X.labels]
-    # Homs are cached by content: a rebuilt stalk shares the id of V
-    assert stalk_complex(A, 2, 0).content_id == V.content_id != W.content_id
+    # Homs are cached by the parts, which are interned: a rebuilt stalk is V
+    assert stalk_complex(A, 2, 0) is V and V is not W
     hom_complex_dim(T, T, 0)
-    assert (U.content_id, V.content_id, 0) in A.hom_cache
+    assert (U, V, 0) in A.hom_cache
+
+
+def _nonprojective_presentations(A, count):
+    """The minimal presentations of the first count nonprojective
+    indecomposables of A, as enumerate_indecomposables lists them."""
+    modules = [M for label, M in enumerate_indecomposables(A) if label[0] != "projective"]
+    return [min_proj_presentation(M) for M in modules[:count]]
+
+
+def test_unnamed_labels_do_not_depend_on_the_order_they_are_asked():
+    """Over a non-star tree the presentations have no name, and a label is
+    read off the content alone: on two fresh algebras whose labels are
+    asked in opposite orders, the same parts and sums get the same keys."""
+    tree = next(t for t in all_brauer_trees(4, 1) if not t.is_star())
+    forward = _nonprojective_presentations(build_tree_algebra(tree), 4)
+    backward = _nonprojective_presentations(build_tree_algebra(tree), 4)
+    assert all(P.name is None for P in forward + backward)
+    first = [P.summand.key for P in forward]
+    assert [P.summand.key for P in reversed(backward)] == first[::-1]
+    assert len(set(first)) == 4
+    assert complex_label_key(direct_sum(forward[:2])) == complex_label_key(direct_sum(backward[:2]))
+
+
+def test_unnamed_labels_read_coefficients_mod_p():
+    """An unnamed part keys its differential by coefficients mod p: the
+    entry p + 1 gives the key of the entry 1, and the entry 2 another."""
+    A = star_algebra(3, 1)
+    p = A.prime
+
+    def built(c):
+        return ProjComplex(A, {0: (1,), 1: (2,)}, {0: [[{A.star_path(1, 1): c}]]})
+
+    one, again, two = built(1), built(p + 1), built(2)
+    assert one.name is None and one is not again
+    assert again.summand.key == one.summand.key != two.summand.key
+    assert one.summand.display() == again.summand.display() == "P_2->P_1"
+
+
+def test_rebuilt_parts_give_the_hom_dimensions_of_the_interned_ones():
+    """Parts rebuilt outside their constructors are other objects, so their
+    pair dimensions are computed again, not shared; the Hom dimensions of a
+    sum of rebuilt catalogue members equal those of the interned members,
+    both through the cache and directly."""
+    for n, k in ((3, 1), (3, 2), (4, 1)):
+        A = star_algebra(n, k)
+        parts = tilting_catalog(A)[::2]
+        copies = [ProjComplex(A, P.comps, P.diffs, name=P.name) for P in parts]
+        assert all(C is not P and C.summand == P.summand for C, P in zip(copies, parts))
+        T, U = direct_sum(parts), direct_sum(copies[::-1])
+        for s in (-1, 0, 1):
+            want = hom_complex_dim(T, T, s)
+            assert hom_complex_dim(U, U, s) == want == hom_complex_dim(U, U, s, direct=True)
+            assert hom_complex_dim(T, U, s) == want == hom_complex_dim(U, T, s)
+        # one pair at a time, shift 1 cached before -1: Hom(C, P[-1]) is
+        # Hom(P, C[1]), not Hom(C, P[1])
+        for s in (1, -1):
+            for C in copies:
+                for P in parts:
+                    assert hom_complex_dim(C, P, s) == hom_complex_dim(C, P, s, direct=True)
+        assert (copies[0], copies[0], 0) in A.hom_cache and (parts[0], parts[0], 0) in A.hom_cache
 
 
 def _dense_direct_sum(parts):
@@ -231,7 +329,7 @@ def test_direct_sum_matches_dense_reference(data):
     assert got.comps == want.comps
     assert got.diffs == want.diffs
     assert got.parts == want.parts
-    assert got.content_id == want.content_id
+    assert got.summand.key == want.summand.key
     own = {id(x) for P in parts for mat in P.diffs.values() for row in mat for x in row}
     assert not any(id(x) in own for mat in got.diffs.values() for row in mat for x in row)
     # the sum holds its grid as built, one dict per cell; editing it leaves

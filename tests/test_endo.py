@@ -201,7 +201,7 @@ def test_pair_classes_of_one_hom_t_t_equal_spaces_built_alone():
             for v, V in enumerate(E.parts):
                 alone = ChainMapSpace(U, V, 0)
                 assert E.dim(u, v) == alone.dim
-                assert cache[(U.content_id, V.content_id, 0)] == alone.dim
+                assert cache[(U, V, 0)] == alone.dim
                 columns = pair_columns(E, u, v, alone)
                 # a representative lies in one pair: a column outside it
                 # would raise KeyError
