@@ -25,7 +25,13 @@ from .coverings import (
     enumerate_coverings,
     enumerate_two_term_tilting_bruteforce,
 )
-from .endo import ACycle, a_cycle_partition, endo_brauer_tree, endo_cartan, is_autoequivalence_covering
+from .endo import (
+    ACycle,
+    a_cycle_partition,
+    endo_brauer_tree,
+    endo_cartan,
+    is_autoequivalence_covering,
+)
 from .modules import (
     ModuleMap,
     Representation,
@@ -45,6 +51,7 @@ from .modules import (
 )
 from .realization import label_brauer_tree, realize
 from .tilting import (
+    TiltingComplex,
     is_partial_tilting,
     is_tilting,
     module_partial_tilting_test,

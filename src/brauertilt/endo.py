@@ -12,6 +12,12 @@ block of the tensor.  The star fast path groups summands by
 shared components and orders them along the star, with explicit witness
 morphisms whose maximal nonzero compositions, walked through the same
 tensor, certify each cyclic order.
+
+A complex is decided once.  A TiltingComplex (tilting.py), which realize
+returns, was decided from the Hom(T, T) its End(T) is read from, with no
+space at shift 1: for a two-term T, dim Hom(T, T[1]) = dim Hom^1(T, T) -
+rank D_0 (tilting.shift_one_dim).  The decoders and endo_cartan take that
+decision as made; any other complex is decided by is_tilting first.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .complexes import (
     identity_chain_map,
     map_vector,
 )
-from .tilting import is_tilting
+from .tilting import TiltingComplex, is_tilting
 from .trees import BrauerTree
 
 
@@ -64,8 +70,7 @@ def endo_cartan(T: ProjComplex) -> list[list[int]]:
     alternating-sum pairing.  The pairing is symmetric, since A's block
     dimensions are (the algebra checks them against the tree's symmetric
     Cartan matrix), so it is compared once per unordered pair."""
-    if not is_tilting(T):
-        raise ValueError("complex is not tilting")
+    _require_tilting(T)
     parts = summand_complexes(T)
     m = len(parts)
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
@@ -212,6 +217,11 @@ class EndoAlgebra:
     is read off the slots the parts take in T, so the parts must lay out
     T's slots in order, as direct_sum does.  Every pair's dimension, 0
     included, goes to A.hom_cache, where endo_cartan finds it.
+
+    The same space decides a TiltingComplex: its commuting squares C are
+    D_0, and for a two-term T, with no maps T -> T[2], dim Hom(T, T[1]) =
+    dim Hom^1(T, T) - rank C (tilting.shift_one_dim), so no space at
+    shift 1 is built.
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
     only where dim(u, v) and dim(v, w) are both nonzero, as sparse rows of
@@ -523,6 +533,13 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
 # -- tree assembly --------------------------------------------------------------------
 
 
+def _require_tilting(T: ProjComplex) -> None:
+    """Refuse T unless it is tilting: a TiltingComplex was decided when it
+    was made, any other complex is decided by is_tilting."""
+    if not isinstance(T, TiltingComplex) and not is_tilting(T):
+        raise ValueError("complex is not tilting")
+
+
 def tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, dict]:
     """Brauer tree of End(T) from the A-cycles of its summands, with edges
     labeled by the summands; returns (tree, edge -> summand label map).
@@ -561,13 +578,13 @@ def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
     method 'generic' decodes the quiver of End(T); 'fast' applies the
     shared-component case analysis over the star and checks its witnesses;
     'both' runs the two and insists they agree.  Both read the summands'
-    components, never their labels, and share one EndoAlgebra.
+    components, never their labels, and share one EndoAlgebra: the one a
+    TiltingComplex carries, else one built once T is decided.
     """
-    if not is_tilting(T):
-        raise ValueError("complex is not tilting")
     if method not in ("fast", "generic", "both"):
         raise ValueError("method must be 'fast', 'generic' or 'both'")
-    E = EndoAlgebra(T)
+    _require_tilting(T)
+    E = T.endo if isinstance(T, TiltingComplex) else EndoAlgebra(T)
     if method == "generic":
         return a_cycle_generic(E)
     fast = a_cycle_fast(T)

@@ -240,39 +240,6 @@ def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
     return Representation._of_fresh_rows(A, dims, act)
 
 
-# -- submodules -------------------------------------------------------------------
-
-
-def _sub_of_reduced(M: Representation, reduced) -> tuple[Representation, ModuleMap]:
-    """The subrepresentation of M spanned per edge by a reduced basis,
-    given as `linalg.reduced_kernels` returns it: per edge, the reduced
-    basis and its pivot columns; returns (sub, inclusion).
-
-    The sub's basis is the reduced basis of each span.  A reduced row is 1
-    at its own pivot column and 0 at the others, so the coordinates of a
-    vector of the span are its entries at the pivot columns; recombining
-    the basis with them checks that the arrow images lie in the span.
-    """
-    A = M.algebra
-    p = A.prime
-    act = {}
-    for arrow in A.arrows:
-        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
-        basis_a, piv_a = reduced[a]
-        # row t: the coordinates of the image of basis vector t at edge b
-        coords = []
-        for v in reduced[b][0].rows:
-            image = linalg.apply(M.act[arrow], v, p)
-            coord = {r: image[c] for r, c in enumerate(piv_a) if c in image}
-            if linalg.combine(coord, basis_a, p) != image:
-                raise ValueError("spans are not stable under the arrow actions")
-            coords.append(coord)
-        act[arrow] = linalg.transpose(linalg.SparseRows(coords, len(piv_a)))
-    sub = Representation._of_fresh_rows(A, [len(piv) for _, piv in reduced], act)
-    incl = ModuleMap._of_fresh_rows(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
-    return sub, incl
-
-
 # -- homomorphisms ---------------------------------------------------------------
 
 
@@ -454,9 +421,35 @@ def _syzygy_with_embedding(M: Representation):
 
 def kernel_representation(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """The kernel of f as a subrepresentation of its source; returns
-    (kernel, inclusion) as _sub_of_reduced does, with one elimination
-    over all edges (see linalg.reduced_kernels)."""
-    return _sub_of_reduced(f.source, linalg.reduced_kernels(f.mats, f.source.algebra.prime))
+    (kernel, inclusion), with one elimination over all edges
+    (`linalg.reduced_kernels`): per edge, the reduced basis of the kernel
+    and its pivot columns.
+
+    The kernel's basis is the reduced basis at each edge.  A reduced row is
+    1 at its own pivot column and 0 at the others, so the coordinates of a
+    vector of the kernel are its entries at the pivot columns; recombining
+    the basis with them checks that the arrow images lie in the kernel.
+    """
+    M = f.source
+    A = M.algebra
+    p = A.prime
+    reduced = linalg.reduced_kernels(f.mats, p)
+    act = {}
+    for arrow in A.arrows:
+        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
+        basis_a, piv_a = reduced[a]
+        # row t: the coordinates of the image of basis vector t at edge b
+        coords = []
+        for v in reduced[b][0].rows:
+            image = linalg.apply(M.act[arrow], v, p)
+            coord = {r: image[c] for r, c in enumerate(piv_a) if c in image}
+            if linalg.combine(coord, basis_a, p) != image:
+                raise ValueError("the kernel is not stable under the arrow actions")
+            coords.append(coord)
+        act[arrow] = linalg.transpose(linalg.SparseRows(coords, len(piv_a)))
+    sub = Representation._of_fresh_rows(A, [len(piv) for _, piv in reduced], act)
+    incl = ModuleMap._of_fresh_rows(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
+    return sub, incl
 
 
 def second_syzygy(M: Representation) -> Representation:

@@ -16,9 +16,9 @@ so the endomorphism tree reproduces the input.
 from __future__ import annotations
 
 from .algebra import BrauerTreeAlgebra, star_algebra
-from .complexes import ProjComplex, direct_sum, stalk_complex
+from .complexes import stalk_complex
 from .modules import uniserial_presentation
-from .tilting import is_tilting
+from .tilting import TiltingComplex
 from .trees import BrauerTree
 
 
@@ -63,9 +63,11 @@ def realize(
     tree: BrauerTree,
     A: BrauerTreeAlgebra | None = None,
     stalk_degree: int = 0,
-) -> ProjComplex:
+) -> TiltingComplex:
     """Two-term tilting complex over the star algebra of type
-    (n, multiplicity) whose endomorphism Brauer tree is the given tree.
+    (n, multiplicity) whose endomorphism Brauer tree is the given tree,
+    decided once and carrying its End(T) (see TiltingComplex), which
+    endo_brauer_tree decodes without deciding again.
 
     stalk_degree 0 is the primary construction; stalk_degree 1 builds the
     mirrored variant with all projective stalks in the upper degree.
@@ -92,7 +94,4 @@ def realize(
 
     for e in _children(tree, root, None):
         walk(e, root)
-    T = direct_sum(sorted(parts, key=lambda P: P.summand.key))
-    if not is_tilting(T):
-        raise AssertionError("realization did not produce a tilting complex")
-    return T
+    return TiltingComplex(sorted(parts, key=lambda P: P.summand.key))

@@ -10,7 +10,7 @@ they can cross-check each other.
 from __future__ import annotations
 
 from . import linalg
-from .complexes import ProjComplex, hom_complex_dim
+from .complexes import ChainMapSpace, ProjComplex, direct_sum, hom_complex_dim
 from .modules import (
     Representation,
     hom_dim,
@@ -48,7 +48,13 @@ def is_partial_tilting(T: ProjComplex, direct: bool = False) -> bool:
 
 def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     """Partial tilting with summands whose classes span K_0 (the rank
-    criterion replaces the generation condition over these algebras).
+    criterion replaces the generation condition over these algebras; see
+    classes_span_k0).  T must lie in two consecutive degrees."""
+    return classes_span_k0(T) and is_partial_tilting(T, direct=direct)
+
+
+def classes_span_k0(T: ProjComplex) -> bool:
+    """Whether the classes of the summands of T span K_0.
 
     The summands are the parts of T (see direct_sum), and their classes
     sum_d (-1)^d [T^d] must have rank n, the number of simples.  This is
@@ -57,8 +63,8 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     tilting complex form a Z-basis of K_0 (Adachi, Iyama and Reiten,
     "tau-tilting theory", 2014), so the rank taken mod the working prime
     is the rank over Q.  A part that is itself decomposable adds only its
-    total class, so it cannot stand in for missing summands.  T must lie
-    in two consecutive degrees.
+    total class, so it cannot stand in for missing summands.  Raises
+    ValueError unless T lies in two consecutive degrees.
     """
     if T.comps and T.max_degree - T.min_degree > 1:
         raise ValueError("is_tilting decides two-term complexes only")
@@ -66,9 +72,57 @@ def is_tilting(T: ProjComplex, direct: bool = False) -> bool:
     # each part's class read from its cached k0_terms, so a shared part
     # (an interned stalk or presentation) computes it once
     classes = [{A.eidx[e]: x % p for e, x in P.k0_terms if x % p} for P in T.parts]
-    if linalg.rank(linalg.SparseRows(classes, A.n), p) != A.n:
-        return False
-    return is_partial_tilting(T, direct=direct)
+    return linalg.rank(linalg.SparseRows(classes, A.n), p) == A.n
+
+
+def shift_one_dim(hom: ChainMapSpace) -> int:
+    """dim Hom(T, T[1]) of a two-term complex T, read from its space
+    hom = ChainMapSpace(T, T, 0) with no space at shift 1.
+
+    With T in degrees lo and lo + 1 there are no degree-wise maps
+    T -> T[2], so Hom(T, T[1]) is the coefficients of the maps
+    T^lo -> T^(lo+1) modulo the image of D_0.  That image has the rank of
+    the space's commuting squares C = D_0, whose pivots its constructor
+    counts: dim Hom(T, T[1]) = (those coefficients) - rank C.  The space at
+    shift 1 eliminates N = D_0^T instead, with the signs of the degree-0
+    unknowns flipped, which leaves the rank alone.
+    """
+    T = hom.Q
+    if hom.R is not T or hom.s != 0:
+        raise ValueError("needs the space Hom(T, T) at shift 0")
+    if not T.comps or T.max_degree == T.min_degree:
+        return 0
+    if T.max_degree - T.min_degree > 1:
+        raise ValueError("needs a two-term complex")
+    lo, dims = T.min_degree, T.algebra.block_dims
+    coefficients = sum(dims[(a, b)] for a in T.slots(lo) for b in T.slots(lo + 1))
+    rank_c = hom.total - hom.dim - hom.null_rank
+    return coefficients - rank_c
+
+
+class TiltingComplex(ProjComplex):
+    """A two-term tilting complex that carries its End(T) as `endo`.
+
+    The constructor is the check: it sums the parts in the order given
+    (direct_sum), builds End(T) over that plain sum (endo.EndoAlgebra,
+    whose one space is ChainMapSpace(T, T, 0)) and decides T from it: the
+    classes of the parts span K_0 and Hom(T, T[1]) = 0, read off that
+    space (shift_one_dim).  It refuses any other parts with ValueError.
+    The value then adopts the plain sum's fields, so it is the same
+    complex, and keeps the End(T) built over the plain sum, which refers
+    to that sum and not to this value: End(T) is freed with its complex,
+    with no reference cycle to wait for.
+    """
+
+    def __init__(self, parts):
+        from .endo import EndoAlgebra
+
+        T = direct_sum(parts)
+        E = EndoAlgebra(T) if classes_span_k0(T) else None
+        if E is None or shift_one_dim(E.hom):
+            raise ValueError("complex is not tilting")
+        self._adopt(T.algebra, T.comps, T.diffs, None, T.parts)
+        self.endo = E
 
 
 def hom_to_module(T: ProjComplex, M: Representation) -> int:

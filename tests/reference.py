@@ -4,11 +4,11 @@ Nothing in `brauertilt` calls these: they are general routes the package
 does not need, kept here as oracles.  They are a linear solver, a
 nullspace and the reduced bases of several matrices at once over F_p,
 the relations check of a representation and the intertwining check of a
-module map, the reduced spans of a module's subspaces, the quotient of a
-module by a submodule and the module P/soc(P) built that way, the
-minimality of a complex, the cokernel of a two-term complex, the chain
-maps of a space's quotient representatives, and JSON readers for modules
-and complexes with a writer for coverings.  Each is built from the
+module map, the reduced spans of a module's subspaces, the submodule they
+span and the quotient of a module by it, the module P/soc(P) built that
+way, the minimality of a complex, the cokernel of a two-term complex, the
+chain maps of a space's quotient representatives, and JSON readers for
+modules and complexes with a writer for coverings.  Each is built from the
 package's own primitives by a different path than the one the package
 takes; the package reads P/soc(P) off its presentation instead.
 """
@@ -159,6 +159,36 @@ def reduced_spans(M: Representation, spans) -> list[tuple[linalg.SparseRows, lis
             raise ValueError(f"span at edge index {i} must have rows of length {d}")
         mats.append(s if s.height and s.cols else linalg.SparseRows([], d))
     return reduced_bases(mats, p)
+
+
+def sub_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:
+    """The subrepresentation of M spanned per edge by the rows of
+    spans[edge_idx], with its inclusion; the spans are reduced by one rref
+    over all edges (`reduced_spans`).
+
+    The sub's basis is the reduced basis of each span.  A reduced row is 1
+    at its own pivot column and 0 at the others, so the coordinates of a
+    vector of the span are its entries at the pivot columns; recombining
+    the basis with them checks that the arrow images lie in the span.
+    """
+    A = M.algebra
+    p = A.prime
+    reduced = reduced_spans(M, spans)
+    act = {}
+    for arrow in A.arrows:
+        a, b = A.eidx[arrow.start], A.eidx[arrow.end]
+        basis_a, piv_a = reduced[a]
+        # row t: the coordinates of the image of basis vector t at edge b
+        coords = []
+        for v in reduced[b][0].rows:
+            image = linalg.apply(M.act[arrow], v, p)
+            coord = {r: image[c] for r, c in enumerate(piv_a) if c in image}
+            if linalg.combine(coord, basis_a, p) != image:
+                raise ValueError("spans are not stable under the arrow actions")
+            coords.append(coord)
+        act[arrow] = linalg.transpose(linalg.SparseRows(coords, len(piv_a)))
+    sub = Representation(A, [len(piv) for _, piv in reduced], act)
+    return sub, ModuleMap(sub, M, [linalg.transpose(basis) for basis, _ in reduced])
 
 
 def quotient_representation(M: Representation, spans) -> tuple[Representation, ModuleMap]:

@@ -49,10 +49,13 @@ def test_every_traced_name_resolves():
 def test_traced_sizes_are_recorded():
     """The size counters the tracer reads at span boundaries (the unknowns
     of a ChainMapSpace, the cells of an rref, the dimension of an algebra
-    and the number of trees) still resolve and are recorded, and one decode
-    passes through the spans of both decoders, the witness check and the
-    Cartan check.  The covering complex's presentations are read off the
-    star with no elimination, so a generic presentation supplies the rref."""
+    and the number of trees) still resolve and are recorded.  One decode of
+    a covering complex passes through the spans of both decoders, the
+    witness check and the Cartan check; one realize round trip passes
+    through those and realize's, with one chain-map space and no
+    is_tilting span.  The covering complex's presentations are read off
+    the star with no elimination, so a generic presentation supplies the
+    rref."""
     tracer = _load_layertrace().Tracer()
     tracer.install()
     try:
@@ -68,14 +71,28 @@ def test_traced_sizes_are_recorded():
     assert stats["linalg.rref"]["cells"] > 0
     assert stats["algebra.build"]["max_dim"] == A.dim
     assert stats["trees.enumerate"]["trees"] == len(trees.all_brauer_trees(3, 1))
+    decode_spans = ("endo.generic", "endo.fast", "endo.validate", "endo.cartan")
     tracer = _load_layertrace().Tracer()
     tracer.install()
     try:
         endo.endo_brauer_tree(_worked_covering_complex(), method="both")
     finally:
         tracer.uninstall()
-    for span in ("endo.generic", "endo.fast", "endo.validate", "endo.cartan"):
+    for span in decode_spans:
         assert tracer.stats[span]["calls"] >= 1, span
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        # looked up on the package at call time, as the workloads do
+        T = brauertilt.realize(trees.all_brauer_trees(4, 2)[-1], star_algebra(4, 2))
+        brauertilt.endo_brauer_tree(T, method="both")
+    finally:
+        tracer.uninstall()
+    for span in ("realization.realize",) + decode_spans:
+        assert tracer.stats[span]["calls"] >= 1, span
+    # the round trip decides T once, from its Hom(T, T) at shift 0
+    assert "tilting.is_tilting" not in tracer.stats
+    assert tracer.stats["complexes.chain_map_space"]["calls"] == 1
 
 
 def test_cache_names_read_by_the_bench_child_exist():

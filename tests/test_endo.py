@@ -86,6 +86,25 @@ def test_endo_cartan_requires_tilting():
         endo_cartan(bad)
 
 
+def test_an_invalid_method_is_refused_before_any_decision(monkeypatch):
+    """a_cycle_partition checks `method` first: a bad method is named as
+    such on a complex that is not tilting, and on a tilting one it is
+    refused before is_tilting runs or any chain-map space is built."""
+    A = star_algebra(2, 1)
+    bad = direct_sum([stalk_complex(A, 1, 0), stalk_complex(A, 1, 0)])
+    _, T = worked_example_complex()
+    realized = realize(line_tree(2))
+    work = []
+    monkeypatch.setattr(endo, "is_tilting", lambda *args: work.append("decide"))
+    monkeypatch.setattr(ChainMapSpace, "__init__", lambda *args: work.append("space"))
+    for X in (bad, T, realized):
+        with pytest.raises(ValueError, match="method must be"):
+            a_cycle_partition(X, method="quick")
+        with pytest.raises(ValueError, match="method must be"):
+            endo_brauer_tree(X, method="quick")
+    assert work == []
+
+
 def test_algebra_complex_gives_star_back():
     for n, k in [(1, 1), (1, 2), (3, 1), (2, 2)]:
         A = star_algebra(n, k)

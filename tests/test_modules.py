@@ -47,6 +47,7 @@ from reference import (
     reduced_spans,
     socle_quotient_rep,
     solve,
+    sub_representation,
 )
 
 
@@ -370,12 +371,6 @@ def test_projective_summand_reads_the_socle_action(algebra, data):
         expected = "projective" in (label[0], other_label[0])
         MN = direct_sum_rep(M, N)
         assert has_projective_summand(MN) == has_projective_summand_by_hom(MN) == expected
-
-
-def sub_representation(M, spans):
-    """The subrepresentation spanned per edge by the rows of
-    spans[edge_idx], with its inclusion."""
-    return modules._sub_of_reduced(M, reduced_spans(M, spans))
 
 
 def sub_representation_by_express(M, spans):

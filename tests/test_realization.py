@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from brauertilt import cli
+import brauertilt
+from brauertilt import cli, complexes, coverings, endo, realization, tilting
 from brauertilt.algebra import star_algebra
-from brauertilt.complexes import stalk_complex
+from brauertilt.complexes import direct_sum, stalk_complex
 from brauertilt.endo import endo_brauer_tree
 from brauertilt.modules import uniserial_presentation
 from brauertilt.realization import label_brauer_tree, realize
+from brauertilt.tilting import TiltingComplex
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
 
@@ -179,3 +181,73 @@ def test_realize_json_golden(tmp_path, capsys, doc, stalk_degree, golden):
     rc = cli.main(["--json", "realize", str(path), "--stalk-degree", str(stalk_degree)])
     assert rc == 0
     assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_realize_returns_the_decided_sum_of_its_parts():
+    """realize returns the direct sum of its parts, field for field, and
+    the End(T) it carries is built over that plain sum, not over the value
+    itself, so End(T) refers back to no value that holds it."""
+    A = star_algebra(4, 2)
+    T = realize(line_tree(4, exceptional=2, multiplicity=2), A)
+    plain = direct_sum(T.parts)
+    assert isinstance(T, TiltingComplex)
+    assert (T.comps, T.diffs, T.labels) == (plain.comps, plain.diffs, plain.labels)
+    E = T.endo
+    assert E.T is not T and E.hom.Q is E.T and E.T.parts == T.parts
+    assert E.parts == list(T.parts)
+
+
+def test_the_checking_constructor_refuses_complexes_that_are_not_tilting():
+    """TiltingComplex, realize's constructor, refuses the realization of a
+    tree with a summand left out (the classes no longer span K_0) and with
+    the presentation of P/soc P added (the classes still span, but Hom(T,
+    T[1]) is not 0), with the error the decoders give a complex that is not
+    tilting."""
+    for tree, A in ((line_tree(4), star_algebra(4, 1)), (line_tree(3, 1, 2), star_algebra(3, 2))):
+        parts = list(realize(tree, A).parts)
+        socle_quotient = uniserial_presentation(A, 1, A.n * A.tree.multiplicity)
+        assert socle_quotient.comps == {0: (1,), 1: (1,)}
+        for bad in (parts[:-1], parts[1:], parts + [socle_quotient]):
+            with pytest.raises(ValueError, match="complex is not tilting"):
+                TiltingComplex(bad)
+            with pytest.raises(ValueError, match="complex is not tilting"):
+                endo_brauer_tree(direct_sum(bad))
+        assert isinstance(TiltingComplex(parts[::-1]), TiltingComplex)
+
+
+def spy_is_tilting(monkeypatch, calls):
+    """Record every call of is_tilting from any package module that holds it."""
+    original = tilting.is_tilting
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (brauertilt, tilting, endo, realization, coverings):
+        if getattr(mod, "is_tilting", None) is original:
+            monkeypatch.setattr(mod, "is_tilting", spy)
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (5, 2)])
+@pytest.mark.parametrize("stalk_degree", [0, 1])
+def test_one_round_trip_decides_once_from_one_space(monkeypatch, n, k, stalk_degree):
+    """realize then endo_brauer_tree(method="both") on a fresh star builds
+    exactly one ChainMapSpace, Hom(T, T) over the whole complex at shift 0,
+    none at shift 1, and never calls is_tilting: T is decided from the
+    space its End(T) is read from, and the decoders and the Cartan check
+    take that decision as made."""
+    built, calls = [], []
+    init = complexes.ChainMapSpace.__init__
+
+    def recording_init(self, Q, R, s):
+        built.append((Q, R, s))
+        init(self, Q, R, s)
+
+    monkeypatch.setattr(complexes.ChainMapSpace, "__init__", recording_init)
+    spy_is_tilting(monkeypatch, calls)
+    tree = next(t for t in all_brauer_trees(n, k) if not t.is_star() and t.cyclic_order[t.exceptional][1:])
+    T = realize(tree, star_algebra(n, k), stalk_degree)
+    back, _ = endo_brauer_tree(T, method="both")
+    assert back.is_isomorphic_to(tree)
+    assert [(Q is R is T.endo.T, len(Q.parts), s) for Q, R, s in built] == [(True, n, 0)]
+    assert calls == []

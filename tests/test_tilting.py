@@ -34,6 +34,7 @@ from brauertilt.tilting import (
     is_partial_tilting,
     is_tilting,
     module_partial_tilting_test,
+    shift_one_dim,
     shift_range,
     stalk_orthogonality_test,
 )
@@ -420,3 +421,66 @@ def test_direct_decisions_build_one_space_over_the_complex(monkeypatch):
     assert touched == [] and len(A.hom_cache) == 0
     # the spy sees the cached route
     assert hom_complex_dim(S, S, 1) == 0 and touched
+
+
+# -- Hom(T, T[1]) read from the space at shift 0 --------------------------------------
+
+
+@lru_cache(maxsize=None)
+def star_catalogue(n, k, p):
+    return tilting_catalog(star_algebra(n, k, prime=p))
+
+
+def shift_one_both_ways(T):
+    """dim Hom(T, T[1]) from ChainMapSpace(T, T, 0), as the tilting value
+    reads it, and from the space at shift 1."""
+    return shift_one_dim(complexes.ChainMapSpace(T, T, 0)), hom_complex_dim(T, T, 1, direct=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]),
+    st.sampled_from((2, 3, 32003)),
+    st.data(),
+)
+def test_shift_one_dim_on_catalogue_sums(nk, p, data):
+    """dim Hom^1(T, T) - rank C of Hom(T, T) is dim Hom(T, T[1]) on sums of
+    1-5 catalogue members, which conflict often enough that it is not 0."""
+    members = data.draw(st.lists(st.sampled_from(star_catalogue(*nk, p)), min_size=1, max_size=5))
+    from_zero, from_one = shift_one_both_ways(direct_sum(members))
+    assert from_zero == from_one
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_shift_one_dim_is_nonzero_where_the_shift_one_space_is(p):
+    """The identity where it is not zero: P_e in both degrees over every
+    star with n <= 4 and k <= 2, with a catalogue member beside it, and the
+    presentation of P_e/soc(P_e) over every multiplicity-1 tree with at
+    most 4 edges, which has self-extensions."""
+    seen = []
+    for n in range(1, 5):
+        for k in (1, 2):
+            catalogue = star_catalogue(n, k, p)
+            A = catalogue[0].algebra
+            for e in A.edges:
+                for member in catalogue[:3]:
+                    T = direct_sum([stalk_complex(A, e, 0), stalk_complex(A, e, 1), member])
+                    seen.append(shift_one_both_ways(T))
+    for n in range(1, 5):
+        for tree in all_brauer_trees(n, 1):
+            A = build_tree_algebra(tree, prime=p)
+            for e in A.edges:
+                seen.append(shift_one_both_ways(min_proj_presentation(socle_quotient_rep(A, e)[0])))
+    assert all(from_zero == from_one > 0 for from_zero, from_one in seen)
+
+
+def test_shift_one_dim_refuses_other_spaces():
+    A = star_algebra(3, 1)
+    T, U = pres(A, 2, 1), pres(A, 3, 2)
+    for Q, R, s in ((T, U, 0), (T, T, 1)):
+        with pytest.raises(ValueError, match="Hom\\(T, T\\) at shift 0"):
+            shift_one_dim(complexes.ChainMapSpace(Q, R, s))
+    three = direct_sum([stalk_complex(A, e, d) for e, d in ((1, 0), (2, 1), (3, 2))])
+    with pytest.raises(ValueError, match="two-term"):
+        shift_one_dim(complexes.ChainMapSpace(three, three, 0))
+    assert shift_one_dim(complexes.ChainMapSpace(*(algebra_complex(A, 1),) * 2, 0)) == 0
