@@ -258,18 +258,18 @@ class BrauerTreeAlgebra:
         return coords
 
     def block_products(self, a, b, c) -> tuple:
-        """The products between blocks (a, b) and (b, c), as index triples
-        (x, y, r): class x of block (a, b) followed by class y of block
-        (b, c) is class r of block (a, c).  A tuple of such tuples, read off
-        mult_coords and cached in `product_cache`."""
+        """The products between blocks (a, b) and (b, c), read as
+        {x: ((y, r), ...)}: entry x lists the pairs (y, r) such that class
+        x of block (a, b) followed by class y of block (b, c) is class r of
+        block (a, c).  The empty tuple when no product is nonzero.  Read
+        off mult_coords and cached in `product_cache`."""
         key = (a, b, c)
-        triples = self.product_cache.get(key)
-        if triples is None:
-            triples = self.product_cache[key] = tuple(
-                (x, y, r) for x, pc in enumerate(self.blocks[(a, b)])
-                for r, y in self.mult_coords(pc, "L", c)
-            )
-        return triples
+        table = self.product_cache.get(key)
+        if table is None:
+            table = tuple(tuple((y, r) for r, y in self.mult_coords(pc, "L", c))
+                          for pc in self.blocks[(a, b)])
+            table = self.product_cache[key] = table if any(table) else ()
+        return table
 
     def cartan_matrix(self) -> list[list[int]]:
         return [

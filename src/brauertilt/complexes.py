@@ -75,16 +75,37 @@ class ProjComplex:
         self.parts = tuple(parts) if parts is not None else (self,) if self.comps else ()
 
     @classmethod
-    def _of_fresh_grid(cls, algebra, comps, grid, parts) -> "ProjComplex":
-        """The complex whose differentials are grid itself, a grid this
-        module has just built from copies of entries (direct_sum): its
-        shape is checked as __init__ checks it, but it is not copied again
-        and its entries are not checked."""
-        P = cls.__new__(cls)
-        P._adopt(algebra, comps, grid, None, parts)
+    def _sum_of(cls, parts) -> "ProjComplex":
+        """direct_sum, made as a complex of this class.  Its differentials
+        are copied from the parts' entries here, so only their shape is
+        checked."""
+        parts = list(parts)
+        if not parts:
+            raise ValueError("empty direct sum")
+        A = parts[0].algebra
+        if any(P.algebra is not A for P in parts):
+            raise ValueError("summands live over different algebras")
+        degrees = sorted({d for P in parts for d in P.comps})
+        # starts[k][d]: the first slot of part k in its degree d of the sum
+        comps = {d: [] for d in degrees}
+        starts = []
+        for P in parts:
+            starts.append({d: len(comps[d]) for d in P.comps})
+            for d, slots in P.comps.items():
+                comps[d].extend(slots)
+        used = {d for P in parts for d in P.diffs}
+        grid = {d: [[{} for _ in comps[d]] for _ in comps.get(d + 1, ())] for d in degrees if d in used}
+        # each entry of a part joins two degrees where the part has slots
+        for P, at in zip(parts, starts):
+            for d, mat in P.diffs.items():
+                for h, xs in enumerate(mat):
+                    for g, x in enumerate(xs):
+                        grid[d][at[d + 1] + h][at[d] + g] = dict(x)
+        S = cls.__new__(cls)
+        S._adopt(A, comps, grid, None, [q for P in parts for q in P.parts])
         for d, mat in grid.items():
-            _check_shape(mat, P.slots(d), P.slots(d + 1), f"differential at degree {d}")
-        return P
+            _check_shape(mat, S.slots(d), S.slots(d + 1), f"differential at degree {d}")
+        return S
 
     def _validate(self):
         for d in self.diffs:
@@ -242,29 +263,8 @@ def algebra_complex(A: BrauerTreeAlgebra, degree=0) -> ProjComplex:
 
 
 def direct_sum(parts) -> ProjComplex:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty direct sum")
-    A = parts[0].algebra
-    if any(P.algebra is not A for P in parts):
-        raise ValueError("summands live over different algebras")
-    degrees = sorted({d for P in parts for d in P.comps})
-    # starts[k][d]: the first slot of part k in its degree d of the sum
-    comps = {d: [] for d in degrees}
-    starts = []
-    for P in parts:
-        starts.append({d: len(comps[d]) for d in P.comps})
-        for d, slots in P.comps.items():
-            comps[d].extend(slots)
-    used = {d for P in parts for d in P.diffs}
-    diffs = {d: [[{} for _ in comps[d]] for _ in comps.get(d + 1, ())] for d in degrees if d in used}
-    # each entry of a part joins two degrees where the part has slots
-    for P, at in zip(parts, starts):
-        for d, mat in P.diffs.items():
-            for h, xs in enumerate(mat):
-                for g, x in enumerate(xs):
-                    diffs[d][at[d + 1] + h][at[d] + g] = dict(x)
-    return ProjComplex._of_fresh_grid(A, comps, diffs, [q for P in parts for q in P.parts])
+    """The parts laid out one after another in every degree."""
+    return ProjComplex._sum_of(parts)
 
 
 # -- chain maps -----------------------------------------------------------------
@@ -458,18 +458,27 @@ class ChainMapSpace:
 
     def quotient_coords(self, vecs) -> list[dict]:
         """Coordinates in the homotopy quotient of each chain-map vector
-        ({index: value} dict) of vecs."""
-        _, _, both = self._reduction_data()
+        ({index: value} dict) of vecs.  One pass over a vector adds its
+        free entries times the rows of [chain_basis | F^T] (the vector, if
+        it is a chain map, then its coordinates) and subtracts the vector:
+        a nonzero left below column total raises ValueError."""
+        rows = self._reduction_data()[2].rows
         p, total, index = self.Q.algebra.prime, self.total, self._free_index
         out = []
         for vec in vecs:
-            vec = {j: x % p for j, x in vec.items() if x % p}
-            # one product: the vector again if it is a chain map, then its
-            # quotient coordinates
-            prod = linalg.combine({index[c]: x for c, x in vec.items() if c in index}, both, p)
-            coords = {j - total: prod.pop(j) for j in [j for j in prod if j >= total]}
-            if prod != vec:
-                raise ValueError("vector is not a chain map")
+            acc = {}
+            for c, x in vec.items():
+                acc[c] = acc.get(c, 0) - x
+                r = index.get(c)
+                if r is not None:
+                    for k, y in rows[r].items():
+                        acc[k] = acc.get(k, 0) + x * y
+            coords = {}
+            for k, s in acc.items():
+                if s % p:
+                    if k < total:
+                        raise ValueError("vector is not a chain map")
+                    coords[k - total] = s % p
             out.append(coords)
         return out
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from .algebra import BrauerTreeAlgebra
 from .complexes import ProjComplex, direct_sum, hom_complex_dim, stalk_complex
 from .modules import UniserialSpec, uniserial_presentation
-from .tilting import is_partial_tilting, is_tilting
+from .tilting import TiltingComplex, is_partial_tilting, is_tilting
 
 
 def mod1(x: int, n: int) -> int:
@@ -156,9 +156,11 @@ class Covering:
         )
 
 
-def covering_to_complex(cov: Covering, A: BrauerTreeAlgebra) -> ProjComplex:
+def covering_to_complex(cov: Covering, A: BrauerTreeAlgebra) -> TiltingComplex:
     """The tilting complex of a covering: presentations for the big
-    intervals, stalks for singleton outers and distinguished points."""
+    intervals, stalks for singleton outers and distinguished points,
+    decided once (TiltingComplex.of_parts), so the decoders and
+    endo_cartan take it as decided."""
     A.require_star()
     if A.n != cov.n:
         raise ValueError(f"covering is over a {cov.n}-gon, algebra has {A.n} edges")
@@ -172,10 +174,7 @@ def covering_to_complex(cov: Covering, A: BrauerTreeAlgebra) -> ProjComplex:
             spec = interval_module(iv, cov.n)
             parts.append(uniserial_presentation(A, spec.top, spec.length))
         parts.append(stalk_complex(A, cov.distinguished(o), degree))
-    T = direct_sum(parts)
-    if not is_tilting(T):
-        raise ValueError("covering does not produce a tilting complex")
-    return T
+    return TiltingComplex.of_parts(parts)
 
 
 # -- enumeration --------------------------------------------------------------------

@@ -5,19 +5,19 @@ cyclic orders, and the resulting Brauer tree.
 Two independent decoders are provided.  The generic one holds End(T) in
 quotient coordinates, the classes of one reduced Hom(T, T) numbered per
 summand pair, with one block-sparse structure tensor per decode
-(EndoAlgebra), built in one pass over the slot triples of T; it reads off
-the quiver from the radical modulo its square and traces maximal chains of
-arrows with nonzero products; every product is a contraction against one
-block of the tensor.  The star fast path groups summands by
-shared components and orders them along the star, with explicit witness
-morphisms whose maximal nonzero compositions, walked through the same
-tensor, certify each cyclic order.
+(EndoAlgebra), built from the classes' nonzero coefficients joined on
+their middle slot; it reads off the quiver from the radical modulo its
+square and traces maximal chains of arrows with nonzero products; every
+product is a contraction against one block of the tensor.  The star fast
+path groups summands by shared components and orders them along the
+star, with explicit witness morphisms whose maximal nonzero compositions,
+walked through the same tensor, certify each cyclic order.
 
-A complex is decided once.  A TiltingComplex (tilting.py), which realize
-returns, was decided from the Hom(T, T) its End(T) is read from, with no
-space at shift 1: for a two-term T, dim Hom(T, T[1]) = dim Hom^1(T, T) -
-rank D_0 (tilting.shift_one_dim).  The decoders and endo_cartan take that
-decision as made; any other complex is decided by is_tilting first.
+A complex is decided once: the decoders and endo_cartan take a
+TiltingComplex (tilting.py) as decided and decide any other complex by
+is_tilting first.  realize's values keep the End(T) they were decided
+from; covering_to_complex's carry none, so a decode builds one over the
+value, uses it and lets it go.
 """
 
 from __future__ import annotations
@@ -218,10 +218,8 @@ class EndoAlgebra:
     T's slots in order, as direct_sum does.  Every pair's dimension, 0
     included, goes to A.hom_cache, where endo_cartan finds it.
 
-    The same space decides a TiltingComplex: its commuting squares C are
-    D_0, and for a two-term T, with no maps T -> T[2], dim Hom(T, T[1]) =
-    dim Hom^1(T, T) - rank C (tilting.shift_one_dim), so no space at
-    shift 1 is built.
+    The same space decides realize's TiltingComplex, with no space at
+    shift 1 (tilting.shift_one_dim).
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
     only where dim(u, v) and dim(v, w) are both nonzero, as sparse rows of
@@ -244,19 +242,20 @@ class EndoAlgebra:
                               for i in range(len(P.slots(d)))]
         self.hom = ChainMapSpace(T, T, 0)
         # per pair, the offset here of each of its blocks, keyed as in the
-        # pair's own space; and the pair of each column here
+        # pair's own space; and the block (d, j, i, offset) of each column
         self._offsets = {(u, v): {} for u in range(m) for v in range(m)}
-        pair_of = []
+        self._block_of = block_of = []
         for (d, j, i), off in self.hom.offsets.items():
             (u, ii), (v, jj) = self._owner[d][i], self._owner[d][j]
             self._offsets[(u, v)][(d, jj, ii)] = off
-            pair_of.extend([(u, v)] * A.block_dims[(T.slots(d)[i], T.slots(d)[j])])
+            block_of.extend([(d, j, i, off)] * A.block_dims[(T.slots(d)[i], T.slots(d)[j])])
         # class q of Hom(T, T) is class _local[q] of its pair, whose
         # representatives are _reps[pair], in the columns here
         self._reps = {uv: [] for uv in self._offsets}
         self._local = []
         for rep in self.hom._reduction_data()[1].rows:
-            reps = self._reps[pair_of[next(iter(rep))]]
+            d, j, i, _ = block_of[next(iter(rep))]
+            reps = self._reps[(self._owner[d][i][0], self._owner[d][j][0])]
             self._local.append(len(reps))
             reps.append(rep)
         for (u, v), reps in self._reps.items():
@@ -299,54 +298,64 @@ class EndoAlgebra:
 
     @cached_property
     def tensor(self) -> dict[tuple, linalg.SparseRows]:
-        """The blocks of the structure tensor, built in one pass.
+        """The blocks of the structure tensor.
 
-        Class i of (u, v) is the chain map reps_uv[i], its quotient
-        representative in Hom(T, T).  In degree d, for slots I, K and J of
-        T, in parts u, v and w, on edges a, b and c, each triple (x, y, r)
-        of A.block_products(a, b, c) pairs coefficient x of the map from I
-        to K, coefficient y of the map from K to J and coefficient r of
-        their product from I to J.  So the chain-map vector of class i
-        followed by class j gets reps_uv[i][F] * reps_vw[j][G] at position
-        H, with F, G and H those coefficients' positions in Hom(T, T).  One
-        pass over T's slot triples adds up every product vector, and one
-        quotient_coords on Hom(T, T), which refuses any vector that is not
-        a chain map, reduces them all; the coordinates of a product of
-        block (u, v, w) lie in pair (u, w) and are renumbered as its
-        classes.
+        Class i of (u, v) is its quotient representative reps_uv[i] in
+        Hom(T, T).  The representatives' nonzero coefficients are indexed
+        by degree and slot, as left factors ending at a slot K and as right
+        factors starting there, and joined on K: coefficient x of a map
+        from I to K and y of one from K to J, on edges a, b and c, meet at
+        each (y, r) of A.block_products(a, b, c)[x], and their product goes
+        to coefficient r of the map from I to J in the vector of class i
+        followed by class j.  Only nonzero products are visited.  One
+        quotient_coords on Hom(T, T), which refuses a vector that is not a
+        chain map, reduces the nonzero vectors (a zero one has coordinates
+        {}), numbered as the classes of pair (u, w).
         """
         A, m, T = self.T.algebra, self.m, self.T
-        offsets, reps = self.hom.offsets, self._reps
+        offsets, block_of, owner = self.hom.offsets, self._block_of, self._owner
         dims = [[self.dim(u, v) for v in range(m)] for u in range(m)]
         # the product vectors of block (u, v, w): row i * dim(v, w) + j
         vecs = {(u, v, w): [{} for _ in range(dims[u][v] * dims[v][w])]
                 for u in range(m) for w in range(m) for v in range(m)
                 if dims[u][v] and dims[v][w]}
+        # left[(d, K)][I]: (class, x, value) of the maps from I to K;
+        # right[(d, K)][J][y]: (class, value) of those from K to J
+        left, right = {}, {}
+        for reps in self._reps.values():
+            for q, rep in enumerate(reps):
+                for col, f in rep.items():
+                    d, k, i, off = block_of[col]
+                    x = col - off
+                    left.setdefault((d, k), {}).setdefault(i, []).append((q, x, f))
+                    right.setdefault((d, i), {}).setdefault(k, {}).setdefault(x, []).append((q, f))
         products_of = A.block_products
-        for d in T.degrees():
-            slots = [(u, i, a) for i, ((u, _), a) in enumerate(zip(self._owner[d], T.slots(d)))]
-            for u, i, a in slots:
-                for v, k, b in slots:
-                    if not dims[u][v]:
+        for (d, k), lefts in left.items():
+            rights = right.get((d, k))
+            if rights is None:
+                continue
+            slots, own = T.slots(d), owner[d]
+            b, v = slots[k], own[k][0]
+            for i, xs in lefts.items():
+                a, u = slots[i], own[i][0]
+                for j, ys in rights.items():
+                    table = products_of(a, b, slots[j])
+                    if not table:
                         continue
-                    xs, f0 = reps[(u, v)], offsets[(d, k, i)]
-                    for w, j, c in slots:
-                        if not dims[v][w] or not (found := products_of(a, b, c)):
-                            continue
-                        ys, g0 = reps[(v, w)], offsets[(d, j, k)]
-                        h0, out, width = offsets[(d, j, i)], vecs[(u, v, w)], dims[v][w]
-                        for x, y, r in found:
-                            for ii, rep in enumerate(xs):
-                                f = rep.get(f0 + x)
-                                if not f:
-                                    continue
-                                for jj, rep2 in enumerate(ys):
-                                    g = rep2.get(g0 + y)
-                                    if g:
-                                        row = out[ii * width + jj]
-                                        row[h0 + r] = row.get(h0 + r, 0) + f * g
-        coords = iter(self.hom.quotient_coords([row for rows in vecs.values() for row in rows]))
-        return {(u, v, w): linalg.SparseRows([self._localize(next(coords)) for _ in rows], dims[u][w])
+                    w = own[j][0]
+                    out, width, h0 = vecs[(u, v, w)], dims[v][w], offsets[(d, j, i)]
+                    for ii, x, f in xs:
+                        base = ii * width
+                        for y, r in table[x]:
+                            gs = ys.get(y)
+                            if gs:
+                                at = h0 + r
+                                for jj, g in gs:
+                                    row = out[base + jj]
+                                    row[at] = row.get(at, 0) + f * g
+        coords = iter(self.hom.quotient_coords([row for rows in vecs.values() for row in rows if row]))
+        return {(u, v, w): linalg.SparseRows([self._localize(next(coords)) if row else {} for row in rows],
+                                             dims[u][w])
                 for (u, v, w), rows in vecs.items()}
 
     def local_radical(self, u) -> linalg.SparseRows:
@@ -578,13 +587,17 @@ def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
     method 'generic' decodes the quiver of End(T); 'fast' applies the
     shared-component case analysis over the star and checks its witnesses;
     'both' runs the two and insists they agree.  Both read the summands'
-    components, never their labels, and share one EndoAlgebra: the one a
-    TiltingComplex carries, else one built once T is decided.
+    components, never their labels, and share one EndoAlgebra: the one
+    realize's TiltingComplex carries, else one built over T once T is
+    decided.  A bad method, and 'fast' or 'both' off the star, are refused
+    before any decision or space.
     """
     if method not in ("fast", "generic", "both"):
         raise ValueError("method must be 'fast', 'generic' or 'both'")
+    if method != "generic":
+        T.algebra.require_star()
     _require_tilting(T)
-    E = T.endo if isinstance(T, TiltingComplex) else EndoAlgebra(T)
+    E = T.endo if isinstance(T, TiltingComplex) and T.endo else EndoAlgebra(T)
     if method == "generic":
         return a_cycle_generic(E)
     fast = a_cycle_fast(T)

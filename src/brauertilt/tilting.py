@@ -101,18 +101,29 @@ def shift_one_dim(hom: ChainMapSpace) -> int:
 
 
 class TiltingComplex(ProjComplex):
-    """A two-term tilting complex that carries its End(T) as `endo`.
+    """A two-term tilting complex, the sum of its parts in the order
+    given, made by a checking constructor that refuses other parts with
+    ValueError.  `endo` is the End(T) it carries, or None.
 
-    The constructor is the check: it sums the parts in the order given
-    (direct_sum), builds End(T) over that plain sum (endo.EndoAlgebra,
-    whose one space is ChainMapSpace(T, T, 0)) and decides T from it: the
-    classes of the parts span K_0 and Hom(T, T[1]) = 0, read off that
-    space (shift_one_dim).  It refuses any other parts with ValueError.
-    The value then adopts the plain sum's fields, so it is the same
-    complex, and keeps the End(T) built over the plain sum, which refers
-    to that sum and not to this value: End(T) is freed with its complex,
-    with no reference cycle to wait for.
+    TiltingComplex(parts), realize's, builds End(T) over the plain sum
+    (endo.EndoAlgebra, whose one space is ChainMapSpace(T, T, 0)), decides
+    T from it (classes_span_k0 and shift_one_dim) and adopts the sum's
+    fields.  It keeps that End(T), which refers to the plain sum, not to
+    the value: no reference cycle.
+
+    of_parts(parts), covering_to_complex's, sums the parts into the value
+    itself and decides it by is_tilting, through the shift-1 pair cache
+    (exact: presilting is pairwise).  It carries no End(T).
     """
+
+    endo = None
+
+    @classmethod
+    def of_parts(cls, parts) -> "TiltingComplex":
+        T = cls._sum_of(parts)
+        if not is_tilting(T):
+            raise ValueError("complex is not tilting")
+        return T
 
     def __init__(self, parts):
         from .endo import EndoAlgebra

@@ -7,7 +7,8 @@ the relations check of a representation and the intertwining check of a
 module map, the reduced spans of a module's subspaces, the submodule they
 span and the quotient of a module by it, the module P/soc(P) built that
 way, the minimality of a complex, the cokernel of a two-term complex, the
-chain maps of a space's quotient representatives, and JSON readers for
+chain maps of a space's quotient representatives, the structure tensor
+of End(T) built slot triple by slot triple, and JSON readers for
 modules and complexes with a writer for coverings.  Each is built from the
 package's own primitives by a different path than the one the package
 takes; the package reads P/soc(P) off its presentation instead.
@@ -286,6 +287,50 @@ def map_from_vector(sp: ChainMapSpace, vec: dict) -> ChainMap:
                         mat[j][i][pc] = c
         comps[d] = mat
     return ChainMap(sp.Q, sp.R, sp.s, comps)
+
+
+def slot_triple_tensor(E) -> dict:
+    """The structure tensor of the EndoAlgebra E, built by visiting every
+    slot triple of every degree and probing every class for a coefficient:
+    for slots I, K and J of T on edges a, b and c, class x of block (a, b)
+    times class y of block (b, c) is class r of block (a, c), read off
+    A.mult_coords.  Every product vector, zero ones included, is reduced by
+    one quotient_coords on Hom(T, T), and its coordinates are renumbered as
+    the classes of their pair."""
+    T, m = E.T, E.m
+    A, offsets, reps = T.algebra, E.hom.offsets, E._reps
+    dims = [[E.dim(u, v) for v in range(m)] for u in range(m)]
+    vecs = {(u, v, w): [{} for _ in range(dims[u][v] * dims[v][w])]
+            for u in range(m) for w in range(m) for v in range(m)
+            if dims[u][v] and dims[v][w]}
+    for d in T.degrees():
+        slots = [(u, i, a) for i, ((u, _), a) in enumerate(zip(E._owner[d], T.slots(d)))]
+        for u, i, a in slots:
+            for v, k, b in slots:
+                if not dims[u][v]:
+                    continue
+                xs, f0 = reps[(u, v)], offsets[(d, k, i)]
+                for w, j, c in slots:
+                    triples = [(x, y, r) for x, pc in enumerate(A.blocks[(a, b)])
+                               for r, y in A.mult_coords(pc, "L", c)]
+                    if not dims[v][w] or not triples:
+                        continue
+                    ys, g0 = reps[(v, w)], offsets[(d, j, k)]
+                    h0, out, width = offsets[(d, j, i)], vecs[(u, v, w)], dims[v][w]
+                    for x, y, r in triples:
+                        for ii, rep in enumerate(xs):
+                            f = rep.get(f0 + x)
+                            if not f:
+                                continue
+                            for jj, rep2 in enumerate(ys):
+                                g = rep2.get(g0 + y)
+                                if g:
+                                    row = out[ii * width + jj]
+                                    row[h0 + r] = row.get(h0 + r, 0) + f * g
+    coords = iter(E.hom.quotient_coords([row for rows in vecs.values() for row in rows]))
+    return {block: linalg.SparseRows([{E._local[q]: x for q, x in next(coords).items()} for _ in rows],
+                                     dims[block[0]][block[2]])
+            for block, rows in vecs.items()}
 
 
 def basis_maps(sp: ChainMapSpace) -> list[ChainMap]:

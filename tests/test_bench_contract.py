@@ -51,7 +51,8 @@ def test_traced_sizes_are_recorded():
     of a ChainMapSpace, the cells of an rref, the dimension of an algebra
     and the number of trees) still resolve and are recorded.  One decode of
     a covering complex passes through the spans of both decoders, the
-    witness check and the Cartan check; one realize round trip passes
+    witness check and the Cartan check, with one is_tilting span, the
+    covering's own decision; one realize round trip passes
     through those and realize's, with one chain-map space and no
     is_tilting span.  The covering complex's presentations are read off
     the star with no elimination, so a generic presentation supplies the
@@ -80,6 +81,8 @@ def test_traced_sizes_are_recorded():
         tracer.uninstall()
     for span in decode_spans:
         assert tracer.stats[span]["calls"] >= 1, span
+    # the covering's own decision; the decoders take it as made
+    assert tracer.stats["tilting.is_tilting"]["calls"] == 1
     tracer = _load_layertrace().Tracer()
     tracer.install()
     try:

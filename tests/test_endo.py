@@ -1,5 +1,6 @@
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import cached_property, lru_cache
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauertilt import complexes, endo, linalg
-from brauertilt.algebra import star_algebra
+from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ChainMap,
     ChainMapSpace,
@@ -41,7 +42,8 @@ from brauertilt.realization import realize
 from brauertilt.tilting import is_tilting
 from brauertilt.trees import BrauerTree, all_brauer_trees
 
-from reference import map_from_vector
+from reference import map_from_vector, slot_triple_tensor
+from test_realization import spy_is_tilting
 
 
 def line_tree(n, exceptional=0, multiplicity=1):
@@ -530,3 +532,123 @@ def test_end_of_every_covering_of_star_5_1():
     assert sum(shapes.values()) == 250
     assert set(shapes) == {tree.canonical_key() for tree in all_brauer_trees(5, 1)}
     assert sorted(shapes.values()) == [10, 30, 30, 60, 60, 60]
+
+
+def random_tree(rng, n, k):
+    """A seeded random Brauer tree with n edges and multiplicity k: vertex
+    i > 0 hangs from a random earlier vertex, every cyclic order is
+    shuffled and the exceptional vertex is drawn."""
+    edges = {i: (rng.randrange(i + 1), i + 1) for i in range(n)}
+    cyclic = {}
+    for v in range(n + 1):
+        order = [e for e, ends in edges.items() if v in ends]
+        rng.shuffle(order)
+        cyclic[v] = tuple(order)
+    return BrauerTree(range(n + 1), edges, cyclic, rng.randrange(n + 1), k)
+
+
+def as_reduced_dicts(block: linalg.SparseRows, p: int) -> list[dict]:
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in block.rows]
+    return rows + [{}] * (block.height - len(rows))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_tensor_equals_the_slot_triple_oracle(p):
+    """The tensor contracted over the classes' nonzero coefficients equals,
+    block by block and row by row, the one built by visiting every slot
+    triple (tests/reference.py): on the realizations of seeded random trees
+    with 5-9 edges and multiplicity 1-3, and on the covering complexes of
+    star(4, 1), star(4, 2) and star(5, 1), at p = 2, 3 and 32003."""
+    rng = random.Random(f"tensor/{p}")
+    complexes = []
+    for n in range(5, 10):
+        k = rng.randint(1, 3)
+        complexes.append(realize(random_tree(rng, n, k), star_algebra(n, k, p)))
+    for n, k in [(4, 1), (4, 2), (5, 1)]:
+        A = star_algebra(n, k, p)
+        complexes += [covering_to_complex(cov, A) for cov in enumerate_coverings(n)]
+    nonzero = 0
+    for T in complexes:
+        E = EndoAlgebra(T)
+        oracle = slot_triple_tensor(E)
+        assert E.tensor.keys() == oracle.keys()
+        for block, rows in oracle.items():
+            assert E.tensor[block].shape == rows.shape
+            assert as_reduced_dicts(E.tensor[block], p) == as_reduced_dicts(rows, p)
+            nonzero += sum(1 for row in rows.rows if row)
+    assert nonzero > 0
+
+
+def test_quotient_coords_of_empty_and_off_chain_vectors():
+    """quotient_coords gives {} for an empty vector and for one whose
+    entries are multiples of p, reads an unreduced chain map like its
+    reduction, and refuses a vector that is not a chain map, also one
+    supported on pivot columns of the commuting squares alone."""
+    _, T = worked_example_complex()
+    sp = EndoAlgebra(T).hom
+    p = T.algebra.prime
+    rep = sp._reduction_data()[1].rows[-1]
+    assert sp.quotient_coords([{}, {0: p, 3: 2 * p}]) == [{}, {}]
+    unreduced = {j: x + p for j, x in rep.items()}
+    assert sp.quotient_coords([unreduced]) == sp.quotient_coords([rep])
+    assert sp.quotient_coords([rep])[0]
+    pivot = next(c for c in range(sp.total) if c not in sp._free_index)
+    for bad in ({pivot: 1}, {**rep, pivot: rep.get(pivot, 0) + 1}):
+        with pytest.raises(ValueError, match="not a chain map"):
+            sp.quotient_coords([bad])
+
+
+def test_star_only_methods_are_refused_before_any_decision(monkeypatch):
+    """Over the algebra of a 3-edge tree that is not a star, "fast" and
+    "both" (the default) are refused before is_tilting runs or any
+    chain-map space is built; "generic" still decodes A itself to its
+    tree."""
+    tree = next(t for t in all_brauer_trees(3, 1) if not t.is_star())
+    T = algebra_complex(build_tree_algebra(tree), 0)
+    work = []
+    with monkeypatch.context() as patch:
+        patch.setattr(endo, "is_tilting", lambda *args: work.append("decide"))
+        patch.setattr(ChainMapSpace, "__init__", lambda *args: work.append("space"))
+        for method in ("fast", "both"):
+            with pytest.raises(ValueError, match="canonical Brauer star"):
+                a_cycle_partition(T, method=method)
+        with pytest.raises(ValueError, match="canonical Brauer star"):
+            endo_brauer_tree(T)
+    assert work == []
+    assert endo_brauer_tree(T, method="generic")[0].is_isomorphic_to(tree)
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (3, 2)])
+def test_census_route_decides_each_covering_once(monkeypatch, n, k):
+    """is_autoequivalence_covering over every covering of a fresh star
+    calls is_tilting once per covering, the covering's own decision.  A
+    covering that is decoded builds one space over the whole complex, at
+    shift 0, and none at shift 1, and the End(T) built for the decode is
+    freed when it returns, with no garbage collection."""
+    calls, built, endos = [], [], []
+    spy_is_tilting(monkeypatch, calls)
+    space_init, endo_init = ChainMapSpace.__init__, EndoAlgebra.__init__
+
+    def recording_space(self, Q, R, s):
+        built.append((Q, R, s))
+        space_init(self, Q, R, s)
+
+    def recording_endo(self, T):
+        endos.append(weakref.ref(self))
+        endo_init(self, T)
+
+    monkeypatch.setattr(ChainMapSpace, "__init__", recording_space)
+    monkeypatch.setattr(EndoAlgebra, "__init__", recording_endo)
+    A = star_algebra(n, k)
+    decoded = 0
+    for cov in enumerate_coverings(n):
+        for log in (calls, built, endos):
+            log.clear()
+        is_autoequivalence_covering(cov, A)
+        assert len(calls) == 1
+        T = calls[0][0]
+        whole = [(Q is R is T, s) for Q, R, s in built if T in (Q, R)]
+        assert whole == ([(True, 0)] if endos else [])
+        assert len(endos) <= 1 and all(ref() is None for ref in endos)
+        decoded += len(endos)
+    assert decoded == (2 * n if k == 1 else 0)
