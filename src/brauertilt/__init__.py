@@ -24,6 +24,7 @@ from .coverings import (
     covering_to_complex,
     enumerate_coverings,
     enumerate_two_term_tilting_bruteforce,
+    tilting_catalog,
 )
 from .endo import (
     ACycle,

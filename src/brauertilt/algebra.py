@@ -80,18 +80,21 @@ class BrauerTreeAlgebra:
         # modules._syzygy_with_embedding, keyed like the presentations by
         # a module's dims and the entries of its arrow matrices;
         # mult_cache and product_cache hold the index form of the structure
-        # constants (mult_coords, block_products)
+        # constants (mult_coords, block_products); building the catalogue
+        # (below) fills hom_cache with every shift-1 pair of its members
         self.hom_cache: dict = {}
         self.summand_cache: dict = {}
         self.syzygy_cache: dict = {}
         self.mult_cache: dict = {}
         self.product_cache: dict = {}
-        # built on first use (most algebras never act on a module); not a
+        # built on first use (most algebras never act on a module, and only
+        # the brute force reads coverings.star_catalogue); not a
         # functools.cached_property, which writes through the instance
         # __dict__, after which CPython 3.11 reads every attribute of the
         # algebra about 3x slower
         self._path_factors = None
         self._classes_ending = None
+        self.catalogue = None
 
     # -- construction ---------------------------------------------------------
 

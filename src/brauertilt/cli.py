@@ -9,14 +9,13 @@ import argparse
 import json
 import sys
 
+# the functions perfbench/layertrace.py traces are read off their modules
+# at call time, so this module, which the package does not import, binds
+# none of them
+from . import coverings, realization
 from .algebra import DEFAULT_PRIME, build_tree_algebra, star_algebra
 from .complexes import algebra_complex
-from .coverings import (
-    complex_label_key,
-    covering_to_complex,
-    enumerate_coverings,
-    enumerate_two_term_tilting_bruteforce,
-)
+from .coverings import complex_label_key
 from .endo import a_cycle_partition, endo_brauer_tree, tree_from_cycles
 from .jsonio import (
     SchemaError,
@@ -26,7 +25,6 @@ from .jsonio import (
     tree_to_dot,
     tree_to_json,
 )
-from .realization import realize
 from .verify import FIELD_PRIMES, SUITES, field_independence, run_suite
 
 
@@ -77,9 +75,9 @@ def cmd_enumerate_tilting(args) -> int:
     cov_keys = None
     brute_keys = None
     if args.mode in ("coverings", "both"):
-        covs = enumerate_coverings(n)
+        covs = coverings.enumerate_coverings(n)
         cov_keys = sorted(
-            complex_label_key(covering_to_complex(c, A)) for c in covs
+            complex_label_key(coverings.covering_to_complex(c, A)) for c in covs
         )
         special = sorted(
             complex_label_key(algebra_complex(A, d)) for d in (0, 1)
@@ -88,7 +86,7 @@ def cmd_enumerate_tilting(args) -> int:
         out["total_from_coverings"] = len(covs) + 2
         cov_keys = sorted(cov_keys + special)
     if args.mode in ("brute", "both"):
-        brute = enumerate_two_term_tilting_bruteforce(A)
+        brute = coverings.enumerate_two_term_tilting_bruteforce(A)
         brute_keys = sorted(complex_label_key(T) for T in brute)
         out["brute_total"] = len(brute)
     if args.mode == "both":
@@ -146,7 +144,7 @@ def cmd_verify(args) -> int:
 def cmd_endo(args) -> int:
     cov = covering_from_json(_load_json(args.covering), n=args.n)
     A = star_algebra(args.n, args.k, args.field_prime)
-    T = covering_to_complex(cov, A)
+    T = coverings.covering_to_complex(cov, A)
     cycles = a_cycle_partition(T, method="both")
     tree, label_map = tree_from_cycles(T, cycles)
     edge_labels = {e: label_map[e].display() for e in label_map}
@@ -173,7 +171,7 @@ def cmd_endo(args) -> int:
 def cmd_realize(args) -> int:
     tree = tree_from_json(_load_json(args.tree))
     A = star_algebra(tree.n, tree.multiplicity, args.field_prime)
-    T = realize(tree, A, stalk_degree=args.stalk_degree)
+    T = realization.realize(tree, A, stalk_degree=args.stalk_degree)
     back, label_map = endo_brauer_tree(T, method="both")
     if not back.is_isomorphic_to(tree):
         print("error: realized complex fails to reproduce the input tree", file=sys.stderr)

@@ -334,7 +334,8 @@ class ChainMapSpace:
 
     Construction is rank-first: it runs only the forward pass of
     elimination (`linalg.echelon`) on each matrix with rows and keeps the
-    echelon forms, so dim = total - rank C - rank N from the pivot counts.
+    echelon forms and their pivot columns (chain_pivots, null_pivots), so
+    dim = total - rank C - rank N from the pivot counts.
     D_s D_{s-1} = 0, the containment of the null-homotopic maps in the
     chain maps, is checked as C N^T = 0 on the rows as built, which are
     then dropped.  A tilting decision reads only dim, so it back-substitutes
@@ -353,7 +354,8 @@ class ChainMapSpace:
     When Q and R are sums of parts, the Hom complex is block-diagonal by
     pairs of parts, and so is every elimination above: the classes of a
     pair of parts are those of its space built alone, in the same order
-    (EndoAlgebra reads them so).
+    (EndoAlgebra reads them so), and its pivots lie in the pair's columns
+    (catalogue.pair_dims counts them so).
     """
 
     def __init__(self, Q: ProjComplex, R: ProjComplex, s: int):
@@ -382,23 +384,23 @@ class ChainMapSpace:
             raise AssertionError("null-homotopic maps escaped the chain-map space")
         self.Q, self.R, self.s = Q, R, s
         self.offsets, self.total = here
-        (self._chain_ech, self._chain_pivots), (self._null_ech, self._null_pivots) = chain, null
-        self.null_rank = len(self._null_pivots)
-        self.dim = self.total - len(self._chain_pivots) - self.null_rank
+        (self._chain_ech, self.chain_pivots), (self._null_ech, self.null_pivots) = chain, null
+        self.null_rank = len(self.null_pivots)
+        self.dim = self.total - len(self.chain_pivots) - self.null_rank
         self._reduction = None
 
     @cached_property
     def null_basis(self) -> linalg.SparseRows:
         """Rows form a basis of the null-homotopic maps: the reduced rows
         of N."""
-        red = linalg.back_substitute(self._null_ech, self._null_pivots, self.Q.algebra.prime)
+        red = linalg.back_substitute(self._null_ech, self.null_pivots, self.Q.algebra.prime)
         return linalg.SparseRows(red.rows, self.total)
 
     @cached_property
     def free(self) -> list[int]:
         """The free columns of C, the columns that are not its pivots: a
         chain map is the combination of chain_basis with its entries there."""
-        return linalg.free_columns(self._chain_pivots, self.total)
+        return linalg.free_columns(self.chain_pivots, self.total)
 
     @cached_property
     def _free_index(self) -> dict[int, int]:
@@ -411,8 +413,8 @@ class ChainMapSpace:
         one row per free column, 1 there and minus that column of the
         reduced rows of C at their pivots."""
         p = self.Q.algebra.prime
-        red = linalg.back_substitute(self._chain_ech, self._chain_pivots, p)
-        return linalg.kernel_basis(red.rows, self._chain_pivots, self.free, self.total, p)
+        red = linalg.back_substitute(self._chain_ech, self.chain_pivots, p)
+        return linalg.kernel_basis(red.rows, self.chain_pivots, self.free, self.total, p)
 
     def _reduction_data(self):
         """The free columns of C, the chain-basis rows that are independent

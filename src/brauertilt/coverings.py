@@ -26,9 +26,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import BrauerTreeAlgebra
+from .catalogue import Catalogue
 from .complexes import ProjComplex, direct_sum, hom_complex_dim, stalk_complex
 from .modules import UniserialSpec, uniserial_presentation
-from .tilting import TiltingComplex, is_partial_tilting, is_tilting
+from .tilting import TiltingComplex, is_tilting
 
 
 def mod1(x: int, n: int) -> int:
@@ -246,64 +247,63 @@ def enumerate_coverings(n: int) -> list[Covering]:
 # -- brute-force oracle ---------------------------------------------------------------
 
 
+def star_catalogue(A: BrauerTreeAlgebra) -> Catalogue:
+    """The catalogue of the star algebra A (catalogue.Catalogue), built on
+    first use and kept on A: the minimal presentations of every
+    nonprojective uniserial and the stalks in both degrees that are partial
+    tilting, in summand-key order.  Members with self-extensions are
+    filtered out by the chain-map computation itself, not by any length
+    rule: a presentation stays when Hom(T, T[1]) = 0, as Hom(T, T[-1]) has
+    the same dimension because the algebra is symmetric (0-Calabi-Yau
+    duality, checked by the shift-duality suite); a stalk lies in one
+    degree and always stays."""
+    if A.catalogue is None:
+        A.require_star()
+        n, k = A.n, A.tree.multiplicity
+        items = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)]
+        keep = [T for T in items if hom_complex_dim(T, T, 1) == 0]
+        keep += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
+        A.catalogue = Catalogue.of(sorted(keep, key=lambda T: T.summand.key))
+    return A.catalogue
+
+
 def tilting_catalog(A: BrauerTreeAlgebra) -> list[ProjComplex]:
-    """Candidate indecomposable two-term summands: minimal presentations of
-    every nonprojective uniserial and all stalks in both degrees.  Members
-    with self-extensions are filtered out by the chain-map computation
-    itself, not by any length rule: a candidate stays when it is partial
-    tilting, which for a two-term complex is the one space Hom(T, T[1]);
-    Hom(T, T[-1]) has the same dimension because the algebra is symmetric
-    (0-Calabi-Yau duality, checked by the shift-duality suite)."""
-    A.require_star()
-    n, k = A.n, A.tree.multiplicity
-    items = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)]
-    for e in A.edges:
-        items.append(stalk_complex(A, e, 0))
-        items.append(stalk_complex(A, e, 1))
-    keep = [T for T in items if is_partial_tilting(T)]
-    return sorted(keep, key=lambda T: T.summand.key)
+    """Candidate indecomposable two-term summands of the star algebra A:
+    the members of its catalogue (star_catalogue)."""
+    return list(star_catalogue(A).members)
 
 
 def enumerate_two_term_tilting_bruteforce(A: BrauerTreeAlgebra) -> list[ProjComplex]:
     """Exhaustive enumeration of basic two-term tilting complexes by clique
-    search over pairwise orthogonality, with a final full verification of
+    search over pairwise compatibility, with a final full verification of
     every candidate.  Two catalogue members a, b are compatible when
-    Hom(a, b[1]) = Hom(b, a[1]) = 0; the spaces at shift -1 are their duals
-    (Hom(a, b[-1]) = D Hom(b, a[1]) over a symmetric algebra), so they are
-    not computed."""
+    Hom(a, b[1]) = Hom(b, a[1]) = 0, read off the catalogue's rows; the
+    spaces at shift -1 are their duals (Hom(a, b[-1]) = D Hom(b, a[1])
+    over a symmetric algebra), so they are not computed.  The search ANDs
+    the rows of the members chosen so far and extends by the lowest
+    remaining member first, so the cliques come in lexicographic order of
+    their member indices; each is summed and decided by
+    is_tilting(direct=True)."""
     A.require_star()
     n, k = A.n, A.tree.multiplicity
     if n > 5 or k > 2:
         raise ValueError("search budget allows n <= 5 and k <= 2")
-    catalog = tilting_catalog(A)
-    m = len(catalog)
-    compat = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            ok = (
-                hom_complex_dim(catalog[i], catalog[j], 1) == 0
-                and hom_complex_dim(catalog[j], catalog[i], 1) == 0
-            )
-            compat[i][j] = compat[j][i] = ok
+    cat = star_catalogue(A)
     found = []
 
-    def extend(chosen, start):
+    def extend(chosen, candidates):
         if len(chosen) == n:
-            T = direct_sum([catalog[i] for i in chosen])
-            if is_tilting(T, direct=True):
-                found.append(T)
-            else:
-                raise AssertionError(
-                    "pairwise orthogonal family failed full verification"
-                )
+            T = direct_sum([cat.members[i] for i in chosen])
+            if not is_tilting(T, direct=True):
+                raise AssertionError("pairwise orthogonal family failed full verification")
+            found.append(T)
             return
-        for i in range(start, m):
-            if m - i < n - len(chosen):
-                break
-            if all(compat[j][i] for j in chosen):
-                extend(chosen + [i], i + 1)
+        while candidates.bit_count() >= n - len(chosen):
+            i = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            extend(chosen + [i], candidates & cat.rows[i])
 
-    extend([], 0)
+    extend([], (1 << len(cat.members)) - 1)
     return found
 
 

@@ -14,10 +14,11 @@ star, with explicit witness morphisms whose maximal nonzero compositions,
 walked through the same tensor, certify each cyclic order.
 
 A complex is decided once: the decoders and endo_cartan take a
-TiltingComplex (tilting.py) as decided and decide any other complex by
-is_tilting first.  realize's values keep the End(T) they were decided
-from; covering_to_complex's carry none, so a decode builds one over the
-value, uses it and lets it go.
+TiltingComplex (tilting.py) as decided, and any other complex is decided
+once per decode, as a copy with the same parts (TiltingComplex.of_parts).
+realize's values keep the End(T) they were decided from; the others
+carry none, so a decode builds one over the value, uses it and lets it
+go.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .complexes import (
     identity_chain_map,
     map_vector,
 )
-from .tilting import TiltingComplex, is_tilting
+from .tilting import TiltingComplex
 from .trees import BrauerTree
 
 
@@ -70,8 +71,7 @@ def endo_cartan(T: ProjComplex) -> list[list[int]]:
     alternating-sum pairing.  The pairing is symmetric, since A's block
     dimensions are (the algebra checks them against the tree's symmetric
     Cartan matrix), so it is compared once per unordered pair."""
-    _require_tilting(T)
-    parts = summand_complexes(T)
+    parts = summand_complexes(_decided(T))
     m = len(parts)
     cart = [[hom_complex_dim(parts[i], parts[j], 0) for j in range(m)] for i in range(m)]
     for i in range(m):
@@ -542,11 +542,12 @@ def a_cycle_generic(E: EndoAlgebra) -> list[ACycle]:
 # -- tree assembly --------------------------------------------------------------------
 
 
-def _require_tilting(T: ProjComplex) -> None:
-    """Refuse T unless it is tilting: a TiltingComplex was decided when it
-    was made, any other complex is decided by is_tilting."""
-    if not isinstance(T, TiltingComplex) and not is_tilting(T):
-        raise ValueError("complex is not tilting")
+def _decided(T: ProjComplex) -> TiltingComplex:
+    """T as a decided TiltingComplex: T itself when it is one, which was
+    decided when it was made, else a copy of T with the same parts,
+    decided by is_tilting (TiltingComplex.of_parts, which refuses a
+    complex that is not tilting with ValueError)."""
+    return T if isinstance(T, TiltingComplex) else TiltingComplex.of_parts([T])
 
 
 def tree_from_cycles(T: ProjComplex, cycles: list[ACycle]) -> tuple[BrauerTree, dict]:
@@ -592,12 +593,9 @@ def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
     decided.  A bad method, and 'fast' or 'both' off the star, are refused
     before any decision or space.
     """
-    if method not in ("fast", "generic", "both"):
-        raise ValueError("method must be 'fast', 'generic' or 'both'")
-    if method != "generic":
-        T.algebra.require_star()
-    _require_tilting(T)
-    E = T.endo if isinstance(T, TiltingComplex) and T.endo else EndoAlgebra(T)
+    _check_method(T, method)
+    T = _decided(T)
+    E = T.endo or EndoAlgebra(T)
     if method == "generic":
         return a_cycle_generic(E)
     fast = a_cycle_fast(T)
@@ -616,9 +614,21 @@ def a_cycle_partition(T: ProjComplex, method: str = "both") -> list[ACycle]:
     return fast
 
 
+def _check_method(T: ProjComplex, method: str) -> None:
+    """Refuse a bad method, and 'fast' or 'both' off the star (ValueError)."""
+    if method not in ("fast", "generic", "both"):
+        raise ValueError("method must be 'fast', 'generic' or 'both'")
+    if method != "generic":
+        T.algebra.require_star()
+
+
 def endo_brauer_tree(T: ProjComplex, method: str = "both"):
     """Brauer tree of End(T) with edges labeled by the summands; returns
-    (tree, edge -> summand label map).  See tree_from_cycles."""
+    (tree, edge -> summand label map).  See tree_from_cycles.  A complex
+    that is not a TiltingComplex is decided once, after the method checks,
+    for the decoders and the Cartan check together."""
+    _check_method(T, method)
+    T = _decided(T)
     return tree_from_cycles(T, a_cycle_partition(T, method=method))
 
 

@@ -8,7 +8,8 @@ module map, the reduced spans of a module's subspaces, the submodule they
 span and the quotient of a module by it, the module P/soc(P) built that
 way, the minimality of a complex, the cokernel of a two-term complex, the
 chain maps of a space's quotient representatives, the structure tensor
-of End(T) built slot triple by slot triple, and JSON readers for
+of End(T) built slot triple by slot triple, the brute force's clique
+search over a table of booleans, and JSON readers for
 modules and complexes with a writer for coverings.  Each is built from the
 package's own primitives by a different path than the one the package
 takes; the package reads P/soc(P) off its presentation instead.
@@ -33,6 +34,7 @@ from brauertilt.modules import (
     uniserial_presentation,
     uniserial_rep,
 )
+from brauertilt.tilting import is_partial_tilting
 
 # -- linear algebra --------------------------------------------------------------
 
@@ -331,6 +333,41 @@ def slot_triple_tensor(E) -> dict:
     return {block: linalg.SparseRows([{E._local[q]: x for q, x in next(coords).items()} for _ in rows],
                                      dims[block[0]][block[2]])
             for block, rows in vecs.items()}
+
+
+def boolean_table_cliques(A: BrauerTreeAlgebra) -> list[tuple]:
+    """The brute force's clique search over the star A as a table of
+    booleans: its own candidates (every uniserial presentation and stalk
+    that is partial tilting, decided directly, in summand-key order), an
+    m x m table from one ChainMapSpace per ordered pair at shift 1, and a
+    recursive `extend` over increasing indices.  Returns each clique of
+    A.n candidates, as the tuple of them, in the order found."""
+    n, k = A.n, A.tree.multiplicity
+    items = [uniserial_presentation(A, top, l) for top in A.edges for l in range(1, n * k + 1)]
+    items += [stalk_complex(A, e, d) for e in A.edges for d in (0, 1)]
+    catalog = sorted((T for T in items if is_partial_tilting(T, direct=True)),
+                     key=lambda T: T.summand.key)
+    m = len(catalog)
+    compat = [[False] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            ok = (ChainMapSpace(catalog[i], catalog[j], 1).dim == 0
+                  and ChainMapSpace(catalog[j], catalog[i], 1).dim == 0)
+            compat[i][j] = compat[j][i] = ok
+    found = []
+
+    def extend(chosen, start):
+        if len(chosen) == n:
+            found.append(tuple(catalog[i] for i in chosen))
+            return
+        for i in range(start, m):
+            if m - i < n - len(chosen):
+                break
+            if all(compat[j][i] for j in chosen):
+                extend(chosen + [i], i + 1)
+
+    extend([], 0)
+    return found
 
 
 def basis_maps(sp: ChainMapSpace) -> list[ChainMap]:

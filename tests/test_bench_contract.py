@@ -7,6 +7,9 @@ change to the package from breaking the benchmark with tier-1 still green.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import brauertilt
@@ -16,6 +19,7 @@ from brauertilt.complexes import ProjComplex, algebra_complex, direct_sum
 from brauertilt.modules import UniserialSpec, min_proj_presentation, uniserial_rep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _load_layertrace():
@@ -44,6 +48,32 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
+
+
+def test_every_module_that_binds_a_traced_name_loads_with_the_package():
+    """The tracer rebinds a traced function only in the package modules
+    already loaded when it installs, and a module first imported while it
+    is installed keeps the wrapper after uninstall.  So every module that
+    binds a traced function's name at top level is loaded by
+    `import brauertilt, brauertilt.verify`, as perfbench's child process
+    imports the package."""
+    traced = {attr for _mod, attr, _span in _load_layertrace().TARGETS if "." not in attr}
+    binders = set()
+    for path in sorted((SRC / "brauertilt").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        bound = {a.asname or a.name for node in body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        bound |= {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        if bound & traced:
+            binders.add("brauertilt" if path.stem == "__init__" else f"brauertilt.{path.stem}")
+    assert {"brauertilt.coverings", "brauertilt.tilting", "brauertilt.verify"} <= binders
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, brauertilt, brauertilt.verify; print(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert binders - set(done.stdout.split()) == set()
 
 
 def test_traced_sizes_are_recorded():

@@ -393,7 +393,7 @@ def test_spaces_build_one_layout_at_their_own_shift(monkeypatch):
         shifts.clear()
         sp = ChainMapSpace(T, T, s)
         assert shifts == [s]
-        assert (bool(sp._chain_pivots), bool(sp._null_pivots)) == rows
+        assert (bool(sp.chain_pivots), bool(sp.null_pivots)) == rows
     assert ChainMapSpace(T, T, 1).dim == 0
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauertilt import complexes, endo, linalg
+from brauertilt import complexes, endo, linalg, tilting
 from brauertilt.algebra import build_tree_algebra, star_algebra
 from brauertilt.complexes import (
     ChainMap,
@@ -97,7 +97,7 @@ def test_an_invalid_method_is_refused_before_any_decision(monkeypatch):
     _, T = worked_example_complex()
     realized = realize(line_tree(2))
     work = []
-    monkeypatch.setattr(endo, "is_tilting", lambda *args: work.append("decide"))
+    monkeypatch.setattr(tilting, "is_tilting", lambda *args: work.append("decide"))
     monkeypatch.setattr(ChainMapSpace, "__init__", lambda *args: work.append("space"))
     for X in (bad, T, realized):
         with pytest.raises(ValueError, match="method must be"):
@@ -607,7 +607,7 @@ def test_star_only_methods_are_refused_before_any_decision(monkeypatch):
     T = algebra_complex(build_tree_algebra(tree), 0)
     work = []
     with monkeypatch.context() as patch:
-        patch.setattr(endo, "is_tilting", lambda *args: work.append("decide"))
+        patch.setattr(tilting, "is_tilting", lambda *args: work.append("decide"))
         patch.setattr(ChainMapSpace, "__init__", lambda *args: work.append("space"))
         for method in ("fast", "both"):
             with pytest.raises(ValueError, match="canonical Brauer star"):
@@ -652,3 +652,20 @@ def test_census_route_decides_each_covering_once(monkeypatch, n, k):
         assert len(endos) <= 1 and all(ref() is None for ref in endos)
         decoded += len(endos)
     assert decoded == (2 * n if k == 1 else 0)
+
+
+def test_a_plain_complex_is_decided_once_per_decode(monkeypatch):
+    """endo_brauer_tree decides a complex that is not a TiltingComplex
+    once, for the decoders and the Cartan check together, and refuses one
+    that is not tilting with the same message."""
+    calls = []
+    spy_is_tilting(monkeypatch, calls)
+    A = star_algebra(4, 1)
+    for d in (0, 1):
+        calls.clear()
+        tree, _ = endo_brauer_tree(algebra_complex(A, d))
+        assert tree.is_isomorphic_to(A.tree)
+        assert len(calls) == 1
+    bad = direct_sum([stalk_complex(A, 1, 0), stalk_complex(A, 1, 0)])
+    with pytest.raises(ValueError, match="complex is not tilting"):
+        endo_brauer_tree(bad)
