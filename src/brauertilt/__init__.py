@@ -19,7 +19,6 @@ from .complexes import (
 from .coverings import (
     Covering,
     CyclicInterval,
-    compatible_pres,
     compatible_stalk,
     covering_to_complex,
     enumerate_coverings,
@@ -46,7 +45,6 @@ from .modules import (
     simple_rep,
     string_rep,
     syzygy,
-    top_and_socle,
     uniserial_presentation,
     uniserial_rep,
 )
@@ -56,7 +54,6 @@ from .tilting import (
     is_partial_tilting,
     is_tilting,
     module_partial_tilting_test,
-    stalk_orthogonality_test,
 )
 from .trees import BrauerTree, all_brauer_trees
 

@@ -70,18 +70,6 @@ def interval_module(iv: CyclicInterval, n: int) -> UniserialSpec:
     return UniserialSpec(iv.end(n), iv.size - 1)
 
 
-def compatible_pres(m1: UniserialSpec, m2: UniserialSpec, n: int) -> bool:
-    """Whether the minimal presentations of two uniserials (lengths < n)
-    can sit in one partial tilting complex: their supports extended one
-    step below the socle must be nested or disjoint as marked arcs."""
-    for m in (m1, m2):
-        if not 1 <= m.length < n:
-            raise ValueError(f"length {m.length} out of range 1..{n - 1}")
-    a1 = CyclicInterval(mod1(m1.top - m1.length, n), m1.length + 1)
-    a2 = CyclicInterval(mod1(m2.top - m2.length, n), m2.length + 1)
-    return a1.nested_or_disjoint(a2, n)
-
-
 def compatible_stalk(m: UniserialSpec, edge: int, degree: int, n: int) -> bool:
     """Whether the stalk of P_edge in the given degree is orthogonal to the
     minimal presentation of the uniserial m."""

@@ -131,21 +131,6 @@ class Representation:
             blocks[A.eidx[arrow.start]].append(linalg.transpose(self.act[arrow]))
         return linalg.block_pivots(blocks, self.dims, A.prime)
 
-    def top_multiplicities(self) -> tuple[int, ...]:
-        pivots = self.radical_pivots()
-        return tuple(self.dims[i] - len(pivots[i]) for i in range(len(self.dims)))
-
-    def socle_multiplicities(self) -> tuple[int, ...]:
-        """Per edge, the dimension of the common kernel of the arrows
-        ending there: the dimension minus the rank of their stacked
-        matrices, from one forward pass over all edges."""
-        A = self.algebra
-        blocks = [[] for _ in A.edges]
-        for arrow in A.arrows:
-            blocks[A.eidx[arrow.end]].append(self.act[arrow])
-        pivots = linalg.block_pivots(blocks, self.dims, A.prime)
-        return tuple(d - len(piv) for d, piv in zip(self.dims, pivots))
-
     def top_generators(self) -> list[tuple[int, dict]]:
         """Deterministic lift of a basis of the top: (edge index, vector)."""
         pivots = self.radical_pivots()
@@ -222,22 +207,18 @@ def _uniserial_bound(A: BrauerTreeAlgebra, top, length) -> int:
 
 
 def uniserial_rep(A: BrauerTreeAlgebra, spec: UniserialSpec) -> Representation:
-    """Uniserial module over a star algebra with the given top and length;
-    basis vector t sits at edge top - t mod n, and the one arrow from edge
-    top - t - 1 to edge top - t moves it to vector t + 1."""
-    _uniserial_bound(A, spec.top, spec.length)
-    dims = [0] * A.n
-    position = []  # (edge, basis index within its component), per depth
-    for t in range(spec.length):
-        e = A.star_next(spec.top, -t)
-        position.append((e, dims[A.eidx[e]]))
-        dims[A.eidx[e]] += 1
-    act = {arrow: linalg.zero(dims[A.eidx[arrow.start]], dims[A.eidx[arrow.end]])
-           for arrow in A.arrows}
-    arrow_at = {(arrow.start, arrow.end): arrow for arrow in A.arrows}
-    for (e, i), (f, j) in zip(position, position[1:]):
-        act[arrow_at[(f, e)]].rows[j][i] = 1
-    return Representation._of_fresh_rows(A, dims, act)
+    """Uniserial module over a star algebra with the given top and length:
+    the simple at length 1, the projective at length n k + 1, and otherwise
+    the string of the walk down from the top, whose letter t is the arrow
+    from edge top - t - 1 to edge top - t read inversely, so that basis
+    vector t sits at edge top - t mod n."""
+    nk = _uniserial_bound(A, spec.top, spec.length)
+    if spec.length == 1:
+        return simple_rep(A, spec.top)
+    if spec.length == nk + 1:
+        return projective_rep(A, spec.top)
+    into = {arrow.end: arrow for arrow in A.arrows}  # the one arrow into each edge
+    return _string_module(A, [(into[A.star_next(spec.top, -t)], -1) for t in range(spec.length - 1)])
 
 
 # -- homomorphisms ---------------------------------------------------------------
@@ -306,18 +287,11 @@ def _hom_equations(M: Representation, N: Representation) -> tuple[linalg.SparseR
     return linalg.SparseRows(rows, offs[-1], height), offs
 
 
-def top_and_socle(M: Representation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if M.is_zero():
-        raise ValueError("the zero module has no top or socle")
-    return M.top_multiplicities(), M.socle_multiplicities()
-
-
 def is_isomorphic(M: Representation, N: Representation) -> bool:
     """Isomorphism test.  An invertible member of a hom basis proves it,
     which settles indecomposables; otherwise M and N are isomorphic iff
     dim Hom(X, M) = dim Hom(X, N) for every indecomposable X (Auslander),
-    read over `enumerate_indecomposables`, which raises ValueError where
-    its catalogue is not known to be complete."""
+    read over `enumerate_indecomposables`."""
     if M.dims != N.dims:
         return False
     if M.is_zero() or any(f.is_isomorphism() for f in hom_basis(M, N)):
@@ -576,6 +550,12 @@ def string_rep(A: BrauerTreeAlgebra, letters) -> Representation:
     msg = string_letters_valid(A, letters)
     if msg is not None:
         raise ValueError(f"invalid string walk: {msg}")
+    return _string_module(A, letters)
+
+
+def _string_module(A: BrauerTreeAlgebra, letters) -> Representation:
+    """The string module of a valid nonempty walk: one basis vector per
+    node, in walk order, each letter moving one to its neighbour."""
     nodes = []
     c0, s0 = letters[0]
     nodes.append(c0.start if s0 == 1 else c0.end)
@@ -596,56 +576,59 @@ def string_rep(A: BrauerTreeAlgebra, letters) -> Representation:
     return Representation._of_fresh_rows(A, dims, act)
 
 
-def _walk_key(A: BrauerTreeAlgebra, letters):
-    arrow_index = {a: i for i, a in enumerate(A.arrows)}
-    fwd = tuple((arrow_index[c], s) for c, s in letters)
-    rev = tuple((arrow_index[c], -s) for c, s in reversed(letters))
-    return min(fwd, rev)
-
-
-def enumerate_strings(A: BrauerTreeAlgebra):
-    """All nontrivial strings (reduced relation-avoiding walks) up to
-    inversion; together with the simples these classify the nonprojective
-    indecomposables when the multiplicity is 1."""
+def enumerate_strings(A: BrauerTreeAlgebra) -> dict:
+    """All nontrivial strings up to inversion, as {walk key: walk}: the
+    reduced walks whose maximal same-sign runs compose to proper paths,
+    keyed by the lesser of their (arrow index, sign) codes read forwards
+    and inverted.  A walk is pushed once, when its last letter passes two
+    checks: it does not undo the letter before, and the run it extends
+    still composes to a proper path (every prefix of a string is a
+    string).  Both orientations are explored; the first popped is kept.
+    """
+    # the letters (arrow, sign, arrow index) leaving each node, in push order
+    steps = {e: [] for e in A.edges}
+    for i, c in enumerate(A.arrows):
+        steps[c.start].append((c, 1, i))
+        steps[c.end].append((c, -1, i))
     out = {}
-    stack = [[(c, s)] for c in A.arrows for s in (1, -1)]
-    # every exact walk is pushed once (its parent is unique), so both
-    # orientations get their right-extensions explored; only the stored key
-    # identifies the two orientations
+    # (walk, its code, its inverse's code, the composed path of its last
+    # run); a socle class that is an arrow (the one-edge tree) is no string
+    stack = [([(c, s)], ((i, s),), ((i, -s),), c)
+             for i, c in enumerate(A.arrows) for s in (1, -1) if c.kind == "p"]
     while stack:
-        letters = stack.pop()
-        if string_letters_valid(A, letters) is not None:
-            continue
-        out.setdefault(_walk_key(A, letters), letters)
-        last_node = letters[-1][0].end if letters[-1][1] == 1 else letters[-1][0].start
-        for c in A.arrows:
-            if c.start == last_node:
-                stack.append(letters + [(c, 1)])
-            if c.end == last_node:
-                stack.append(letters + [(c, -1)])
-    return list(out.values())
+        letters, code, inverse, run = stack.pop()
+        out.setdefault(min(code, inverse), letters)
+        last, sign = letters[-1]
+        for c, s, i in steps[last.end if sign == 1 else last.start]:
+            if s != sign:  # a new run, unless the letter backtracks
+                path = None if c == last else c
+            else:
+                path = A.mult.get((run, c) if s == 1 else (c, run))
+            if path is not None and path.kind == "p":
+                stack.append((letters + [(c, s)], code + ((i, s),), ((i, -s),) + inverse, path))
+    return out
 
 
 def enumerate_indecomposables(A: BrauerTreeAlgebra):
     """Complete list of indecomposables as (label, Representation).
 
-    Supported: any star algebra (all uniserials) and multiplicity-1 tree
-    algebras with at most 6 edges (string modules).
+    A Brauer tree algebra is special biserial and representation-finite,
+    so its non-projective indecomposables are exactly the string modules
+    (Wald and Waschbüsch 1985; Butler and Ringel 1987): the strings of
+    `enumerate_strings`, labelled ("string", walk key), then the simples,
+    labelled ("string", ("triv", edge index)).  The projectives
+    ("projective", edge) come last.  Over the canonical star every string
+    winds one way round the center, so each non-projective is the
+    uniserial ("uniserial", top, length), built by `uniserial_rep` and
+    listed by top, then length.
     """
-    items = []
+    strings = enumerate_strings(A)
     if A.is_canonical_star:
-        nk = A.n * A.tree.multiplicity
-        for top in A.edges:
-            for l in range(1, nk + 1):
-                items.append((("uniserial", top, l), uniserial_rep(A, UniserialSpec(top, l))))
-        for e in A.edges:
-            items.append((("projective", e), projective_rep(A, e)))
-        return items
-    if A.tree.multiplicity == 1 and A.n <= 6:
-        for letters in enumerate_strings(A):
-            items.append((("string", _walk_key(A, letters)), string_rep(A, letters)))
-        for e in A.edges:
-            items.append((("string", ("triv", A.eidx[e])), simple_rep(A, e)))
-            items.append((("projective", e), projective_rep(A, e)))
-        return items
-    raise ValueError("enumeration supports stars and small multiplicity-1 trees")
+        # a walk's top: the end of its first arrow read inversely, or of its last read directly
+        specs = [((w[0][0] if w[0][1] == -1 else w[-1][0]).end, len(w) + 1) for w in strings.values()]
+        items = [(("uniserial", *spec), uniserial_rep(A, UniserialSpec(*spec)))
+                 for spec in sorted(specs + [(e, 1) for e in A.edges])]
+    else:
+        items = [(("string", key), _string_module(A, w)) for key, w in strings.items()]
+        items += [(("string", ("triv", A.eidx[e])), simple_rep(A, e)) for e in A.edges]
+    return items + [(("projective", e), projective_rep(A, e)) for e in A.edges]

@@ -1,5 +1,5 @@
 """Tilting decisions for complexes of projectives, and the module-level
-criteria that decide them without touching chain maps.
+criterion that decides them without touching chain maps.
 
 For a minimal presentation T of a module M (no projective summands) the
 complex T is partial tilting exactly when M has no maps to its second
@@ -15,7 +15,6 @@ from .modules import (
     Representation,
     hom_dim,
     min_proj_presentation,
-    projective_rep,
     second_syzygy,
 )
 
@@ -177,17 +176,3 @@ def module_partial_tilting_test(M: Representation) -> bool:
     if hom_dim(M, second_syzygy(M)) != 0:
         return False
     return hom_to_module(min_proj_presentation(M), M) == 0
-
-
-def stalk_orthogonality_test(M: Representation, edge, degree: int) -> bool:
-    """Whether the stalk of P_edge (at the given degree of a two-term
-    presentation) can join the minimal presentation of M, which must be
-    partial tilting, in a partial tilting complex."""
-    if degree not in (0, 1):
-        raise ValueError("degree must be 0 or 1")
-    if not is_partial_tilting(min_proj_presentation(M)):
-        raise ValueError("minimal presentation of M is not partial tilting")
-    A = M.algebra
-    P = projective_rep(A, edge)
-    N = M if degree == 0 else second_syzygy(M)
-    return hom_dim(N, P) == 0 and hom_dim(P, N) == 0

@@ -3,16 +3,19 @@
 Nothing in `brauertilt` calls these: they are general routes the package
 does not need, kept here as oracles.  They are a linear solver, a
 nullspace and the reduced bases of several matrices at once over F_p,
-the relations check of a representation and the intertwining check of a
-module map, the reduced spans of a module's subspaces, the submodule they
-span and the quotient of a module by it, the module P/soc(P) built that
-way, the minimality of a complex, the cokernel of a two-term complex, the
-chain maps of a space's quotient representatives, the structure tensor
-of End(T) built slot triple by slot triple, the brute force's clique
-search over a table of booleans, and JSON readers for
-modules and complexes with a writer for coverings.  Each is built from the
-package's own primitives by a different path than the one the package
-takes; the package reads P/soc(P) off its presentation instead.
+the relations check of a representation, the dimensions of its top and
+socle, the intertwining check of a module map, the reduced spans of a
+module's subspaces, the submodule they span and the quotient of a module
+by it, the module P/soc(P) built that way, the minimality of a complex,
+the cokernel of a two-term complex, the chain maps of a space's quotient
+representatives, the structure tensor of End(T) built slot triple by
+slot triple, the brute force's clique search over a table of booleans,
+the string search that checks each whole walk, the arc rule for two
+uniserial presentations over the star, the stalk test read off module
+Hom spaces, and JSON readers for modules and complexes with a writer for
+coverings.  Each is built from the package's own primitives by a
+different path than the one the package takes; the package reads
+P/soc(P) off its presentation instead.
 """
 
 import json
@@ -20,16 +23,19 @@ import json
 from brauertilt import linalg
 from brauertilt.algebra import BrauerTreeAlgebra, socle_class
 from brauertilt.complexes import ChainMap, ChainMapSpace, ProjComplex, direct_sum, stalk_complex
-from brauertilt.coverings import Covering, CyclicInterval
+from brauertilt.coverings import Covering, CyclicInterval, mod1
 from brauertilt.jsonio import SchemaError, _need, _typed
 from brauertilt.modules import (
     ModuleMap,
     Representation,
     UniserialSpec,
+    hom_dim,
     min_proj_presentation,
     projective_rep,
     projective_sum,
+    second_syzygy,
     simple_rep,
+    string_letters_valid,
     string_rep,
     uniserial_presentation,
     uniserial_rep,
@@ -121,6 +127,25 @@ def check_relations(M: Representation) -> None:
             expected = actions[r] if r is not None else linalg.zero(*prod.shape)
             if prod != expected:
                 raise AssertionError(f"relation violated on {p} * {q}")
+
+
+def top_multiplicities(M: Representation) -> tuple[int, ...]:
+    """Per edge, the dimension of the top: the dimension less the pivots
+    of `Representation.radical_pivots`."""
+    pivots = M.radical_pivots()
+    return tuple(d - len(piv) for d, piv in zip(M.dims, pivots))
+
+
+def socle_multiplicities(M: Representation) -> tuple[int, ...]:
+    """Per edge, the dimension of the common kernel of the arrows
+    ending there: the dimension minus the rank of their stacked
+    matrices, from one forward pass over all edges."""
+    A = M.algebra
+    blocks = [[] for _ in A.edges]
+    for arrow in A.arrows:
+        blocks[A.eidx[arrow.end]].append(M.act[arrow])
+    pivots = linalg.block_pivots(blocks, M.dims, A.prime)
+    return tuple(d - len(piv) for d, piv in zip(M.dims, pivots))
 
 
 def is_module_map(f: ModuleMap) -> bool:
@@ -374,6 +399,54 @@ def basis_maps(sp: ChainMapSpace) -> list[ChainMap]:
     """The chain maps of sp's quotient representatives, a basis of the
     space modulo homotopy."""
     return [map_from_vector(sp, v) for v in sp._reduction_data()[1].rows]
+
+
+def strings_by_whole_walk(A: BrauerTreeAlgebra) -> dict:
+    """{walk key: walk} of every nontrivial string, as `enumerate_strings`
+    keys them, found by a search that extends every popped walk by every
+    letter sharing its last node and keeps a walk only if
+    `string_letters_valid` passes it whole."""
+    index = {c: i for i, c in enumerate(A.arrows)}
+    out = {}
+    stack = [[(c, s)] for c in A.arrows for s in (1, -1)]
+    while stack:
+        letters = stack.pop()
+        if string_letters_valid(A, letters) is not None:
+            continue
+        fwd = tuple((index[c], s) for c, s in letters)
+        out.setdefault(min(fwd, tuple((i, -s) for i, s in reversed(fwd))), letters)
+        last_node = letters[-1][0].end if letters[-1][1] == 1 else letters[-1][0].start
+        for c in A.arrows:
+            if c.start == last_node:
+                stack.append(letters + [(c, 1)])
+            if c.end == last_node:
+                stack.append(letters + [(c, -1)])
+    return out
+
+
+def compatible_pres(m1: UniserialSpec, m2: UniserialSpec, n: int) -> bool:
+    """Whether the minimal presentations of two uniserials (lengths < n)
+    can sit in one partial tilting complex: their supports extended one
+    step below the socle must be nested or disjoint as marked arcs."""
+    for m in (m1, m2):
+        if not 1 <= m.length < n:
+            raise ValueError(f"length {m.length} out of range 1..{n - 1}")
+    a1 = CyclicInterval(mod1(m1.top - m1.length, n), m1.length + 1)
+    a2 = CyclicInterval(mod1(m2.top - m2.length, n), m2.length + 1)
+    return a1.nested_or_disjoint(a2, n)
+
+
+def stalk_orthogonality_test(M: Representation, edge, degree: int) -> bool:
+    """Whether the stalk of P_edge (at the given degree of a two-term
+    presentation) can join the minimal presentation of M, which must be
+    partial tilting, in a partial tilting complex."""
+    if degree not in (0, 1):
+        raise ValueError("degree must be 0 or 1")
+    if not is_partial_tilting(min_proj_presentation(M)):
+        raise ValueError("minimal presentation of M is not partial tilting")
+    P = projective_rep(M.algebra, edge)
+    N = M if degree == 0 else second_syzygy(M)
+    return hom_dim(N, P) == 0 and hom_dim(P, N) == 0
 
 
 def trivial_covering(n: int, mode: str = "deg0") -> Covering:

@@ -158,30 +158,43 @@ def test_syzygy_memo_lives_on_each_algebra():
     assert all(A.syzygy_cache[k][0] is not B.syzygy_cache[k][0] for k in B.syzygy_cache)
 
 
-def _names_read_from_bt(path: Path) -> set[tuple[str, ...]]:
-    """Every attribute chain bt.<name>.<name>... read in the file."""
+def _names_read_from(path: Path, root: str) -> set[tuple[str, ...]]:
+    """Every attribute chain <root>.<name>.<name>... read in the file."""
     chains = set()
     for node in ast.walk(ast.parse(path.read_text())):
         chain = []
         while isinstance(node, ast.Attribute):
             chain.append(node.attr)
             node = node.value
-        if chain and isinstance(node, ast.Name) and node.id == "bt":
+        if chain and isinstance(node, ast.Name) and node.id == root:
             chains.add(tuple(reversed(chain)))
     return chains
 
 
 def test_every_package_name_the_workloads_read_resolves():
+    """The workloads and the child process read the package as `bt`, and
+    perfbench's own tests read it as `brauertilt`."""
     chains = set()
     for name in ("workloads.py", "child.py"):
-        chains |= _names_read_from_bt(PERFBENCH / name)
+        chains |= _names_read_from(PERFBENCH / name, "bt")
+    for path in sorted((PERFBENCH / "tests").glob("*.py")):
+        chains |= _names_read_from(path, "brauertilt")
     assert ("endo", "summand_complexes") in chains
     assert ("coverings", "complex_label_key") in chains
+    assert ("uniserial_rep",) in chains and ("UniserialSpec",) in chains
     for chain in chains:
         owner = brauertilt
         for attr in chain:
-            assert hasattr(owner, attr), "bt." + ".".join(chain)
+            assert hasattr(owner, attr), "brauertilt." + ".".join(chain)
             owner = getattr(owner, attr)
+
+
+def test_the_modules_the_trace_tests_rewrap_bind_hom_complex_dim():
+    """perfbench's trace tests check that the tracer rewraps
+    hom_complex_dim where tilting, coverings, endo, verify and the package
+    root bind it by value; each of them binds it."""
+    for mod in (tilting, coverings, endo, verify, brauertilt):
+        assert mod.hom_complex_dim is complexes.hom_complex_dim, mod.__name__
 
 
 def test_label_keys_tell_the_tilting_complexes_apart():

@@ -5,7 +5,6 @@ from brauertilt.complexes import algebra_complex, hom_complex_dim
 from brauertilt.coverings import (
     Covering,
     CyclicInterval,
-    compatible_pres,
     compatible_stalk,
     complex_label_key,
     covering_to_complex,
@@ -16,7 +15,7 @@ from brauertilt.coverings import (
 )
 from brauertilt.modules import UniserialSpec, uniserial_presentation
 
-from reference import trivial_covering
+from reference import compatible_pres, trivial_covering
 
 
 def test_compatibility_examples():

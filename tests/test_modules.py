@@ -28,7 +28,6 @@ from brauertilt.modules import (
     string_rep,
     projective_cover,
     syzygy,
-    top_and_socle,
     uniserial_rep,
 )
 from brauertilt.tilting import module_partial_tilting_test
@@ -45,9 +44,12 @@ from reference import (
     projective_socle_vector,
     quotient_representation,
     reduced_spans,
+    socle_multiplicities,
     socle_quotient_rep,
     solve,
+    strings_by_whole_walk,
     sub_representation,
+    top_multiplicities,
 )
 
 
@@ -56,8 +58,7 @@ def test_projective_rep_shapes():
     P1 = projective_rep(A, 1)
     check_relations(P1)
     assert P1.dims == (2, 1)
-    top, soc = top_and_socle(P1)
-    assert top == (1, 0) and soc == (1, 0)
+    assert top_multiplicities(P1) == (1, 0) and socle_multiplicities(P1) == (1, 0)
     A11 = star_algebra(1, 1)
     assert projective_rep(A11, 1).dims == (2,)
 
@@ -67,8 +68,7 @@ def test_uniserial_factors_descend():
     U = uniserial_rep(A, UniserialSpec(1, 2))
     check_relations(U)
     assert U.dims == (1, 0, 0, 1)
-    top, soc = top_and_socle(U)
-    assert top == (1, 0, 0, 0) and soc == (0, 0, 0, 1)
+    assert top_multiplicities(U) == (1, 0, 0, 0) and socle_multiplicities(U) == (0, 0, 0, 1)
     # full-length quotient is the projective
     P = uniserial_rep(A, UniserialSpec(1, 5))
     assert is_isomorphic(P, projective_rep(A, 1))
@@ -199,33 +199,100 @@ def test_isomorphism_tells_apart_modules_of_equal_dimensions():
     assert is_isomorphic(S, direct_sum_rep(simple_rep(A, 1), simple_rep(A, 2)))
 
 
-def test_isomorphism_without_a_complete_catalogue_is_refused():
-    """Over a tree of multiplicity 2 that is no star the catalogue of
-    indecomposables is not known; where the hom basis holds no
-    isomorphism the test raises instead of guessing."""
-    line = BrauerTree(range(4), {0: (0, 1), 1: (1, 2), 2: (2, 3)},
-                      {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2,)}, 0, 2)
-    A = build_tree_algebra(line)
+def _line(n, k, exceptional=0):
+    """The Brauer tree of n edges in a row, with multiplicity k at the
+    exceptional vertex (an end by default)."""
+    return BrauerTree(range(n + 1), {i: (i, i + 1) for i in range(n)},
+                      {v: tuple(e for e in (v - 1, v) if 0 <= e < n) for v in range(n + 1)},
+                      exceptional, k)
+
+
+def test_isomorphism_over_a_non_star_tree_at_multiplicity_2():
+    """No hom basis member of S_0^2 over the multiplicity-2 line is
+    invertible, so the test reads Hom dimensions over the line's
+    catalogue, which is complete at every multiplicity: they tell S_0^2
+    apart from the uniserial of the same dimensions."""
+    A = build_tree_algebra(_line(3, 2))
     assert is_isomorphic(simple_rep(A, 0), simple_rep(A, 0))
     M = Representation(A, [2, 0, 0], {})
-    with pytest.raises(ValueError, match="enumeration supports"):
-        is_isomorphic(M, M)
+    assert not any(f.is_isomorphism() for f in hom_basis(M, M))
+    assert is_isomorphic(M, M)
+    loop = next(a for a in A.arrows if a.start == a.end == 0)
+    U = string_rep(A, [(loop, 1)])  # uniserial with two factors S_0
+    assert U.dims == M.dims and not is_isomorphic(M, U) and not is_isomorphic(U, M)
 
 
 def test_tree_enumeration_strings():
-    line = BrauerTree(range(4), {0: (0, 1), 1: (1, 2), 2: (2, 3)},
-                      {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2,)}, 0, 1)
-    A = build_tree_algebra(line)
-    items = enumerate_indecomposables(A)
-    nonproj = [l for l, _ in items if l[0] != "projective"]
-    assert len(nonproj) == 9
-    with pytest.raises(ValueError):
-        enumerate_indecomposables(
-            build_tree_algebra(
-                BrauerTree(range(4), {0: (0, 1), 1: (1, 2), 2: (2, 3)},
-                           {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2,)}, 0, 2)
-            )
-        )
+    for k, count in ((1, 9), (2, 18)):
+        items = enumerate_indecomposables(build_tree_algebra(_line(3, k)))
+        nonproj = [l for l, _ in items if l[0] != "projective"]
+        assert len(nonproj) == count and len(items) == count + 3
+
+
+@lru_cache(maxsize=None)
+def _small_tree_algebras():
+    """An algebra of every Brauer tree with at most 5 edges and
+    multiplicity at most 3."""
+    return [build_tree_algebra(t) for n in range(1, 6) for k in range(1, 4) for t in all_brauer_trees(n, k)]
+
+
+def _assert_pairwise_distinct(reps):
+    """No two of the indecomposables are isomorphic: no hom basis member
+    between two of equal dimensions is invertible (the nonisomorphisms
+    between indecomposables form a proper subspace)."""
+    by_dims = {}
+    for M in reps:
+        by_dims.setdefault(M.dims, []).append(M)
+    for group in by_dims.values():
+        for i, M in enumerate(group):
+            for N in group[i + 1:]:
+                assert not any(f.is_isomorphism() for f in hom_basis(M, N))
+
+
+def test_every_small_tree_has_its_string_modules():
+    """A Brauer tree algebra with n edges and multiplicity k has
+    n (n k + 1) indecomposables, n of them projective: the enumeration
+    finds that many, pairwise nonisomorphic, on every tree with at most 5
+    edges and k <= 3."""
+    for A in _small_tree_algebras():
+        n, k = A.n, A.tree.multiplicity
+        items = enumerate_indecomposables(A)
+        nonproj = [M for label, M in items if label[0] != "projective"]
+        assert len(items) == n * (n * k + 1) and len(nonproj) == n * n * k
+        _assert_pairwise_distinct(nonproj)
+
+
+def test_string_search_matches_the_whole_walk_search():
+    for A in _small_tree_algebras():
+        assert set(enumerate_strings(A)) == set(strings_by_whole_walk(A))
+
+
+def test_star_enumeration_is_the_uniserial_catalogue():
+    """Over every star with n <= 6 and k <= 3 the non-projectives are
+    labelled ("uniserial", top, length) by top, then length, and each has
+    the content uniserial_rep gives it; the projectives come last."""
+    for A in _stars():
+        nk = A.n * A.tree.multiplicity
+        items = enumerate_indecomposables(A)
+        specs = [(top, length) for top in A.edges for length in range(1, nk + 1)]
+        assert [label for label, _ in items] == (
+            [("uniserial", *spec) for spec in specs] + [("projective", e) for e in A.edges])
+        for (_, M), spec in zip(items, specs):
+            assert modules._content_key(M) == modules._content_key(uniserial_rep(A, UniserialSpec(*spec)))
+
+
+def test_trees_beyond_six_edges_enumerate():
+    """A 7-edge line and an 8-edge tree of three legs, at multiplicity 1,
+    and the 7-edge line at multiplicity 2 list n (n k + 1) modules."""
+    spider = BrauerTree(range(9), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 4), 4: (4, 5),
+                                   5: (2, 6), 6: (3, 7), 7: (7, 8)},
+                        {0: (0, 1, 2), 1: (0, 3), 2: (1, 5), 3: (2, 6), 4: (3, 4), 5: (4,),
+                         6: (5,), 7: (6, 7), 8: (7,)}, 0, 1)
+    for tree, k in ((_line(7, 1, 3), 1), (spider, 1), (_line(7, 2, 3), 2)):
+        A = build_tree_algebra(tree)
+        items = enumerate_indecomposables(A)
+        assert len(items) == A.n * (A.n * k + 1)
+        _assert_pairwise_distinct([M for label, M in items if label[0] != "projective"])
 
 
 def test_string_walk_validation():
@@ -237,8 +304,7 @@ def test_string_walk_validation():
     check_relations(M)
     assert M.dims == (1, 1)
     # top sits at the arrow's end under the left-module convention
-    top, soc = top_and_socle(M)
-    assert top == (0, 1) and soc == (1, 0)
+    assert top_multiplicities(M) == (0, 1) and socle_multiplicities(M) == (1, 0)
     with pytest.raises(ValueError, match="backtrack"):
         string_rep(A, [(a, 1), (a, -1)])
     with pytest.raises(ValueError, match="zero"):
@@ -247,10 +313,12 @@ def test_string_walk_validation():
         string_rep(A, [])
 
 
-def test_zero_module_top_socle_error():
+def test_zero_module_has_zero_top_and_socle_and_no_syzygy():
     A = star_algebra(2, 1)
+    Z = Representation(A, [0] * A.n, {})
+    assert top_multiplicities(Z) == socle_multiplicities(Z) == (0, 0)
     with pytest.raises(ValueError):
-        top_and_socle(Representation(A, [0] * A.n, {}))
+        syzygy(Z)
 
 
 # -- spinning, the socle criterion and coordinates at pivot columns -----------------
@@ -276,7 +344,7 @@ def cached_tree_algebra(i, p):
 
 @lru_cache(maxsize=None)
 def cached_strings(i, p):
-    return enumerate_strings(cached_tree_algebra(i, p))
+    return list(enumerate_strings(cached_tree_algebra(i, p)).values())
 
 
 def direct_sum_rep(M, N):
@@ -611,7 +679,7 @@ def test_batched_eliminations_equal_per_edge_references(M, data):
         family.append(quotient_representation(M, spans)[0])
     for X in family:
         assert X.radical_pivots() == radical_pivots_by_edge(X)
-        assert X.socle_multiplicities() == socle_multiplicities_by_edge(X)
+        assert socle_multiplicities(X) == socle_multiplicities_by_edge(X)
         if not X.is_zero():
             mats = projective_cover(X)[3].mats
             assert same_reduced(linalg.reduced_kernels(mats, p), [reduced_kernel_dense(m, p) for m in mats])

@@ -36,11 +36,10 @@ from brauertilt.tilting import (
     module_partial_tilting_test,
     shift_one_dim,
     shift_range,
-    stalk_orthogonality_test,
 )
 from brauertilt.trees import all_brauer_trees
 
-from reference import named_presentation, socle_quotient_rep
+from reference import named_presentation, socle_quotient_rep, stalk_orthogonality_test
 
 
 def test_algebra_stalks_tilting():
