@@ -63,6 +63,14 @@ class BrauerTreeAlgebra:
         self.edges = tree.edge_ids()
         self.n = len(self.edges)
         self.eidx = {e: i for i, e in enumerate(self.edges)}
+        # a star with edges 1..n in that cyclic order around the center, as
+        # star_algebra builds it; the star conveniences' mod-n edge
+        # arithmetic assumes this labeling
+        self.is_canonical_star = (
+            tree.is_star()
+            and self.edges == list(range(1, self.n + 1))
+            and tree.cyclic_order[tree.exceptional] == tuple(range(1, self.n + 1))
+        )
         # per vertex, the full winding length and each edge's place in the
         # cyclic order, read by every product of the table
         self._bound = {v: tree.winding_bound(v) for v in tree.cyclic_order}
@@ -325,18 +333,6 @@ class BrauerTreeAlgebra:
         return self._classes_ending
 
     # star conveniences ---------------------------------------------------------
-
-    @property
-    def is_canonical_star(self) -> bool:
-        """Star with edges 1..n in that cyclic order around the center,
-        as produced by star_algebra; the mod-n edge arithmetic below
-        assumes this labeling."""
-        return (
-            self.tree.is_star()
-            and self.edges == list(range(1, self.n + 1))
-            and self.tree.cyclic_order[self.tree.exceptional]
-            == tuple(range(1, self.n + 1))
-        )
 
     def require_star(self):
         if not self.is_canonical_star:

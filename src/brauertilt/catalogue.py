@@ -31,17 +31,23 @@ class Catalogue:
     def of(cls, members) -> "Catalogue":
         """The catalogue of the members, read from one shift-1 space over
         their sum.  Every pair's dim Hom(u, v[1]) is written to the
-        algebra's hom_cache; a pair already there must agree
-        (AssertionError)."""
+        algebra's hom_cache by record_hom_dims."""
         members = tuple(members)
-        cache = members[0].algebra.hom_cache
         dims = pair_dims(members, 1)
-        for (i, j), dim in dims.items():
-            if cache.setdefault((members[i], members[j], 1), dim) != dim:
-                raise AssertionError("catalogue disagrees with a cached Hom dimension")
+        record_hom_dims(members[0].algebra,
+                        {(members[i], members[j], 1): dim for (i, j), dim in dims.items()})
         m = len(members)
         return cls(members, tuple(sum(1 << j for j in range(m) if dims[i, j] == dims[j, i] == 0)
                                   for i in range(m)))
+
+
+def record_hom_dims(A, dims: dict) -> None:
+    """Write each pair's dimension, keyed (u, v, s) as in hom_cache, to
+    A.hom_cache, the one batch writer there; an entry already there must
+    agree (AssertionError)."""
+    for key, dim in dims.items():
+        if A.hom_cache.setdefault(key, dim) != dim:
+            raise AssertionError(f"Hom dimension {dim} disagrees with a cached Hom dimension")
 
 
 def pair_dims(parts, s: int) -> dict[tuple[int, int], int]:

@@ -28,6 +28,7 @@ from functools import cached_property
 
 from . import linalg
 from .algebra import BrauerTreeAlgebra, idempotent, socle_class
+from .catalogue import record_hom_dims
 from .complexes import (
     ChainMap,
     ChainMapSpace,
@@ -216,10 +217,10 @@ class EndoAlgebra:
     block (u, v) of End(T), classes 0, ..., dim(u, v) - 1.  A class's pair
     is read off the slots the parts take in T, so the parts must lay out
     T's slots in order, as direct_sum does.  Every pair's dimension, 0
-    included, goes to A.hom_cache, where endo_cartan finds it.
+    included, goes to A.hom_cache (record_hom_dims) for endo_cartan.
 
-    The same space decides realize's TiltingComplex, with no space at
-    shift 1 (tilting.shift_one_dim).
+    The same space decides realize's TiltingComplex (its dimension against
+    euler_pairing(T, T)), with no space at shift 1.
 
     The tensor (`tensor`, built once on first use) holds block (u, v, w)
     only where dim(u, v) and dim(v, w) are both nonzero, as sparse rows of
@@ -258,8 +259,8 @@ class EndoAlgebra:
             reps = self._reps[(self._owner[d][i][0], self._owner[d][j][0])]
             self._local.append(len(reps))
             reps.append(rep)
-        for (u, v), reps in self._reps.items():
-            A.hom_cache[(self.parts[u], self.parts[v], 0)] = len(reps)
+        record_hom_dims(A, {(self.parts[u], self.parts[v], 0): len(reps)
+                            for (u, v), reps in self._reps.items()})
 
     def dim(self, u, v) -> int:
         """dim Hom(T_u, T_v) in the homotopy category."""

@@ -69,9 +69,12 @@ def tree_from_json(doc) -> BrauerTree:
         if not isinstance(ends, list) or len(ends) != 2:
             raise SchemaError(f"$.edges[{i}].ends", "expected a pair of vertices")
         edges[eid] = tuple(_scalar(v, f"$.edges[{i}].ends[{j}]") for j, v in enumerate(ends))
-    cyclic = {}
+    cyclic, names = {}, set(vertices)
     for key, order in cyclic_doc.items():
-        v = int(key) if isinstance(key, str) and key.lstrip("-").isdigit() else key
+        # JSON keys are strings: a key naming no vertex may name an int one
+        v = key
+        if key not in names and isinstance(key, str) and key.lstrip("-").isdigit():
+            v = int(key)
         if v in cyclic:
             raise SchemaError(f"$.cyclic_order[{key}]", f"a second order for vertex {v}")
         if not isinstance(order, list):

@@ -10,7 +10,7 @@ they can cross-check each other.
 from __future__ import annotations
 
 from . import linalg
-from .complexes import ChainMapSpace, ProjComplex, direct_sum, hom_complex_dim
+from .complexes import ProjComplex, direct_sum, euler_pairing, hom_complex_dim
 from .modules import (
     Representation,
     hom_dim,
@@ -74,31 +74,6 @@ def classes_span_k0(T: ProjComplex) -> bool:
     return linalg.rank(linalg.SparseRows(classes, A.n), p) == A.n
 
 
-def shift_one_dim(hom: ChainMapSpace) -> int:
-    """dim Hom(T, T[1]) of a two-term complex T, read from its space
-    hom = ChainMapSpace(T, T, 0) with no space at shift 1.
-
-    With T in degrees lo and lo + 1 there are no degree-wise maps
-    T -> T[2], so Hom(T, T[1]) is the coefficients of the maps
-    T^lo -> T^(lo+1) modulo the image of D_0.  That image has the rank of
-    the space's commuting squares C = D_0, whose pivots its constructor
-    counts: dim Hom(T, T[1]) = (those coefficients) - rank C.  The space at
-    shift 1 eliminates N = D_0^T instead, with the signs of the degree-0
-    unknowns flipped, which leaves the rank alone.
-    """
-    T = hom.Q
-    if hom.R is not T or hom.s != 0:
-        raise ValueError("needs the space Hom(T, T) at shift 0")
-    if not T.comps or T.max_degree == T.min_degree:
-        return 0
-    if T.max_degree - T.min_degree > 1:
-        raise ValueError("needs a two-term complex")
-    lo, dims = T.min_degree, T.algebra.block_dims
-    coefficients = sum(dims[(a, b)] for a in T.slots(lo) for b in T.slots(lo + 1))
-    rank_c = hom.total - hom.dim - hom.null_rank
-    return coefficients - rank_c
-
-
 class TiltingComplex(ProjComplex):
     """A two-term tilting complex, the sum of its parts in the order
     given, made by a checking constructor that refuses other parts with
@@ -106,7 +81,8 @@ class TiltingComplex(ProjComplex):
 
     TiltingComplex(parts), realize's, builds End(T) over the plain sum
     (endo.EndoAlgebra, whose one space is ChainMapSpace(T, T, 0)), decides
-    T from it (classes_span_k0 and shift_one_dim) and adopts the sum's
+    T from it (classes_span_k0, then dim End(T) = euler_pairing(T, T),
+    which holds exactly when T is partial tilting) and adopts the sum's
     fields.  It keeps that End(T), which refers to the plain sum, not to
     the value: no reference cycle.
 
@@ -129,7 +105,9 @@ class TiltingComplex(ProjComplex):
 
         T = direct_sum(parts)
         E = EndoAlgebra(T) if classes_span_k0(T) else None
-        if E is None or shift_one_dim(E.hom):
+        # for a two-term T the Euler characteristic of its Hom complex gives
+        # dim End(T) - <[T], [T]> = dim Hom(T, T[1]) + dim Hom(T, T[-1])
+        if E is None or E.hom.dim != euler_pairing(T, T):
             raise ValueError("complex is not tilting")
         self._adopt(T.algebra, T.comps, T.diffs, None, T.parts)
         self.endo = E

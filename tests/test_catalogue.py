@@ -9,8 +9,10 @@ from brauertilt.coverings import (
     star_catalogue,
     tilting_catalog,
 )
+from brauertilt.endo import endo_brauer_tree
 from brauertilt.modules import uniserial_presentation
-from brauertilt.trees import all_brauer_trees
+from brauertilt.realization import realize
+from brauertilt.trees import BrauerTree, all_brauer_trees
 
 from reference import boolean_table_cliques
 from test_realization import spy_is_tilting
@@ -48,6 +50,18 @@ def test_a_wrong_cached_dimension_stops_the_build():
     assert A.catalogue is None
     A.hom_cache[(u, v, 1)] = right
     assert u in star_catalogue(A).members and v in star_catalogue(A).members
+
+
+def test_a_wrong_cached_shift_zero_dimension_stops_a_decode():
+    """End(T) writes its pair dimensions to hom_cache under the catalogue's
+    rule: a pair already there must agree."""
+    A = star_algebra(4, 1)
+    u, v = stalk_complex(A, 1, 0), stalk_complex(A, 2, 0)
+    A.hom_cache[(u, v, 0)] = 5
+    with pytest.raises(AssertionError, match="cached Hom dimension"):
+        endo_brauer_tree(realize(BrauerTree.star(4, 1), A))
+    A.hom_cache[(u, v, 0)] = ChainMapSpace(u, v, 0).dim
+    assert endo_brauer_tree(realize(BrauerTree.star(4, 1), A))[0].is_star()
 
 
 def test_one_symmetric_catalogue_per_star():

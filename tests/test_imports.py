@@ -323,3 +323,50 @@ def test_every_option_is_set_by_the_package():
     assert single == sorted(SINGLE_VALUED_BY_DESIGN), (
         f"options the package sets to one value: {single}; "
         f"allowed: {sorted(SINGLE_VALUED_BY_DESIGN)}")
+
+
+# hom_complex_dim caches one pair on a miss; record_hom_dims is the one
+# batch writer, which refuses a pair that disagrees with the cache
+HOM_CACHE_WRITERS = {"complexes.hom_complex_dim", "catalogue.record_hom_dims"}
+MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def is_hom_cache(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "hom_cache"
+
+
+def hom_cache_writes(mod: str, tree: ast.Module) -> list[tuple[str, int]]:
+    """(the enclosing def, as "module.name" or "module.Class.name", line)
+    per write into an algebra's hom_cache: an assignment or deletion of
+    one of its items, a call of a mutating method on it, or a local name
+    bound to it, which would hide later writes from this check."""
+    out = []
+
+    def walk(node, qual):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}"
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        writes = [t for t in targets if isinstance(t, ast.Subscript) and is_hom_cache(t.value)]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            writes += [node] if node.func.attr in MUTATORS and is_hom_cache(node.func.value) else []
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and is_hom_cache(node.value):
+            writes.append(node)
+        out.extend((qual, w.lineno) for w in writes)
+        for child in ast.iter_child_nodes(node):
+            walk(child, qual)
+
+    walk(tree, mod)
+    return out
+
+
+def test_only_the_two_writers_write_hom_cache():
+    """In src/, only hom_complex_dim and catalogue.record_hom_dims write
+    into hom_cache, so every batch of dimensions meets the check that a
+    cached pair agrees."""
+    writes = [w for p in sorted(SRC.glob("*.py"))
+              for w in hom_cache_writes(p.stem, ast.parse(p.read_text(), filename=str(p)))]
+    assert {qual for qual, _ in writes} == HOM_CACHE_WRITERS, writes

@@ -46,6 +46,18 @@ def test_tree_json_errors():
         )
 
 
+def test_digit_string_vertex_names_are_read_as_given():
+    """A cyclic_order key that names a vertex is that vertex; only a key
+    naming none is read as an int, as JSON writes int keys as strings."""
+    doc = {"vertices": ["1", "2", "3"],
+           "edges": [{"id": 0, "ends": ["1", "2"]}, {"id": 1, "ends": ["2", "3"]}],
+           "cyclic_order": {"1": [0], "2": [0, 1], "3": [1]}, "exceptional": "1",
+           "multiplicity": 1}
+    tree = tree_from_json(doc)
+    assert set(tree.cyclic_order) == {"1", "2", "3"}
+    assert tree.is_isomorphic_to(tree_from_json(VALID_TREE))
+
+
 def test_covering_json_roundtrip():
     doc = {
         "outer": [{"start": 1, "size": 4}],

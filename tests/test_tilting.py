@@ -29,12 +29,13 @@ from brauertilt.modules import (
     uniserial_presentation as pres,
     uniserial_rep,
 )
+from brauertilt.realization import realize
 from brauertilt.tilting import (
+    TiltingComplex,
     hom_to_module,
     is_partial_tilting,
     is_tilting,
     module_partial_tilting_test,
-    shift_one_dim,
     shift_range,
 )
 from brauertilt.trees import all_brauer_trees
@@ -422,64 +423,42 @@ def test_direct_decisions_build_one_space_over_the_complex(monkeypatch):
     assert hom_complex_dim(S, S, 1) == 0 and touched
 
 
-# -- Hom(T, T[1]) read from the space at shift 0 --------------------------------------
+# -- the Euler test that decides a realized complex --------------------------------
 
 
 @lru_cache(maxsize=None)
-def star_catalogue(n, k, p):
-    return tilting_catalog(star_algebra(n, k, prime=p))
-
-
-def shift_one_both_ways(T):
-    """dim Hom(T, T[1]) from ChainMapSpace(T, T, 0), as the tilting value
-    reads it, and from the space at shift 1."""
-    return shift_one_dim(complexes.ChainMapSpace(T, T, 0)), hom_complex_dim(T, T, 1, direct=True)
+def tilting_complexes(source, p):
+    """Tilting complexes over the algebra of two_term_parts(source, p): A
+    in degrees 0 and 1, and over a star also the realized complex of every
+    tree of its type in both stalk degrees and every covering complex."""
+    A = two_term_parts(source, p)[0].algebra
+    out = [algebra_complex(A, d) for d in (0, 1)]
+    if source[0] == "star":
+        out += [realize(t, A, d) for t in all_brauer_trees(*source[1:]) for d in (0, 1)]
+        out += [covering_to_complex(c, A) for c in enumerate_coverings(A.n)]
+    return out
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]),
-    st.sampled_from((2, 3, 32003)),
-    st.data(),
-)
-def test_shift_one_dim_on_catalogue_sums(nk, p, data):
-    """dim Hom^1(T, T) - rank C of Hom(T, T) is dim Hom(T, T[1]) on sums of
-    1-5 catalogue members, which conflict often enough that it is not 0."""
-    members = data.draw(st.lists(st.sampled_from(star_catalogue(*nk, p)), min_size=1, max_size=5))
-    from_zero, from_one = shift_one_both_ways(direct_sum(members))
-    assert from_zero == from_one
-
-
-@pytest.mark.parametrize("p", [2, 3, 32003])
-def test_shift_one_dim_is_nonzero_where_the_shift_one_space_is(p):
-    """The identity where it is not zero: P_e in both degrees over every
-    star with n <= 4 and k <= 2, with a catalogue member beside it, and the
-    presentation of P_e/soc(P_e) over every multiplicity-1 tree with at
-    most 4 edges, which has self-extensions."""
-    seen = []
-    for n in range(1, 5):
-        for k in (1, 2):
-            catalogue = star_catalogue(n, k, p)
-            A = catalogue[0].algebra
-            for e in A.edges:
-                for member in catalogue[:3]:
-                    T = direct_sum([stalk_complex(A, e, 0), stalk_complex(A, e, 1), member])
-                    seen.append(shift_one_both_ways(T))
-    for n in range(1, 5):
-        for tree in all_brauer_trees(n, 1):
-            A = build_tree_algebra(tree, prime=p)
-            for e in A.edges:
-                seen.append(shift_one_both_ways(min_proj_presentation(socle_quotient_rep(A, e)[0])))
-    assert all(from_zero == from_one > 0 for from_zero, from_one in seen)
-
-
-def test_shift_one_dim_refuses_other_spaces():
-    A = star_algebra(3, 1)
-    T, U = pres(A, 2, 1), pres(A, 3, 2)
-    for Q, R, s in ((T, U, 0), (T, T, 1)):
-        with pytest.raises(ValueError, match="Hom\\(T, T\\) at shift 0"):
-            shift_one_dim(complexes.ChainMapSpace(Q, R, s))
-    three = direct_sum([stalk_complex(A, e, d) for e, d in ((1, 0), (2, 1), (3, 2))])
-    with pytest.raises(ValueError, match="two-term"):
-        shift_one_dim(complexes.ChainMapSpace(three, three, 0))
-    assert shift_one_dim(complexes.ChainMapSpace(*(algebra_complex(A, 1),) * 2, 0)) == 0
+@given(st.sampled_from(SOURCES), st.sampled_from((2, 3, 32003)), st.booleans(), st.data())
+def test_the_euler_test_decides_as_the_shift_one_space(source, p, summed, data):
+    """TiltingComplex(parts) accepts T exactly when is_tilting does, on
+    tilting complexes and on sums of 1 to n + 2 two-term pieces, catalogue
+    members and presentations with self-extensions among them, so that many
+    sums are not partial tilting; and dim End(T) less the Euler form is
+    dim Hom(T, T[1]) + dim Hom(T, T[-1]), each from its own space."""
+    if summed:
+        pieces = two_term_parts(source, p)
+        parts = data.draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=source[1] + 2))
+    else:
+        parts = list(data.draw(st.sampled_from(tilting_complexes(source, p))).parts)
+    T = direct_sum(parts)
+    try:
+        TiltingComplex(parts)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == is_tilting(T, direct=True)
+    assert (complexes.ChainMapSpace(T, T, 0).dim - euler_pairing(T, T)
+            == hom_complex_dim(T, T, 1, direct=True) + hom_complex_dim(T, T, -1, direct=True))
