@@ -32,6 +32,7 @@ from brauertilt.modules import (
 from brauertilt.realization import realize
 from brauertilt.tilting import (
     TiltingComplex,
+    classes_span_k0,
     hom_to_module,
     is_partial_tilting,
     is_tilting,
@@ -462,3 +463,73 @@ def test_the_euler_test_decides_as_the_shift_one_space(source, p, summed, data):
     assert accepted == is_tilting(T, direct=True)
     assert (complexes.ChainMapSpace(T, T, 0).dim - euler_pairing(T, T)
             == hom_complex_dim(T, T, 1, direct=True) + hom_complex_dim(T, T, -1, direct=True))
+
+
+# -- Hom(T, T[1]) and Hom(T, T[-1]) read from the Euler form -------------------------
+
+
+@lru_cache(maxsize=None)
+def star_catalogue(n, k, p):
+    return tilting_catalog(star_algebra(n, k, prime=p))
+
+
+def shift_one_both_ways(T):
+    """dim End(T) less the Euler form, as TiltingComplex reads it, and
+    dim Hom(T, T[1]) + dim Hom(T, T[-1]) from the spaces at shifts 1 and -1,
+    with dim Hom(T, T[1]) on its own."""
+    from_euler = complexes.ChainMapSpace(T, T, 0).dim - euler_pairing(T, T)
+    one = hom_complex_dim(T, T, 1, direct=True)
+    return from_euler, one + hom_complex_dim(T, T, -1, direct=True), one
+
+
+def refused(parts):
+    try:
+        TiltingComplex(parts)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(n, k) for n in range(1, 5) for k in (1, 2)]),
+    st.sampled_from((2, 3, 32003)),
+    st.data(),
+)
+def test_shift_one_dim_on_catalogue_sums(nk, p, data):
+    """dim End(T) - <[T], [T]> is dim Hom(T, T[1]) + dim Hom(T, T[-1]) on
+    sums of 1-5 catalogue members, which conflict often enough that it is
+    not 0; TiltingComplex refuses the sum exactly when it is not 0 or the
+    classes of the sum do not span K_0(A)."""
+    members = data.draw(st.lists(st.sampled_from(star_catalogue(*nk, p)), min_size=1, max_size=5))
+    T = direct_sum(members)
+    from_euler, from_spaces, _ = shift_one_both_ways(T)
+    assert from_euler == from_spaces
+    assert refused(members) == (from_euler > 0 or not classes_span_k0(T))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_shift_one_dim_is_nonzero_where_the_shift_one_space_is(p):
+    """The identity where it is not zero: P_e in both degrees over every
+    star with n <= 4 and k <= 2, with a catalogue member beside it, and the
+    presentation of P_e/soc(P_e) over every multiplicity-1 tree with at
+    most 4 edges, which has self-extensions. TiltingComplex refuses each."""
+    seen = []
+    for n in range(1, 5):
+        for k in (1, 2):
+            catalogue = star_catalogue(n, k, p)
+            A = catalogue[0].algebra
+            for e in A.edges:
+                for member in catalogue[:3]:
+                    parts = [stalk_complex(A, e, 0), stalk_complex(A, e, 1), member]
+                    seen.append(shift_one_both_ways(direct_sum(parts)) + (refused(parts),))
+    for n in range(1, 5):
+        for tree in all_brauer_trees(n, 1):
+            A = build_tree_algebra(tree, prime=p)
+            for e in A.edges:
+                T = min_proj_presentation(socle_quotient_rep(A, e)[0])
+                seen.append(shift_one_both_ways(T) + (refused([T]),))
+    assert all(
+        from_euler == from_spaces >= one > 0 and was_refused
+        for from_euler, from_spaces, one, was_refused in seen
+    )
